@@ -183,7 +183,6 @@ def eval_IJ(l: int, j: int, p: int = 128) -> PeriodPair:
     alpha = Fraction(j, l)
     N = math.ceil(0.634 * digits) + 16
     work_bits = p + 32
-    cap = _digits_of_bits(work_bits)
     for _ in range(_MAX_ROUNDS):
         N_hi = N + 16
         a_ser = a_coeffs(alpha, N_hi + 1)
@@ -199,9 +198,10 @@ def eval_IJ(l: int, j: int, p: int = 128) -> PeriodPair:
                 sa1, sa2 = cka[n_used]
                 sb1, sb2 = ckb[n_used]
                 values[n_used] = (sa1 + pref_I * sb1, sa2 + pref_J * sb2)
+            # capped at the digits of p: the 32 guard bits of work_bits carry no certified digit
             cert = min(
-                _agreement_digits(values[N][0], values[N_hi][0], cap),
-                _agreement_digits(values[N][1], values[N_hi][1], cap),
+                _agreement_digits(values[N][0], values[N_hi][0], digits),
+                _agreement_digits(values[N][1], values[N_hi][1], digits),
             )
             if cert >= digits:
                 I_val, J_val = values[N_hi]

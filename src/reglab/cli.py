@@ -8,9 +8,10 @@ Subcommands:
   selfcheck  bundled invariant suite, [pass]/[fail] per check
 
 Results of `compute` can be cached as one checksummed JSON file per
-(l, digits, version) key; corrupted or stale files are ignored with a
-warning and recomputed.  Exit codes: 0 success, 2 validation error,
-3 precision or quadrature failure.
+(l, digits, skip-oracle, version) key; corrupted or stale files are ignored
+with a warning and recomputed.  Exit codes: 0 success, 2 validation error,
+3 precision or quadrature failure; a reader that closes the output pipe
+early (`reglab fibers --l 5 | head -1`) ends the run with 0.
 """
 
 from __future__ import annotations
@@ -98,12 +99,12 @@ def _oracle_check(l: int, pairs, p_oracle: int = _ORACLE_BITS) -> str:
 
 
 def compute_payload(cfg: RunConfig) -> dict:
-    from .regulator import regulator_closed_form
+    from .regulator import _closed_form_from
 
     digits = cfg.effective_digits
     p = _bits(digits)
     pairs = [eval_IJ(cfg.l, j, p) for j in range(1, cfg.l)]
-    result = regulator_closed_form(cfg.l, p)
+    result = _closed_form_from(cfg.l, pairs, p)
     oracle = None
     if not cfg.skip_oracle:
         oracle = {"max_rel_diff": _oracle_check(cfg.l, pairs)}
@@ -169,8 +170,9 @@ def _checksum(key: dict, payload: dict) -> str:
 
 
 def _cache_path(cfg: RunConfig) -> str:
-    name = "reglab-l{}-d{}-v{}.json".format(
-        cfg.l, cfg.effective_digits, __version__)
+    name = "reglab-l{}-d{}-{}-v{}.json".format(
+        cfg.l, cfg.effective_digits,
+        "skip-oracle" if cfg.skip_oracle else "oracle", __version__)
     return os.path.join(cfg.cache_dir, name)
 
 
@@ -190,7 +192,8 @@ def _cache_load(cfg: RunConfig) -> Optional[dict]:
         return None
     if key.get("version") != __version__:
         return None  # stale artifact version
-    if key.get("l") != cfg.l or key.get("digits") != cfg.effective_digits:
+    if (key.get("l"), key.get("digits"), key.get("skip_oracle")) != (
+            cfg.l, cfg.effective_digits, cfg.skip_oracle):
         return None
     return payload
 
@@ -199,15 +202,24 @@ def _cache_store(cfg: RunConfig, payload: dict) -> None:
     key = {
         "l": cfg.l,
         "digits": cfg.effective_digits,
+        "skip_oracle": cfg.skip_oracle,
         "N": payload["N_used"],
         "version": __version__,
     }
     entry = {"key": key, "payload": payload,
              "checksum": _checksum(key, payload)}
     os.makedirs(cfg.cache_dir, exist_ok=True)
-    with open(_cache_path(cfg), "w") as fh:
-        json.dump(entry, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    path = _cache_path(cfg)
+    # write beside the target, then rename over it: readers see the old file or the new one
+    tmp = "{}.{}.tmp".format(path, os.getpid())
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(entry, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def cmd_compute(cfg: RunConfig) -> int:
@@ -461,13 +473,19 @@ def main(argv=None) -> int:
                     "oracle requires l >= 5 with gcd(l, 6) = 1; got l = {}".format(cfg.l))
             if cfg.j is not None and not 1 <= cfg.j <= cfg.l - 1:
                 raise ValueError("--j must be between 1 and l - 1")
-        return _DISPATCH[cfg.subcommand](cfg)
+        code = _DISPATCH[cfg.subcommand](cfg)
+        sys.stdout.flush()  # a closed pipe raises here, inside the handler, not at exit
+        return code
     except (UnsupportedL, ValueError) as exc:
         print("error: {}".format(exc), file=sys.stderr)
         return 2
     except (PrecisionNotReached, QuadratureNotConverged) as exc:
         print("error: {}: {}".format(type(exc).__name__, exc), file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so the final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

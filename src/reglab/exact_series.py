@@ -10,6 +10,7 @@ a_n, b_n built from them.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
@@ -434,28 +435,110 @@ def eisenstein_q_expansion(kind: str, N: int) -> TruncatedQSeries:
     return TruncatedQSeries(1, [Fraction(s) for s in sums[1:]], N)
 
 
+class _IntegerBases:
+    """Integer coefficient lists of E3a, E3b, 1/(E3a + 27 E3b) and the power bases
+    f_a = E3a/(E3a + 27 E3b) and f_b = E3b/(q (E3a + 27 E3b)).
+
+    Coefficient n of each list does not depend on the truncation order, so
+    the lists only ever grow; inv, f_a and f_b all have constant term 1.
+    """
+
+    def __init__(self) -> None:
+        self.e3a: list = [1]
+        self.e3b: list = [0]
+        self.inv: list = [1]
+        self.fa: list = [1]
+        self.fb: list = [1]
+
+    def extend(self, N: int) -> "_IntegerBases":
+        """Make every list hold at least N coefficients (e3b holds N + 1)."""
+        start = len(self.fa)
+        if N <= start:
+            return self
+        e3a = eisenstein_q_expansion("E3a", N)
+        e3b = eisenstein_q_expansion("E3b", N + 1)
+        self.e3a = [int(e3a.coefficient(n)) for n in range(N)]
+        self.e3b = [int(e3b.coefficient(n)) for n in range(N + 1)]
+        d = [a + 27 * b for a, b in zip(self.e3a, self.e3b)]
+        inv, fa, fb = self.inv, self.fa, self.fb
+        for n in range(start, N):
+            inv.append(-sum(d[k] * inv[n - k] for k in range(1, n + 1)))
+            fa.append(sum(self.e3a[k] * inv[n - k] for k in range(n + 1)))
+            fb.append(sum(self.e3b[k + 1] * inv[n - k] for k in range(n + 1)))
+        return self
+
+    def factors(self, kind: str) -> tuple:
+        """(power base, factor) of the a-series (E3b f_a**alpha) or b-series (E3a f_b**alpha)."""
+        return (self.fa, self.e3b) if kind == "a" else (self.fb, self.e3a)
+
+
+_BASES = _IntegerBases()
+
+
+def _power_base(N: int) -> _IntegerBases:
+    """The shared integer bases, holding at least N coefficients each."""
+    return _BASES.extend(N)
+
+
+class _ScaledPower:
+    """Coefficients of e * f**(num/den) for one power base f and factor e.
+
+    g = f**alpha is carried as the integers G_n = den^n n! g_n, with
+        G_n = sum_{k=1..n} (num k - den (n-k)) f_k den^(k-1) (n-1)!/(n-k)! G_{n-k},
+    the logarithmic-derivative recurrence of series_pow_rational cleared of
+    denominators.  Coefficient n of e * g is summed at the same scale
+    den^n n! and reduced to a Fraction once.  Both lists grow on demand.
+    """
+
+    def __init__(self, num: int, den: int, kind: str) -> None:
+        self.num, self.den, self.kind = num, den, kind
+        self.G: list = [1]
+        self.out: list = []
+
+    def coefficients(self, N: int) -> list:
+        """Coefficients 0 .. N-1 of e * g as reduced Fractions."""
+        num, den, G, out = self.num, self.den, self.G, self.out
+        if len(out) >= N:
+            return out[:N]
+        f, e = _power_base(N).factors(self.kind)
+        for n in range(len(G), N):
+            # Horner in k: den^(k-1) (n-1)!/(n-k)! grows by den (n-k) per step
+            acc = (num * n) * f[n] * G[0]
+            for k in range(n - 1, 0, -1):
+                acc = (num * k - den * (n - k)) * f[k] * G[n - k] + den * (n - k) * acc
+            G.append(acc)
+        scale = den ** len(out) * math.factorial(len(out))
+        for n in range(len(out), N):
+            # sum_i e_i G_(n-i) den^i n!/(n-i)!, Horner in i
+            acc = e[n] * G[0]
+            for i in range(n - 1, -1, -1):
+                acc = e[i] * G[n - i] + den * (n - i) * acc
+            out.append(Fraction(acc, scale))
+            scale *= den * (n + 1)
+        return out[:N]
+
+
 @lru_cache(maxsize=32)
-def _power_base(N: int) -> tuple:
-    e3a = eisenstein_q_expansion("E3a", N)
-    e3b = eisenstein_q_expansion("E3b", N)
-    denom_inv = series_inverse(e3a + 27 * e3b)
-    return e3a, e3b, denom_inv
+def _scaled_power(alpha: Fraction, kind: str) -> _ScaledPower:
+    return _ScaledPower(alpha.numerator, alpha.denominator, kind)
+
+
+def _coefficients(alpha, N: int, kind: str) -> TruncatedQSeries:
+    if N < 2:
+        raise ValueError("need N >= 2")
+    alpha = _alpha_value(alpha)
+    if isinstance(alpha, AlphaPolynomial):
+        f, e = _power_base(N).factors(kind)
+        powed = series_pow_rational(TruncatedQSeries(0, f[:N], N), alpha)
+        return series_mul(TruncatedQSeries(0, e[:N], N), powed)
+    return TruncatedQSeries(0, _scaled_power(alpha, kind).coefficients(N), N)
 
 
 def a_coeffs(alpha, N: int) -> TruncatedQSeries:
     """Coefficients a_n of E3b * (E3a / (E3a + 27 E3b))**alpha, order N."""
-    if N < 2:
-        raise ValueError("need N >= 2")
-    e3a, e3b, denom_inv = _power_base(N)
-    base = series_mul(e3a, denom_inv)
-    return series_mul(e3b, series_pow_rational(base, alpha))
+    return _coefficients(alpha, N, "a")
 
 
 def b_coeffs(alpha, N: int) -> TruncatedQSeries:
     """Coefficients b_n of E3a * (E3b / (q (E3a + 27 E3b)))**alpha, order N."""
-    if N < 2:
-        raise ValueError("need N >= 2")
-    e3a, e3b, denom_inv = _power_base(N + 1)
-    base = series_mul(e3b.shift(-1), denom_inv)
-    powed = series_pow_rational(base.truncate(N), alpha)
-    return series_mul(e3a.truncate(N), powed)
+    return _coefficients(alpha, N, "b")

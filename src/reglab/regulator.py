@@ -56,13 +56,11 @@ class RegulatorMatrix:
     (l-1)/2 columns (one per independent cycle pairing).
     """
 
-    def __init__(self, l: int, entries: List[List[BigReal]],
-                 I_table: List[PeriodPair], J_table: List[PeriodPair]):
+    def __init__(self, l: int, entries: List[List[BigReal]], I_table: List[PeriodPair]):
         self.l = l
         self.h = len(entries)
         self.entries = entries
         self.I_table = I_table
-        self.J_table = J_table
         if self.h < (l + 1) // 2:
             raise UnsupportedL("matrix has too few rows for l = {}".format(l))
 
@@ -103,7 +101,7 @@ def build_matrix(l: int, p: int = 128) -> RegulatorMatrix:
                         "entry ({}, {}) failed the realness check".format(row, q))
                 row_entries.append(BigReal(e.real, p, pair.I.agreement_certificate))
             entries.append(row_entries)
-    return RegulatorMatrix(l, entries, pairs, pairs)
+    return RegulatorMatrix(l, entries, pairs)
 
 
 def vandermonde_like_det(l: int, p: int = 128) -> BigReal:
@@ -155,12 +153,16 @@ def regulator_closed_form(l: int, p: int = 128) -> RegulatorResult:
     has no independent confirmation, so normalization_verified is False there.
     """
     _require_admissible(l)
-    pairs = _period_table(l, p)
+    return _closed_form_from(l, _period_table(l, p), p)
+
+
+def _closed_form_from(l: int, table: List[PeriodPair], p: int) -> RegulatorResult:
+    """regulator_closed_form on a period table that starts at j = 1 and holds j = 1 .. k or more."""
     k = (l + 1) // 2
     s = (l - 1) // 2
+    pairs = table[:k]
     general = _general_det_from(l, pairs, p)
-    cert = min(min(pr.I.agreement_certificate, pr.J.agreement_certificate)
-               for pr in pairs)
+    cert = general.agreement_certificate
     with mp.workprec(p + 32):
         prod_I = mp.mpf(1)
         for pr in pairs:

@@ -7,6 +7,7 @@ from reglab.bigreal_periods import (
     BigReal,
     SIGN_POLICY,
     _checkpoint_sums,
+    _digits_of_bits,
     constants,
     eisenstein_numeric,
     eisenstein_transform_residual,
@@ -91,6 +92,13 @@ class TestEvalIJ:
         pair = eval_IJ(5, 2, 128)
         assert pair.I.agreement_certificate >= 38
         assert pair.N_used >= 16
+
+    def test_certificate_within_precision(self):
+        # the certificate never claims the 32 guard bits of the working precision
+        for l, j, p in ((5, 1, 128), (7, 3, 64), (11, 10, 200), (13, 6, 96)):
+            pair = eval_IJ(l, j, p)
+            assert pair.I.agreement_certificate <= _digits_of_bits(p)
+            assert pair.J.agreement_certificate <= _digits_of_bits(p)
 
     def test_doubling_N_changes_no_reported_digit(self):
         pair = eval_IJ(5, 1, 64)

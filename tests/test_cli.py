@@ -77,6 +77,26 @@ class TestComputeCommand:
         code, _, err = run(capsys, "compute", "--l", "5", "--parallelism", "0")
         assert code == 2 and "parallelism" in err
 
+    def test_one_period_table_per_run(self, monkeypatch):
+        import reglab.bigreal_periods as bp
+        import reglab.cli as cli
+        import reglab.regulator as regulator
+
+        calls = []
+
+        def counted(l, j, p=128):
+            calls.append((l, j, p))
+            return bp.eval_IJ(l, j, p)
+
+        monkeypatch.setattr(cli, "eval_IJ", counted)
+        monkeypatch.setattr(regulator, "eval_IJ", counted)
+        for l in (5, 7):
+            calls.clear()
+            cli.compute_payload(cli._config_from(cli._build_parser().parse_args(
+                ["compute", "--l", str(l), "--digits", "12", "--skip-oracle"])))
+            assert len(calls) == l - 1
+            assert sorted(j for _, j, _ in calls) == list(range(1, l))
+
 
 class TestCache:
     def test_round_trip_byte_identical(self, capsys, tmp_path):
@@ -127,12 +147,62 @@ class TestCache:
         assert code == 0 and out == first
         assert "corrupt" not in err
 
+    def test_key_includes_skip_oracle(self, capsys, tmp_path, monkeypatch):
+        import reglab.cli as cli
+
+        monkeypatch.setattr(cli, "_oracle_check", lambda l, pairs: "1.0e-20")
+        base = ("compute", "--l", "5", "--digits", "12", "--format", "json",
+                "--cache", str(tmp_path))
+        _, skipped, _ = run(capsys, *base, "--skip-oracle")
+        _, checked, _ = run(capsys, *base)
+        assert json.loads(skipped)["oracle_check"] is None
+        assert json.loads(checked)["oracle_check"] == {"max_rel_diff": "1.0e-20"}
+        # each key now hits its own file
+        assert run(capsys, *base, "--skip-oracle")[1] == skipped
+        assert run(capsys, *base)[1] == checked
+        files = sorted(os.listdir(tmp_path))
+        assert len(files) == 2
+        assert all(f.startswith("reglab-") and f.endswith(".json") for f in files)
+
+    def test_store_leaves_no_temp_file_on_failure(self, capsys, tmp_path, monkeypatch):
+        import reglab.cli as cli
+
+        def broken_dump(*args, **kwargs):
+            raise OSError("disk full")
+
+        args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle",
+                "--cache", str(tmp_path))
+        monkeypatch.setattr(cli.json, "dump", broken_dump)
+        with pytest.raises(OSError):
+            run(capsys, *args)
+        assert os.listdir(tmp_path) == []
+
     def test_env_var_overrides(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REGLAB_CACHE", str(tmp_path))
         code, _, _ = run(capsys, "compute", "--l", "5", "--digits", "12",
                          "--skip-oracle")
         assert code == 0
         assert len(os.listdir(tmp_path)) == 1
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("unbuffered", ("", "1"))
+    def test_closed_stdout_exits_0(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "reglab.cli", "fibers", "--l", "5"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert b"Traceback" not in proc.stderr
+        assert b"BrokenPipeError" not in proc.stderr
 
 
 class TestOtherCommands:

@@ -206,3 +206,47 @@ class TestAlphaPolynomial:
         assert (3 - 27 * a) == AlphaPolynomial([3, -27])
         assert a * a == AlphaPolynomial([0, 0, 1])
         assert (a + 1) - a == 1
+
+
+def _generic_a(alpha, N):
+    e3a = eisenstein_q_expansion("E3a", N)
+    e3b = eisenstein_q_expansion("E3b", N)
+    base = series_mul(e3a, series_inverse(e3a + 27 * e3b))
+    return series_mul(e3b, series_pow_rational(base, alpha))
+
+
+def _generic_b(alpha, N):
+    e3a = eisenstein_q_expansion("E3a", N + 1)
+    e3b = eisenstein_q_expansion("E3b", N + 1)
+    base = series_mul(e3b.shift(-1), series_inverse(e3a + 27 * e3b))
+    return series_mul(e3a.truncate(N), series_pow_rational(base.truncate(N), alpha))
+
+
+@st.composite
+def admissible_lj(draw):
+    l = draw(st.sampled_from([l for l in range(5, 26) if l % 2 and l % 3]))
+    return l, draw(st.integers(min_value=1, max_value=l - 1))
+
+
+class TestIntegerKernel:
+    """a_coeffs/b_coeffs at rational alpha against the generic Fraction composition."""
+
+    @given(admissible_lj(), st.integers(min_value=2, max_value=60))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_generic_composition(self, lj, N):
+        alpha = F(lj[1], lj[0])
+        assert a_coeffs(alpha, N) == _generic_a(alpha, N)
+        assert b_coeffs(alpha, N) == _generic_b(alpha, N)
+
+    def test_extension_matches_fresh_build(self):
+        # a shorter request after a longer one, then a longer one again
+        alpha = F(4, 17)
+        for N in (30, 12, 47):
+            a, b = a_coeffs(alpha, N), b_coeffs(alpha, N)
+            assert a == _generic_a(alpha, N) and a.valuation == 1
+            assert b == _generic_b(alpha, N) and b.valuation == 0
+            assert a.truncation_order == b.truncation_order == N
+
+    def test_integer_and_exponent_param_alpha(self):
+        assert a_coeffs(ExponentParam(F(2, 7)), 20) == _generic_a(F(2, 7), 20)
+        assert b_coeffs(-2, 15) == _generic_b(F(-2), 15)

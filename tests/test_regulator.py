@@ -1,9 +1,10 @@
 import pytest
 from mpmath import mp
 
-from reglab.bigreal_periods import SIGN_POLICY
+from reglab.bigreal_periods import SIGN_POLICY, eval_IJ
 from reglab.errors import UnsupportedL
 from reglab.regulator import (
+    _closed_form_from,
     build_matrix,
     regulator_closed_form,
     regulator_general_det,
@@ -105,6 +106,16 @@ class TestDeterminantRoutes:
             assert r.value_e_ind.value > 0
             assert r.sign_policy == SIGN_POLICY
             assert r.normalization_verified is (l in (5, 7))
+
+    def test_closed_form_from_full_table(self):
+        # the j = 1 .. l-1 table of compute gives the same result as j = 1 .. k
+        table = [eval_IJ(7, j, 96) for j in range(1, 7)]
+        got = _closed_form_from(7, table, 96)
+        want = regulator_closed_form(7, p=96)
+        for a, b in zip(got, want):
+            if hasattr(a, "agreement_certificate"):
+                a, b = ((x.value, x.precision, x.agreement_certificate) for x in (a, b))
+            assert a == b
 
     def test_general_det_standalone(self):
         r = regulator_closed_form(7, p=96)
