@@ -8,7 +8,7 @@ import time
 
 from mpmath import mp
 
-from reglab.bigreal_periods import eval_IJ
+from reglab.bigreal_periods import eval_IJ, series_periods
 from reglab.elliptic_oracle import cubic_roots, direct_periods, inner_integrals
 
 print("roots and arches at l = 5, t = 0.5")
@@ -26,10 +26,9 @@ start = time.time()
 print(" l  j   delta (series)      delta (quadrature)   rel")
 for l in (5, 7):
     for j in range(1, l):
-        pair = eval_IJ(l, j, p=128)
+        series = series_periods(eval_IJ(l, j, p=128)).delta_period.value
         oracle = direct_periods(l, j, p=64)
         with mp.workprec(96):
-            series = 54 * mp.pi / l * pair.I.value
             diff = abs(oracle.delta_abs.value - series) / series
             worst = max(worst, diff)
         print(f"{l:>2} {j:>2}   {mp.nstr(series, 15):<19}  "

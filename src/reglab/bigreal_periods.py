@@ -55,26 +55,6 @@ class BigReal:
             self.to_decimal(), self.precision, self.agreement_certificate)
 
 
-class BigComplex:
-    """Complex companion of BigReal; same precision and certificate bookkeeping."""
-
-    __slots__ = ("value", "precision", "agreement_certificate")
-
-    def __init__(self, value, precision: int, agreement_certificate: Union[int, None] = None):
-        self.value = mp.mpc(value)
-        self.precision = int(precision)
-        if agreement_certificate is None:
-            agreement_certificate = _digits_of_bits(self.precision)
-        self.agreement_certificate = int(agreement_certificate)
-
-    def __complex__(self) -> complex:
-        return complex(self.value)
-
-    def __repr__(self) -> str:
-        return "BigComplex({}, prec={}, certified={})".format(
-            self.value, self.precision, self.agreement_certificate)
-
-
 class Constants(NamedTuple):
     pi: BigReal
     sqrt3: BigReal
@@ -97,9 +77,12 @@ class SeriesPeriods(NamedTuple):
     sign_policy: str
 
 
-def _require_l(l: int) -> None:
+def _require_lj(l: int, j: int) -> None:
+    """Reject (l, j) outside the period tables: l >= 1 with gcd(l, 6) = 1, 1 <= j <= l - 1."""
     if l < 1 or math.gcd(l, 6) != 1:
         raise UnsupportedL("need l >= 1 with gcd(l, 6) = 1, got l = {}".format(l))
+    if not 1 <= j <= l - 1:
+        raise ValueError("need 1 <= j <= l - 1")
 
 
 def _to_mpf(fr) -> "mp.mpf":
@@ -176,9 +159,7 @@ def eval_IJ(l: int, j: int, p: int = 128) -> PeriodPair:
            + 2 pi 3^(3j/l-7/2) sum_{n>=0} b_n/(n+a) c^(n+a)
     with a = j/l and c = exp(-2 pi / sqrt 3).
     """
-    _require_l(l)
-    if not 1 <= j <= l - 1:
-        raise ValueError("need 1 <= j <= l - 1")
+    _require_lj(l, j)
     digits = max(6, _digits_of_bits(p))
     alpha = Fraction(j, l)
     N = math.ceil(0.634 * digits) + 16
@@ -214,17 +195,17 @@ def eval_IJ(l: int, j: int, p: int = 128) -> PeriodPair:
         "series agreement stalled for (l, j) = ({}, {}) at N = {}".format(l, j, N))
 
 
-def periods_from_series(l: int, j: int, p: int = 128) -> SeriesPeriods:
+def series_periods(pair: PeriodPair) -> SeriesPeriods:
     """Magnitudes |period over delta| = (54 pi / l) I(j) and |period over gamma| = (27 / l) J(j).
 
     The delta-arch period lies on the imaginary axis and the gamma-arch
     period on the real axis; only magnitudes are reported, with the axis
     recorded alongside.
     """
-    pair = eval_IJ(l, j, p)
+    p = pair.I.precision
     with mp.workprec(p + 32):
-        delta = 54 * mp.pi / l * pair.I.value
-        gamma = mp.mpf(27) / l * pair.J.value
+        delta = 54 * mp.pi / pair.l * pair.I.value
+        gamma = mp.mpf(27) / pair.l * pair.J.value
     return SeriesPeriods(
         BigReal(delta, p, pair.I.agreement_certificate),
         BigReal(gamma, p, pair.J.agreement_certificate),
@@ -232,6 +213,11 @@ def periods_from_series(l: int, j: int, p: int = 128) -> SeriesPeriods:
         "real",
         SIGN_POLICY,
     )
+
+
+def periods_from_series(l: int, j: int, p: int = 128) -> SeriesPeriods:
+    """series_periods of eval_IJ(l, j, p)."""
+    return series_periods(eval_IJ(l, j, p))
 
 
 def eisenstein_numeric(kind: str, q, N: int = 64, p: int = 128) -> BigReal:
@@ -261,8 +247,7 @@ def eisenstein_transform_residual(z, N: int = 80, p: int = 128) -> BigReal:
     and the prefactor 3 sqrt3 i (iy)^3 collapses to the real number 3 sqrt3 y^3.
     """
     with mp.workprec(p + 32):
-        zm = z.value if isinstance(z, (BigComplex, BigReal)) else mp.mpc(z)
-        zm = mp.mpc(zm)
+        zm = mp.mpc(z.value if isinstance(z, BigReal) else z)
         if mp.re(zm) != 0 or mp.im(zm) <= 0:
             raise ValueError("z must lie on the positive imaginary axis")
         y = mp.im(zm)

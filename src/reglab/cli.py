@@ -10,8 +10,9 @@ Subcommands:
 Results of `compute` can be cached as one checksummed JSON file per
 (l, digits, skip-oracle, version) key; corrupted or stale files are ignored
 with a warning and recomputed.  Exit codes: 0 success, 2 validation error,
-3 precision or quadrature failure; a reader that closes the output pipe
-early (`reglab fibers --l 5 | head -1`) ends the run with 0.
+3 precision or quadrature failure, including series and quadrature routes
+more than 1e-6 apart; a reader that closes the output pipe early
+(`reglab fibers --l 5 | head -1`) ends the run with 0.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple, Optional
 from mpmath import mp
 
 from . import __version__
-from .bigreal_periods import eisenstein_transform_residual, eval_IJ
+from .bigreal_periods import eisenstein_transform_residual, eval_IJ, series_periods
 from .errors import (
     PrecisionNotReached,
     QuadratureNotConverged,
@@ -38,6 +39,7 @@ from .errors import (
 
 _DEFAULT_DIGITS = 30
 _ORACLE_BITS = 64
+_ORACLE_GATE = 1e-6  # largest relative difference allowed between the series and quadrature routes
 
 
 class RunConfig(NamedTuple):
@@ -54,6 +56,10 @@ class RunConfig(NamedTuple):
     @property
     def effective_digits(self) -> int:
         return _DEFAULT_DIGITS if self.digits is None else self.digits
+
+    @property
+    def oracle_bits(self) -> int:
+        return _ORACLE_BITS if self.digits is None else _bits(self.digits)
 
 
 def _bits(digits: int) -> int:
@@ -83,19 +89,30 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 
 # ---------------------------------------------------------------- compute
 
-def _oracle_check(l: int, pairs, p_oracle: int = _ORACLE_BITS) -> str:
+def _oracle_rows(pairs, p_oracle: int) -> list:
+    """(j, arch, series, quadrature, rel diff) per pair and arch, series route against oracle."""
     from .elliptic_oracle import direct_periods
 
-    worst = mp.mpf(0)
-    with mp.workprec(p_oracle + 16):
-        for j, pair in enumerate(pairs, start=1):
-            got = direct_periods(l, j, p_oracle)
-            want_delta = 54 * mp.pi / l * pair.I.value
-            want_gamma = mp.mpf(27) / l * pair.J.value
-            worst = max(worst,
-                        abs(got.delta_abs.value - want_delta) / want_delta,
-                        abs(got.gamma_abs.value - want_gamma) / want_gamma)
-    return mp.nstr(worst, 3)
+    rows = []
+    for pair in pairs:
+        want = series_periods(pair)
+        got = direct_periods(pair.l, pair.j, p_oracle)
+        with mp.workprec(max(pair.I.precision, p_oracle) + 16):
+            for arch, series, quadrature in (("delta", want.delta_period, got.delta_abs),
+                                             ("gamma", want.gamma_period, got.gamma_abs)):
+                rows.append((pair.j, arch, series.value, quadrature.value,
+                             abs(quadrature.value - series.value) / series.value))
+    return rows
+
+
+def _worst(rows):
+    """The largest relative difference of the rows; QuadratureNotConverged past _ORACLE_GATE."""
+    worst = max(row[4] for row in rows)
+    if worst > _ORACLE_GATE:
+        raise QuadratureNotConverged(
+            "series and quadrature routes differ by {} relative, above {}".format(
+                mp.nstr(worst, 3), _ORACLE_GATE))
+    return worst
 
 
 def compute_payload(cfg: RunConfig) -> dict:
@@ -107,7 +124,7 @@ def compute_payload(cfg: RunConfig) -> dict:
     result = _closed_form_from(cfg.l, pairs, p)
     oracle = None
     if not cfg.skip_oracle:
-        oracle = {"max_rel_diff": _oracle_check(cfg.l, pairs)}
+        oracle = {"max_rel_diff": mp.nstr(_worst(_oracle_rows(pairs, _ORACLE_BITS)), 3)}
     from .weierstrass import hodge_and_dims
 
     return {
@@ -203,7 +220,6 @@ def _cache_store(cfg: RunConfig, payload: dict) -> None:
         "l": cfg.l,
         "digits": cfg.effective_digits,
         "skip_oracle": cfg.skip_oracle,
-        "N": payload["N_used"],
         "version": __version__,
     }
     entry = {"key": key, "payload": payload,
@@ -284,32 +300,16 @@ def cmd_pf(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------- oracle
 
 def cmd_oracle(cfg: RunConfig) -> int:
-    from .elliptic_oracle import direct_periods
-
-    p_oracle = _ORACLE_BITS if cfg.digits is None else _bits(cfg.digits)
-    p_series = max(128, p_oracle)
-    js = [cfg.j] if cfg.j is not None else list(range(1, cfg.l))
-    worst = mp.mpf(0)
+    p_series = max(128, cfg.oracle_bits)
+    js = [cfg.j] if cfg.j is not None else range(1, cfg.l)
     print("  l  j  arch   {}  {}  {}".format(
         "series route".ljust(22), "quadrature".ljust(22), "rel diff"))
-    with mp.workprec(p_series + 16):
-        for j in js:
-            pair = eval_IJ(cfg.l, j, p_series)
-            got = direct_periods(cfg.l, j, p_oracle)
-            want_delta = 54 * mp.pi / cfg.l * pair.I.value
-            want_gamma = mp.mpf(27) / cfg.l * pair.J.value
-            rd = abs(got.delta_abs.value - want_delta) / want_delta
-            rg = abs(got.gamma_abs.value - want_gamma) / want_gamma
-            worst = max(worst, rd, rg)
-            for arch, want, got_v, diff in (
-                    ("delta", want_delta, got.delta_abs.value, rd),
-                    ("gamma", want_gamma, got.gamma_abs.value, rg)):
-                print("  {}  {}  {}  {}  {}  {}".format(
-                    cfg.l, j, arch.ljust(5),
-                    mp.nstr(want, 15).ljust(22),
-                    mp.nstr(got_v, 15).ljust(22),
-                    mp.nstr(diff, 3)))
-    print("max relative difference: {}".format(mp.nstr(worst, 3)))
+    rows = _oracle_rows([eval_IJ(cfg.l, j, p_series) for j in js], cfg.oracle_bits)
+    for j, arch, series, quadrature, diff in rows:
+        print("  {}  {}  {}  {}  {}  {}".format(
+            cfg.l, j, arch.ljust(5), mp.nstr(series, 15).ljust(22),
+            mp.nstr(quadrature, 15).ljust(22), mp.nstr(diff, 3)))
+    print("max relative difference: {}".format(mp.nstr(_worst(rows), 3)))
     return 0
 
 
@@ -373,23 +373,13 @@ def _check_vandermonde(p: int) -> bool:
 
 
 def _check_oracle_l5(p_oracle: int) -> bool:
-    from .elliptic_oracle import direct_periods
-
-    with mp.workprec(144):
-        for j in range(1, 5):
-            pair = eval_IJ(5, j, 128)
-            got = direct_periods(5, j, p_oracle)
-            want_delta = 54 * mp.pi / 5 * pair.I.value
-            want_gamma = mp.mpf(27) / 5 * pair.J.value
-            if (abs(got.delta_abs.value - want_delta) / want_delta > mp.mpf("1e-6")
-                    or abs(got.gamma_abs.value - want_gamma) / want_gamma > mp.mpf("1e-6")):
-                return False
-    return True
+    # past the gate _worst raises, which cmd_selfcheck reports as [fail]
+    rows = _oracle_rows([eval_IJ(5, j, 128) for j in range(1, 5)], p_oracle)
+    return _worst(rows) <= _ORACLE_GATE
 
 
 def cmd_selfcheck(cfg: RunConfig) -> int:
     p = _bits(cfg.effective_digits)
-    p_oracle = _ORACLE_BITS if cfg.digits is None else _bits(cfg.digits)
     checks = [
         ("series coefficient identities", _check_series_identities),
         ("connection trace zero", _check_trace_zero),
@@ -397,7 +387,7 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
         ("epsilon integrality", _check_epsilon_integrality),
         ("transformation law residual", lambda: _check_transformation_law(max(p, 128))),
         ("vandermonde determinant identity", lambda: _check_vandermonde(max(p, 128))),
-        ("l = 5 oracle cross-check", lambda: _check_oracle_l5(p_oracle)),
+        ("l = 5 oracle cross-check", lambda: _check_oracle_l5(cfg.oracle_bits)),
     ]
     failures = 0
     for name, check in checks:
@@ -461,18 +451,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config_from(args)
-        if cfg.subcommand == "compute" and (cfg.l < 5 or math.gcd(cfg.l, 6) != 1):
+        if cfg.subcommand in ("compute", "oracle") and (cfg.l < 5 or math.gcd(cfg.l, 6) != 1):
             raise UnsupportedL(
-                "compute requires l >= 5 with gcd(l, 6) = 1 "
-                "(the standing assumption on l); got l = {}".format(cfg.l))
+                "{} requires l >= 5 with gcd(l, 6) = 1 "
+                "(the standing assumption on l); got l = {}".format(cfg.subcommand, cfg.l))
         if cfg.subcommand in ("fibers", "pf") and cfg.l < 1:
             raise ValueError("--l must be at least 1")
-        if cfg.subcommand == "oracle":
-            if math.gcd(cfg.l, 6) != 1 or cfg.l < 5:
-                raise UnsupportedL(
-                    "oracle requires l >= 5 with gcd(l, 6) = 1; got l = {}".format(cfg.l))
-            if cfg.j is not None and not 1 <= cfg.j <= cfg.l - 1:
-                raise ValueError("--j must be between 1 and l - 1")
+        if cfg.subcommand == "oracle" and cfg.j is not None and not 1 <= cfg.j <= cfg.l - 1:
+            raise ValueError("--j must be between 1 and l - 1")
         code = _DISPATCH[cfg.subcommand](cfg)
         sys.stdout.flush()  # a closed pipe raises here, inside the handler, not at exit
         return code

@@ -13,14 +13,13 @@ to the endpoints.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import NamedTuple
 
 from mpmath import mp
 
-from .bigreal_periods import BigReal, _agreement_digits, _digits_of_bits
-from .errors import DomainError, QuadratureNotConverged, RootOrderingFailed, UnsupportedL
+from .bigreal_periods import BigReal, _agreement_digits, _digits_of_bits, _require_lj
+from .errors import DomainError, QuadratureNotConverged, RootOrderingFailed
 
 
 _TAIL_MODEL_DIGITS = 10
@@ -262,10 +261,7 @@ def direct_periods(l: int, j: int, p: int = 64) -> OraclePeriods:
     delta_abs = 2 sqrt3 int_0^1 t^(j-1) delta_inner dt, and likewise gamma.
     This route never touches the q-series machinery; it exists to check it.
     """
-    if l < 1 or math.gcd(l, 6) != 1:
-        raise UnsupportedL("need l >= 1 with gcd(l, 6) = 1, got l = {}".format(l))
-    if not 1 <= j <= l - 1:
-        raise ValueError("need 1 <= j <= l - 1")
+    _require_lj(l, j)
     with mp.workprec(p + 16):
         delta_val, delta_err = _outer_integral(l, j, "delta")
         gamma_val, gamma_err = _outer_integral(l, j, "gamma")

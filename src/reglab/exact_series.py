@@ -17,8 +17,6 @@ from typing import Iterable, Sequence, Union
 
 from .errors import ConstantTermNotOne, ZeroConstantTerm
 
-ExactRational = Fraction
-
 
 def chi3(n: int) -> int:
     """Quadratic character mod 3, with chi3(n) = 0, 1, -1 for n = 0, 1, 2 mod 3."""

@@ -25,6 +25,7 @@ from .bigreal_periods import (
     _agreement_digits,
     _digits_of_bits,
     eval_IJ,
+    series_periods,
 )
 from .errors import UnsupportedL
 from .weierstrass import hodge_and_dims
@@ -91,7 +92,7 @@ def build_matrix(l: int, p: int = 128) -> RegulatorMatrix:
     with mp.workprec(p + 32):
         zeta = mp.exp(2j * mp.pi / l)
         for row, pair in enumerate(pairs, start=1):
-            period = mp.mpc(0, 54 * mp.pi / l * pair.I.value)  # delta arch is imaginary
+            period = mp.mpc(0, series_periods(pair).delta_period.value)  # delta arch is imaginary
             scale = 2 * abs(period)
             row_entries = []
             for q in range(1, width + 1):

@@ -13,6 +13,7 @@ from reglab.bigreal_periods import (
     eisenstein_transform_residual,
     eval_IJ,
     periods_from_series,
+    series_periods,
 )
 from reglab.errors import UnsupportedL
 from reglab.exact_series import a_coeffs, b_coeffs
@@ -144,6 +145,17 @@ class TestPeriodsFromSeries:
         sp = periods_from_series(5, 1, 64)
         assert rel_close(sp.delta_period.value, "14.503368", mp.mpf("1e-6"))
         assert rel_close(sp.gamma_period.value, "3.8755632", mp.mpf("1e-6"))
+
+    def test_series_periods_of_pair(self):
+        pair = eval_IJ(7, 3, 96)
+        sp = series_periods(pair)
+        again = periods_from_series(7, 3, 96)
+        assert sp.delta_period.value == again.delta_period.value
+        assert sp.gamma_period.value == again.gamma_period.value
+        assert sp[2:] == again[2:]
+        assert sp.delta_period.precision == sp.gamma_period.precision == 96
+        assert sp.delta_period.agreement_certificate == pair.I.agreement_certificate
+        assert sp.gamma_period.agreement_certificate == pair.J.agreement_certificate
 
 
 class TestEisensteinNumeric:

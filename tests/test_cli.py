@@ -1,3 +1,4 @@
+import functools
 import importlib.metadata
 import json
 import os
@@ -7,10 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
+import reglab.elliptic_oracle as elliptic_oracle
+from reglab.bigreal_periods import BigReal
 from reglab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run(capsys, *argv):
@@ -46,6 +51,7 @@ class TestComputeCommand:
         payload = json.loads(out)
         diff = float(payload["oracle_check"]["max_rel_diff"])
         assert diff < 1e-6
+        assert out == (GOLDEN / "compute_l5_d10_oracle.json").read_text()
 
     def test_csv_columns(self, capsys):
         code, out, _ = run(capsys, "compute", "--l", "5", "--format", "csv",
@@ -150,7 +156,8 @@ class TestCache:
     def test_key_includes_skip_oracle(self, capsys, tmp_path, monkeypatch):
         import reglab.cli as cli
 
-        monkeypatch.setattr(cli, "_oracle_check", lambda l, pairs: "1.0e-20")
+        monkeypatch.setattr(cli, "_oracle_rows",
+                            lambda pairs, p_oracle: [(1, "delta", 1, 1, mp.mpf("1e-20"))])
         base = ("compute", "--l", "5", "--digits", "12", "--format", "json",
                 "--cache", str(tmp_path))
         _, skipped, _ = run(capsys, *base, "--skip-oracle")
@@ -163,6 +170,26 @@ class TestCache:
         files = sorted(os.listdir(tmp_path))
         assert len(files) == 2
         assert all(f.startswith("reglab-") and f.endswith(".json") for f in files)
+
+    def test_key_with_N_still_hits(self, capsys, tmp_path, monkeypatch):
+        import reglab.cli as cli
+
+        def not_called(cfg):
+            raise AssertionError("cache miss")
+
+        args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle",
+                "--cache", str(tmp_path))
+        _, first, _ = run(capsys, *args)
+        path = tmp_path / os.listdir(tmp_path)[0]
+        entry = json.loads(path.read_text())
+        assert "N" not in entry["key"]
+        # files written before the key dropped its copy of payload["N_used"]
+        entry["key"]["N"] = entry["payload"]["N_used"]
+        entry["checksum"] = cli._checksum(entry["key"], entry["payload"])
+        path.write_text(json.dumps(entry, sort_keys=True, indent=2) + "\n")
+        monkeypatch.setattr(cli, "compute_payload", not_called)
+        code, out, err = run(capsys, *args)
+        assert code == 0 and out == first and err == ""
 
     def test_store_leaves_no_temp_file_on_failure(self, capsys, tmp_path, monkeypatch):
         import reglab.cli as cli
@@ -229,10 +256,12 @@ class TestOtherCommands:
         assert "max relative difference" in out
         worst = float(out.strip().splitlines()[-1].split()[-1])
         assert worst < 1e-6
+        assert out == (GOLDEN / "oracle_l5_j2.txt").read_text()
 
     def test_oracle_validation(self, capsys):
         code, _, err = run(capsys, "oracle", "--l", "6")
         assert code == 2
+        assert "oracle requires" in err and "gcd(l, 6) = 1" in err
         code, _, err = run(capsys, "oracle", "--l", "5", "--j", "9")
         assert code == 2
 
@@ -241,6 +270,48 @@ class TestOtherCommands:
         assert code == 0
         assert out.count("[pass]") == 7
         assert "[fail]" not in out
+        assert out == (GOLDEN / "selfcheck.txt").read_text()
+
+
+# one quadrature per (l, j, p), shared by the gate tests below
+_real_direct_periods = functools.lru_cache(maxsize=None)(elliptic_oracle.direct_periods)
+
+
+def _skewed_direct_periods(l, j, p=64):
+    got = _real_direct_periods(l, j, p)
+    return got._replace(delta_abs=BigReal(got.delta_abs.value * mp.mpf("1.001"), p))
+
+
+class TestOracleGate:
+    """A quadrature route 1e-3 off the series route fails the 1e-6 gate everywhere."""
+
+    @pytest.fixture(autouse=True)
+    def skewed_oracle(self, monkeypatch):
+        monkeypatch.setattr(elliptic_oracle, "direct_periods", _skewed_direct_periods)
+
+    def test_compute_exits_3_and_caches_nothing(self, capsys, tmp_path):
+        code, out, err = run(capsys, "compute", "--l", "5", "--digits", "10",
+                             "--format", "json", "--cache", str(tmp_path))
+        assert code == 3
+        assert out == ""
+        assert "QuadratureNotConverged" in err
+        assert os.listdir(tmp_path) == []
+
+    def test_oracle_prints_rows_then_exits_3(self, capsys):
+        code, out, err = run(capsys, "oracle", "--l", "5", "--j", "1")
+        assert code == 3
+        lines = out.splitlines()
+        assert len(lines) == 3
+        assert lines[1].split()[2:3] == ["delta"] and lines[1].split()[-1] == "0.001"
+        assert lines[2].split()[2:3] == ["gamma"]
+        assert "max relative difference" not in out
+        assert "QuadratureNotConverged" in err
+
+    def test_selfcheck_fails_the_oracle_check(self, capsys):
+        code, out, _ = run(capsys, "selfcheck")
+        assert code == 1
+        assert out.count("[pass]") == 6
+        assert "[fail] l = 5 oracle cross-check" in out
 
 
 def _run_entry_point(*argv):
