@@ -85,10 +85,13 @@ def _require_lj(l: int, j: int) -> None:
         raise ValueError("need 1 <= j <= l - 1")
 
 
-def _to_mpf(fr) -> "mp.mpf":
-    if isinstance(fr, Fraction):
-        return mp.mpf(fr.numerator) / fr.denominator
-    return mp.mpf(fr)
+def _to_mpf(v) -> "mp.mpf":
+    """An exact rational (numerator / denominator), a BigReal or anything mpf accepts."""
+    if isinstance(v, BigReal):
+        return v.value
+    if isinstance(v, int) or not hasattr(v, "numerator"):
+        return mp.mpf(v)
+    return mp.mpf(v.numerator) / v.denominator
 
 
 def constants(p: int = 128) -> Constants:
@@ -102,41 +105,48 @@ def constants(p: int = 128) -> Constants:
     return Constants(BigReal(pi, p), BigReal(sqrt3, p), BigReal(c, p))
 
 
-def _checkpoint_sums(a_ser, b_ser, alpha_m, N_lo: int, N_hi: int):
-    """Partial sums of the four constituent series at both truncation lengths.
+class _RunningSums:
+    """Partial sums of the four constituent series, carried across certificate rounds.
 
-    a-series sums run n = 1..N, b-series sums n = 0..N-1; a single pass
-    records the lower checkpoint on the way to the full sum.
+    After advance(N, ...) the a-series sums hold n = 1..N and the b-series
+    sums n = 0..N-1.  A later advance adds only the terms past the previous
+    N, in the same order, so at an unchanged working precision the sums are
+    the numbers a fresh pass from n = 1 would give.
     """
-    c = mp.exp(-2 * mp.pi / mp.sqrt(3))
-    sqrt3 = mp.sqrt(3)
-    two_pi = 2 * mp.pi
-    sa1 = mp.mpf(0)  # sum a_n / n c^n
-    sa2 = mp.mpf(0)  # sum a_n (2 pi / (sqrt3 n) + 1/n^2) c^n
-    cn = mp.mpf(1)
-    checkpoints_a = {}
-    for n in range(1, N_hi + 1):
-        cn *= c
-        an = _to_mpf(a_ser.coefficient(n))
-        sa1 += an / n * cn
-        sa2 += an * (two_pi / (sqrt3 * n) + mp.mpf(1) / (n * n)) * cn
-        if n == N_lo:
-            checkpoints_a[N_lo] = (+sa1, +sa2)
-    checkpoints_a[N_hi] = (sa1, sa2)
-    sb1 = mp.mpf(0)  # sum b_n (1/(n+alpha) + sqrt3/(2 pi (n+alpha)^2)) c^(n+alpha)
-    sb2 = mp.mpf(0)  # sum b_n / (n+alpha) c^(n+alpha)
-    cna = mp.power(c, alpha_m)
-    checkpoints_b = {}
-    for n in range(0, N_hi):
-        bn = _to_mpf(b_ser.coefficient(n))
-        na = n + alpha_m
-        sb1 += bn * (1 / na + sqrt3 / (two_pi * na * na)) * cna
-        sb2 += bn / na * cna
-        cna *= c
-        if n == N_lo - 1:
-            checkpoints_b[N_lo] = (+sb1, +sb2)
-    checkpoints_b[N_hi] = (sb1, sb2)
-    return checkpoints_a, checkpoints_b
+
+    def __init__(self, alpha_m) -> None:
+        self.c = mp.exp(-2 * mp.pi / mp.sqrt(3))
+        self.sqrt3 = mp.sqrt(3)
+        self.two_pi = 2 * mp.pi
+        self.N = 0
+        self.sa1 = mp.mpf(0)  # sum a_n / n c^n
+        self.sa2 = mp.mpf(0)  # sum a_n (2 pi / (sqrt3 n) + 1/n^2) c^n
+        self.sb1 = mp.mpf(0)  # sum b_n (1/(n+alpha) + sqrt3/(2 pi (n+alpha)^2)) c^(n+alpha)
+        self.sb2 = mp.mpf(0)  # sum b_n / (n+alpha) c^(n+alpha)
+        self.cn = mp.mpf(1)  # c^N
+        self.cna = mp.power(self.c, alpha_m)  # c^(N+alpha)
+        self.alpha_m = alpha_m
+
+    def advance(self, N: int, a_ser, b_ser) -> tuple:
+        """(sa1, sa2, sb1, sb2) with N terms each; N never decreases."""
+        c, sqrt3, two_pi = self.c, self.sqrt3, self.two_pi
+        sa1, sa2, cn = self.sa1, self.sa2, self.cn
+        for n in range(self.N + 1, N + 1):
+            cn *= c
+            an = _to_mpf(a_ser.coefficient(n))
+            sa1 += an / n * cn
+            sa2 += an * (two_pi / (sqrt3 * n) + mp.mpf(1) / (n * n)) * cn
+        sb1, sb2, cna = self.sb1, self.sb2, self.cna
+        for n in range(self.N, N):
+            bn = _to_mpf(b_ser.coefficient(n))
+            na = n + self.alpha_m
+            sb1 += bn * (1 / na + sqrt3 / (two_pi * na * na)) * cna
+            sb2 += bn / na * cna
+            cna *= c
+        self.N = N
+        self.sa1, self.sa2, self.cn = sa1, sa2, cn
+        self.sb1, self.sb2, self.cna = sb1, sb2, cna
+        return sa1, sa2, sb1, sb2
 
 
 def _agreement_digits(lo, hi, cap: int) -> int:
@@ -163,34 +173,30 @@ def eval_IJ(l: int, j: int, p: int = 128) -> PeriodPair:
     digits = max(6, _digits_of_bits(p))
     alpha = Fraction(j, l)
     N = math.ceil(0.634 * digits) + 16
-    work_bits = p + 32
-    for _ in range(_MAX_ROUNDS):
-        N_hi = N + 16
-        a_ser = a_coeffs(alpha, N_hi + 1)
-        b_ser = b_coeffs(alpha, N_hi)
-        with mp.workprec(work_bits):
-            alpha_m = mp.mpf(j) / l
-            cka, ckb = _checkpoint_sums(a_ser, b_ser, alpha_m, N, N_hi)
-            ln3 = mp.ln(3)
-            pref_I = mp.exp(_to_mpf(Fraction(3 * j - 3 * l, l)) * ln3)
-            pref_J = 2 * mp.pi * mp.exp(_to_mpf(Fraction(6 * j - 7 * l, 2 * l)) * ln3)
-            values = {}
+    with mp.workprec(p + 32):
+        sums = _RunningSums(mp.mpf(j) / l)
+        ln3 = mp.ln(3)
+        pref_I = mp.exp(_to_mpf(Fraction(3 * j - 3 * l, l)) * ln3)
+        pref_J = 2 * mp.pi * mp.exp(_to_mpf(Fraction(6 * j - 7 * l, 2 * l)) * ln3)
+        for _ in range(_MAX_ROUNDS):
+            N_hi = N + 16
+            a_ser = a_coeffs(alpha, N_hi + 1)
+            b_ser = b_coeffs(alpha, N_hi)
+            values = []
             for n_used in (N, N_hi):
-                sa1, sa2 = cka[n_used]
-                sb1, sb2 = ckb[n_used]
-                values[n_used] = (sa1 + pref_I * sb1, sa2 + pref_J * sb2)
-            # capped at the digits of p: the 32 guard bits of work_bits carry no certified digit
-            cert = min(
-                _agreement_digits(values[N][0], values[N_hi][0], digits),
-                _agreement_digits(values[N][1], values[N_hi][1], digits),
-            )
+                sa1, sa2, sb1, sb2 = sums.advance(n_used, a_ser, b_ser)
+                values.append((sa1 + pref_I * sb1, sa2 + pref_J * sb2))
+            (I_lo, J_lo), (I_val, J_val) = values
+            # capped at the digits of p: the 32 guard bits carry no certified digit
+            cert = min(_agreement_digits(I_lo, I_val, digits),
+                       _agreement_digits(J_lo, J_val, digits))
             if cert >= digits:
-                I_val, J_val = values[N_hi]
                 if not (I_val > 0 and J_val > 0):
                     raise PrecisionNotReached(
                         "I({}) or J({}) failed positivity at l={}".format(j, j, l))
                 return PeriodPair(l, j, BigReal(I_val, p, cert), BigReal(J_val, p, cert), N_hi)
-        N += max(16, math.ceil(0.65 * digits))
+            # the next N is at least this N_hi, so the sums only move forward
+            N += max(16, math.ceil(0.65 * digits))
     raise PrecisionNotReached(
         "series agreement stalled for (l, j) = ({}, {}) at N = {}".format(l, j, N))
 

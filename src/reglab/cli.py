@@ -90,7 +90,10 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------- compute
 
 def _oracle_rows(pairs, p_oracle: int) -> list:
-    """(j, arch, series, quadrature, rel diff) per pair and arch, series route against oracle."""
+    """(j, arch, series, quadrature, rel diff) per pair and arch, series route against oracle.
+
+    series and quadrature are BigReals, so each keeps its certificate.
+    """
     from .elliptic_oracle import direct_periods
 
     rows = []
@@ -100,7 +103,7 @@ def _oracle_rows(pairs, p_oracle: int) -> list:
         with mp.workprec(max(pair.I.precision, p_oracle) + 16):
             for arch, series, quadrature in (("delta", want.delta_period, got.delta_abs),
                                              ("gamma", want.gamma_period, got.gamma_abs)):
-                rows.append((pair.j, arch, series.value, quadrature.value,
+                rows.append((pair.j, arch, series, quadrature,
                              abs(quadrature.value - series.value) / series.value))
     return rows
 
@@ -305,10 +308,11 @@ def cmd_oracle(cfg: RunConfig) -> int:
     print("  l  j  arch   {}  {}  {}".format(
         "series route".ljust(22), "quadrature".ljust(22), "rel diff"))
     rows = _oracle_rows([eval_IJ(cfg.l, j, p_series) for j in js], cfg.oracle_bits)
+    # at most 15 significant digits, and none past a value's certificate
+    cell = lambda x: mp.nstr(x.value, min(15, x.agreement_certificate)).ljust(22)
     for j, arch, series, quadrature, diff in rows:
         print("  {}  {}  {}  {}  {}  {}".format(
-            cfg.l, j, arch.ljust(5), mp.nstr(series, 15).ljust(22),
-            mp.nstr(quadrature, 15).ljust(22), mp.nstr(diff, 3)))
+            cfg.l, j, arch.ljust(5), cell(series), cell(quadrature), mp.nstr(diff, 3)))
     print("max relative difference: {}".format(mp.nstr(_worst(rows), 3)))
     return 0
 
@@ -316,16 +320,17 @@ def cmd_oracle(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------- selfcheck
 
 def _check_series_identities() -> bool:
-    from .exact_series import AlphaPolynomial, a_coeffs, b_coeffs, formal_alpha
+    from .exact_series import a_coeffs, b_coeffs, formal_alpha
+    from .weierstrass import Polynomial
 
     alpha = formal_alpha()
     a = a_coeffs(alpha, 4)
     b = b_coeffs(alpha, 3)
     F = Fraction
-    return (a.coefficient(2) == AlphaPolynomial([3, -27])
-            and a.coefficient(3) == AlphaPolynomial([9, F(-81, 2), F(729, 2)])
-            and b.coefficient(1) == AlphaPolynomial([-9, -15])
-            and b.coefficient(2) == AlphaPolynomial([27, F(387, 2), F(225, 2)]))
+    return (a.coefficient(2) == Polynomial([3, -27])
+            and a.coefficient(3) == Polynomial([9, F(-81, 2), F(729, 2)])
+            and b.coefficient(1) == Polynomial([-9, -15])
+            and b.coefficient(2) == Polynomial([27, F(387, 2), F(225, 2)]))
 
 
 def _check_trace_zero() -> bool:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from mpmath import mp
 
-from .bigreal_periods import BigReal, _agreement_digits, _digits_of_bits, _require_lj
+from .bigreal_periods import BigReal, _agreement_digits, _digits_of_bits, _require_lj, _to_mpf
 from .errors import DomainError, QuadratureNotConverged, RootOrderingFailed
 
 
@@ -131,8 +131,10 @@ def _root_data_cached(l: int, t, prec: int):
     return _root_data(l, t)
 
 
-def _gaps(l: int, t):
-    return _root_data_cached(l, t, mp.prec)[3:]
+def _inner(l: int, t, which: str):
+    """2 R_F(0, r3-r2, r3-r1) over the delta arch, 2 R_F(0, r2-r1, r3-r1) over the gamma arch."""
+    d21, d31, d32 = _root_data_cached(l, t, mp.prec)[3:]
+    return 2 * _rf_zero(d32 if which == "delta" else d21, d31)
 
 
 def _rf_zero(y, z):
@@ -164,18 +166,10 @@ def _rf_duplication(x, y, z):
     return value, iterations
 
 
-def _coerce(v):
-    if isinstance(v, BigReal):
-        return v.value
-    if hasattr(v, "numerator") and not isinstance(v, int):
-        return mp.mpf(v.numerator) / v.denominator
-    return mp.mpf(v)
-
-
 def carlson_rf(x, y, z, p: int = 64) -> BigReal:
     """Carlson symmetric integral R_F by the duplication algorithm."""
     with mp.workprec(p + 16):
-        args = sorted(_coerce(v) for v in (x, y, z))
+        args = sorted(_to_mpf(v) for v in (x, y, z))
         if args[0] < 0:
             raise DomainError("R_F needs nonnegative arguments")
         if args[1] <= 0:
@@ -192,7 +186,7 @@ def cubic_roots(l: int, t, p: int = 64) -> CubicRoots:
     if l < 1:
         raise ValueError("need l >= 1")
     with mp.workprec(p):
-        tm = _coerce(t)
+        tm = _to_mpf(t)
         if not 0 < tm < 1:
             raise DomainError("need 0 < t < 1")
         r1, r2, r3, d21, d31, d32 = _root_data_cached(l, tm, mp.prec)
@@ -208,12 +202,11 @@ def inner_integrals(l: int, t, p: int = 64) -> InnerIntegrals:
     if l < 1:
         raise ValueError("need l >= 1")
     with mp.workprec(p + 16):
-        tm = _coerce(t)
+        tm = _to_mpf(t)
         if not 0 < tm < 1:
             raise DomainError("need 0 < t < 1")
-        d21, d31, d32 = _gaps(l, tm)
-        delta_val = 2 * _rf_zero(d32, d31)
-        gamma_val = 2 * _rf_zero(d21, d31)
+        delta_val = _inner(l, tm, "delta")
+        gamma_val = _inner(l, tm, "gamma")
     return InnerIntegrals(BigReal(delta_val, p), BigReal(gamma_val, p))
 
 
@@ -224,13 +217,7 @@ def _outer_integral(l: int, j: int, which: str, K: int = 20, maxdegree: int = 6)
     the end gaps are closed with a two-point logarithmic tail model
     inner(t) ~ C1 + C2 log(1/t) integrated in closed form.
     """
-
-    def inner(u):
-        d21, d31, d32 = _gaps(l, u)
-        if which == "delta":
-            return 2 * _rf_zero(d32, d31)
-        return 2 * _rf_zero(d21, d31)
-
+    inner = lambda u: _inner(l, u, which)
     f = lambda u: u ** (j - 1) * inner(u)
     total = mp.mpf(0)
     errsum = mp.mpf(0)

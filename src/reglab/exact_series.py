@@ -1,21 +1,21 @@
 """Exact truncated q-series arithmetic over the rationals.
 
 Coefficients are either exact rationals or polynomials in a formal exponent
-symbol alpha, so the same engine serves exact identity checks and numeric
-evaluation after specializing alpha = j/l.  Includes the two weight-3
-Eisenstein series on Gamma_1(3) and the fractional-power coefficient families
-a_n, b_n built from them.
+symbol alpha (weierstrass.Polynomial), so the same engine serves exact
+identity checks and numeric evaluation after specializing alpha = j/l.
+Includes the two weight-3 Eisenstein series on Gamma_1(3) and the
+fractional-power coefficient families a_n, b_n built from them.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import ConstantTermNotOne, ZeroConstantTerm
+from .weierstrass import Polynomial, _as_poly
 
 
 def chi3(n: int) -> int:
@@ -23,114 +23,9 @@ def chi3(n: int) -> int:
     return (0, 1, -1)[n % 3]
 
 
-class AlphaPolynomial:
-    """Polynomial in a formal symbol alpha with exact rational coefficients."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: Iterable) -> None:
-        coeffs = [Fraction(c) for c in coefficients]
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            coeffs = [Fraction(0)]
-        self.coefficients: tuple = tuple(coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def is_constant(self) -> bool:
-        return len(self.coefficients) == 1
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self.coefficients[0]
-
-    def __call__(self, value) -> Fraction:
-        value = Fraction(value)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * value + c
-        return acc
-
-    def __add__(self, other):
-        other = _promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return AlphaPolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AlphaPolynomial(-c for c in self.coefficients)
-
-    def __sub__(self, other):
-        other = _promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coefficients, other.coefficients
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return AlphaPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, AlphaPolynomial):
-            other = other.constant_value()
-        return self * (Fraction(1) / Fraction(other))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, AlphaPolynomial):
-            return self.coefficients == other.coefficients
-        if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.coefficients[0] == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        if self.is_constant():
-            return hash(self.coefficients[0])
-        return hash(self.coefficients)
-
-    def __repr__(self) -> str:
-        return "AlphaPolynomial({})".format(list(self.coefficients))
-
-
-def _promote(value):
-    if isinstance(value, AlphaPolynomial):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return AlphaPolynomial([value])
-    return NotImplemented
-
-
-def formal_alpha() -> AlphaPolynomial:
+def formal_alpha() -> Polynomial:
     """The formal symbol alpha as a degree-1 polynomial."""
-    return AlphaPolynomial([0, 1])
+    return Polynomial([0, 1])
 
 
 class ExponentParam:
@@ -162,21 +57,15 @@ class ExponentParam:
         return "ExponentParam({})".format(self.value)
 
 
-Coefficient = Union[Fraction, AlphaPolynomial]
+Coefficient = Union[Fraction, Polynomial]
 
 
 def _alpha_value(alpha) -> Coefficient:
     if isinstance(alpha, ExponentParam):
         return alpha.value
-    if isinstance(alpha, AlphaPolynomial):
+    if isinstance(alpha, Polynomial):
         return alpha
     return Fraction(alpha)
-
-
-def _is_zero(c: Coefficient) -> bool:
-    if isinstance(c, AlphaPolynomial):
-        return c.is_constant() and c.coefficients[0] == 0
-    return c == 0
 
 
 class TruncatedQSeries:
@@ -189,13 +78,13 @@ class TruncatedQSeries:
     __slots__ = ("valuation", "coefficients", "truncation_order")
 
     def __init__(self, valuation: int, coefficients: Sequence, truncation_order: int) -> None:
-        coeffs = [c if isinstance(c, AlphaPolynomial) else Fraction(c) for c in coefficients]
+        coeffs = [c if isinstance(c, Polynomial) else Fraction(c) for c in coefficients]
         if valuation < 0:
             raise ValueError("valuation must be >= 0")
         if len(coeffs) != truncation_order - valuation:
             raise ValueError("need len(coefficients) == truncation_order - valuation")
         # normalize away leading zeros so valuation reports the lowest power present
-        while coeffs and _is_zero(coeffs[0]):
+        while coeffs and coeffs[0] == 0:
             coeffs.pop(0)
             valuation += 1
         self.valuation: int = valuation
@@ -219,12 +108,7 @@ class TruncatedQSeries:
         return self.coefficients[n - self.valuation]
 
     def is_zero(self) -> bool:
-        return all(_is_zero(c) for c in self.coefficients)
-
-    def constant_term(self) -> Coefficient:
-        if self.truncation_order < 1:
-            raise IndexError("series truncated before q^0")
-        return self.coefficient(0)
+        return not self.coefficients  # the constructor strips leading zeros
 
     def truncate(self, order: int) -> "TruncatedQSeries":
         if order > self.truncation_order:
@@ -240,9 +124,9 @@ class TruncatedQSeries:
         return TruncatedQSeries(self.valuation + k, self.coefficients, self.truncation_order + k)
 
     def specialize(self, alpha) -> "TruncatedQSeries":
-        """Evaluate every AlphaPolynomial coefficient at the given rational."""
+        """Evaluate every formal coefficient at the given rational."""
         alpha = _alpha_value(alpha)
-        coeffs = [c(alpha) if isinstance(c, AlphaPolynomial) else c for c in self.coefficients]
+        coeffs = [_as_poly(c)(alpha) for c in self.coefficients]
         return TruncatedQSeries(self.valuation, coeffs, self.truncation_order)
 
     def __eq__(self, other) -> bool:
@@ -289,7 +173,7 @@ class TruncatedQSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, AlphaPolynomial)):
+        if isinstance(other, (int, Fraction, Polynomial)):
             return TruncatedQSeries(self.valuation, [c * other for c in self.coefficients],
                                     self.truncation_order)
         if not isinstance(other, TruncatedQSeries):
@@ -297,24 +181,6 @@ class TruncatedQSeries:
         return series_mul(self, other)
 
     __rmul__ = __mul__
-
-    def to_json(self) -> str:
-        """Exact debug dump; rational coefficients only."""
-        coeffs = []
-        for c in self.coefficients:
-            if isinstance(c, AlphaPolynomial):
-                if not c.is_constant():
-                    raise TypeError("cannot dump a series with formal coefficients")
-                c = c.constant_value()
-            coeffs.append([str(c.numerator), str(c.denominator)])
-        return json.dumps({"valuation": self.valuation, "coeffs": coeffs,
-                           "order": self.truncation_order})
-
-    @classmethod
-    def from_json(cls, text: str) -> "TruncatedQSeries":
-        data = json.loads(text)
-        coeffs = [Fraction(int(num), int(den)) for num, den in data["coeffs"]]
-        return cls(data["valuation"], coeffs, data["order"])
 
     def __repr__(self) -> str:
         head = ", ".join(repr(c) for c in self.coefficients[:4])
@@ -332,7 +198,7 @@ def series_mul(f: TruncatedQSeries, g: TruncatedQSeries) -> TruncatedQSeries:
         return TruncatedQSeries(order, [], order)
     out = [Fraction(0)] * (order - val)
     for i, a in enumerate(f.coefficients):
-        if _is_zero(a):
+        if a == 0:
             continue
         ei = f.valuation + i
         for j, b in enumerate(g.coefficients):
@@ -345,23 +211,19 @@ def series_mul(f: TruncatedQSeries, g: TruncatedQSeries) -> TruncatedQSeries:
 
 def series_inverse(f: TruncatedQSeries) -> TruncatedQSeries:
     """Multiplicative inverse mod q**truncation_order."""
-    if f.truncation_order < 1 or f.valuation > 0 or not f.coefficients:
+    if f.valuation > 0 or not f.coefficients:
         raise ZeroConstantTerm("series has no invertible constant term")
-    c0 = f.coefficients[0]
-    if isinstance(c0, AlphaPolynomial):
-        if not c0.is_constant():
-            raise ValueError("constant term must be a unit rational, not a formal polynomial")
-        c0 = c0.constant_value()
-    if c0 == 0:
-        raise ZeroConstantTerm("series has zero constant term")
+    c0 = _as_poly(f.coefficients[0])  # nonzero: the constructor strips leading zeros
+    if c0.degree > 0:
+        raise ValueError("constant term must be a unit rational, not a formal polynomial")
     n_terms = f.truncation_order
-    inv0 = Fraction(1) / c0
+    inv0 = 1 / c0.coeffs[0]
     out = [inv0] + [Fraction(0)] * (n_terms - 1)
     for n in range(1, n_terms):
         acc = Fraction(0)
         for k in range(1, n + 1):
             a = f.coefficient(k)
-            if _is_zero(a):
+            if a == 0:
                 continue
             acc = acc + a * out[n - k]
         out[n] = -inv0 * acc
@@ -374,30 +236,20 @@ def series_pow_rational(f: TruncatedQSeries, alpha) -> TruncatedQSeries:
     Uses the logarithmic-derivative recurrence
         n g_n = sum_{k=1..n} (alpha k - (n - k)) f_k g_{n-k},
     one exact O(N^2) pass with no exp/log composition.  alpha may be a
-    rational, an ExponentParam, or a formal AlphaPolynomial.
+    rational, an ExponentParam, or a formal Polynomial.
     """
-    if f.truncation_order < 1 or f.valuation > 0 or not f.coefficients:
-        raise ConstantTermNotOne("series constant term must be 1")
-    c0 = f.coefficients[0]
-    if c0 != 1:
+    if f.valuation > 0 or not f.coefficients or f.coefficients[0] != 1:
         raise ConstantTermNotOne("series constant term must be 1")
     alpha = _alpha_value(alpha)
     n_terms = f.truncation_order
     out: list = [Fraction(1)] + [Fraction(0)] * (n_terms - 1)
     for n in range(1, n_terms):
-        acc = None
+        acc = Fraction(0)
         for k in range(1, n + 1):
             fk = f.coefficient(k)
-            if _is_zero(fk):
-                continue
-            term = (alpha * k - (n - k)) * fk * out[n - k]
-            acc = term if acc is None else acc + term
-        if acc is None:
-            out[n] = Fraction(0)
-        elif isinstance(acc, AlphaPolynomial):
-            out[n] = acc * Fraction(1, n)
-        else:
-            out[n] = acc / n
+            if fk != 0:
+                acc = acc + (alpha * k - (n - k)) * fk * out[n - k]
+        out[n] = acc * Fraction(1, n)
     return TruncatedQSeries(0, out, n_terms)
 
 
@@ -525,7 +377,7 @@ def _coefficients(alpha, N: int, kind: str) -> TruncatedQSeries:
     if N < 2:
         raise ValueError("need N >= 2")
     alpha = _alpha_value(alpha)
-    if isinstance(alpha, AlphaPolynomial):
+    if isinstance(alpha, Polynomial):
         f, e = _power_base(N).factors(kind)
         powed = series_pow_rational(TruncatedQSeries(0, f[:N], N), alpha)
         return series_mul(TruncatedQSeries(0, e[:N], N), powed)

@@ -139,7 +139,8 @@ class Polynomial:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # a constant hashes like its value, as it compares equal to it
+        return hash(self.coeffs) if self.degree > 0 else hash(self(0))
 
     def __str__(self) -> str:
         if self.is_zero():

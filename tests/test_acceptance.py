@@ -18,7 +18,7 @@ from reglab.bigreal_periods import (
     eval_IJ,
 )
 from reglab.elliptic_oracle import direct_periods, inner_integrals
-from reglab.exact_series import AlphaPolynomial, a_coeffs, b_coeffs, formal_alpha
+from reglab.exact_series import a_coeffs, b_coeffs, formal_alpha
 from reglab.gauss_manin import connection_matrix, degeneracy_locus, picard_fuchs, pf_relation
 from reglab.regulator import regulator_closed_form, vandermonde_like_det
 from reglab.weierstrass import (
@@ -90,10 +90,10 @@ def test_criterion_04_exact_coefficients():
     a = a_coeffs(alpha, 4)
     b = b_coeffs(alpha, 3)
     F = Fraction
-    assert a.coefficient(2) == AlphaPolynomial([3, -27])
-    assert a.coefficient(3) == AlphaPolynomial([9, F(-81, 2), F(729, 2)])
-    assert b.coefficient(1) == AlphaPolynomial([-9, -15])
-    assert b.coefficient(2) == AlphaPolynomial([27, F(387, 2), F(225, 2)])
+    assert a.coefficient(2) == Polynomial([3, -27])
+    assert a.coefficient(3) == Polynomial([9, F(-81, 2), F(729, 2)])
+    assert b.coefficient(1) == Polynomial([-9, -15])
+    assert b.coefficient(2) == Polynomial([27, F(387, 2), F(225, 2)])
     from reglab.exact_series import eisenstein_q_expansion
 
     e3a = eisenstein_q_expansion("E3a", 8)

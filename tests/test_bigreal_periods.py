@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+import reglab.bigreal_periods as bigreal_periods
 from reglab.bigreal_periods import (
     BigReal,
     SIGN_POLICY,
-    _checkpoint_sums,
+    _RunningSums,
     _digits_of_bits,
     constants,
     eisenstein_numeric,
@@ -108,13 +109,35 @@ class TestEvalIJ:
         a_ser = a_coeffs(alpha, 2 * N + 1)
         b_ser = b_coeffs(alpha, 2 * N)
         with mp.workprec(96):
-            cka, ckb = _checkpoint_sums(a_ser, b_ser, mp.mpf(1) / 5, N, 2 * N)
+            sa1, _, sb1, _ = _RunningSums(mp.mpf(1) / 5).advance(2 * N, a_ser, b_ser)
             ln3 = mp.ln(3)
             pref_I = mp.exp((mp.mpf(3) / 5 - 3) * ln3)
-            sa1, _ = cka[2 * N]
-            sb1, _ = ckb[2 * N]
             doubled = BigReal(sa1 + pref_I * sb1, 64, pair.I.agreement_certificate)
         assert doubled.to_decimal() == pair.I.to_decimal()
+
+    def test_second_round_sums_only_new_terms(self, monkeypatch):
+        # (13, 3) at 30 digits needs two certificate rounds; each series term is summed once
+        requests, terms = [], []
+
+        class Counted:
+            def __init__(self, ser):
+                self.ser = ser
+
+            def coefficient(self, n):
+                terms.append(n)
+                return self.ser.coefficient(n)
+
+        def counted(coeffs):
+            def wrapped(alpha, N):
+                requests.append(N)
+                return Counted(coeffs(alpha, N))
+            return wrapped
+
+        monkeypatch.setattr(bigreal_periods, "a_coeffs", counted(a_coeffs))
+        monkeypatch.setattr(bigreal_periods, "b_coeffs", counted(b_coeffs))
+        pair = eval_IJ(13, 3, 108)
+        assert len(requests) == 2 * 2  # one a- and one b-series request per round
+        assert len(terms) == 2 * pair.N_used
 
     def test_rejects_bad_l(self):
         for l in (2, 3, 4, 6, 9):

@@ -258,6 +258,22 @@ class TestOtherCommands:
         assert worst < 1e-6
         assert out == (GOLDEN / "oracle_l5_j2.txt").read_text()
 
+    def test_oracle_prints_no_uncertified_quadrature_digit(self, capsys, monkeypatch):
+        certificates = []
+
+        def recorded(l, j, p=64):
+            got = _real_direct_periods(l, j, p)
+            certificates.extend(x.agreement_certificate for x in (got.delta_abs, got.gamma_abs))
+            return got
+
+        monkeypatch.setattr(elliptic_oracle, "direct_periods", recorded)
+        code, out, _ = run(capsys, "oracle", "--l", "5", "--j", "2")
+        assert code == 0
+        cells = [line.split()[4] for line in out.splitlines()[1:-1]]
+        assert len(cells) == len(certificates) == 2
+        for cell, certificate in zip(cells, certificates):
+            assert len(cell.lstrip("0.").replace(".", "")) <= certificate
+
     def test_oracle_validation(self, capsys):
         code, _, err = run(capsys, "oracle", "--l", "6")
         assert code == 2

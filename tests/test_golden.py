@@ -1,9 +1,12 @@
-"""`compute --format json --skip-oracle` must keep its output bytes.
+"""CLI outputs that must keep their bytes.
 
-The files under tests/golden/ hold the stdout of each case, recorded before
-the exact series moved to scaled-integer arithmetic; any change to a printed
-digit, a certificate-driven field (`N_used`, `det_agreement_digits`) or the
-key order shows up here as a byte difference.
+The files under tests/golden/ hold the stdout of each case: the
+`compute --format json --skip-oracle` outputs were recorded before the exact
+series moved to scaled-integer arithmetic, the `fibers` and `pf` outputs
+before the formal series coefficients moved to weierstrass.Polynomial, whose
+`__str__` prints them.  Any change to a printed digit, a certificate-driven
+field (`N_used`, `det_agreement_digits`), a polynomial or the key order shows
+up here as a byte difference.
 """
 
 from pathlib import Path
@@ -15,11 +18,27 @@ from reglab.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+def _stdout(capsys, *argv):
+    code = main(list(argv))
+    assert code == 0
+    return capsys.readouterr().out
+
+
 @pytest.mark.parametrize("digits", (15, 30))
 @pytest.mark.parametrize("l", (5, 7, 11))
 def test_compute_json_byte_identical(capsys, l, digits):
-    code = main(["compute", "--l", str(l), "--digits", str(digits),
-                 "--format", "json", "--skip-oracle"])
-    out = capsys.readouterr().out
-    assert code == 0
+    out = _stdout(capsys, "compute", "--l", str(l), "--digits", str(digits),
+                  "--format", "json", "--skip-oracle")
     assert out == (GOLDEN / "compute_l{}_d{}.json".format(l, digits)).read_text()
+
+
+@pytest.mark.parametrize("l", (1, 2, 5, 7))
+def test_fibers_byte_identical(capsys, l):
+    out = _stdout(capsys, "fibers", "--l", str(l))
+    assert out == (GOLDEN / "fibers_l{}.txt".format(l)).read_text()
+
+
+@pytest.mark.parametrize("l,m", ((5, 2), (7, 3)))
+def test_pf_byte_identical(capsys, l, m):
+    out = _stdout(capsys, "pf", "--l", str(l), "--m", str(m))
+    assert out == (GOLDEN / "pf_l{}_m{}.txt".format(l, m)).read_text()
