@@ -1,6 +1,6 @@
 """Period integrals and regulator determinants for the surfaces 3y^2 + x^3 + (3x + 4t^l)^2 = 0."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     ConstantTermNotOne,

@@ -7,12 +7,16 @@ Subcommands:
   oracle     quadrature cross-check of the series-route periods
   selfcheck  bundled invariant suite, [pass]/[fail] per check
 
-Results of `compute` can be cached as one checksummed JSON file per
-(l, digits, skip-oracle, version) key; corrupted or stale files are ignored
-with a warning and recomputed.  Exit codes: 0 success, 2 validation error,
-3 precision or quadrature failure, including series and quadrature routes
-more than 1e-6 apart; a reader that closes the output pipe early
-(`reglab fibers --l 5 | head -1`) ends the run with 0.
+`compute` checks the series route against the closed 2F1/Gamma forms of
+`hypergeometric`; `oracle` and `selfcheck` check it against the quadrature of
+`elliptic_oracle`.  Results of `compute` can be cached as one checksummed
+JSON file per (l, digits, skip-oracle, version) key; corrupted, unreadable or
+stale files are ignored with a warning and recomputed, and a cache that
+cannot be written is reported with a warning.  Exit codes: 0 success,
+2 validation error (a --cache path that is not a directory among them),
+3 precision or quadrature failure, including the series route more than
+1e-6 from the route it is checked against; a reader that closes the output
+pipe early (`reglab fibers --l 5 | head -1`) ends the run with 0.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .errors import (
 
 _DEFAULT_DIGITS = 30
 _ORACLE_BITS = 64
-_ORACLE_GATE = 1e-6  # largest relative difference allowed between the series and quadrature routes
+_ORACLE_GATE = 1e-6  # largest relative difference allowed between the series route and its check
 
 
 class RunConfig(NamedTuple):
@@ -89,23 +93,30 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 
 # ---------------------------------------------------------------- compute
 
-def _oracle_rows(pairs, p_oracle: int) -> list:
-    """(j, arch, series, quadrature, rel diff) per pair and arch, series route against oracle.
+def _oracle_rows(pairs, checks) -> list:
+    """(j, arch, series, check, rel diff) per pair and arch, series route against another route.
 
-    series and quadrature are BigReals, so each keeps its certificate.
+    checks holds one (delta, gamma) pair of period magnitudes per pair, from
+    the closed forms or the quadrature.  series and check are BigReals, so
+    each keeps its certificate.
     """
+    rows = []
+    for pair, (delta, gamma) in zip(pairs, checks):
+        want = series_periods(pair)
+        with mp.workprec(max(pair.I.precision, delta.precision) + 16):
+            for arch, series, check in (("delta", want.delta_period, delta),
+                                        ("gamma", want.gamma_period, gamma)):
+                rows.append((pair.j, arch, series, check,
+                             abs(check.value - series.value) / series.value))
+    return rows
+
+
+def _quadrature_rows(pairs, p_oracle: int) -> list:
+    """_oracle_rows of the pairs against the quadrature at p_oracle bits."""
     from .elliptic_oracle import direct_periods
 
-    rows = []
-    for pair in pairs:
-        want = series_periods(pair)
-        got = direct_periods(pair.l, pair.j, p_oracle)
-        with mp.workprec(max(pair.I.precision, p_oracle) + 16):
-            for arch, series, quadrature in (("delta", want.delta_period, got.delta_abs),
-                                             ("gamma", want.gamma_period, got.gamma_abs)):
-                rows.append((pair.j, arch, series, quadrature,
-                             abs(quadrature.value - series.value) / series.value))
-    return rows
+    quadratures = [direct_periods(pair.l, pair.j, p_oracle) for pair in pairs]
+    return _oracle_rows(pairs, [(q.delta_abs, q.gamma_abs) for q in quadratures])
 
 
 def _worst(rows):
@@ -113,7 +124,7 @@ def _worst(rows):
     worst = max(row[4] for row in rows)
     if worst > _ORACLE_GATE:
         raise QuadratureNotConverged(
-            "series and quadrature routes differ by {} relative, above {}".format(
+            "series route and its check differ by {} relative, above {}".format(
                 mp.nstr(worst, 3), _ORACLE_GATE))
     return worst
 
@@ -127,7 +138,11 @@ def compute_payload(cfg: RunConfig) -> dict:
     result = _closed_form_from(cfg.l, pairs, p)
     oracle = None
     if not cfg.skip_oracle:
-        oracle = {"max_rel_diff": mp.nstr(_worst(_oracle_rows(pairs, _ORACLE_BITS)), 3)}
+        from .hypergeometric import period_table
+
+        closed = [series_periods(pair) for pair in period_table(cfg.l, _ORACLE_BITS)]
+        rows = _oracle_rows(pairs, [(c.delta_period, c.gamma_period) for c in closed])
+        oracle = {"max_rel_diff": mp.nstr(_worst(rows), 3)}
     from .weierstrass import hodge_and_dims
 
     return {
@@ -210,6 +225,10 @@ def _cache_load(cfg: RunConfig) -> Optional[dict]:
         print("warning: ignoring corrupt cache file {}: {}".format(path, exc),
               file=sys.stderr)
         return None
+    except OSError as exc:
+        print("warning: ignoring unreadable cache file {}: {}".format(path, exc),
+              file=sys.stderr)
+        return None
     if key.get("version") != __version__:
         return None  # stale artifact version
     if (key.get("l"), key.get("digits"), key.get("skip_oracle")) != (
@@ -227,15 +246,18 @@ def _cache_store(cfg: RunConfig, payload: dict) -> None:
     }
     entry = {"key": key, "payload": payload,
              "checksum": _checksum(key, payload)}
-    os.makedirs(cfg.cache_dir, exist_ok=True)
     path = _cache_path(cfg)
     # write beside the target, then rename over it: readers see the old file or the new one
     tmp = "{}.{}.tmp".format(path, os.getpid())
     try:
+        os.makedirs(cfg.cache_dir, exist_ok=True)
         with open(tmp, "w") as fh:
             json.dump(entry, fh, sort_keys=True, indent=2)
             fh.write("\n")
         os.replace(tmp, path)
+    except OSError as exc:
+        print("warning: could not write cache file {}: {}".format(path, exc),
+              file=sys.stderr)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -307,7 +329,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     js = [cfg.j] if cfg.j is not None else range(1, cfg.l)
     print("  l  j  arch   {}  {}  {}".format(
         "series route".ljust(22), "quadrature".ljust(22), "rel diff"))
-    rows = _oracle_rows([eval_IJ(cfg.l, j, p_series) for j in js], cfg.oracle_bits)
+    rows = _quadrature_rows([eval_IJ(cfg.l, j, p_series) for j in js], cfg.oracle_bits)
     # at most 15 significant digits, and none past a value's certificate
     cell = lambda x: mp.nstr(x.value, min(15, x.agreement_certificate)).ljust(22)
     for j, arch, series, quadrature, diff in rows:
@@ -379,7 +401,7 @@ def _check_vandermonde(p: int) -> bool:
 
 def _check_oracle_l5(p_oracle: int) -> bool:
     # past the gate _worst raises, which cmd_selfcheck reports as [fail]
-    rows = _oracle_rows([eval_IJ(5, j, 128) for j in range(1, 5)], p_oracle)
+    rows = _quadrature_rows([eval_IJ(5, j, 128) for j in range(1, 5)], p_oracle)
     return _worst(rows) <= _ORACLE_GATE
 
 
@@ -464,6 +486,9 @@ def main(argv=None) -> int:
             raise ValueError("--l must be at least 1")
         if cfg.subcommand == "oracle" and cfg.j is not None and not 1 <= cfg.j <= cfg.l - 1:
             raise ValueError("--j must be between 1 and l - 1")
+        if (cfg.subcommand == "compute" and cfg.cache_dir and os.path.exists(cfg.cache_dir)
+                and not os.path.isdir(cfg.cache_dir)):
+            raise ValueError("cache path {} is not a directory".format(cfg.cache_dir))
         code = _DISPATCH[cfg.subcommand](cfg)
         sys.stdout.flush()  # a closed pipe raises here, inside the handler, not at exit
         return code

@@ -11,7 +11,8 @@ import pytest
 from mpmath import mp
 
 import reglab.elliptic_oracle as elliptic_oracle
-from reglab.bigreal_periods import BigReal
+import reglab.hypergeometric as hypergeometric
+from reglab.bigreal_periods import BigReal, series_periods
 from reglab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -199,10 +200,53 @@ class TestCache:
 
         args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle",
                 "--cache", str(tmp_path))
+        _, first, _ = run(capsys, "compute", "--l", "5", "--digits", "12", "--skip-oracle")
         monkeypatch.setattr(cli.json, "dump", broken_dump)
-        with pytest.raises(OSError):
-            run(capsys, *args)
+        code, out, err = run(capsys, *args)
+        assert code == 0 and out == first
+        assert "could not write cache file" in err and "disk full" in err
         assert os.listdir(tmp_path) == []
+
+    def test_cache_path_not_a_directory_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "cache"
+        path.write_text("not a directory")
+        code, out, err = run(capsys, "compute", "--l", "5", "--digits", "12",
+                             "--skip-oracle", "--cache", str(path))
+        assert code == 2 and out == ""
+        assert "not a directory" in err
+        assert path.read_text() == "not a directory"
+
+    def test_entry_path_is_a_directory(self, capsys, tmp_path):
+        import reglab.cli as cli
+
+        args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle")
+        _, first, _ = run(capsys, *args)
+        cfg = cli._config_from(cli._build_parser().parse_args(
+            list(args) + ["--cache", str(tmp_path)]))
+        os.mkdir(cli._cache_path(cfg))
+        code, out, err = run(capsys, *args, "--cache", str(tmp_path))
+        # the load and the store both meet the directory: warn, recompute, print
+        assert code == 0 and out == first
+        assert "unreadable cache file" in err and "could not write cache file" in err
+        assert os.listdir(tmp_path) == [os.path.basename(cli._cache_path(cfg))]
+
+    def test_entry_of_previous_version_not_served(self, capsys, tmp_path):
+        import reglab.cli as cli
+
+        assert cli.__version__ != "0.1.0"
+        args = ("compute", "--l", "5", "--digits", "10", "--format", "json")
+        key = {"l": 5, "digits": 10, "skip_oracle": False, "version": "0.1.0"}
+        stale = json.loads((GOLDEN / "compute_l5_d10_oracle.json").read_text())
+        stale["oracle_check"] = {"max_rel_diff": "8.7e-12"}  # the quadrature's figure
+        entry = {"key": key, "payload": stale, "checksum": cli._checksum(key, stale)}
+        (tmp_path / "reglab-l5-d10-oracle-v0.1.0.json").write_text(json.dumps(entry))
+        code, out, err = run(capsys, *args, "--cache", str(tmp_path))
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / "compute_l5_d10_oracle.json").read_text()
+        assert json.loads(out)["oracle_check"] != stale["oracle_check"]
+        assert sorted(os.listdir(tmp_path)) == sorted([
+            "reglab-l5-d10-oracle-v0.1.0.json",
+            "reglab-l5-d10-oracle-v{}.json".format(cli.__version__)])
 
     def test_env_var_overrides(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REGLAB_CACHE", str(tmp_path))
@@ -289,8 +333,9 @@ class TestOtherCommands:
         assert out == (GOLDEN / "selfcheck.txt").read_text()
 
 
-# one quadrature per (l, j, p), shared by the gate tests below
+# one quadrature per (l, j, p), shared by the gate and route tests below
 _real_direct_periods = functools.lru_cache(maxsize=None)(elliptic_oracle.direct_periods)
+_real_period_table = hypergeometric.period_table
 
 
 def _skewed_direct_periods(l, j, p=64):
@@ -298,12 +343,22 @@ def _skewed_direct_periods(l, j, p=64):
     return got._replace(delta_abs=BigReal(got.delta_abs.value * mp.mpf("1.001"), p))
 
 
+def _skewed_period_table(l, p=64):
+    return [pair._replace(I=BigReal(pair.I.value * mp.mpf("1.001"), p))
+            for pair in _real_period_table(l, p)]
+
+
 class TestOracleGate:
-    """A quadrature route 1e-3 off the series route fails the 1e-6 gate everywhere."""
+    """A check route 1e-3 off the series route fails the 1e-6 gate everywhere.
+
+    compute checks against the closed forms, oracle and selfcheck against the
+    quadrature, so both are skewed.
+    """
 
     @pytest.fixture(autouse=True)
     def skewed_oracle(self, monkeypatch):
         monkeypatch.setattr(elliptic_oracle, "direct_periods", _skewed_direct_periods)
+        monkeypatch.setattr(hypergeometric, "period_table", _skewed_period_table)
 
     def test_compute_exits_3_and_caches_nothing(self, capsys, tmp_path):
         code, out, err = run(capsys, "compute", "--l", "5", "--digits", "10",
@@ -328,6 +383,33 @@ class TestOracleGate:
         assert code == 1
         assert out.count("[pass]") == 6
         assert "[fail] l = 5 oracle cross-check" in out
+
+
+class TestRoutes:
+    def test_closed_forms_match_quadrature_l5(self):
+        for pair in _real_period_table(5, 64):
+            closed = series_periods(pair)
+            quadrature = _real_direct_periods(5, pair.j, 64)
+            for want, got in ((closed.delta_period, quadrature.delta_abs),
+                              (closed.gamma_period, quadrature.gamma_abs)):
+                with mp.workprec(96):
+                    diff = abs(got.value - want.value) / want.value
+                assert diff < mp.mpf(10) ** -got.agreement_certificate
+                assert got.agreement_certificate >= 9
+
+    def test_compute_does_not_import_the_quadrature(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from reglab.cli import main; "
+             "code = main(['compute', '--l', '5', '--digits', '10', '--format', 'json']); "
+             "print(code, 'reglab.elliptic_oracle' in sys.modules, "
+             "'reglab.hypergeometric' in sys.modules)"],
+            capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.decode().splitlines()
+        assert lines[0] == (GOLDEN / "compute_l5_d10_oracle.json").read_text().rstrip("\n")
+        assert lines[1] == "0 False True"
 
 
 def _run_entry_point(*argv):

@@ -1,10 +1,15 @@
+import inspect
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from reglab import elliptic_oracle
 from reglab.bigreal_periods import eval_IJ
 from reglab.elliptic_oracle import (
+    _inner,
     _rf_duplication,
     _rf_zero,
     carlson_rf,
@@ -187,6 +192,23 @@ class TestInnerIntegrals:
         with pytest.raises(DomainError):
             inner_integrals(5, 1.0)
 
+    @given(
+        l=st.sampled_from([1, 5, 7, 11, 13]),
+        t=st.fractions(min_value="1/20", max_value="19/20", max_denominator=10**6),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_hypergeometric_forms(self, l, t):
+        # delta: (pi/sqrt3) 2F1(1/3, 2/3; 1; 1 - t^l), gamma: (pi/3) 2F1(1/3, 2/3; 1; t^l)
+        with mp.workprec(120):
+            tm = mp.mpf(t.numerator) / t.denominator
+            delta, gamma = _inner(l, tm, "delta"), _inner(l, tm, "gamma")
+        # 1 - T rounds away the low digits of T = t^l unless the bits lost to it are added
+        with mp.workprec(120 + math.ceil(l * math.log2(t.denominator / t.numerator))):
+            T = tm ** l
+            F = lambda z: mp.hyp2f1(mp.mpf(1) / 3, mp.mpf(2) / 3, 1, z)
+            assert rel(delta, mp.pi / mp.sqrt(3) * F(1 - T)) < mp.mpf(2) ** -110
+            assert rel(gamma, mp.pi / 3 * F(T)) < mp.mpf(2) ** -110
+
 
 class TestDirectPeriods:
     def test_matches_series_route(self):
@@ -219,6 +241,13 @@ class TestDirectPeriods:
             direct_periods(5, 0)
         with pytest.raises(ValueError):
             direct_periods(5, 5)
+
+
+def test_oracle_uses_no_hypergeometric_function():
+    # the quadrature checks both the q-series and the 2F1 closed forms, so it uses neither
+    source = inspect.getsource(elliptic_oracle)
+    assert "hypergeometric" not in source and "hyp" not in source
+    assert "exact_series" not in source
 
 
 class TestOrderingGuard:

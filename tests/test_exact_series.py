@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,19 @@ class TestEisenstein:
         e3a = eisenstein_q_expansion("E3a", 2)
         e3b = eisenstein_q_expansion("E3b", 2)
         assert series_inverse(e3a + 27 * e3b) == ser(0, [1, -18], 2)
+
+    def test_cubic_theta_identity(self):
+        # E3a + 27 E3b = a(q)^3 with the Borweins' a(q) = sum over m, n of q^(m^2 + mn + n^2)
+        N = 200
+        r = math.isqrt(N) + 1
+        theta = [0] * N
+        for m in range(-2 * r, 2 * r + 1):
+            for n in range(-2 * r, 2 * r + 1):
+                if m * m + m * n + n * n < N:
+                    theta[m * m + m * n + n * n] += 1
+        a = ser(0, theta, N)
+        lhs = eisenstein_q_expansion("E3a", N) + 27 * eisenstein_q_expansion("E3b", N)
+        assert lhs == series_mul(series_mul(a, a), a)
 
     def test_integer_coefficients(self):
         for kind in ("E3a", "E3b"):
