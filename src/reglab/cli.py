@@ -13,10 +13,11 @@ Subcommands:
 JSON file per (l, digits, skip-oracle, version) key; corrupted, unreadable or
 stale files are ignored with a warning and recomputed, and a cache that
 cannot be written is reported with a warning.  Exit codes: 0 success,
-2 validation error (a --cache path that is not a directory among them),
-3 precision or quadrature failure, including the series route more than
-1e-6 from the route it is checked against; a reader that closes the output
-pipe early (`reglab fibers --l 5 | head -1`) ends the run with 0.
+1 a failed selfcheck check, 2 validation error (a --cache path that is not
+a directory among them), 3 precision or quadrature failure, including the
+series route more than 1e-6 from the route it is checked against; a reader
+that closes the output pipe early (`reglab fibers --l 5 | head -1`) ends the
+run with 0.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ class RunConfig(NamedTuple):
     digits: Optional[int]  # None means subcommand default
     format: str
     cache_dir: Optional[str]
-    parallelism: Optional[int]
     skip_oracle: bool
     m: Optional[int]
     j: Optional[int]
@@ -74,7 +74,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     digits = getattr(args, "digits", None)
     if digits is not None and digits < 10:
         raise ValueError("--digits must be at least 10")
-    parallelism = getattr(args, "parallelism", None)
+    parallelism = getattr(args, "parallelism", None)  # accepted and validated, never used
     if parallelism is not None and parallelism < 1:
         raise ValueError("--parallelism must be at least 1")
     cache_dir = os.environ.get("REGLAB_CACHE") or getattr(args, "cache", None)
@@ -84,7 +84,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         digits=digits,
         format=getattr(args, "format", "text"),
         cache_dir=cache_dir,
-        parallelism=parallelism,
         skip_oracle=getattr(args, "skip_oracle", False),
         m=getattr(args, "m", None),
         j=getattr(args, "j", None),

@@ -4,11 +4,11 @@ The cubic x^3 + 9x^2 + 24 T x + 16 T^2 (T = t^l) has three real roots on
 0 < t < 1; the two arches between adjacent roots give complete elliptic
 integrals, evaluated through Carlson's R_F on the root gaps.  Near t = 0 the
 upper pair of roots collides at O(T^(3/2)) separation and near t = 1 the
-lower pair collides, so the gaps are produced by regime-specific expansions
-that never subtract nearly equal root values, under a locally elevated
-working precision.  The outer t-integral runs over dyadic panels accumulated
-toward both endpoints, with a fitted logarithmic tail model closing the gap
-to the endpoints.
+lower pair collides; the roots come in closed trigonometric form, which
+gives each gap as the sine of an angle and never subtracts nearly equal
+root values, under a locally elevated working precision.  The outer
+t-integral runs over dyadic panels accumulated toward both endpoints, with
+a fitted logarithmic tail model closing the gap to the endpoints.
 """
 
 from __future__ import annotations
@@ -45,78 +45,35 @@ class OraclePeriods(NamedTuple):
     error_estimate: BigReal
 
 
-def _newton(f, df, x, scale, maxit=80):
-    for _ in range(maxit):
-        dx = f(x) / df(x)
-        x -= dx
-        if abs(dx) <= mp.eps * scale:
-            break
-    return x
-
-
 def _root_data(l: int, t):
     """(r1, r2, r3, d21, d31, d32) at the ambient precision plus local guard bits.
 
-    Extra bits cover the O(T^(3/2)) and O(sqrt(1-T)) root collisions; the
-    sign of the cubic at both arch midpoints is certified before returning.
+    With x = y - 3 the cubic is y^3 - 3R^2 y + q, R = sqrt(9 - 8T), whose
+    discriminant 6912 T^3 (1 - T) gives s = sqrt(4R^6 - q^2) without
+    cancellation.  The trigonometric roots make every gap 2 sqrt3 R times the
+    sine of an angle read from atan2, so near the O(T^(3/2)) and O(sqrt(1-T))
+    collisions no nearly equal roots are subtracted; r2 and r3 come from their
+    sum by Vieta.  The guard bits cover the sign of the cubic at both arch
+    midpoints, which is certified before returning.
     """
     base = mp.prec
     extra = int(2 * l * max(0, -mp.log(t, 2)) + 2 * max(0, -mp.log(1 - t, 2))) + 48
     with mp.workprec(base + extra):
-        T = mp.mpf(t) ** l
+        t = mp.mpf(t)
+        T = t ** l
         P = lambda x: ((x + 9) * x + 24 * T) * x + 16 * T * T
-        dP = lambda x: (3 * x + 18) * x + 24 * T
-        if T <= mp.mpf(2) ** -8:
-            # r1 near -9; rescale x = T u so the collided pair solves
-            # T u^3 + 9 u^2 + 24 u + 16 = 0 near u = -4/3
-            r1 = _newton(P, dP, mp.mpf(-9), mp.mpf(10))
-            g = lambda u: ((T * u + 9) * u + 24) * u + 16
-            dg = lambda u: (3 * T * u + 18) * u + 24
-            um = up = mp.mpf(-4) / 3
-            for _ in range(4):
-                um = -mp.mpf(4) / 3 - mp.sqrt(-T * um**3) / 3
-                up = -mp.mpf(4) / 3 + mp.sqrt(-T * up**3) / 3
-            um = _newton(g, dg, um, abs(um))
-            up = _newton(g, dg, up, abs(up))
-            r2, r3 = T * um, T * up
-            d32 = T * (up - um)
-            d31 = T * up - r1
-            d21 = T * um - r1
-        elif 1 - T <= mp.mpf(2) ** -8:
-            # r3 near -1; shift x = -4 + w, the collided pair solves
-            # (w - 3) w^2 + 8 (T - 1)(3w + 2T - 10) = 0 near w = 0
-            r3 = _newton(P, dP, mp.mpf(-1), mp.mpf(1))
-            h = lambda w: (w - 3) * w * w + 8 * (T - 1) * (3 * w + 2 * T - 10)
-            dh = lambda w: (3 * w - 6) * w + 24 * (T - 1)
-            wm = wp = mp.mpf(0)
-            for _ in range(4):
-                wm = -mp.sqrt(8 * (1 - T) * (10 - 2 * T - 3 * wm) / (3 - wm))
-                wp = mp.sqrt(8 * (1 - T) * (10 - 2 * T - 3 * wp) / (3 - wp))
-            wm = _newton(h, dh, wm, mp.mpf(1))
-            wp = _newton(h, dh, wp, mp.mpf(1))
-            r1, r2 = -4 + wm, -4 + wp
-            d21 = wp - wm
-            d31 = r3 + 4 - wm
-            d32 = r3 + 4 - wp
-        else:
-            s = mp.sqrt(9 - 8 * T)
-            cm, cp = -3 - s, -3 + s  # critical points separate the roots
-
-            def solve(a, b):
-                fa = P(a)
-                for _ in range(30):
-                    m = (a + b) / 2
-                    fm = P(m)
-                    if fa * fm <= 0:
-                        b = m
-                    else:
-                        a, fa = m, fm
-                return _newton(P, dP, (a + b) / 2, abs(a) + abs(b))
-
-            r1 = solve(mp.mpf(-10), cm)
-            r2 = solve(cm, cp)
-            r3 = solve(cp, mp.mpf(0))
-            d32, d31, d21 = r3 - r2, r3 - r1, r2 - r1
+        q = (16 * T - 72) * T + 54
+        R = mp.sqrt(9 - 8 * T)
+        # 1 - T = (1 - t)(1 + t + ... + t^(l-1)), and 1 - t is exact under the guard bits
+        s = 16 * T * mp.sqrt(T * (1 - t) * mp.fsum(t ** i for i in range(l)))
+        k = 2 * mp.sqrt(3) * R
+        phi = mp.atan2(s, -q) / 3
+        d21 = k * mp.sin(phi)
+        d32 = k * mp.sin(mp.atan2(s, q) / 3)
+        d31 = k * mp.sin(mp.pi / 3 + phi)
+        r1 = -3 - 2 * R * mp.cos(mp.pi / 3 - phi)
+        sigma = (24 * T + 16 * T * T / r1) / r1  # r2 + r3
+        r2, r3 = (sigma - d32) / 2, (sigma + d32) / 2
         if not (d21 > 0 and d32 > 0 and d31 > d21 and d31 > d32):
             raise RootOrderingFailed(
                 "gaps not strictly positive at (l, t) = ({}, {})".format(l, t))
@@ -127,14 +84,19 @@ def _root_data(l: int, t):
 
 
 @lru_cache(maxsize=1 << 17)
-def _root_data_cached(l: int, t, prec: int):
-    return _root_data(l, t)
+def _arches(l: int, t, prec: int):
+    """(delta, gamma) inner integrals at one node, memoised per ambient precision.
+
+    The 2(l-1) adaptive quadratures of a `direct_periods` run visit the same
+    tanh-sinh nodes, so each node's roots and AGMs are computed once.
+    """
+    d21, d31, d32 = _root_data(l, t)[3:]
+    return 2 * _rf_zero(d32, d31), 2 * _rf_zero(d21, d31)
 
 
 def _inner(l: int, t, which: str):
     """2 R_F(0, r3-r2, r3-r1) over the delta arch, 2 R_F(0, r2-r1, r3-r1) over the gamma arch."""
-    d21, d31, d32 = _root_data_cached(l, t, mp.prec)[3:]
-    return 2 * _rf_zero(d32 if which == "delta" else d21, d31)
+    return _arches(l, t, mp.prec)[0 if which == "delta" else 1]
 
 
 def _rf_zero(y, z):
@@ -189,7 +151,7 @@ def cubic_roots(l: int, t, p: int = 64) -> CubicRoots:
         tm = _to_mpf(t)
         if not 0 < tm < 1:
             raise DomainError("need 0 < t < 1")
-        r1, r2, r3, d21, d31, d32 = _root_data_cached(l, tm, mp.prec)
+        r1, r2, r3, d21, d31, d32 = _root_data(l, tm)
     return CubicRoots(*(BigReal(v, p) for v in (r1, r2, r3, d21, d31, d32)))
 
 

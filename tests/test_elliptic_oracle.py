@@ -22,6 +22,9 @@ from reglab.errors import DomainError, RootOrderingFailed, UnsupportedL
 # checked in-class below against both the AGM route and a raw quadrature
 RF_012 = "1.31102877714605990523241979495"
 
+# root collisions at large l: T = 2^-260, where r3 - r2 ~ 1e-118, and 1 - T ~ 25 * 2^-21
+COLLISIONS = [(13, mp.mpf(2) ** -20), (25, 1 - mp.mpf(2) ** -21)]
+
 
 def rel(a, b):
     return abs(mp.mpf(a) - mp.mpf(b)) / abs(mp.mpf(b))
@@ -112,7 +115,7 @@ class TestCubicRoots:
         assert -3 * t < r.r2.value < r.r3.value < 0
 
     def test_gap_consistency(self):
-        for l, t in [(1, "0.5"), (5, "0.9"), (7, "0.001"), (5, "0.999")]:
+        for l, t in [(1, "0.5"), (5, "0.9"), (7, "0.001"), (5, "0.999"), *COLLISIONS]:
             r = cubic_roots(l, mp.mpf(t), p=64)
             assert rel(r.gap31.value, r.gap21.value + r.gap32.value) < mp.mpf("1e-12")
             assert r.gap21.value > 0 and r.gap32.value > 0
@@ -128,13 +131,29 @@ class TestCubicRoots:
                 assert abs(cubic(T, root)) < bound
 
     def test_midpoint_signs(self):
-        for l in (1, 5, 7):
-            for t in ("0.05", "0.3", "0.5", "0.7", "0.95"):
-                r = cubic_roots(l, mp.mpf(t), p=64)
-                with mp.workprec(160):
-                    T = mp.mpf(t) ** l
-                    assert cubic(T, (r.r1.value + r.r2.value) / 2) > 0
-                    assert cubic(T, (r.r2.value + r.r3.value) / 2) < 0
+        points = [(l, mp.mpf(t)) for l in (1, 5, 7) for t in ("0.05", "0.3", "0.5", "0.7", "0.95")]
+        for l, t in points + COLLISIONS:
+            r = cubic_roots(l, t, p=64)
+            # near t = 0 the midpoint values are O(T^3) beside terms of O(T^2)
+            with mp.workprec(160 + 2 * l * max(0, int(-mp.log(t, 2)))):
+                T = mp.mpf(t) ** l
+                assert cubic(T, (r.r1.value + r.r2.value) / 2) > 0
+                assert cubic(T, (r.r2.value + r.r3.value) / 2) < 0
+
+    def test_frozen_gaps_at_collisions(self):
+        # (gap21, gap32, gap31) to 30 digits from a Newton/bisection solver at 240 bits
+        frozen = {
+            13: ("9.00000000000000000000000000000",
+                 "4.07022611933834299485453561832e-118",
+                 "9.00000000000000000000000000000"),
+            25: ("0.0318942994011910674127381586057",
+                 "2.98406874479443073378796964608",
+                 "3.01596304419562180120070780469"),
+        }
+        for l, t in COLLISIONS:
+            r = cubic_roots(l, t, p=128)
+            for got, want in zip((r.gap21, r.gap32, r.gap31), frozen[l]):
+                assert rel(got.value, mp.mpf(want)) < mp.mpf("1e-29")
 
     @given(
         l=st.sampled_from([1, 5, 7]),
@@ -251,16 +270,10 @@ def test_oracle_uses_no_hypergeometric_function():
 
 
 class TestOrderingGuard:
-    def test_reordered_gaps_rejected(self):
-        # a tampered gap triple must not sneak past the consistency check
-        with pytest.raises(RootOrderingFailed):
-            from reglab import elliptic_oracle as eo
-
-            original = eo._newton
-            try:
-                # drive Newton to the wrong basin so midpoint signs flip
-                eo._newton = lambda f, df, x, scale, maxit=80: original(
-                    f, df, x + mp.mpf("0.4"), scale, 2)
-                eo._root_data(5, mp.mpf("0.5"))
-            finally:
-                eo._newton = original
+    def test_reordered_gaps_rejected(self, monkeypatch):
+        # atan2(y, -x) swaps the angles of gap21 and gap32: every gap stays
+        # positive, so only the midpoint-sign check can catch the wrong roots
+        atan2 = mp.atan2
+        monkeypatch.setattr(mp, "atan2", lambda y, x: atan2(y, -x))
+        with pytest.raises(RootOrderingFailed, match="midpoint signs wrong"):
+            elliptic_oracle._root_data(5, mp.mpf("0.5"))
