@@ -12,29 +12,27 @@ Subcommands:
 `elliptic_oracle`.  Results of `compute` can be cached as one checksummed
 JSON file per (l, digits, skip-oracle, version) key; corrupted, unreadable or
 stale files are ignored with a warning and recomputed, and a cache that
-cannot be written is reported with a warning.  Exit codes: 0 success,
-1 a failed selfcheck check, 2 validation error (a --cache path that is not
-a directory among them), 3 precision or quadrature failure, including the
-series route more than 1e-6 from the route it is checked against; a reader
-that closes the output pipe early (`reglab fibers --l 5 | head -1`) ends the
-run with 0.
+cannot be written is reported with a warning.  Only the paths that evaluate
+numbers import mpmath and the numeric layer, inside the functions that need
+them: `fibers`, `pf` and cache hits start without either.
+
+Exit codes: 0 success, 1 a failed selfcheck check, 2 validation error (a
+--cache path that is not a directory among them), 3 precision or quadrature
+failure, including the series route more than 1e-6 from the route it is
+checked against; a reader that closes the output pipe early
+(`reglab fibers --l 5 | head -1`) ends the run with 0.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from mpmath import mp
-
 from . import __version__
-from .bigreal_periods import eisenstein_transform_residual, eval_IJ, series_periods
 from .errors import (
     PrecisionNotReached,
     QuadratureNotConverged,
@@ -45,6 +43,9 @@ from .errors import (
 _DEFAULT_DIGITS = 30
 _ORACLE_BITS = 64
 _ORACLE_GATE = 1e-6  # largest relative difference allowed between the series route and its check
+_PAYLOAD_KEYS = frozenset((  # the keys of a compute_payload result
+    "l", "h", "I", "J", "regulator_e_ind", "det_agreement_digits", "oracle_check",
+    "N_used", "sign_policy", "normalization_verified"))
 
 
 class RunConfig(NamedTuple):
@@ -99,6 +100,10 @@ def _oracle_rows(pairs, checks) -> list:
     the closed forms or the quadrature.  series and check are BigReals, so
     each keeps its certificate.
     """
+    from mpmath import mp
+
+    from .bigreal_periods import series_periods
+
     rows = []
     for pair, (delta, gamma) in zip(pairs, checks):
         want = series_periods(pair)
@@ -120,6 +125,8 @@ def _quadrature_rows(pairs, p_oracle: int) -> list:
 
 def _worst(rows):
     """The largest relative difference of the rows; QuadratureNotConverged past _ORACLE_GATE."""
+    from mpmath import mp
+
     worst = max(row[4] for row in rows)
     if worst > _ORACLE_GATE:
         raise QuadratureNotConverged(
@@ -129,6 +136,9 @@ def _worst(rows):
 
 
 def compute_payload(cfg: RunConfig) -> dict:
+    from mpmath import mp
+
+    from .bigreal_periods import eval_IJ, series_periods
     from .regulator import _closed_form_from
 
     digits = cfg.effective_digits
@@ -198,6 +208,8 @@ def _render(payload: dict, fmt: str) -> str:
 # ---------------------------------------------------------------- cache
 
 def _checksum(key: dict, payload: dict) -> str:
+    import hashlib
+
     body = json.dumps({"key": key, "payload": payload},
                       sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(body.encode()).hexdigest()
@@ -220,6 +232,15 @@ def _cache_load(cfg: RunConfig) -> Optional[dict]:
         key, payload = entry["key"], entry["payload"]
         if entry["checksum"] != _checksum(key, payload):
             raise ValueError("checksum mismatch")
+        if not isinstance(key, dict):
+            raise ValueError("key is not an object")
+        if key.get("version") != __version__:
+            return None  # stale artifact version
+        if (key.get("l"), key.get("digits"), key.get("skip_oracle")) != (
+                cfg.l, cfg.effective_digits, cfg.skip_oracle):
+            return None
+        if not isinstance(payload, dict) or payload.keys() != _PAYLOAD_KEYS:
+            raise ValueError("payload does not have the keys of a computed one")
     except (ValueError, KeyError, TypeError) as exc:
         print("warning: ignoring corrupt cache file {}: {}".format(path, exc),
               file=sys.stderr)
@@ -227,11 +248,6 @@ def _cache_load(cfg: RunConfig) -> Optional[dict]:
     except OSError as exc:
         print("warning: ignoring unreadable cache file {}: {}".format(path, exc),
               file=sys.stderr)
-        return None
-    if key.get("version") != __version__:
-        return None  # stale artifact version
-    if (key.get("l"), key.get("digits"), key.get("skip_oracle")) != (
-            cfg.l, cfg.effective_digits, cfg.skip_oracle):
         return None
     return payload
 
@@ -304,6 +320,8 @@ def cmd_fibers(cfg: RunConfig) -> int:
 
 
 def cmd_pf(cfg: RunConfig) -> int:
+    from fractions import Fraction
+
     from .gauss_manin import picard_fuchs, pf_relation
     from .weierstrass import example_family
 
@@ -324,6 +342,10 @@ def cmd_pf(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------- oracle
 
 def cmd_oracle(cfg: RunConfig) -> int:
+    from mpmath import mp
+
+    from .bigreal_periods import eval_IJ
+
     p_series = max(128, cfg.oracle_bits)
     js = [cfg.j] if cfg.j is not None else range(1, cfg.l)
     print("  l  j  arch   {}  {}  {}".format(
@@ -341,13 +363,14 @@ def cmd_oracle(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------- selfcheck
 
 def _check_series_identities() -> bool:
+    from fractions import Fraction as F
+
     from .exact_series import a_coeffs, b_coeffs, formal_alpha
     from .weierstrass import Polynomial
 
     alpha = formal_alpha()
     a = a_coeffs(alpha, 4)
     b = b_coeffs(alpha, 3)
-    F = Fraction
     return (a.coefficient(2) == Polynomial([3, -27])
             and a.coefficient(3) == Polynomial([9, F(-81, 2), F(729, 2)])
             and b.coefficient(1) == Polynomial([-9, -15])
@@ -381,12 +404,18 @@ def _check_epsilon_integrality() -> bool:
 
 
 def _check_transformation_law(p: int) -> bool:
+    from mpmath import mp
+
+    from .bigreal_periods import eisenstein_transform_residual
+
     r1 = eisenstein_transform_residual(mp.mpc(0, 1), N=80, p=p)
     r2 = eisenstein_transform_residual(mp.mpc(0, 2), N=200, p=p)
     return r1.value < mp.mpf("1e-10") and r2.value < mp.mpf("1e-10")
 
 
 def _check_vandermonde(p: int) -> bool:
+    from mpmath import mp
+
     from .regulator import vandermonde_like_det
 
     for l in range(3, 16, 2):
@@ -399,6 +428,8 @@ def _check_vandermonde(p: int) -> bool:
 
 
 def _check_oracle_l5(p_oracle: int) -> bool:
+    from .bigreal_periods import eval_IJ
+
     # past the gate _worst raises, which cmd_selfcheck reports as [fail]
     rows = _quadrature_rows([eval_IJ(5, j, 128) for j in range(1, 5)], p_oracle)
     return _worst(rows) <= _ORACLE_GATE

@@ -90,12 +90,13 @@ class TestComputeCommand:
         import reglab.regulator as regulator
 
         calls = []
+        eval_IJ = bp.eval_IJ  # the original: bp.eval_IJ is the wrapper below
 
         def counted(l, j, p=128):
             calls.append((l, j, p))
-            return bp.eval_IJ(l, j, p)
+            return eval_IJ(l, j, p)
 
-        monkeypatch.setattr(cli, "eval_IJ", counted)
+        monkeypatch.setattr(bp, "eval_IJ", counted)
         monkeypatch.setattr(regulator, "eval_IJ", counted)
         for l in (5, 7):
             calls.clear()
@@ -247,6 +248,30 @@ class TestCache:
         assert sorted(os.listdir(tmp_path)) == sorted([
             "reglab-l5-d10-oracle-v0.1.0.json",
             "reglab-l5-d10-oracle-v{}.json".format(cli.__version__)])
+
+    @pytest.mark.parametrize("fmt, field, value", (
+        ("json", "payload", {"l": 5}),
+        ("text", "payload", {"l": 5}),
+        ("json", "payload", ["l"]),
+        ("text", "key", ["l", 5]),
+    ))
+    def test_malformed_entry_with_valid_checksum_recovers(self, capsys, tmp_path,
+                                                          fmt, field, value):
+        import reglab.cli as cli
+
+        args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle",
+                "--format", fmt, "--cache", str(tmp_path))
+        _, first, _ = run(capsys, *args)
+        path = tmp_path / os.listdir(tmp_path)[0]
+        before = path.read_bytes()
+        entry = json.loads(before)
+        entry[field] = value
+        entry["checksum"] = cli._checksum(entry["key"], entry["payload"])
+        path.write_text(json.dumps(entry))
+        code, out, err = run(capsys, *args)
+        assert code == 0 and out == first
+        assert "ignoring corrupt cache file" in err
+        assert path.read_bytes() == before  # recomputed and stored again
 
     def test_env_var_overrides(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REGLAB_CACHE", str(tmp_path))
@@ -410,6 +435,44 @@ class TestRoutes:
         lines = proc.stdout.decode().splitlines()
         assert lines[0] == (GOLDEN / "compute_l5_d10_oracle.json").read_text().rstrip("\n")
         assert lines[1] == "0 False True"
+
+
+_REPORT_NUMERIC_IMPORTS = (
+    "import sys; from reglab.cli import main; code = main(sys.argv[1:]); "
+    "print(code, [m for m in ('mpmath', 'reglab.bigreal_periods') if m in sys.modules], "
+    "file=sys.stderr)")
+
+
+def _run_reporting_numeric_imports(*argv):
+    """stdout of the CLI in a fresh process, and its exit code with the numeric modules it loaded."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _REPORT_NUMERIC_IMPORTS, *argv],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.decode(), proc.stderr.decode().splitlines()[-1]
+
+
+class TestImportFootprint:
+    """Paths that evaluate no number start without mpmath and the numeric layer."""
+
+    @pytest.mark.parametrize("argv, golden", (
+        (("fibers", "--l", "5"), "fibers_l5.txt"),
+        (("pf", "--l", "7", "--m", "3"), "pf_l7_m3.txt"),
+    ))
+    def test_exact_layer_commands(self, argv, golden):
+        out, report = _run_reporting_numeric_imports(*argv)
+        assert report == "0 []"
+        assert out == (GOLDEN / golden).read_text()
+
+    def test_cache_hit(self, tmp_path):
+        args = ("compute", "--l", "5", "--digits", "15", "--skip-oracle",
+                "--format", "json", "--cache", str(tmp_path))
+        miss, report = _run_reporting_numeric_imports(*args)
+        assert report == "0 ['mpmath', 'reglab.bigreal_periods']"
+        assert miss == (GOLDEN / "compute_l5_d15.json").read_text()
+        hit, report = _run_reporting_numeric_imports(*args)
+        assert report == "0 []"
+        assert hit == miss
 
 
 def _run_entry_point(*argv):
