@@ -5,6 +5,13 @@ evaluation-agreement certificate: every sum is evaluated at two truncation
 lengths (N and N + 16) and the number of matching digits is recorded; the
 truncation length is grown until the certificate covers the requested digits.
 Printed digits never exceed the certificate.
+
+eval_IJ regroups I(j) and J(j) into four sums whose weights are rational
+(A1, A2 over a_n, B1, B2 over b_n; see _RunningSums), reads their terms off
+the exact scaled integers of exact_series._ScaledPower, and sums each new
+block of terms by Horner's rule in Python-int fixed point with 64 bits beyond
+the requested precision; for l <= 25 the fixed point adds an error below
+2^-(p+53) to each sum.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import NamedTuple, Union
 from mpmath import mp
 
 from .errors import PrecisionNotReached, UnsupportedL
-from .exact_series import a_coeffs, b_coeffs, eisenstein_q_expansion
+from .exact_series import _scaled_power, eisenstein_q_expansion
 
 SIGN_POLICY = "magnitudes only; sign left unresolved"
 
@@ -106,47 +113,83 @@ def constants(p: int = 128) -> Constants:
 
 
 class _RunningSums:
-    """Partial sums of the four constituent series, carried across certificate rounds.
+    """The four regrouped sums of eval_IJ for one (l, j), carried across certificate rounds.
 
-    After advance(N, ...) the a-series sums hold n = 1..N and the b-series
-    sums n = 0..N-1.  A later advance adds only the terms past the previous
-    N, in the same order, so at an unchanged working precision the sums are
-    the numbers a fresh pass from n = 1 would give.
+    With a = j/l, c = exp(-2 pi / sqrt 3) and K = 2 pi / sqrt 3,
+        A1 = sum_{n=1..N} a_n/n c^n,          A2 = sum_{n=1..N} a_n/n^2 c^n,
+        B1 = sum_{n=0..N-1} b_n l/(nl+j) c^n,  B2 = sum_{n=0..N-1} b_n l^2/(nl+j)^2 c^n,
+    so that only rational weights sit inside the sums, and
+        I = A1 + 3^(3a-3) c^a (B1 + B2/K),  J = K A1 + A2 + 2 pi 3^(3a-7/2) c^a B1.
+
+    advance(N) sums only the block of terms past the previous N, so no term
+    is summed twice across certificate rounds.  Writing a_(m+1) = Ya_m/(den^m m!)
+    and b_m = Yb_m/(den^m m!) with the exact integers of
+    exact_series._ScaledPower, the block m = lo .. N-1 is summed by Horner's
+    rule in w = p + 64 bit fixed point: each term is a floor quotient of
+    (Y_m << w), each step is S <- floor(S C / 2^w) + t_m with C the integer
+    part of c 2^w, and the A-blocks take one more factor C.  The block is
+    then scaled by c^lo and added to the running sums in mpf at p + 32 bits.
+
+    Error bound.  A fixed-point term is below its true value times 2^w by
+    less than 1 unit (A1, A2, B1) or 1 + l/j units (B2, which divides the
+    B1 term once more), and a Horner step loses less than |S|/2^w + 1 units
+    to C and the floor.  An error made at term m reaches the sum multiplied
+    by c^m, so over all blocks a sum is off by less than
+        2^-w sum_m c^m (|s_m| + 2 + l/j),
+    s_m being the exact sum of the terms from m on divided by c^m.  Here
+    c^m |s_m| is about the size of term m, which falls by about 0.16 per
+    step, so the bound is about 2^-w (1.2 t_max + 1.03 (2 + l/j)) with t_max
+    the largest term, at most (l/j)^2 (the first term of B2): below
+    2^-(p+53) for l <= 25.  The p + 32 bit mpf steps that combine the blocks
+    round more than that, as a term-by-term mpf sum does.
     """
 
-    def __init__(self, alpha_m) -> None:
-        self.c = mp.exp(-2 * mp.pi / mp.sqrt(3))
-        self.sqrt3 = mp.sqrt(3)
-        self.two_pi = 2 * mp.pi
+    def __init__(self, l: int, j: int, p: int) -> None:
+        alpha = Fraction(j, l)
+        self.l, self.j, self.den = l, j, alpha.denominator
+        self.ya = _scaled_power(alpha, "a")
+        self.yb = _scaled_power(alpha, "b")
+        self.w = w = p + 64
+        with mp.workprec(w + 16):
+            c = mp.exp(-2 * mp.pi / mp.sqrt(3))
+            self.C = int(mp.ldexp(c, w))
+        self.c = +c  # rounded to the working precision
+        self.K = 2 * mp.pi / mp.sqrt(3)
+        ca = mp.power(self.c, mp.mpf(j) / l)
+        ln3 = mp.ln(3)
+        self.pref_I = mp.exp(_to_mpf(Fraction(3 * j - 3 * l, l)) * ln3) * ca
+        self.pref_J = 2 * mp.pi * mp.exp(_to_mpf(Fraction(6 * j - 7 * l, 2 * l)) * ln3) * ca
         self.N = 0
-        self.sa1 = mp.mpf(0)  # sum a_n / n c^n
-        self.sa2 = mp.mpf(0)  # sum a_n (2 pi / (sqrt3 n) + 1/n^2) c^n
-        self.sb1 = mp.mpf(0)  # sum b_n (1/(n+alpha) + sqrt3/(2 pi (n+alpha)^2)) c^(n+alpha)
-        self.sb2 = mp.mpf(0)  # sum b_n / (n+alpha) c^(n+alpha)
         self.cn = mp.mpf(1)  # c^N
-        self.cna = mp.power(self.c, alpha_m)  # c^(N+alpha)
-        self.alpha_m = alpha_m
+        self.A1 = self.A2 = self.B1 = self.B2 = mp.mpf(0)
 
-    def advance(self, N: int, a_ser, b_ser) -> tuple:
-        """(sa1, sa2, sb1, sb2) with N terms each; N never decreases."""
-        c, sqrt3, two_pi = self.c, self.sqrt3, self.two_pi
-        sa1, sa2, cn = self.sa1, self.sa2, self.cn
-        for n in range(self.N + 1, N + 1):
-            cn *= c
-            an = _to_mpf(a_ser.coefficient(n))
-            sa1 += an / n * cn
-            sa2 += an * (two_pi / (sqrt3 * n) + mp.mpf(1) / (n * n)) * cn
-        sb1, sb2, cna = self.sb1, self.sb2, self.cna
-        for n in range(self.N, N):
-            bn = _to_mpf(b_ser.coefficient(n))
-            na = n + self.alpha_m
-            sb1 += bn * (1 / na + sqrt3 / (two_pi * na * na)) * cna
-            sb2 += bn / na * cna
-            cna *= c
-        self.N = N
-        self.sa1, self.sa2, self.cn = sa1, sa2, cn
-        self.sb1, self.sb2, self.cna = sb1, sb2, cna
-        return sa1, sa2, sb1, sb2
+    def advance(self, N: int) -> tuple:
+        """(I, J) from the sums with N terms each; N never decreases."""
+        lo, w, C, l, j, den = self.N, self.w, self.C, self.l, self.j, self.den
+        Ya, Yb = self.ya.scaled(N), self.yb.scaled(N)
+        a1 = a2 = b1 = b2 = 0
+        scale = den ** (N - 1) * math.factorial(N - 1)  # den^m m! at m = N - 1
+        for m in range(N - 1, lo - 1, -1):
+            ta = (Ya[m] << w) // scale
+            q = m * l + j
+            tb = (Yb[m] * l << w) // (scale * q)
+            n = m + 1
+            a1 = ((a1 * C) >> w) + ta // n
+            a2 = ((a2 * C) >> w) + ta // (n * n)
+            b1 = ((b1 * C) >> w) + tb
+            b2 = ((b2 * C) >> w) + tb * l // q
+            if m:
+                scale //= den * m
+        a1, a2 = (a1 * C) >> w, (a2 * C) >> w
+        cn = self.cn
+        self.A1 += cn * mp.ldexp(a1, -w)
+        self.A2 += cn * mp.ldexp(a2, -w)
+        self.B1 += cn * mp.ldexp(b1, -w)
+        self.B2 += cn * mp.ldexp(b2, -w)
+        self.N, self.cn = N, cn * self.c ** (N - lo)
+        I = self.A1 + self.pref_I * (self.B1 + self.B2 / self.K)
+        J = self.K * self.A1 + self.A2 + self.pref_J * self.B1
+        return I, J
 
 
 def _agreement_digits(lo, hi, cap: int) -> int:
@@ -171,21 +214,12 @@ def eval_IJ(l: int, j: int, p: int = 128) -> PeriodPair:
     """
     _require_lj(l, j)
     digits = max(6, _digits_of_bits(p))
-    alpha = Fraction(j, l)
     N = math.ceil(0.634 * digits) + 16
     with mp.workprec(p + 32):
-        sums = _RunningSums(mp.mpf(j) / l)
-        ln3 = mp.ln(3)
-        pref_I = mp.exp(_to_mpf(Fraction(3 * j - 3 * l, l)) * ln3)
-        pref_J = 2 * mp.pi * mp.exp(_to_mpf(Fraction(6 * j - 7 * l, 2 * l)) * ln3)
+        sums = _RunningSums(l, j, p)
         for _ in range(_MAX_ROUNDS):
             N_hi = N + 16
-            a_ser = a_coeffs(alpha, N_hi + 1)
-            b_ser = b_coeffs(alpha, N_hi)
-            values = []
-            for n_used in (N, N_hi):
-                sa1, sa2, sb1, sb2 = sums.advance(n_used, a_ser, b_ser)
-                values.append((sa1 + pref_I * sb1, sa2 + pref_J * sb2))
+            values = [sums.advance(n_used) for n_used in (N, N_hi)]
             (I_lo, J_lo), (I_val, J_val) = values
             # capped at the digits of p: the 32 guard bits carry no certified digit
             cert = min(_agreement_digits(I_lo, I_val, digits),

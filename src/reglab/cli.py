@@ -222,6 +222,35 @@ def _cache_path(cfg: RunConfig) -> str:
     return os.path.join(cfg.cache_dir, name)
 
 
+def _check_payload(payload, cfg: RunConfig) -> None:
+    """Raise ValueError unless payload has the keys, value types and lengths of
+    what compute_payload(cfg) returns."""
+    if not isinstance(payload, dict) or payload.keys() != _PAYLOAD_KEYS:
+        raise ValueError("payload does not have the keys of a computed one")
+    for name in ("l", "h", "N_used", "det_agreement_digits"):
+        if type(payload[name]) is not int:
+            raise ValueError("payload {} is not an integer".format(name))
+    if payload["l"] != cfg.l:
+        raise ValueError("payload l is not the requested l")
+    for name in ("I", "J"):
+        values = payload[name]
+        if not (isinstance(values, list) and len(values) == cfg.l - 1
+                and all(isinstance(v, str) for v in values)):
+            raise ValueError("payload {} is not a list of l - 1 strings".format(name))
+    for name in ("regulator_e_ind", "sign_policy"):
+        if not isinstance(payload[name], str):
+            raise ValueError("payload {} is not a string".format(name))
+    if not isinstance(payload["normalization_verified"], bool):
+        raise ValueError("payload normalization_verified is not a boolean")
+    oracle = payload["oracle_check"]
+    if cfg.skip_oracle:
+        if oracle is not None:
+            raise ValueError("payload oracle_check is not null under --skip-oracle")
+    elif not (isinstance(oracle, dict) and oracle.keys() == {"max_rel_diff"}
+              and isinstance(oracle["max_rel_diff"], str)):
+        raise ValueError("payload oracle_check does not hold a max_rel_diff string")
+
+
 def _cache_load(cfg: RunConfig) -> Optional[dict]:
     path = _cache_path(cfg)
     if not os.path.exists(path):
@@ -239,8 +268,7 @@ def _cache_load(cfg: RunConfig) -> Optional[dict]:
         if (key.get("l"), key.get("digits"), key.get("skip_oracle")) != (
                 cfg.l, cfg.effective_digits, cfg.skip_oracle):
             return None
-        if not isinstance(payload, dict) or payload.keys() != _PAYLOAD_KEYS:
-            raise ValueError("payload does not have the keys of a computed one")
+        _check_payload(payload, cfg)
     except (ValueError, KeyError, TypeError) as exc:
         print("warning: ignoring corrupt cache file {}: {}".format(path, exc),
               file=sys.stderr)

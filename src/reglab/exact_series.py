@@ -4,7 +4,11 @@ Coefficients are either exact rationals or polynomials in a formal exponent
 symbol alpha (weierstrass.Polynomial), so the same engine serves exact
 identity checks and numeric evaluation after specializing alpha = j/l.
 Includes the two weight-3 Eisenstein series on Gamma_1(3) and the
-fractional-power coefficient families a_n, b_n built from them.
+fractional-power coefficient families a_n, b_n built from them.  At a
+rational exponent both families come from one pass of an integer recurrence
+per kind (_ScaledPower): with y = e~ f**alpha, n y_n is a convolution of
+y with kind-level integer lists built once, and y_n is carried as the
+integer den^n n! y_n.
 """
 
 from __future__ import annotations
@@ -286,11 +290,15 @@ def eisenstein_q_expansion(kind: str, N: int) -> TruncatedQSeries:
 
 
 class _IntegerBases:
-    """Integer coefficient lists of E3a, E3b, 1/(E3a + 27 E3b) and the power bases
-    f_a = E3a/(E3a + 27 E3b) and f_b = E3b/(q (E3a + 27 E3b)).
+    """Integer coefficient lists of E3a, E3b, 1/(E3a + 27 E3b), the power bases
+    f_a = E3a/(E3a + 27 E3b) and f_b = E3b/(q (E3a + 27 E3b)), and per kind the
+    recurrence lists F, H0, H1 of _ScaledPower.
 
+    With e~ = E3b/q and f = f_a (kind "a") or e~ = E3a and f = f_b (kind "b"),
+        F_k = sum_i e~_i f_(k-i),  H0_k = sum_i i e~_i f_(k-i),
+        H1_k = sum_i (k-i) e~_i f_(k-i).
     Coefficient n of each list does not depend on the truncation order, so
-    the lists only ever grow; inv, f_a and f_b all have constant term 1.
+    the lists only ever grow; inv, f_a, f_b and both F have constant term 1.
     """
 
     def __init__(self) -> None:
@@ -299,6 +307,7 @@ class _IntegerBases:
         self.inv: list = [1]
         self.fa: list = [1]
         self.fb: list = [1]
+        self.kinds: dict = {"a": ([1], [0], [0]), "b": ([1], [0], [0])}
 
     def extend(self, N: int) -> "_IntegerBases":
         """Make every list hold at least N coefficients (e3b holds N + 1)."""
@@ -315,6 +324,14 @@ class _IntegerBases:
             inv.append(-sum(d[k] * inv[n - k] for k in range(1, n + 1)))
             fa.append(sum(self.e3a[k] * inv[n - k] for k in range(n + 1)))
             fb.append(sum(self.e3b[k + 1] * inv[n - k] for k in range(n + 1)))
+        for kind, (F, H0, H1) in self.kinds.items():
+            e = self.e3b[1:] if kind == "a" else self.e3a
+            f = fa if kind == "a" else fb
+            for k in range(start, N):
+                prods = [e[i] * f[k - i] for i in range(k + 1)]
+                F.append(sum(prods))
+                H0.append(sum(i * x for i, x in enumerate(prods)))
+                H1.append(k * F[k] - H0[k])
         return self
 
     def factors(self, kind: str) -> tuple:
@@ -331,40 +348,56 @@ def _power_base(N: int) -> _IntegerBases:
 
 
 class _ScaledPower:
-    """Coefficients of e * f**(num/den) for one power base f and factor e.
+    """The series y = e~ f**(num/den) of one kind, with e~ and f as in _IntegerBases.
 
-    g = f**alpha is carried as the integers G_n = den^n n! g_n, with
-        G_n = sum_{k=1..n} (num k - den (n-k)) f_k den^(k-1) (n-1)!/(n-k)! G_{n-k},
-    the logarithmic-derivative recurrence of series_pow_rational cleared of
-    denominators.  Coefficient n of e * g is summed at the same scale
-    den^n n! and reduced to a Fraction once.  Both lists grow on demand.
+    a_n = y_(n-1) (kind "a") and b_n = y_n (kind "b").  Since
+    theta y / y = theta e~ / e~ + alpha theta f / f with theta = q d/dq,
+    F theta y = H y for F = e~ f and H = f theta e~ + alpha e~ theta f = H0 + alpha H1,
+    and F_0 = 1, H_0 = 0 give the one-pass recurrence
+        n y_n = sum_{k=1..n} (H_k - (n-k) F_k) y_(n-k).
+    y is carried as the integers Y_n = den^n n! y_n, for which
+        Y_n = sum_{k=1..n} (P_k - den (n-k) F_k) den^(k-1) (n-1)!/(n-k)! Y_(n-k)
+    with P_k = den H0_k + num H1_k; num/den must be in lowest terms for the
+    scale to be the smallest one.  The list grows on demand.
     """
 
     def __init__(self, num: int, den: int, kind: str) -> None:
         self.num, self.den, self.kind = num, den, kind
-        self.G: list = [1]
+        self.Y: list = [1]
+        self.P: list = [0]  # den H0_k + num H1_k
+        self.dF: list = [den]  # den F_k
         self.out: list = []
 
+    def scaled(self, N: int) -> list:
+        """The integers Y_0 .. Y_(N-1)."""
+        num, den, Y, P, dF = self.num, self.den, self.Y, self.P, self.dF
+        if len(Y) < N:
+            F, H0, H1 = _power_base(N).kinds[self.kind]
+            for k in range(len(P), N):
+                P.append(den * H0[k] + num * H1[k])
+                dF.append(den * F[k])
+            for n in range(len(Y), N):
+                # Horner in k: den^(k-1) (n-1)!/(n-k)! grows by den (n-k) per step
+                acc = P[n] * Y[0]
+                for k in range(n - 1, 0, -1):
+                    m = n - k
+                    acc = (P[k] - m * dF[k]) * Y[m] + den * m * acc
+                Y.append(acc)
+        return Y[:N]
+
     def coefficients(self, N: int) -> list:
-        """Coefficients 0 .. N-1 of e * g as reduced Fractions."""
-        num, den, G, out = self.num, self.den, self.G, self.out
-        if len(out) >= N:
-            return out[:N]
-        f, e = _power_base(N).factors(self.kind)
-        for n in range(len(G), N):
-            # Horner in k: den^(k-1) (n-1)!/(n-k)! grows by den (n-k) per step
-            acc = (num * n) * f[n] * G[0]
-            for k in range(n - 1, 0, -1):
-                acc = (num * k - den * (n - k)) * f[k] * G[n - k] + den * (n - k) * acc
-            G.append(acc)
-        scale = den ** len(out) * math.factorial(len(out))
-        for n in range(len(out), N):
-            # sum_i e_i G_(n-i) den^i n!/(n-i)!, Horner in i
-            acc = e[n] * G[0]
-            for i in range(n - 1, -1, -1):
-                acc = e[i] * G[n - i] + den * (n - i) * acc
-            out.append(Fraction(acc, scale))
-            scale *= den * (n + 1)
+        """Coefficients 0 .. N-1 of the a- or b-series as reduced Fractions."""
+        out = self.out
+        shift = 1 if self.kind == "a" else 0  # a_0 = 0 and a_n = y_(n-1)
+        if not out:
+            out.extend([Fraction(0)] * shift)
+        if len(out) < N:
+            Y = self.scaled(N - shift)
+            start = len(out) - shift
+            scale = self.den ** start * math.factorial(start)
+            for m in range(start, N - shift):
+                out.append(Fraction(Y[m], scale))
+                scale *= self.den * (m + 1)
         return out[:N]
 
 

@@ -1,9 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
-import reglab.bigreal_periods as bigreal_periods
+import reglab.exact_series as exact_series
 from reglab.bigreal_periods import (
     BigReal,
     SIGN_POLICY,
@@ -32,6 +35,31 @@ J_TABLE_7 = ["0.987994510350351", "0.51401702238944", "0.354195498081428",
 def rel_close(value, reference, tol):
     ref = mp.mpf(reference)
     return abs(value - ref) <= tol * abs(ref)
+
+
+def _term_by_term(l, j, N, prec):
+    """I(j), J(j) with N terms, summed one mpf term at a time from a_coeffs and
+    b_coeffs at prec bits: eval_IJ's docstring formula, unregrouped."""
+    alpha = Fraction(j, l)
+    a_ser, b_ser = a_coeffs(alpha, N + 1), b_coeffs(alpha, N)
+    with mp.workprec(prec):
+        c, sqrt3, two_pi = mp.exp(-2 * mp.pi / mp.sqrt(3)), mp.sqrt(3), 2 * mp.pi
+        a = mp.mpf(j) / l
+        sa1 = sa2 = sb1 = sb2 = mp.mpf(0)
+        for n in range(1, N + 1):
+            an = a_ser.coefficient(n)
+            an = mp.mpf(an.numerator) / an.denominator * c**n
+            sa1 += an / n
+            sa2 += an * (two_pi / (sqrt3 * n) + mp.mpf(1) / (n * n))
+        for n in range(N):
+            bn = b_ser.coefficient(n)
+            bn = mp.mpf(bn.numerator) / bn.denominator * c ** (n + a)
+            sb1 += bn * (1 / (n + a) + sqrt3 / (two_pi * (n + a) ** 2))
+            sb2 += bn / (n + a)
+        ln3 = mp.ln(3)
+        I = sa1 + mp.exp((3 * a - 3) * ln3) * sb1
+        J = sa2 + two_pi * mp.exp((3 * a - mp.mpf(7) / 2) * ln3) * sb2
+    return I, J
 
 
 class TestBigReal:
@@ -104,40 +132,56 @@ class TestEvalIJ:
 
     def test_doubling_N_changes_no_reported_digit(self):
         pair = eval_IJ(5, 1, 64)
-        N = pair.N_used
-        alpha = Fraction(1, 5)
-        a_ser = a_coeffs(alpha, 2 * N + 1)
-        b_ser = b_coeffs(alpha, 2 * N)
         with mp.workprec(96):
-            sa1, _, sb1, _ = _RunningSums(mp.mpf(1) / 5).advance(2 * N, a_ser, b_ser)
-            ln3 = mp.ln(3)
-            pref_I = mp.exp((mp.mpf(3) / 5 - 3) * ln3)
-            doubled = BigReal(sa1 + pref_I * sb1, 64, pair.I.agreement_certificate)
-        assert doubled.to_decimal() == pair.I.to_decimal()
+            I, J = _RunningSums(5, 1, 64).advance(2 * pair.N_used)
+        assert BigReal(I, 64, pair.I.agreement_certificate).to_decimal() == pair.I.to_decimal()
+        assert BigReal(J, 64, pair.J.agreement_certificate).to_decimal() == pair.J.to_decimal()
 
     def test_second_round_sums_only_new_terms(self, monkeypatch):
-        # (13, 3) at 30 digits needs two certificate rounds; each series term is summed once
-        requests, terms = [], []
+        # (13, 3) at 30 digits needs two certificate rounds; each coefficient
+        # is computed once and each term summed once across them
+        blocks, grown = [], {"a": 0, "b": 0}
+        advance, scaled = _RunningSums.advance, exact_series._ScaledPower.scaled
 
-        class Counted:
-            def __init__(self, ser):
-                self.ser = ser
+        def counted_advance(self, N):
+            blocks.append((self.N, N))
+            return advance(self, N)
 
-            def coefficient(self, n):
-                terms.append(n)
-                return self.ser.coefficient(n)
+        def counted_scaled(self, N):
+            before = len(self.Y)
+            out = scaled(self, N)
+            grown[self.kind] += len(self.Y) - before
+            return out
 
-        def counted(coeffs):
-            def wrapped(alpha, N):
-                requests.append(N)
-                return Counted(coeffs(alpha, N))
-            return wrapped
-
-        monkeypatch.setattr(bigreal_periods, "a_coeffs", counted(a_coeffs))
-        monkeypatch.setattr(bigreal_periods, "b_coeffs", counted(b_coeffs))
+        monkeypatch.setattr(_RunningSums, "advance", counted_advance)
+        monkeypatch.setattr(exact_series._ScaledPower, "scaled", counted_scaled)
+        exact_series._scaled_power.cache_clear()
         pair = eval_IJ(13, 3, 108)
-        assert len(requests) == 2 * 2  # one a- and one b-series request per round
-        assert len(terms) == 2 * pair.N_used
+        assert len(blocks) == 2 * 2  # the sums at N and N + 16 in each round
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == pair.N_used
+        assert grown == {"a": pair.N_used - 1, "b": pair.N_used - 1}  # Y_0 = 1 is given
+
+    @pytest.mark.parametrize("p", (64, 200))
+    @pytest.mark.parametrize("k", (1, 2, 3, 4))
+    def test_unreduced_exponent(self, k, p):
+        # 5k/25 = k/5: the same numbers, whatever scale the integers carry
+        wide, narrow = eval_IJ(25, 5 * k, p), eval_IJ(5, k, p)
+        assert wide.I.value == narrow.I.value and wide.J.value == narrow.J.value
+        assert wide.I.agreement_certificate == narrow.I.agreement_certificate
+        assert wide.J.agreement_certificate == narrow.J.agreement_certificate
+        assert wide.N_used == narrow.N_used
+
+    @given(l=st.sampled_from([l for l in range(5, 26) if math.gcd(l, 6) == 1]),
+           data=st.data(), p=st.integers(min_value=64, max_value=400))
+    @settings(max_examples=12, deadline=None)
+    def test_matches_term_by_term_sum(self, l, data, p):
+        j = data.draw(st.integers(min_value=1, max_value=l - 1))
+        pair = eval_IJ(l, j, p)
+        I_ref, J_ref = _term_by_term(l, j, pair.N_used, 2 * p + 64)
+        with mp.workprec(2 * p + 64):
+            assert abs(pair.I.value - I_ref) <= mp.ldexp(abs(I_ref), -(p + 24))
+            assert abs(pair.J.value - J_ref) <= mp.ldexp(abs(J_ref), -(p + 24))
 
     def test_rejects_bad_l(self):
         for l in (2, 3, 4, 6, 9):

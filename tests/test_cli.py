@@ -273,6 +273,51 @@ class TestCache:
         assert "ignoring corrupt cache file" in err
         assert path.read_bytes() == before  # recomputed and stored again
 
+    @pytest.mark.parametrize("fmt", ("json", "text"))
+    @pytest.mark.parametrize("name, value", (
+        ("I", 5),
+        ("I", ["0.4", "0.15", "0.08"]),
+        ("J", [0.7, 0.3, 0.2, 0.2]),
+        ("N_used", "36"),
+        ("det_agreement_digits", 17.0),
+        ("h", True),
+        ("l", 7),
+        ("regulator_e_ind", None),
+        ("normalization_verified", 1),
+        ("oracle_check", {"max_rel_diff": "1e-20"}),
+    ))
+    def test_malformed_payload_value_recovers(self, capsys, tmp_path, fmt, name, value):
+        import reglab.cli as cli
+
+        args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle",
+                "--format", fmt, "--cache", str(tmp_path))
+        _, first, _ = run(capsys, *args)
+        path = tmp_path / os.listdir(tmp_path)[0]
+        before = path.read_bytes()
+        entry = json.loads(before)
+        entry["payload"][name] = value
+        entry["checksum"] = cli._checksum(entry["key"], entry["payload"])
+        path.write_text(json.dumps(entry))
+        code, out, err = run(capsys, *args)
+        assert code == 0 and out == first
+        assert "ignoring corrupt cache file" in err
+        assert path.read_bytes() == before  # recomputed and stored again
+
+    def test_oracle_entry_without_oracle_check_recovers(self, capsys, tmp_path):
+        import reglab.cli as cli
+
+        args = ("compute", "--l", "5", "--digits", "10", "--format", "text",
+                "--cache", str(tmp_path))
+        _, first, _ = run(capsys, *args)
+        path = tmp_path / os.listdir(tmp_path)[0]
+        entry = json.loads(path.read_bytes())
+        entry["payload"]["oracle_check"] = None
+        entry["checksum"] = cli._checksum(entry["key"], entry["payload"])
+        path.write_text(json.dumps(entry))
+        code, out, err = run(capsys, *args)
+        assert code == 0 and out == first
+        assert "ignoring corrupt cache file" in err
+
     def test_env_var_overrides(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REGLAB_CACHE", str(tmp_path))
         code, _, _ = run(capsys, "compute", "--l", "5", "--digits", "12",

@@ -1,12 +1,16 @@
 """CLI outputs that must keep their bytes.
 
 The files under tests/golden/ hold the stdout of each case: the
-`compute --format json --skip-oracle` outputs were recorded before the exact
-series moved to scaled-integer arithmetic, the `fibers` and `pf` outputs
-before the formal series coefficients moved to weierstrass.Polynomial, whose
-`__str__` prints them.  Any change to a printed digit, a certificate-driven
-field (`N_used`, `det_agreement_digits`), a polynomial or the key order shows
-up here as a byte difference.
+`compute --format json --skip-oracle` outputs for l = 5, 7, 11 were recorded
+before the exact series moved to scaled-integer arithmetic, and those for
+(l, digits) = (25, 15), (13, 30) and (5, 100) before the period sums moved to
+fixed-point Horner blocks over a one-pass coefficient recurrence; they cover
+the unreduced exponents 5/25 .. 20/25, a run that takes two certificate
+rounds, and the largest integers (N_used 164).  The `fibers` and `pf` outputs
+were recorded before the formal series coefficients moved to
+weierstrass.Polynomial, whose `__str__` prints them.  Any change to a printed
+digit, a certificate-driven field (`N_used`, `det_agreement_digits`), a
+polynomial or the key order shows up here as a byte difference.
 """
 
 from pathlib import Path
@@ -24,8 +28,8 @@ def _stdout(capsys, *argv):
     return capsys.readouterr().out
 
 
-@pytest.mark.parametrize("digits", (15, 30))
-@pytest.mark.parametrize("l", (5, 7, 11))
+@pytest.mark.parametrize("l, digits", [(l, d) for l in (5, 7, 11) for d in (15, 30)]
+                         + [(25, 15), (13, 30), (5, 100)])
 def test_compute_json_byte_identical(capsys, l, digits):
     out = _stdout(capsys, "compute", "--l", str(l), "--digits", str(digits),
                   "--format", "json", "--skip-oracle")
