@@ -12,9 +12,12 @@ Subcommands:
 `elliptic_oracle`.  Results of `compute` can be cached as one checksummed
 JSON file per (l, digits, skip-oracle, version) key; corrupted, unreadable or
 stale files are ignored with a warning and recomputed, and a cache that
-cannot be written is reported with a warning.  Only the paths that evaluate
-numbers import mpmath and the numeric layer, inside the functions that need
-them: `fibers`, `pf` and cache hits start without either.
+cannot be written is reported with a warning.  The numeric layer is
+imported only inside the functions that evaluate numbers, so `fibers`, `pf`
+and cache hits start without it.  Its series route evaluates exact dyadic
+numbers in Python-int fixed point, so `compute --skip-oracle` never imports
+mpmath either; mpmath is the arithmetic of the checks (the closed forms of
+`compute`, the quadrature of `oracle` and `selfcheck`).
 
 Exit codes: 0 success, 1 a failed selfcheck check, 2 validation error (a
 --cache path that is not a directory among them), 3 precision or quadrature
@@ -136,8 +139,6 @@ def _worst(rows):
 
 
 def compute_payload(cfg: RunConfig) -> dict:
-    from mpmath import mp
-
     from .bigreal_periods import eval_IJ, series_periods
     from .regulator import _closed_form_from
 
@@ -147,6 +148,8 @@ def compute_payload(cfg: RunConfig) -> dict:
     result = _closed_form_from(cfg.l, pairs, p)
     oracle = None
     if not cfg.skip_oracle:
+        from mpmath import mp
+
         from .hypergeometric import period_table
 
         closed = [series_periods(pair) for pair in period_table(cfg.l, _ORACLE_BITS)]

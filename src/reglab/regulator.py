@@ -9,6 +9,10 @@ top-left square block augmented with the gamma-arch column has a determinant
 computable two ways: directly, and in the closed form
 l^((l-1)/4) * prod I(p) * (J(k-1)/I(k-1) + J(k)/I(k)) with k = (l+1)/2.
 The two routes are always compared; the closed form is never trusted alone.
+Both run in Python-int fixed point at 64 bits beyond the requested
+precision: the direct route by fraction-free elimination, the closed form
+as one exact product; the matrix, its rank and the Vandermonde-like
+determinant run in mpmath, which they import on first use.
 """
 
 from __future__ import annotations
@@ -16,22 +20,20 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple
 
-from mpmath import mp
-
 from .bigreal_periods import (
+    _GUARD,
     SIGN_POLICY,
     BigReal,
     PeriodPair,
     _agreement_digits,
     _digits_of_bits,
+    _fixed_constants,
+    _sin,
     eval_IJ,
     series_periods,
 )
 from .errors import UnsupportedL
 from .weierstrass import hodge_and_dims
-
-# entries must land on the real axis; tolerance is relative to the row scale
-_REALNESS_REL = mp.mpf("1e-20")
 
 
 class RegulatorResult(NamedTuple):
@@ -70,6 +72,8 @@ class RegulatorMatrix:
         return (self.h, (self.l - 1) // 2)
 
     def rank(self) -> int:
+        from mpmath import mp
+
         prec = self.I_table[0].I.precision
         with mp.workprec(prec):
             m = mp.matrix([[e.value for e in row] for row in self.entries])
@@ -84,11 +88,14 @@ class RegulatorMatrix:
 
 def build_matrix(l: int, p: int = 128) -> RegulatorMatrix:
     """Assemble the regulator matrix from the series-route periods."""
+    from mpmath import mp
+
     _require_admissible(l)
     h = hodge_and_dims(l)["h"]
     width = (l - 1) // 2
     pairs = [eval_IJ(l, j, p) for j in range(1, h + 1)]
     entries = []
+    realness_rel = mp.mpf("1e-20")  # tolerance relative to the row scale
     with mp.workprec(p + 32):
         zeta = mp.exp(2j * mp.pi / l)
         for row, pair in enumerate(pairs, start=1):
@@ -97,7 +104,7 @@ def build_matrix(l: int, p: int = 128) -> RegulatorMatrix:
             row_entries = []
             for q in range(1, width + 1):
                 e = (zeta ** (row * q) - zeta ** (-row * q)) * period
-                if abs(e.imag) > _REALNESS_REL * scale:
+                if abs(e.imag) > realness_rel * scale:
                     raise UnsupportedL(
                         "entry ({}, {}) failed the realness check".format(row, q))
                 row_entries.append(BigReal(e.real, p, pair.I.agreement_certificate))
@@ -109,6 +116,8 @@ def vandermonde_like_det(l: int, p: int = 128) -> BigReal:
     """|det (zeta^(pq) - zeta^(-pq))| for p, q = 1 .. (l-1)/2; squares to l^((l-1)/2)."""
     if not isinstance(l, int) or l < 3 or l % 2 == 0:
         raise ValueError("need odd integer l >= 3, got {!r}".format(l))
+    from mpmath import mp
+
     k = (l - 1) // 2
     with mp.workprec(p + 32):
         zeta = mp.exp(2j * mp.pi / l)
@@ -132,18 +141,42 @@ def regulator_general_det(l: int, p: int = 128) -> BigReal:
     return _general_det_from(l, _period_table(l, p), p)
 
 
+def _bareiss_det(rows: List[List[int]]) -> int:
+    """The determinant of a square integer matrix by fraction-free (Bareiss) elimination.
+
+    Every division is exact, so the result is the exact determinant.
+    """
+    m = [list(row) for row in rows]
+    k, sign, prev = len(m), 1, 1
+    for i in range(k - 1):
+        if not m[i][i]:
+            swap = next((r for r in range(i + 1, k) if m[r][i]), None)
+            if swap is None:
+                return 0
+            m[i], m[swap], sign = m[swap], m[i], -sign
+        pivot = m[i][i]
+        for r in range(i + 1, k):
+            for c in range(i + 1, k):
+                m[r][c] = (m[r][c] * pivot - m[r][i] * m[i][c]) // prev
+        prev = pivot
+    return sign * m[k - 1][k - 1]
+
+
 def _general_det_from(l: int, pairs: List[PeriodPair], p: int) -> BigReal:
+    """|det| of the k x k block, exactly, from its entries at w = p + 64 bits."""
     k = (l + 1) // 2
-    with mp.workprec(p + 32):
-        m = mp.matrix(k, k)
-        for row, pair in enumerate(pairs, start=1):
-            for q in range(1, k):
-                m[row - 1, q - 1] = -2 * mp.sin(2 * mp.pi * row * q / l) * pair.I.value
-            m[row - 1, k - 1] = pair.J.value
-        value = abs(mp.det(m))
+    w = p + _GUARD
+    pi = _fixed_constants(w).pi
+    # sin(2 pi m / l) for 2m < l; the other m by sin(2 pi m / l) = -sin(2 pi (l - m) / l)
+    half = [_sin(2 * pi * m // l, w) for m in range((l + 1) // 2)]
+    col = [-2 * half[m] if 2 * m < l else 2 * half[l - m] for m in range(l)]
+    rows = []
+    for row, pair in enumerate(pairs, start=1):
+        I = pair.I.fixed(w)
+        rows.append([col[row * q % l] * I >> w for q in range(1, k)] + [pair.J.fixed(w)])
     cert = min(min(pr.I.agreement_certificate, pr.J.agreement_certificate)
                for pr in pairs)
-    return BigReal(value, p, cert)
+    return BigReal((abs(_bareiss_det(rows)), -k * w), p, cert)
 
 
 def regulator_closed_form(l: int, p: int = 128) -> RegulatorResult:
@@ -164,23 +197,22 @@ def _closed_form_from(l: int, table: List[PeriodPair], p: int) -> RegulatorResul
     pairs = table[:k]
     general = _general_det_from(l, pairs, p)
     cert = general.agreement_certificate
-    with mp.workprec(p + 32):
-        prod_I = mp.mpf(1)
-        for pr in pairs:
-            prod_I *= pr.I.value
-        ratio = (pairs[k - 2].J.value / pairs[k - 2].I.value
-                 + pairs[k - 1].J.value / pairs[k - 1].I.value)
-        closed = mp.mpf(l) ** (mp.mpf(l - 1) / 4) * prod_I * ratio
-        e_ind = mp.sqrt(l) * closed
-        e_ff = mp.pi ** s * closed
-        agreement = _agreement_digits(general.value, closed, _digits_of_bits(p))
+    w = p + _GUARD
+    I = [pr.I.fixed(w) for pr in pairs]
+    J = [pr.J.fixed(w) for pr in pairs]
+    # prod I(p) * (J(k-1)/I(k-1) + J(k)/I(k)) without a division, times 2^(k w)
+    core = math.prod(I[:k - 2]) * (J[k - 2] * I[k - 1] + J[k - 1] * I[k - 2])
+    # l^(e/4) at w bits: floor(n^(1/4)) = isqrt(isqrt(n))
+    root4 = lambda e: math.isqrt(math.isqrt(l ** e << 4 * w))
+    closed = core * root4(l - 1)
+    scale = -(k + 1) * w
     return RegulatorResult(
         l=l,
         det_general=general,
-        det_closed_form=BigReal(closed, p, cert),
-        value_e_ff=BigReal(e_ff, p, cert),
-        value_e_ind=BigReal(e_ind, p, cert),
+        det_closed_form=BigReal((closed, scale), p, cert),
+        value_e_ff=BigReal((closed * _fixed_constants(w).pi ** s, scale - s * w), p, cert),
+        value_e_ind=BigReal((core * root4(l + 1), scale), p, cert),
         sign_policy=SIGN_POLICY,
-        det_agreement_digits=agreement,
+        det_agreement_digits=_agreement_digits(general, (closed, scale), _digits_of_bits(p)),
         normalization_verified=l in (5, 7),
     )

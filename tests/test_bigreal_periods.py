@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,11 @@ from reglab.bigreal_periods import (
     BigReal,
     SIGN_POLICY,
     _RunningSums,
+    _agreement_digits,
     _digits_of_bits,
+    _exp,
+    _fixed_constants,
+    _sin,
     constants,
     eisenstein_numeric,
     eisenstein_transform_residual,
@@ -62,6 +67,12 @@ def _term_by_term(l, j, N, prec):
     return I, J
 
 
+def _exact_mpf(man, exp):
+    from mpmath.libmp import from_man_exp
+
+    return mp.make_mpf(from_man_exp(man, exp))
+
+
 class TestBigReal:
     def test_certificate_caps_rendering(self):
         x = BigReal(mp.pi, 128, agreement_certificate=5)
@@ -70,6 +81,99 @@ class TestBigReal:
     def test_full_precision_default(self):
         x = BigReal(mp.mpf(2) / 3, 64)
         assert x.agreement_certificate == 19
+
+    def test_value_is_exact(self):
+        # 300 bits survive the ambient 53-bit precision
+        man = (1 << 299) + 1
+        x = BigReal((man, -300), 64)
+        assert x.value.man_exp == (man, -300)
+        assert BigReal(x.value, 64).man == man
+        assert float(x) == 0.5
+
+    @given(man=st.integers(min_value=1, max_value=2 ** 4000),
+           top=st.integers(min_value=-700, max_value=700),
+           negative=st.booleans(), n=st.integers(min_value=1, max_value=120))
+    @settings(max_examples=300, deadline=None)
+    def test_to_decimal_is_nstr(self, man, top, negative, n):
+        # top is the binary exponent of the leading bit: about 1e-210 .. 1e210,
+        # across both the fixed-point and the scientific limits of every n
+        exp = top - man.bit_length()
+        man = -man if negative else man
+        x = BigReal((man, exp), 4000, agreement_certificate=n)
+        assert x.to_decimal(n) == mp.nstr(_exact_mpf(man, exp), n, strip_zeros=False)
+
+    @pytest.mark.parametrize("text", (
+        "0.99995", "0.999999999999", "9.99995e-6", "9.9999999999e-6", "0.000099999",
+        "99999.5", "9.5", "1.0e-5", "0.0001", "123456789.0", "-0.99995", "-9.9999999e-6"))
+    def test_to_decimal_carries(self, text):
+        with mp.workprec(200):
+            x = mp.mpf(text)
+        for n in range(1, 16):
+            assert BigReal(x, 200, n).to_decimal(n) == mp.nstr(x, n, strip_zeros=False)
+
+    def test_zero(self):
+        assert BigReal(0, 64).to_decimal(10) == mp.nstr(mp.mpf(0), 10, strip_zeros=False)
+
+
+class TestAgreementDigits:
+    def test_matches_float_formula(self):
+        # -log10 of the relative difference kept at least 0.05 from an integer,
+        # where the old float formula int(-log10(rel)) cannot round the wrong way
+        rng = random.Random(1)
+        with mp.workprec(400):
+            for _ in range(300):
+                hi = mp.mpf(rng.uniform(-50, 50)) * mp.mpf(10) ** rng.randint(-30, 30)
+                if hi == 0:
+                    continue
+                lo = hi * (1 + rng.choice((-1, 1)) * mp.mpf(10) ** -(
+                    rng.randint(0, 80) + rng.uniform(0.05, 0.95)))
+                rel = abs(hi - lo) / abs(hi)
+                assert abs(-mp.log10(rel) - mp.nint(-mp.log10(rel))) > 0.04
+                for cap in (17, 40, 120):
+                    old = 0 if rel >= 1 else min(cap, int(-mp.log10(rel)))
+                    assert _agreement_digits(lo, hi, cap) == old
+
+    def test_edges(self):
+        assert _agreement_digits(5, 5, 17) == 17
+        assert _agreement_digits(3, 1, 17) == 0  # |hi - lo| > |hi|
+        assert _agreement_digits(0, 1, 17) == 0  # |hi - lo| = |hi|: d = 0
+        assert _agreement_digits(99, 100, 17) == 2  # 1 10^2 <= 100
+        assert _agreement_digits((1, -10), BigReal((1, -10), 64), 9) == 9
+        assert _agreement_digits(mp.mpf("1.5"), (3, -1), 9) == 9
+
+
+def _within_units(got, want, w, units=2):
+    """|got - want 2^w| < units, with want an mpf evaluated at ample precision."""
+    return abs(got - mp.ldexp(want, w)) < units
+
+
+class TestKernels:
+    """Every kernel is off by less than its docstring's 2 units of 2^-w."""
+
+    @pytest.mark.parametrize("p", (64, 128, 400, 1400))
+    def test_constants(self, p):
+        w = p + 64
+        k = _fixed_constants(w)
+        with mp.workprec(w + 64):
+            K = 2 * mp.pi / mp.sqrt(3)
+            for got, want in ((k.pi, mp.pi), (k.sqrt3, mp.sqrt(3)), (k.ln3, mp.ln(3)),
+                              (k.K, K), (k.c, mp.exp(-K))):
+                assert _within_units(got, want, w)
+            public = constants(p)
+            for x, want in ((public.pi, k.pi), (public.sqrt3, k.sqrt3), (public.c, k.c)):
+                assert (x.man, x.exp, x.precision) == (want, -w, p)
+
+    @pytest.mark.parametrize("p", (64, 128, 400, 1400))
+    def test_exp_and_sin(self, p):
+        w = p + 64
+        rng = random.Random(p)
+        xs = [0, 1, -1, (4 << w) - 1, -(4 << w) + 1, _fixed_constants(w).K]
+        xs += [rng.randrange(-(4 << w) + 1, 4 << w) for _ in range(25)]
+        with mp.workprec(w + 64):
+            for x in xs:
+                arg = mp.ldexp(x, -w)
+                assert _within_units(_exp(x, w), mp.exp(arg), w), x
+                assert _within_units(_sin(x, w), mp.sin(arg), w), x
 
 
 class TestConstants:
@@ -132,8 +236,9 @@ class TestEvalIJ:
 
     def test_doubling_N_changes_no_reported_digit(self):
         pair = eval_IJ(5, 1, 64)
-        with mp.workprec(96):
-            I, J = _RunningSums(5, 1, 64).advance(2 * pair.N_used)
+        sums = _RunningSums(5, 1, 64)
+        I, J = sums.advance(2 * pair.N_used)  # integers times 2^-w
+        I, J = (I, -sums.w), (J, -sums.w)
         assert BigReal(I, 64, pair.I.agreement_certificate).to_decimal() == pair.I.to_decimal()
         assert BigReal(J, 64, pair.J.agreement_certificate).to_decimal() == pair.J.to_decimal()
 
@@ -161,6 +266,15 @@ class TestEvalIJ:
         assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
         assert blocks[-1][1] == pair.N_used
         assert grown == {"a": pair.N_used - 1, "b": pair.N_used - 1}  # Y_0 = 1 is given
+
+    def test_carried_scale_keeps_late_blocks(self):
+        # at w = 128 bits c^lo underflows a plain fixed point once lo > 24, which
+        # would drop the blocks past it: about 2^23 units at lo = 40
+        stepwise, whole = _RunningSums(5, 1, 64), _RunningSums(5, 1, 64)
+        for N in (20, 40, 60, 80):
+            got = stepwise.advance(N)
+        want = whole.advance(80)
+        assert all(abs(g - h) < 64 for g, h in zip(got, want))
 
     @pytest.mark.parametrize("p", (64, 200))
     @pytest.mark.parametrize("k", (1, 2, 3, 4))

@@ -474,12 +474,13 @@ class TestRoutes:
              "import sys; from reglab.cli import main; "
              "code = main(['compute', '--l', '5', '--digits', '10', '--format', 'json']); "
              "print(code, 'reglab.elliptic_oracle' in sys.modules, "
-             "'reglab.hypergeometric' in sys.modules)"],
+             "'reglab.hypergeometric' in sys.modules, 'mpmath' in sys.modules)"],
             capture_output=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.decode().splitlines()
         assert lines[0] == (GOLDEN / "compute_l5_d10_oracle.json").read_text().rstrip("\n")
-        assert lines[1] == "0 False True"
+        # the closed-form check runs in mpmath; the series route it checks does not
+        assert lines[1] == "0 False True True"
 
 
 _REPORT_NUMERIC_IMPORTS = (
@@ -498,7 +499,8 @@ def _run_reporting_numeric_imports(*argv):
 
 
 class TestImportFootprint:
-    """Paths that evaluate no number start without mpmath and the numeric layer."""
+    """Paths that evaluate no number start without mpmath and the numeric layer,
+    and the series route evaluates its numbers without mpmath."""
 
     @pytest.mark.parametrize("argv, golden", (
         (("fibers", "--l", "5"), "fibers_l5.txt"),
@@ -513,11 +515,17 @@ class TestImportFootprint:
         args = ("compute", "--l", "5", "--digits", "15", "--skip-oracle",
                 "--format", "json", "--cache", str(tmp_path))
         miss, report = _run_reporting_numeric_imports(*args)
-        assert report == "0 ['mpmath', 'reglab.bigreal_periods']"
+        assert report == "0 ['reglab.bigreal_periods']"
         assert miss == (GOLDEN / "compute_l5_d15.json").read_text()
         hit, report = _run_reporting_numeric_imports(*args)
         assert report == "0 []"
         assert hit == miss
+
+    def test_compute_skip_oracle(self):
+        out, report = _run_reporting_numeric_imports(
+            "compute", "--l", "13", "--digits", "30", "--skip-oracle", "--format", "json")
+        assert report == "0 ['reglab.bigreal_periods']"
+        assert out == (GOLDEN / "compute_l13_d30.json").read_text()
 
 
 def _run_entry_point(*argv):

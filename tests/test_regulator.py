@@ -4,6 +4,7 @@ from mpmath import mp
 from reglab.bigreal_periods import SIGN_POLICY, eval_IJ
 from reglab.errors import UnsupportedL
 from reglab.regulator import (
+    _bareiss_det,
     _closed_form_from,
     build_matrix,
     regulator_closed_form,
@@ -116,6 +117,15 @@ class TestDeterminantRoutes:
             if hasattr(a, "agreement_certificate"):
                 a, b = ((x.value, x.precision, x.agreement_certificate) for x in (a, b))
             assert a == b
+
+    def test_bareiss_det_exact(self):
+        assert _bareiss_det([[0, 1], [1, 0]]) == -1  # a zero pivot takes a row swap
+        assert _bareiss_det([[0, 2, 1], [0, 3, 4], [5, 6, 7]]) == 25
+        assert _bareiss_det([[1, 2], [2, 4]]) == 0
+        assert _bareiss_det([[0, 1], [0, 2]]) == 0
+        m = [[3, -7, 2, 11], [5, 1, -4, 6], [-2, 8, 9, -1], [4, 4, 0, 13]]
+        with mp.workprec(200):
+            assert _bareiss_det(m) == int(mp.nint(mp.det(mp.matrix(m))))
 
     def test_general_det_standalone(self):
         r = regulator_closed_form(7, p=96)
