@@ -163,11 +163,10 @@ class PeriodPair(NamedTuple):
 
 
 class SeriesPeriods(NamedTuple):
+    """Magnitudes of the periods over the delta arch (imaginary axis) and the gamma arch (real axis)."""
+
     delta_period: BigReal
     gamma_period: BigReal
-    delta_axis: str
-    gamma_axis: str
-    sign_policy: str
 
 
 def _require_lj(l: int, j: int) -> None:
@@ -440,8 +439,7 @@ def series_periods(pair: PeriodPair) -> SeriesPeriods:
     """Magnitudes |period over delta| = (54 pi / l) I(j) and |period over gamma| = (27 / l) J(j).
 
     The delta-arch period lies on the imaginary axis and the gamma-arch
-    period on the real axis; only magnitudes are reported, with the axis
-    recorded alongside.
+    period on the real axis; only magnitudes are reported.
     """
     from mpmath import mp
 
@@ -452,15 +450,7 @@ def series_periods(pair: PeriodPair) -> SeriesPeriods:
     return SeriesPeriods(
         BigReal(delta, p, pair.I.agreement_certificate),
         BigReal(gamma, p, pair.J.agreement_certificate),
-        "imaginary",
-        "real",
-        SIGN_POLICY,
     )
-
-
-def periods_from_series(l: int, j: int, p: int = 128) -> SeriesPeriods:
-    """series_periods of eval_IJ(l, j, p)."""
-    return series_periods(eval_IJ(l, j, p))
 
 
 def eisenstein_numeric(kind: str, q, N: int = 64, p: int = 128) -> BigReal:

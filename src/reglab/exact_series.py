@@ -401,7 +401,7 @@ class _ScaledPower:
         return out[:N]
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=None)  # one per (j/l, kind), kept for the process like _BASES
 def _scaled_power(alpha: Fraction, kind: str) -> _ScaledPower:
     return _ScaledPower(alpha.numerator, alpha.denominator, kind)
 

@@ -63,6 +63,7 @@ def period_table(l: int, p: int = 64) -> List[PeriodPair]:
     N = p + 8 terms put the truncation and rounding of J below 2^(4-N)
     relative; I has only the rounding of four Gamma values.
     """
+    _require_lj(l, 1)
     N = p + 8
     digits = _digits_of_bits(p)
     cert_J = min(digits, int((N - 4) * math.log10(2)))
@@ -72,7 +73,6 @@ def period_table(l: int, p: int = 64) -> List[PeriodPair]:
         third = mp.mpf(1) / 3
         pref_A = 2 * mp.pi / (27 * mp.sqrt(3))
         for j in range(1, l):
-            _require_lj(l, j)
             a = mp.mpf(j) / l
             I = mp.gamma(a) ** 2 / (27 * mp.gamma(a + third) * mp.gamma(a + 1 - third))
             lower = mp.power(2, -a) * mp.fdot(c_half, [1 / (n + a) for n in range(N)])

@@ -2,17 +2,20 @@
 
 The matrix pairs the cycle classes built from the vanishing-cycle fibration
 against the good algebraic 2-forms t^(p-1) dt dx/y.  Row p carries the factor
-(zeta^(pq) - zeta^(-pq)) times the delta-arch period magnitude; the product
-of the purely imaginary cyclotomic difference with the purely imaginary
-period lands on the real axis, which is checked rather than assumed.  The
-top-left square block augmented with the gamma-arch column has a determinant
-computable two ways: directly, and in the closed form
+(zeta^(pq) - zeta^(-pq)) = 2i sin(2 pi pq / l) times the delta-arch period,
+which is i times its magnitude (54 pi / l) I(p), so every entry is the real
+number -2 sin(2 pi pq / l) (54 pi / l) I(p).  That formula is written once,
+in _sine_column, and the matrix is real by construction; the tests check it
+against the complex product.  The top-left square block augmented with the
+gamma-arch column has a determinant computable two ways: directly, and in
+the closed form
 l^((l-1)/4) * prod I(p) * (J(k-1)/I(k-1) + J(k)/I(k)) with k = (l+1)/2.
 The two routes are always compared; the closed form is never trusted alone.
-Both run in Python-int fixed point at 64 bits beyond the requested
-precision: the direct route by fraction-free elimination, the closed form
-as one exact product; the matrix, its rank and the Vandermonde-like
-determinant run in mpmath, which they import on first use.
+Everything runs in Python-int fixed point at 64 bits beyond the requested
+precision: the matrix, the direct route and the Vandermonde-like
+determinant by fraction-free elimination of the sine column, the closed
+form as one exact product.  Only RegulatorMatrix.rank uses mpmath, which it
+imports on first use.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .bigreal_periods import (
     _fixed_constants,
     _sin,
     eval_IJ,
-    series_periods,
 )
 from .errors import UnsupportedL
 from .weierstrass import hodge_and_dims
@@ -86,59 +88,49 @@ class RegulatorMatrix:
         return self.h - self.rank()
 
 
-def build_matrix(l: int, p: int = 128) -> RegulatorMatrix:
-    """Assemble the regulator matrix from the series-route periods."""
-    from mpmath import mp
+def _sine_column(l: int, w: int) -> List[int]:
+    """-2 sin(2 pi m / l) = i (zeta^m - zeta^(-m)) for m = 0 .. l - 1 at w bits, zeta = exp(2 pi i / l).
 
+    Each is off by less than 10 units; m = 0 gives exactly 0.
+    """
+    pi = _fixed_constants(w).pi
+    # sin(2 pi m / l) for 2m < l; the other m by sin(2 pi m / l) = -sin(2 pi (l - m) / l)
+    half = [_sin(2 * pi * m // l, w) for m in range((l + 1) // 2)]
+    return [-2 * half[m] if 2 * m < l else 2 * half[l - m] for m in range(l)]
+
+
+def build_matrix(l: int, p: int = 128) -> RegulatorMatrix:
+    """Assemble the regulator matrix from the series-route periods at w = p + 64 bits."""
     _require_admissible(l)
     h = hodge_and_dims(l)["h"]
-    width = (l - 1) // 2
+    w = p + _GUARD
+    col = _sine_column(l, w)
+    pi_54 = 54 * _fixed_constants(w).pi // l  # 54 pi / l
     pairs = [eval_IJ(l, j, p) for j in range(1, h + 1)]
     entries = []
-    realness_rel = mp.mpf("1e-20")  # tolerance relative to the row scale
-    with mp.workprec(p + 32):
-        zeta = mp.exp(2j * mp.pi / l)
-        for row, pair in enumerate(pairs, start=1):
-            period = mp.mpc(0, series_periods(pair).delta_period.value)  # delta arch is imaginary
-            scale = 2 * abs(period)
-            row_entries = []
-            for q in range(1, width + 1):
-                e = (zeta ** (row * q) - zeta ** (-row * q)) * period
-                if abs(e.imag) > realness_rel * scale:
-                    raise UnsupportedL(
-                        "entry ({}, {}) failed the realness check".format(row, q))
-                row_entries.append(BigReal(e.real, p, pair.I.agreement_certificate))
-            entries.append(row_entries)
+    for row, pair in enumerate(pairs, start=1):
+        period = pi_54 * pair.I.fixed(w) >> w  # |delta-arch period| = (54 pi / l) I(row)
+        entries.append([BigReal((col[row * q % l] * period >> w, -w), p,
+                                pair.I.agreement_certificate)
+                        for q in range(1, (l + 1) // 2)])
     return RegulatorMatrix(l, entries, pairs)
 
 
 def vandermonde_like_det(l: int, p: int = 128) -> BigReal:
-    """|det (zeta^(pq) - zeta^(-pq))| for p, q = 1 .. (l-1)/2; squares to l^((l-1)/2)."""
+    """|det (zeta^(pq) - zeta^(-pq))| for p, q = 1 .. (l-1)/2; squares to l^((l-1)/2).
+
+    The exact determinant of the sine column's block at w = p + 64 bits,
+    certified by the digits its square shares with l^((l-1)/2).
+    """
     if not isinstance(l, int) or l < 3 or l % 2 == 0:
         raise ValueError("need odd integer l >= 3, got {!r}".format(l))
-    from mpmath import mp
-
     k = (l - 1) // 2
-    with mp.workprec(p + 32):
-        zeta = mp.exp(2j * mp.pi / l)
-        m = mp.matrix(k, k)
-        for a in range(1, k + 1):
-            for b in range(1, k + 1):
-                m[a - 1, b - 1] = zeta ** (a * b) - zeta ** (-a * b)
-        value = abs(mp.det(m))
-        cert = _agreement_digits(value * value, mp.mpf(l) ** k, _digits_of_bits(p))
-    return BigReal(value, p, cert)
-
-
-def _period_table(l: int, p: int) -> List[PeriodPair]:
-    k = (l + 1) // 2
-    return [eval_IJ(l, j, p) for j in range(1, k + 1)]
-
-
-def regulator_general_det(l: int, p: int = 128) -> BigReal:
-    """|det| of the k x k block: columns -2 sin(2 pi pq / l) I(p), last column J(p)."""
-    _require_admissible(l)
-    return _general_det_from(l, _period_table(l, p), p)
+    w = p + _GUARD
+    col = _sine_column(l, w)
+    det = abs(_bareiss_det([[col[a * b % l] for b in range(1, k + 1)]
+                            for a in range(1, k + 1)]))
+    cert = _agreement_digits(det * det, l ** k << 2 * k * w, _digits_of_bits(p))
+    return BigReal((det, -k * w), p, cert)
 
 
 def _bareiss_det(rows: List[List[int]]) -> int:
@@ -166,10 +158,7 @@ def _general_det_from(l: int, pairs: List[PeriodPair], p: int) -> BigReal:
     """|det| of the k x k block, exactly, from its entries at w = p + 64 bits."""
     k = (l + 1) // 2
     w = p + _GUARD
-    pi = _fixed_constants(w).pi
-    # sin(2 pi m / l) for 2m < l; the other m by sin(2 pi m / l) = -sin(2 pi (l - m) / l)
-    half = [_sin(2 * pi * m // l, w) for m in range((l + 1) // 2)]
-    col = [-2 * half[m] if 2 * m < l else 2 * half[l - m] for m in range(l)]
+    col = _sine_column(l, w)
     rows = []
     for row, pair in enumerate(pairs, start=1):
         I = pair.I.fixed(w)
@@ -187,7 +176,7 @@ def regulator_closed_form(l: int, p: int = 128) -> RegulatorResult:
     has no independent confirmation, so normalization_verified is False there.
     """
     _require_admissible(l)
-    return _closed_form_from(l, _period_table(l, p), p)
+    return _closed_form_from(l, [eval_IJ(l, j, p) for j in range(1, (l + 1) // 2 + 1)], p)
 
 
 def _closed_form_from(l: int, table: List[PeriodPair], p: int) -> RegulatorResult:

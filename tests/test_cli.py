@@ -105,6 +105,18 @@ class TestComputeCommand:
             assert len(calls) == l - 1
             assert sorted(j for _, j, _ in calls) == list(range(1, l))
 
+    def test_second_payload_rebuilds_no_scaled_power(self):
+        # one compute at l = 31 makes 2 (l - 1) = 60 scaled powers; all must stay cached
+        import reglab.cli as cli
+        from reglab.exact_series import _scaled_power
+
+        cfg = cli._config_from(cli._build_parser().parse_args(
+            ["compute", "--l", "31", "--digits", "15", "--skip-oracle"]))
+        first = cli.compute_payload(cfg)
+        misses = _scaled_power.cache_info().misses
+        assert cli.compute_payload(cfg) == first
+        assert _scaled_power.cache_info().misses == misses
+
 
 class TestCache:
     def test_round_trip_byte_identical(self, capsys, tmp_path):

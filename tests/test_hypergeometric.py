@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+import reglab.hypergeometric as hypergeometric
 from reglab.bigreal_periods import _agreement_digits, _digits_of_bits, eval_IJ
 from reglab.errors import UnsupportedL
 from reglab.hypergeometric import period_table
@@ -44,8 +45,13 @@ class TestPeriodTable:
             assert pair.I.agreement_certificate == pair.J.agreement_certificate == 19
             assert pair.I.value > 0 and pair.J.value > 0
 
-    def test_rejects_bad_l(self):
-        for l in (4, 9):
+    def test_rejects_bad_l(self, monkeypatch):
+        # checked before any sum: l = 0 and l = -5 have no j for a check inside the j loop
+        def not_called(N):
+            raise AssertionError("_shared ran before l was checked")
+
+        monkeypatch.setattr(hypergeometric, "_shared", not_called)
+        for l in (0, -5, 4, 9):
             with pytest.raises(UnsupportedL):
                 period_table(l, 64)
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from mpmath import mp
 
@@ -8,9 +13,10 @@ from reglab.regulator import (
     _closed_form_from,
     build_matrix,
     regulator_closed_form,
-    regulator_general_det,
     vandermonde_like_det,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # magnitudes of the normalized determinant for the two worked cases,
 # quoted to 16 significant digits
@@ -21,6 +27,12 @@ E_IND_7 = "0.6294878608605845"
 def rel(a, b):
     with mp.workprec(200):
         return abs(mp.mpf(a) - mp.mpf(b)) / abs(mp.mpf(b))
+
+
+def zeta_difference(l, m):
+    """zeta^m - zeta^(-m) with zeta = exp(2 pi i / l), in complex mpmath at the ambient precision."""
+    zeta = mp.exp(2j * mp.pi / l)
+    return zeta ** m - zeta ** (-m)
 
 
 class TestVandermondeLike:
@@ -47,6 +59,17 @@ class TestVandermondeLike:
             with pytest.raises(ValueError):
                 vandermonde_like_det(bad)
 
+    def test_matches_complex_determinant(self):
+        # the reference: mpmath's complex determinant of the zeta differences
+        for l in range(3, 50, 2):
+            k = (l - 1) // 2
+            v = vandermonde_like_det(l, p=128)
+            with mp.workprec(224):
+                m = mp.matrix([[zeta_difference(l, a * b) for b in range(1, k + 1)]
+                               for a in range(1, k + 1)])
+                assert rel(v.value, abs(mp.det(m))) < mp.mpf("1e-30")
+            assert v.agreement_certificate == 38  # every digit of 128 bits
+
 
 class TestMatrixAssembly:
     def test_shapes_and_coker(self):
@@ -67,6 +90,27 @@ class TestMatrixAssembly:
                     want = -2 * mp.sin(2 * mp.pi * p_idx * q_idx / 5) * (
                         54 * mp.pi / 5) * I_p
                     assert abs(entry.value - want) < mp.mpf("1e-30") * abs(want)
+
+    @pytest.mark.parametrize("l", (5, 7, 11, 25))
+    def test_entries_match_complex_product(self, l):
+        # the reference: (zeta^(rq) - zeta^(-rq)) times the imaginary delta-arch period
+        m = build_matrix(l, p=128)
+        with mp.workprec(224):
+            for r, row in enumerate(m.entries, start=1):
+                period = mp.mpc(0, 54 * mp.pi / l * m.I_table[r - 1].I.value)
+                tol = mp.mpf("1e-30") * 2 * abs(period)
+                for q, entry in enumerate(row, start=1):
+                    want = zeta_difference(l, r * q) * period
+                    assert abs(want.imag) < tol
+                    assert abs(entry.value - want.real) < tol
+
+    def test_entries_vanish_exactly_where_l_divides_rq(self):
+        m = build_matrix(25, p=128)
+        zeros = [(r, q) for r, row in enumerate(m.entries, start=1)
+                 for q, entry in enumerate(row, start=1) if entry.man == 0]
+        assert zeros == [(r, q) for r in range(1, m.h + 1) for q in range(1, 13)
+                         if r * q % 25 == 0]
+        assert (5, 5) in zeros and (10, 10) in zeros
 
     def test_row_count_invariant(self):
         for l in (5, 7, 11):
@@ -127,13 +171,22 @@ class TestDeterminantRoutes:
         with mp.workprec(200):
             assert _bareiss_det(m) == int(mp.nint(mp.det(mp.matrix(m))))
 
-    def test_general_det_standalone(self):
-        r = regulator_closed_form(7, p=96)
-        d = regulator_general_det(7, p=96)
-        assert rel(d.value, r.det_general.value) < mp.mpf("1e-25")
-
     def test_rejects_inadmissible(self):
         with pytest.raises(UnsupportedL):
             regulator_closed_form(9)
         with pytest.raises(UnsupportedL):
-            regulator_general_det(4)
+            regulator_closed_form(4)
+
+
+_REPORT_MPMATH = (
+    "import sys; from reglab.regulator import build_matrix, vandermonde_like_det; "
+    "build_matrix(7); vandermonde_like_det(9); print('mpmath' in sys.modules)")
+
+
+def test_matrix_and_vandermonde_import_no_mpmath():
+    """The fixed-point matrix and Vandermonde-like determinant run without mpmath; only rank() needs it."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _REPORT_MPMATH],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().split() == ["False"]
