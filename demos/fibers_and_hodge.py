@@ -12,7 +12,7 @@ from reglab.weierstrass import euler_epsilon, example_family, fiber_list, hodge_
 for l in [l for l in range(1, 36) if math.gcd(l, 6) == 1]:
     W = example_family(l)
     fibers = fiber_list(W)
-    eps, a, dh10, dh01 = euler_epsilon(W)
+    eps, a, dh10, dh01 = euler_epsilon(fibers)
     tags = ", ".join(
         f"{f.type}@{'inf' if f.place.is_infinity else f.place.polynomial}"
         for f in fibers)

@@ -18,11 +18,10 @@ for l in (1, 5, 7):
     print()
 
 # the monomial relations that force the period recurrence
-W5 = example_family(5)
+pf5 = picard_fuchs(example_family(5))
 for m in range(1, 5):
-    rel = pf_relation(W5, m) * Fraction(15, 2)
+    rel = pf_relation(pf5, m) * Fraction(15, 2)
     print(f"(3l/2) PF(t^{m} omega*) = {rel}")
 
 # applying the operator to a constant lands on B
-pf5 = picard_fuchs(W5)
 print(f"PF(1) = {pf_apply(pf5, 1)}  (equals B)")

@@ -338,7 +338,7 @@ def cmd_fibers(cfg: RunConfig) -> int:
         place = "infinity" if fiber.place.is_infinity else str(fiber.place.polynomial)
         print("  {}  {}  {}".format(place.ljust(20), fiber.type.ljust(8),
                                     fiber.epsilon_s))
-    eps, a, deg_h10, deg_h01 = euler_epsilon(W)
+    eps, a, deg_h10, deg_h01 = euler_epsilon(fibers)
     print("epsilon = {}   a = {}   deg H^(1,0) = {}   deg H^(0,1) = {}".format(
         eps, a, deg_h10, deg_h01))
     if math.gcd(cfg.l, 6) == 1:
@@ -363,7 +363,7 @@ def cmd_pf(cfg: RunConfig) -> int:
     print("A' = {}".format(pf.A.derivative()))
     print("B  = {}".format(pf.B))
     if cfg.m is not None:
-        rel = pf_relation(W, cfg.m)
+        rel = pf_relation(pf, cfg.m)
         print("relation at m = {}: {}".format(cfg.m, rel))
         scaled = rel * Fraction(3 * cfg.l, 2)
         print("scaled by 3l/2:  {}".format(scaled))
@@ -425,10 +425,10 @@ def _check_fiber_list() -> bool:
 
 
 def _check_epsilon_integrality() -> bool:
-    from .weierstrass import euler_epsilon, example_family
+    from .weierstrass import euler_epsilon, example_family, fiber_list
 
     for l in (5, 7, 11, 13, 25):
-        eps, a, _, _ = euler_epsilon(example_family(l))
+        eps, a, _, _ = euler_epsilon(fiber_list(example_family(l)))
         if eps != (l - 1) // 3 + 1 or a != 1:
             return False
     return True
@@ -445,17 +445,12 @@ def _check_transformation_law(p: int) -> bool:
 
 
 def _check_vandermonde(p: int) -> bool:
-    from mpmath import mp
-
+    from .bigreal_periods import _digits_of_bits
     from .regulator import vandermonde_like_det
 
-    for l in range(3, 16, 2):
-        v = vandermonde_like_det(l, p)
-        with mp.workprec(p + 32):
-            target = mp.mpf(l) ** ((l - 1) // 2)
-            if abs(v.value * v.value - target) > mp.mpf("1e-20") * target:
-                return False
-    return True
+    # the certificate is the digits det^2 shares with l^((l-1)/2), compared exactly
+    return all(vandermonde_like_det(l, p).agreement_certificate >= _digits_of_bits(p)
+               for l in range(3, 16, 2))
 
 
 def _check_oracle_l5(p_oracle: int) -> bool:

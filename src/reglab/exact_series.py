@@ -291,14 +291,17 @@ def eisenstein_q_expansion(kind: str, N: int) -> TruncatedQSeries:
 
 class _IntegerBases:
     """Integer coefficient lists of E3a, E3b, 1/(E3a + 27 E3b), the power bases
-    f_a = E3a/(E3a + 27 E3b) and f_b = E3b/(q (E3a + 27 E3b)), and per kind the
-    recurrence lists F, H0, H1 of _ScaledPower.
+    f_a = E3a/(E3a + 27 E3b) and f_b = E3b/(q (E3a + 27 E3b)), and the
+    recurrence lists F and H0 of _ScaledPower.
 
     With e~ = E3b/q and f = f_a (kind "a") or e~ = E3a and f = f_b (kind "b"),
-        F_k = sum_i e~_i f_(k-i),  H0_k = sum_i i e~_i f_(k-i),
-        H1_k = sum_i (k-i) e~_i f_(k-i).
+        F_k = sum_i e~_i f_(k-i),  H0_k = sum_i i e~_i f_(k-i).
+    F = e~ f = E3a E3b/(q (E3a + 27 E3b)) for both kinds, so kinds maps each
+    kind to (F, H0) with one shared F list.  _ScaledPower also needs
+    H1_k = sum_i (k-i) e~_i f_(k-i), the coefficients of e~ theta f, and
+    theta (e~ f) = (theta e~) f + e~ theta f gives H1_k = k F_k - H0_k.
     Coefficient n of each list does not depend on the truncation order, so
-    the lists only ever grow; inv, f_a, f_b and both F have constant term 1.
+    the lists only ever grow; inv, f_a, f_b and F have constant term 1.
     """
 
     def __init__(self) -> None:
@@ -307,7 +310,8 @@ class _IntegerBases:
         self.inv: list = [1]
         self.fa: list = [1]
         self.fb: list = [1]
-        self.kinds: dict = {"a": ([1], [0], [0]), "b": ([1], [0], [0])}
+        F = [1]
+        self.kinds: dict = {"a": (F, [0]), "b": (F, [0])}
 
     def extend(self, N: int) -> "_IntegerBases":
         """Make every list hold at least N coefficients (e3b holds N + 1)."""
@@ -324,14 +328,13 @@ class _IntegerBases:
             inv.append(-sum(d[k] * inv[n - k] for k in range(1, n + 1)))
             fa.append(sum(self.e3a[k] * inv[n - k] for k in range(n + 1)))
             fb.append(sum(self.e3b[k + 1] * inv[n - k] for k in range(n + 1)))
-        for kind, (F, H0, H1) in self.kinds.items():
-            e = self.e3b[1:] if kind == "a" else self.e3a
-            f = fa if kind == "a" else fb
-            for k in range(start, N):
-                prods = [e[i] * f[k - i] for i in range(k + 1)]
-                F.append(sum(prods))
-                H0.append(sum(i * x for i, x in enumerate(prods)))
-                H1.append(k * F[k] - H0[k])
+        (F, H0a), (_, H0b) = self.kinds["a"], self.kinds["b"]
+        ea, eb = self.e3b[1:], self.e3a
+        for k in range(start, N):
+            prods = [ea[i] * fa[k - i] for i in range(k + 1)]
+            F.append(sum(prods))
+            H0a.append(sum(i * x for i, x in enumerate(prods)))
+            H0b.append(sum(i * eb[i] * fb[k - i] for i in range(1, k + 1)))
         return self
 
     def factors(self, kind: str) -> tuple:
@@ -357,14 +360,14 @@ class _ScaledPower:
         n y_n = sum_{k=1..n} (H_k - (n-k) F_k) y_(n-k).
     y is carried as the integers Y_n = den^n n! y_n, for which
         Y_n = sum_{k=1..n} (P_k - den (n-k) F_k) den^(k-1) (n-1)!/(n-k)! Y_(n-k)
-    with P_k = den H0_k + num H1_k; num/den must be in lowest terms for the
-    scale to be the smallest one.  The list grows on demand.
+    with P_k = den H0_k + num H1_k, H1_k = k F_k - H0_k; num/den must be in
+    lowest terms for the scale to be the smallest one.  The list grows on demand.
     """
 
     def __init__(self, num: int, den: int, kind: str) -> None:
         self.num, self.den, self.kind = num, den, kind
         self.Y: list = [1]
-        self.P: list = [0]  # den H0_k + num H1_k
+        self.P: list = [0]  # den H0_k + num (k F_k - H0_k)
         self.dF: list = [den]  # den F_k
         self.out: list = []
 
@@ -372,9 +375,9 @@ class _ScaledPower:
         """The integers Y_0 .. Y_(N-1)."""
         num, den, Y, P, dF = self.num, self.den, self.Y, self.P, self.dF
         if len(Y) < N:
-            F, H0, H1 = _power_base(N).kinds[self.kind]
+            F, H0 = _power_base(N).kinds[self.kind]
             for k in range(len(P), N):
-                P.append(den * H0[k] + num * H1[k])
+                P.append(den * H0[k] + num * (k * F[k] - H0[k]))
                 dF.append(den * F[k])
             for n in range(len(Y), N):
                 # Horner in k: den^(k-1) (n-1)!/(n-k)! grows by den (n-k) per step

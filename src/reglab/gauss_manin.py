@@ -16,9 +16,8 @@ from .weierstrass import (
     Polynomial,
     RationalFunction,
     WeierstrassFamily,
-    discriminant_and_j,
-    split_by_multiplicity,
     squarefree_decomposition,
+    uniform_pieces,
 )
 
 
@@ -81,7 +80,7 @@ def connection_matrix(W: WeierstrassFamily) -> ConnectionMatrix:
     nabla omega-hat  = -(Delta'/12Delta) omega-hat + ((6g2g3'-9g2'g3)/Delta) omega-star
     nabla omega-star = -(g2(2g2g3'-3g2'g3)/16Delta) omega-hat + (Delta'/12Delta) omega-star
     """
-    delta, _ = discriminant_and_j(W)
+    delta = W.delta
     ee = _ee_form(W)
     diag = delta.derivative() / (12 * delta)
     upper = (3 * ee) / delta
@@ -95,7 +94,7 @@ def degeneracy_locus(W: WeierstrassFamily) -> Set[Place]:
     These are the zeros of (6g2g3'-9g2'g3)/Delta away from the singular
     fibers and poles; the pairing fails to be an isomorphism exactly there.
     """
-    delta, _ = discriminant_and_j(W)
+    delta = W.delta
     ee = _ee_form(W)
     if ee.is_zero():
         raise IsotrivialFamily("j-invariant is constant")
@@ -103,17 +102,9 @@ def degeneracy_locus(W: WeierstrassFamily) -> Set[Place]:
     excluded = [p for p in (delta.numerator, delta.denominator,
                             W.g2.denominator, W.g3.denominator)
                 if p.degree > 0]
-    locus: Set[Place] = set()
-    for factor, _ in squarefree_decomposition(ratio.numerator):
-        pieces = [factor]
-        for bad in excluded:
-            refined = []
-            for piece in pieces:
-                refined.extend(f for f, mult in split_by_multiplicity(piece, bad)
-                               if mult == 0)
-            pieces = refined
-        locus.update(Place.finite(piece) for piece in pieces)
-    return locus
+    return {Place.finite(piece)
+            for factor, _ in squarefree_decomposition(ratio.numerator)
+            for piece, mults in uniform_pieces(factor, excluded) if not any(mults)}
 
 
 def picard_fuchs(W: WeierstrassFamily) -> PicardFuchsOperator:
@@ -123,7 +114,7 @@ def picard_fuchs(W: WeierstrassFamily) -> PicardFuchsOperator:
     B = (1/48) [ (g2 (g2')^2 - 12 (g3')^2) / (2g2g3' - 3g2'g3)
                  - (4 Delta' / (3 (2g2g3' - 3g2'g3)))' ]
     """
-    delta, _ = discriminant_and_j(W)
+    delta = W.delta
     ee = _ee_form(W)
     if ee.is_zero():
         raise IsotrivialFamily("j-invariant is constant")
@@ -144,7 +135,7 @@ def pf_apply(PF: PicardFuchsOperator, f) -> RationalFunction:
     return df.derivative() * PF.A + df * PF.A.derivative() + f * PF.B
 
 
-def pf_relation(W: WeierstrassFamily, m: int) -> RationalFunction:
+def pf_relation(PF: PicardFuchsOperator, m: int) -> RationalFunction:
     """Image of t^m under the Picard-Fuchs operator.
 
     The numerator's monomial coefficients encode a linear relation among the
@@ -153,4 +144,4 @@ def pf_relation(W: WeierstrassFamily, m: int) -> RationalFunction:
     if m < 0:
         raise ValueError("need m >= 0")
     tm = Polynomial([Fraction(0)] * m + [Fraction(1)])
-    return pf_apply(picard_fuchs(W), tm)
+    return pf_apply(PF, tm)

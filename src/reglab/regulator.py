@@ -14,8 +14,8 @@ The two routes are always compared; the closed form is never trusted alone.
 Everything runs in Python-int fixed point at 64 bits beyond the requested
 precision: the matrix, the direct route and the Vandermonde-like
 determinant by fraction-free elimination of the sine column, the closed
-form as one exact product.  Only RegulatorMatrix.rank uses mpmath, which it
-imports on first use.
+form as one exact product.  The matrix has full column rank by the
+Vandermonde-like identity (RegulatorMatrix.rank), so no step needs mpmath.
 """
 
 from __future__ import annotations
@@ -74,15 +74,16 @@ class RegulatorMatrix:
         return (self.h, (self.l - 1) // 2)
 
     def rank(self) -> int:
-        from mpmath import mp
+        """(l-1)/2, the number of columns: the matrix has full column rank.
 
-        prec = self.I_table[0].I.precision
-        with mp.workprec(prec):
-            m = mp.matrix([[e.value for e in row] for row in self.entries])
-            sigma = mp.svd_r(m, compute_uv=False)
-            top = max(abs(s) for s in sigma)
-            tol = top * mp.mpf(2) ** (-min(48, prec // 2))
-            return sum(1 for s in sigma if abs(s) > tol)
+        Row r is |P_r| times row r of the sine block (-2 sin(2 pi r q / l)),
+        so the top (l-1)/2 rows are diag(|P_1|, ..., |P_(l-1)/2|) times the
+        square sine block.  That block's determinant squares to l^((l-1)/2)
+        (vandermonde_like_det), so it is invertible, and every
+        |P_r| = (54 pi / l) I(r) is positive, which eval_IJ checks.  The
+        top square block is then invertible, exactly, at any precision.
+        """
+        return self.shape[1]
 
     def coker_dim(self) -> int:
         return self.h - self.rank()

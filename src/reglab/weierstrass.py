@@ -420,12 +420,22 @@ def _certified_multiplicity(p: Polynomial, pi: Polynomial) -> int:
 class WeierstrassFamily:
     """The data (g2, g3) of y^2 = 4x^3 - g2 x - g3 over the rational base."""
 
-    __slots__ = ("g2", "g3", "label")
+    __slots__ = ("g2", "g3", "label", "_delta")
 
     def __init__(self, g2, g3, label: str = "") -> None:
         self.g2 = _as_ratfun(g2)
         self.g3 = _as_ratfun(g3)
         self.label = label
+        self._delta = None
+
+    @property
+    def delta(self) -> RationalFunction:
+        """g2^3 - 27 g3^2, built on first use and kept; IsotrivialFamily if it is 0."""
+        if self._delta is None:
+            self._delta = self.g2 * self.g2 * self.g2 - 27 * (self.g3 * self.g3)
+        if self._delta.is_zero():
+            raise IsotrivialFamily("discriminant vanishes identically")
+        return self._delta
 
     def __repr__(self) -> str:
         return "WeierstrassFamily(g2={}, g3={}, label={!r})".format(self.g2, self.g3, self.label)
@@ -494,16 +504,8 @@ def example_family(l: int) -> WeierstrassFamily:
 
 
 def discriminant_and_j(W: WeierstrassFamily) -> Tuple[RationalFunction, RationalFunction]:
-    """Delta = g2^3 - 27 g3^2 and j = 1728 g2^3 / Delta."""
-    g2_cubed = W.g2 * W.g2 * W.g2
-    delta = g2_cubed - 27 * (W.g3 * W.g3)
-    if delta.is_zero():
-        raise IsotrivialFamily("discriminant vanishes identically")
-    return delta, 1728 * g2_cubed / delta
-
-
-def _orders_at(W: WeierstrassFamily, delta: RationalFunction, s: Place) -> Tuple[int, int, int]:
-    return W.g2.ord_at(s), W.g3.ord_at(s), delta.ord_at(s)
+    """(W.delta, j) with j = 1728 g2^3 / Delta."""
+    return W.delta, 1728 * W.g2 * W.g2 * W.g2 / W.delta
 
 
 def classify_fiber(W: WeierstrassFamily, s: Place) -> KodairaFiber:
@@ -514,8 +516,7 @@ def classify_fiber(W: WeierstrassFamily, s: Place) -> KodairaFiber:
     where the raw orders are those of 1/t) the same shift performs the
     standard u^4, u^6 twist.
     """
-    delta, _ = discriminant_and_j(W)
-    v4, v6, vd = _orders_at(W, delta, s)
+    v4, v6, vd = W.g2.ord_at(s), W.g3.ord_at(s), W.delta.ord_at(s)
     k0 = min(v4 // 4, v6 // 6)
     v4 -= 4 * k0
     v6 -= 6 * k0
@@ -543,43 +544,41 @@ def classify_fiber(W: WeierstrassFamily, s: Place) -> KodairaFiber:
     raise NotMinimal("orders (v4, v6, vDelta) = ({}, {}, {}) fit no minimal type".format(v4, v6, vd))
 
 
+def uniform_pieces(factor: Polynomial,
+                   witnesses: Sequence[Polynomial]) -> List[Tuple[Polynomial, Tuple[int, ...]]]:
+    """Split squarefree factor into monic pieces on which every witness has constant root multiplicity.
+
+    Returns (piece, multiplicity of each witness) pairs.  A piece is split
+    again by each later witness, and every sub-piece keeps its parent's
+    multiplicities.
+    """
+    pieces = [(factor.monic(), ())]
+    for witness in witnesses:
+        pieces = [(sub, mults + (k,)) for piece, mults in pieces
+                  for sub, k in split_by_multiplicity(piece, witness)]
+    return pieces
+
+
 def fiber_list(W: WeierstrassFamily) -> List[KodairaFiber]:
     """All singular fibers, at uniform places plus infinity; smooth fibers omitted."""
-    delta, _ = discriminant_and_j(W)
-    ord_witnesses = [p for p in (W.g2.numerator, W.g2.denominator,
-                                 W.g3.numerator, W.g3.denominator,
-                                 delta.numerator, delta.denominator)
-                     if not p.is_zero()]
-    candidates: List[Polynomial] = []
-    for source in (delta.numerator, delta.denominator,
-                   W.g2.denominator, W.g3.denominator):
-        for factor, _ in squarefree_decomposition(source):
-            pieces = [factor]
-            for witness in ord_witnesses:
-                refined = []
-                for piece in pieces:
-                    refined.extend(f for f, _ in split_by_multiplicity(piece, witness))
-                pieces = refined
-            candidates.extend(pieces)
-    seen = set()
-    fibers = []
-    for factor in candidates:
-        place = Place.finite(factor)
-        if place in seen:
-            continue
-        seen.add(place)
-        fiber = classify_fiber(W, place)
-        if fiber.kind != "Smooth":
-            fibers.append(fiber)
-    fiber_inf = classify_fiber(W, Place.infinity())
-    if fiber_inf.kind != "Smooth":
-        fibers.append(fiber_inf)
-    fibers.sort(key=lambda f: (f.place.is_infinity, f.place.degree, str(f.place)))
-    return fibers
+    delta = W.delta
+    witnesses = [p for p in (W.g2.numerator, W.g2.denominator,
+                             W.g3.numerator, W.g3.denominator,
+                             delta.numerator, delta.denominator)
+                 if not p.is_zero()]
+    places = [Place.finite(piece)
+              for source in (delta.numerator, delta.denominator,
+                             W.g2.denominator, W.g3.denominator)
+              for factor, _ in squarefree_decomposition(source)
+              for piece, _ in uniform_pieces(factor, witnesses)]
+    # dict.fromkeys drops a place met twice
+    fibers = (classify_fiber(W, place) for place in dict.fromkeys(places + [Place.infinity()]))
+    return sorted((f for f in fibers if f.kind != "Smooth"),
+                  key=lambda f: (f.place.is_infinity, f.place.degree, str(f.place)))
 
 
-def euler_epsilon(W: WeierstrassFamily) -> Tuple[int, int, int, int]:
-    """(epsilon, additive fiber count, deg H^{1,0}, deg H^{0,1}).
+def euler_epsilon(fibers: Sequence[KodairaFiber]) -> Tuple[int, int, int, int]:
+    """(epsilon, additive fiber count, deg H^{1,0}, deg H^{0,1}) of a fiber_list.
 
     epsilon = (1/12) sum of epsilon_s over all fibers, each place weighted by
     its degree (number of geometric points); deg H^{1,0} = epsilon - a and
@@ -587,7 +586,7 @@ def euler_epsilon(W: WeierstrassFamily) -> Tuple[int, int, int, int]:
     """
     total = 0
     additive = 0
-    for fiber in fiber_list(W):
+    for fiber in fibers:
         total += fiber.epsilon_s * fiber.place.degree
         if fiber.is_additive:
             additive += fiber.place.degree

@@ -146,7 +146,7 @@ def test_criterion_07_pf_relation_span():
     for l, i in ((5, 1), (7, 1), (7, 2)):
         W = example_family(l)
         target = (t ** (i - 1)) * (9 * i * i) - (t ** (i - 1 + l)) * ((l + 3 * i) * (2 * l + 3 * i))
-        spanned = pf_relation(W, i) * Fraction(3 * l, 2)
+        spanned = pf_relation(picard_fuchs(W), i) * Fraction(3 * l, 2)
         assert spanned == RationalFunction(target)
     _report(7, "scaled monomial relation equals pf_relation exactly")
 
@@ -161,7 +161,7 @@ def test_criterion_08_fiber_suite():
         expected = {("t", "I_{}".format(3 * l)), ("infinity", infinity_type)}
         expected.add(("t - 1" if l == 1 else "t^{} - 1".format(l), "I_1"))
         assert inventory == expected
-        eps, a, _, _ = euler_epsilon(W)
+        eps, a, _, _ = euler_epsilon(fibers)
         assert eps == (l - 1) // 3 + 1
         assert a == 1
         assert hodge_and_dims(l)["h20"] == eps - 1

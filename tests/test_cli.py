@@ -11,7 +11,10 @@ import pytest
 from mpmath import mp
 
 import reglab.elliptic_oracle as elliptic_oracle
+import reglab.gauss_manin as gauss_manin
 import reglab.hypergeometric as hypergeometric
+import reglab.regulator as regulator
+import reglab.weierstrass as weierstrass
 from reglab.bigreal_periods import BigReal, series_periods
 from reglab.cli import main
 
@@ -376,6 +379,41 @@ class TestOtherCommands:
         assert code == 0
         assert "-104*t^5 + 9" in out
 
+    def test_fibers_builds_delta_and_fiber_list_once(self, capsys, monkeypatch):
+        calls, builds = [], []
+        real_fiber_list = weierstrass.fiber_list
+        real_delta = weierstrass.WeierstrassFamily.delta
+
+        def counted_fiber_list(W):
+            calls.append(W)
+            return real_fiber_list(W)
+
+        def counted_delta(W):
+            if W._delta is None:
+                builds.append(W)
+            return real_delta.fget(W)
+
+        monkeypatch.setattr(weierstrass, "fiber_list", counted_fiber_list)
+        monkeypatch.setattr(weierstrass.WeierstrassFamily, "delta", property(counted_delta))
+        code, out, _ = run(capsys, "fibers", "--l", "7")
+        assert code == 0
+        assert out == (GOLDEN / "fibers_l7.txt").read_text()
+        assert len(calls) == len(builds) == 1
+
+    def test_pf_builds_the_operator_once(self, capsys, monkeypatch):
+        calls = []
+        real = gauss_manin.picard_fuchs
+
+        def counted(W):
+            calls.append(W)
+            return real(W)
+
+        monkeypatch.setattr(gauss_manin, "picard_fuchs", counted)
+        code, out, _ = run(capsys, "pf", "--l", "7", "--m", "3")
+        assert code == 0
+        assert out == (GOLDEN / "pf_l7_m3.txt").read_text()
+        assert len(calls) == 1
+
     def test_oracle_single_j(self, capsys):
         code, out, _ = run(capsys, "oracle", "--l", "5", "--j", "2")
         assert code == 0
@@ -413,6 +451,16 @@ class TestOtherCommands:
         assert out.count("[pass]") == 7
         assert "[fail]" not in out
         assert out == (GOLDEN / "selfcheck.txt").read_text()
+
+    def test_selfcheck_fails_an_uncertified_vandermonde(self, capsys, monkeypatch):
+        real = regulator.vandermonde_like_det
+        monkeypatch.setattr(regulator, "vandermonde_like_det",
+                            lambda l, p=128: BigReal(real(l, p), p, 0))
+        monkeypatch.setattr(elliptic_oracle, "direct_periods", _real_direct_periods)
+        code, out, _ = run(capsys, "selfcheck")
+        assert code == 1
+        assert out.count("[pass]") == 6
+        assert "[fail] vandermonde determinant identity" in out
 
 
 # one quadrature per (l, j, p), shared by the gate and route tests below

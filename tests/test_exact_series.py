@@ -17,6 +17,7 @@ from reglab.exact_series import (
     series_inverse,
     series_mul,
     series_pow_rational,
+    _power_base,
 )
 from reglab.weierstrass import Polynomial
 
@@ -266,3 +267,22 @@ class TestIntegerKernel:
     def test_integer_and_exponent_param_alpha(self):
         assert a_coeffs(ExponentParam(F(2, 7)), 20) == _generic_a(F(2, 7), 20)
         assert b_coeffs(-2, 15) == _generic_b(F(-2), 15)
+
+    def test_shared_F_and_per_kind_H0(self):
+        # the reference: F = E3a E3b / (q (E3a + 27 E3b)) and H0 = (theta e~) f over Fractions
+        N = 40
+        e3a = eisenstein_q_expansion("E3a", N + 1)
+        e3b = eisenstein_q_expansion("E3b", N + 1)
+        inv = series_inverse(e3a + 27 * e3b)
+        F_ref = series_mul(series_mul(e3a, e3b.shift(-1)), inv).truncate(N)
+        theta = lambda s: TruncatedQSeries(
+            0, [n * s.coefficient(n) for n in range(s.truncation_order)], s.truncation_order)
+        tilde = {"a": e3b.shift(-1), "b": e3a}
+        base = {"a": series_mul(e3a, inv), "b": series_mul(e3b.shift(-1), inv)}
+        kinds = _power_base(N).kinds
+        assert kinds["a"][0] is kinds["b"][0]
+        for kind in ("a", "b"):
+            F_list, H0 = kinds[kind]
+            H0_ref = series_mul(theta(tilde[kind]), base[kind]).truncate(N)
+            assert F_list[:N] == [F_ref.coefficient(n) for n in range(N)]
+            assert H0[:N] == [H0_ref.coefficient(n) for n in range(N)]

@@ -18,6 +18,7 @@ from reglab.weierstrass import (
     RationalFunction,
     WeierstrassFamily,
     example_family,
+    uniform_pieces,
 )
 
 F = Fraction
@@ -105,6 +106,17 @@ class TestDegeneracyLocus:
         # 6 g2 g3' - 9 g2' g3 = 6 - 12 t^2, zero at t^2 = 1/2, away from Delta = 0
         assert degeneracy_locus(W) == {Place.finite(P([F(-1, 2), 0, 1]))}
 
+    def test_drops_the_piece_on_an_excluded_place(self):
+        # g2 = 1/t, g3 = t - 1: the ratio's numerator is a multiple of t (t - 3/5),
+        # and t is a pole of g2
+        W = WeierstrassFamily(RationalFunction(1, P([0, 1])), P([-1, 1]))
+        ratio = 3 * (2 * W.g2 * W.g3.derivative() - 3 * W.g2.derivative() * W.g3) / W.delta
+        assert ratio.numerator.monic() == P([0, F(-3, 5), 1])
+        excluded = [W.delta.numerator, W.delta.denominator, W.g2.denominator]
+        pieces = dict(uniform_pieces(P([0, F(-3, 5), 1]), excluded))
+        assert pieces == {P([0, 1]): (0, 3, 1), P([F(-3, 5), 1]): (0, 0, 0)}
+        assert degeneracy_locus(W) == {Place.at_point(F(3, 5))}
+
     def test_constant_j_rejected(self):
         with pytest.raises(IsotrivialFamily):
             degeneracy_locus(WeierstrassFamily(P([0, 0, 0, 0, 1]), 0))
@@ -145,6 +157,10 @@ class TestPicardFuchs:
         with pytest.raises(IsotrivialFamily):
             picard_fuchs(WeierstrassFamily(P([0, 0, 0, 0, 1]), 0))
 
+    def test_vanishing_discriminant_rejected(self):
+        with pytest.raises(IsotrivialFamily):
+            picard_fuchs(WeierstrassFamily(3, 1))
+
 
 class TestPFApply:
     def test_zero(self):
@@ -165,7 +181,7 @@ class TestPFApply:
 
     @pytest.mark.parametrize("l,m", [(1, 0), (1, 3), (5, 1), (5, 4), (7, 2), (7, 6)])
     def test_monomial_closed_form(self, l, m):
-        got = pf_relation(example_family(l), m)
+        got = pf_relation(picard_fuchs(example_family(l)), m)
         expected = RationalFunction(
             tpow(m - 1, F(6 * m * m, l)) - tpow(m + l - 1, F(2 * (3 * m + l) * (3 * m + 2 * l), 3 * l))
             if m >= 1 else tpow(l - 1, F(-4 * l, 3)))
@@ -175,14 +191,14 @@ class TestPFApply:
 class TestRelations:
     def test_l5_i1_relation_in_span(self):
         # (104 t^5 - 9) must be an exact rational multiple of pf_relation(1)
-        rel = pf_relation(example_family(5), 1)
+        rel = pf_relation(picard_fuchs(example_family(5)), 1)
         target = tpow(5, 104) - P([9])
         scaled = F(-15, 2) * rel
         assert scaled == RationalFunction(target)
 
     @pytest.mark.parametrize("l,i", [(5, 1), (7, 1), (7, 2)])
     def test_relation_proportionality(self, l, i):
-        rel = pf_relation(example_family(l), i)
+        rel = pf_relation(picard_fuchs(example_family(l)), i)
         target = tpow(i - 1, 9 * i * i) - tpow(i + l - 1, (l + 3 * i) * (2 * l + 3 * i))
         assert F(3 * l, 2) * rel == RationalFunction(target)
 
@@ -191,12 +207,12 @@ class TestRelations:
         h = (l - 1) - (l - 1) // 3
         rows = []
         for m in range(h):
-            rel = pf_relation(example_family(l), m)
+            rel = pf_relation(picard_fuchs(example_family(l)), m)
             assert rel.denominator == P([1])
             rows.append(rel.numerator.coeffs)
         assert rank_over_q(rows) == h
 
     def test_polynomial_output(self):
         for m in range(6):
-            rel = pf_relation(example_family(5), m)
+            rel = pf_relation(picard_fuchs(example_family(5)), m)
             assert rel.denominator == P([1])

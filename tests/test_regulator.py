@@ -81,6 +81,17 @@ class TestMatrixAssembly:
         assert m7.shape == (4, 3)
         assert m7.coker_dim() == 1
 
+    @pytest.mark.parametrize("l", (5, 7, 11, 13, 25))
+    def test_rank_matches_svd(self, l):
+        # the reference: singular values above 2^-48 of the largest, at 128 bits
+        m = build_matrix(l, p=128)
+        with mp.workprec(128):
+            sigma = mp.svd_r(mp.matrix([[e.value for e in row] for row in m.entries]),
+                             compute_uv=False)
+            tol = max(abs(x) for x in sigma) * mp.mpf(2) ** -48
+            assert m.rank() == sum(1 for x in sigma if abs(x) > tol) == (l - 1) // 2
+        assert m.coker_dim() == m.h - m.rank()
+
     def test_entries_match_sine_form(self):
         m = build_matrix(5, p=128)
         with mp.workprec(160):
@@ -180,11 +191,12 @@ class TestDeterminantRoutes:
 
 _REPORT_MPMATH = (
     "import sys; from reglab.regulator import build_matrix, vandermonde_like_det; "
-    "build_matrix(7); vandermonde_like_det(9); print('mpmath' in sys.modules)")
+    "m = build_matrix(7); m.rank(); m.coker_dim(); vandermonde_like_det(9); "
+    "print('mpmath' in sys.modules)")
 
 
 def test_matrix_and_vandermonde_import_no_mpmath():
-    """The fixed-point matrix and Vandermonde-like determinant run without mpmath; only rank() needs it."""
+    """The fixed-point matrix, its rank and the Vandermonde-like determinant run without mpmath."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", _REPORT_MPMATH],
                           capture_output=True, env=env, timeout=120)

@@ -20,6 +20,7 @@ from reglab.weierstrass import (
     multiplicity,
     poly_gcd,
     squarefree_decomposition,
+    uniform_pieces,
 )
 
 F = Fraction
@@ -124,6 +125,18 @@ class TestExampleFamily:
         with pytest.raises(IsotrivialFamily):
             discriminant_and_j(WeierstrassFamily(3, 1))
 
+    def test_delta_is_built_once(self):
+        W = example_family(5)
+        assert discriminant_and_j(W)[0] is W.delta
+        assert W.delta is W.delta
+
+    def test_isotrivial_family_builds_but_every_delta_user_raises(self):
+        W = WeierstrassFamily(3, 1)  # Delta = 27 - 27 = 0
+        for use in (discriminant_and_j, fiber_list,
+                    lambda W: classify_fiber(W, Place.at_point(0))):
+            with pytest.raises(IsotrivialFamily):
+                use(W)
+
 
 class TestKodaira:
     def test_l5_fiber_at_zero(self):
@@ -155,15 +168,15 @@ class TestKodaira:
 
     @pytest.mark.parametrize("l", GOOD_L)
     def test_epsilon_formula(self, l):
-        epsilon, a, deg10, deg01 = euler_epsilon(example_family(l))
+        epsilon, a, deg10, deg01 = euler_epsilon(fiber_list(example_family(l)))
         assert epsilon == (l - 1) // 3 + 1
         assert a == 1
         assert deg10 == epsilon - 1
         assert deg01 == -epsilon
 
     def test_epsilon_l5_l7_values(self):
-        assert euler_epsilon(example_family(5)) == (2, 1, 1, -2)
-        assert euler_epsilon(example_family(7))[0] == 3
+        assert euler_epsilon(fiber_list(example_family(5))) == (2, 1, 1, -2)
+        assert euler_epsilon(fiber_list(example_family(7)))[0] == 3
 
     def test_rescaling_invariance(self):
         W = example_family(5)
@@ -192,6 +205,18 @@ class TestKodaira:
         assert total % 12 == 0
 
 
+class TestUniformPieces:
+    def test_factor_splits_by_every_witness(self):
+        t = P([0, 1])
+        # t (t - 1) (t + 1): t^2 (t^2 - 1) leaves t^2 - 1 whole, (t - 1)^3 splits it
+        pieces = uniform_pieces(t * (t * t - 1), [t * t * (t * t - 1), (t - 1) ** 3])
+        assert sorted(pieces, key=str) == sorted(
+            [(t, (2, 0)), (t + 1, (1, 0)), (t - 1, (1, 3))], key=str)
+
+    def test_no_witness_keeps_the_factor(self):
+        assert uniform_pieces(P([2, 0, 2]), []) == [(P([1, 0, 1]), ())]
+
+
 class TestHodge:
     def test_l5(self):
         d = hodge_and_dims(5)
@@ -212,5 +237,5 @@ class TestHodge:
 
     @pytest.mark.parametrize("l", GOOD_L)
     def test_epsilon_matches_hodge(self, l):
-        epsilon, _, _, _ = euler_epsilon(example_family(l))
+        epsilon, _, _, _ = euler_epsilon(fiber_list(example_family(l)))
         assert epsilon - 1 == hodge_and_dims(l)["h20"]
