@@ -97,6 +97,16 @@ def _decimal(man: int, exp: int, n: int) -> str:
     return text + ("e+" if exponent > 0 else "e") + str(exponent)
 
 
+def _nstr(man: int, exp: int, n: int) -> str:
+    """man 2^exp to n >= 1 significant digits, as mpmath's nstr(x, n): _decimal
+    with the trailing zeros of the digits stripped, down to one after the point."""
+    digits, e, exponent = _decimal(man, exp, n).partition("e")
+    digits = digits.rstrip("0")
+    if digits.endswith("."):
+        digits += "0"
+    return digits + e + exponent
+
+
 class BigReal:
     """An exact dyadic value man 2^exp at a working precision, capped by an agreement certificate.
 
@@ -258,26 +268,30 @@ class _FixedConstants(NamedTuple):
     pi: int
     sqrt3: int
     ln3: int
+    ln2: int
     K: int  # 2 pi / sqrt 3
     c: int  # exp(-K)
 
 
 @lru_cache(maxsize=8)
 def _fixed_constants(w: int) -> _FixedConstants:
-    """pi, sqrt 3, ln 3, K = 2 pi / sqrt 3 and c = exp(-K) at w bits, each off by less than 2 units.
+    """pi, sqrt 3, ln 3, ln 2, K = 2 pi / sqrt 3 and c = exp(-K) at w bits, each off by less than 2 units.
 
     Each is computed at g = w + 32 bits and floored to w: pi = 16 atan(1/5)
     - 4 atan(1/239) (Machin), ln 3 = 6 atanh(1/7) + 4 atanh(1/17)
-    (ln 3 = 3 ln(4/3) + 2 ln(9/8)), sqrt 3 = isqrt(3 2^2g), K by one floored
-    division and c by _exp.  Before the floor every one is off by less than
-    2^15 units of 2^-g, below 2^-17 units of 2^-w, for w < 2^20.
+    (ln 3 = 3 ln(4/3) + 2 ln(9/8)), ln 2 = 2 atanh(1/3), sqrt 3 =
+    isqrt(3 2^2g), K by one floored division and c by _exp.  By _atan_inv's
+    count of floored terms, pi is off by less than 3.7 g + 40 units of 2^-g
+    and K, the worst, by less than 5g; so before the floor every one is off
+    by less than 2^-10 units of 2^-w, for w < 2^19.
     """
     g = w + 32
     pi = 16 * _atan_inv(5, g) - 4 * _atan_inv(239, g)
     sqrt3 = math.isqrt(3 << 2 * g)
     ln3 = 6 * _atan_inv(7, g, True) + 4 * _atan_inv(17, g, True)
+    ln2 = 2 * _atan_inv(3, g, True)
     K = (pi << g + 1) // sqrt3
-    return _FixedConstants(*(v >> 32 for v in (pi, sqrt3, ln3, K, _exp(-K, g))))
+    return _FixedConstants(*(v >> 32 for v in (pi, sqrt3, ln3, ln2, K, _exp(-K, g))))
 
 
 def constants(p: int = 128) -> Constants:

@@ -7,17 +7,19 @@ Subcommands:
   oracle     quadrature cross-check of the series-route periods
   selfcheck  bundled invariant suite, [pass]/[fail] per check
 
-`compute` checks the series route against the closed 2F1/Gamma forms of
+`compute` checks the series route against the closed 2F1/Beta forms of
 `hypergeometric`; `oracle` and `selfcheck` check it against the quadrature of
-`elliptic_oracle`.  Results of `compute` can be cached as one checksummed
+`elliptic_oracle`.  Either check compares the two routes by one exact
+relative difference of dyadic numbers, printed as mpmath's nstr(x, 3) would
+print it.  Results of `compute` can be cached as one checksummed
 JSON file per (l, digits, skip-oracle, version) key; corrupted, unreadable or
 stale files are ignored with a warning and recomputed, and a cache that
 cannot be written is reported with a warning.  The numeric layer is
 imported only inside the functions that evaluate numbers, so `fibers`, `pf`
-and cache hits start without it.  Its series route evaluates exact dyadic
-numbers in Python-int fixed point, so `compute --skip-oracle` never imports
-mpmath either; mpmath is the arithmetic of the checks (the closed forms of
-`compute`, the quadrature of `oracle` and `selfcheck`).
+and cache hits start without it.  The series route and the closed forms
+evaluate exact dyadic numbers in Python-int fixed point, so `compute`, with
+or without its check, never imports mpmath; mpmath is the arithmetic of the
+quadrature of `oracle` and `selfcheck`.
 
 Exit codes: 0 success, 1 a failed selfcheck check, 2 validation error (a
 --cache path that is not a directory among them), 3 precision or quadrature
@@ -96,50 +98,55 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 
 # ---------------------------------------------------------------- compute
 
-def _oracle_rows(pairs, checks) -> list:
-    """(j, arch, series, check, rel diff) per pair and arch, series route against another route.
+def _relative_difference(series, check):
+    """|series - check| / |series| for two BigReals, as an exact Fraction."""
+    from fractions import Fraction
 
-    checks holds one (delta, gamma) pair of period magnitudes per pair, from
-    the closed forms or the quadrature.  series and check are BigReals, so
-    each keeps its certificate.
-    """
-    from mpmath import mp
+    e = min(series.exp, check.exp)
+    s, c = series.man << series.exp - e, check.man << check.exp - e
+    return Fraction(abs(s - c), abs(s))
 
-    from .bigreal_periods import series_periods
 
-    rows = []
-    for pair, (delta, gamma) in zip(pairs, checks):
-        want = series_periods(pair)
-        with mp.workprec(max(pair.I.precision, delta.precision) + 16):
-            for arch, series, check in (("delta", want.delta_period, delta),
-                                        ("gamma", want.gamma_period, gamma)):
-                rows.append((pair.j, arch, series, check,
-                             abs(check.value - series.value) / series.value))
-    return rows
+def _rel_text(x) -> str:
+    """A Fraction 0 <= x as mpmath's nstr(x, 3) prints it, from x floored to 64 bits."""
+    from .bigreal_periods import _nstr
+
+    shift = max(64 + x.denominator.bit_length() - x.numerator.bit_length(), 0)
+    return _nstr((x.numerator << shift) // x.denominator, -shift, 3)
+
+
+def _worst(diffs) -> str:
+    """The largest of the exact relative differences, as _rel_text prints it;
+    QuadratureNotConverged when |series - check| 10^6 > |series|, past _ORACLE_GATE."""
+    worst = max(diffs)
+    if worst * 10 ** 6 > 1:
+        raise QuadratureNotConverged(
+            "series route and its check differ by {} relative, above {}".format(
+                _rel_text(worst), _ORACLE_GATE))
+    return _rel_text(worst)
 
 
 def _quadrature_rows(pairs, p_oracle: int) -> list:
-    """_oracle_rows of the pairs against the quadrature at p_oracle bits."""
+    """(j, arch, series, quadrature, rel diff) per pair and arch: the series
+    route against the quadrature at p_oracle bits.
+
+    series and quadrature are BigReals, so each keeps its certificate; rel
+    diff is exact.
+    """
+    from .bigreal_periods import series_periods
     from .elliptic_oracle import direct_periods
 
-    quadratures = [direct_periods(pair.l, pair.j, p_oracle) for pair in pairs]
-    return _oracle_rows(pairs, [(q.delta_abs, q.gamma_abs) for q in quadratures])
-
-
-def _worst(rows):
-    """The largest relative difference of the rows; QuadratureNotConverged past _ORACLE_GATE."""
-    from mpmath import mp
-
-    worst = max(row[4] for row in rows)
-    if worst > _ORACLE_GATE:
-        raise QuadratureNotConverged(
-            "series route and its check differ by {} relative, above {}".format(
-                mp.nstr(worst, 3), _ORACLE_GATE))
-    return worst
+    rows = []
+    for pair in pairs:
+        want, got = series_periods(pair), direct_periods(pair.l, pair.j, p_oracle)
+        for arch, series, check in (("delta", want.delta_period, got.delta_abs),
+                                    ("gamma", want.gamma_period, got.gamma_abs)):
+            rows.append((pair.j, arch, series, check, _relative_difference(series, check)))
+    return rows
 
 
 def compute_payload(cfg: RunConfig) -> dict:
-    from .bigreal_periods import eval_IJ, series_periods
+    from .bigreal_periods import eval_IJ
     from .regulator import _closed_form_from
 
     digits = cfg.effective_digits
@@ -148,13 +155,13 @@ def compute_payload(cfg: RunConfig) -> dict:
     result = _closed_form_from(cfg.l, pairs, p)
     oracle = None
     if not cfg.skip_oracle:
-        from mpmath import mp
-
         from .hypergeometric import period_table
 
-        closed = [series_periods(pair) for pair in period_table(cfg.l, _ORACLE_BITS)]
-        rows = _oracle_rows(pairs, [(c.delta_period, c.gamma_period) for c in closed])
-        oracle = {"max_rel_diff": mp.nstr(_worst(rows), 3)}
+        closed = period_table(cfg.l, _ORACLE_BITS)
+        oracle = {"max_rel_diff": _worst(
+            _relative_difference(series, check)
+            for pair, other in zip(pairs, closed)
+            for series, check in ((pair.I, other.I), (pair.J, other.J)))}
     from .weierstrass import hodge_and_dims
 
     return {
@@ -386,8 +393,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
     cell = lambda x: mp.nstr(x.value, min(15, x.agreement_certificate)).ljust(22)
     for j, arch, series, quadrature, diff in rows:
         print("  {}  {}  {}  {}  {}  {}".format(
-            cfg.l, j, arch.ljust(5), cell(series), cell(quadrature), mp.nstr(diff, 3)))
-    print("max relative difference: {}".format(mp.nstr(_worst(rows), 3)))
+            cfg.l, j, arch.ljust(5), cell(series), cell(quadrature), _rel_text(diff)))
+    print("max relative difference: {}".format(_worst(row[4] for row in rows)))
     return 0
 
 
@@ -412,7 +419,7 @@ def _check_trace_zero() -> bool:
     from .gauss_manin import connection_matrix
     from .weierstrass import example_family
 
-    return all(connection_matrix(example_family(l)).trace().is_zero
+    return all(connection_matrix(example_family(l)).trace().is_zero()
                for l in (1, 5, 7))
 
 
@@ -458,7 +465,8 @@ def _check_oracle_l5(p_oracle: int) -> bool:
 
     # past the gate _worst raises, which cmd_selfcheck reports as [fail]
     rows = _quadrature_rows([eval_IJ(5, j, 128) for j in range(1, 5)], p_oracle)
-    return _worst(rows) <= _ORACLE_GATE
+    _worst(row[4] for row in rows)
+    return True
 
 
 def cmd_selfcheck(cfg: RunConfig) -> int:

@@ -4,81 +4,131 @@ With a = j/l and F(u) = 2F1(1/3, 2/3; 1; u), Ramanujan's theory of signature 3
 (Berndt, Bhargava and Garvan, Trans. AMS 347, 1995) gives
 
     I(j) = Gamma(a)^2 / (27 Gamma(a + 1/3) Gamma(a + 2/3))
-    J(j) = 2 pi / (27 sqrt3) * integral_0^1 u^(a-1) F(u) du.
+         = sqrt3 / (54 pi) B(a, 1/3) B(a, 2/3)
+    J(j) = 2 pi / (27 sqrt3) * integral_0^1 u^(a-1) F(u) du,
 
-This route uses neither the q-series nor quadrature, so `compute` checks the
-series route against it.  The J integral is split at u = 1/2:
+the Beta form by Gamma(1/3) Gamma(2/3) = 2 pi / sqrt3.  This route uses
+neither the q-series nor quadrature, so `compute` checks the series route
+against it.  Every integral is split at u = 1/2 into series of positive
+terms with ratio at most 1/2, so no Gamma value is needed:
 
-  on [0, 1/2]  F(u) = sum c_n u^n with c_n = (1/3)_n (2/3)_n / n!^2, and the
-               piece is sum c_n 2^-(n+a) / (n+a);
-  on [1/2, 1]  v = 1 - u and the logarithmic case of DLMF 15.8.10 give
-               F(1 - v) = (sqrt3 / 2 pi) sum c_n v^n (k_n - ln v), with
-               k_0 = 3 ln 3 and k_(n+1) = k_n + 2/(n+1) - 1/(n+1/3) - 1/(n+2/3).
-               Times (1 - v)^(a-1) = sum beta_m v^m, beta_m = (1-a)_m / m!,
-               term by term over [0, 1/2]:
-                 int_0^(1/2) v^M (k - ln v) dv = w_M (k + ln 2 + 1/(M+1)),
-                 w_M = 2^-(M+1) / (M+1).
-               So the piece is (sqrt3 / 2 pi) sum_m beta_m S_m, where
-                 S_m = sum_n c_n (k_n + ln 2 + 1/(n+m+1)) w_(n+m)
-               does not depend on a and is built once per table.
+  B(x, y)        with (1 - u)^(y-1) = sum_m (1-y)_m/m! u^m on [0, 1/2] and
+                 the same in v = 1 - u on [1/2, 1],
+                   B(x, y) = 2^-x sum_m (1-y)_m/m! 2^-m/(m+x)
+                           + 2^-y sum_m (1-x)_m/m! 2^-m/(m+y);
+  J on [0, 1/2]  F(u) = sum c_n u^n with c_n = (1/3)_n (2/3)_n / n!^2, and the
+                 piece is sum c_n 2^-(n+a) / (n+a);
+  J on [1/2, 1]  v = 1 - u and the logarithmic case of DLMF 15.8.10 give
+                 F(1 - v) = (sqrt3 / 2 pi) sum c_n v^n (k_n - ln v), with
+                 k_0 = 3 ln 3 and k_(n+1) = k_n + 2/(n+1) - 1/(n+1/3) - 1/(n+2/3)
+                 = k_n - (9n + 5) / ((n+1)(3n+1)(3n+2)).
+                 Times (1 - v)^(a-1) = sum beta_m v^m, beta_m = (1-a)_m / m!,
+                 term by term over [0, 1/2]:
+                   int_0^(1/2) v^M (k - ln v) dv = w_M (k + ln 2 + 1/(M+1)),
+                   w_M = 2^-(M+1) / (M+1).
+                 So the piece is (sqrt3 / 2 pi) sum_m beta_m S_m, where
+                   S_m = sum_n c_n (k_n + ln 2 + 1/(n+m+1)) w_(n+m)
+                 does not depend on a and is built once per table.
 
-Tail bounds: 0 < c_n <= 1, 0 < beta_m <= 1 and 0 < k_n <= 3 ln 3 (k_n falls
-to 0).  Past N terms the first piece is at most 2^(1-N); summing the second
-over n + m < N leaves layers n + m = M >= N of at most
+Tail bounds: 0 < c_n <= 1, 0 < beta_m <= 1, 0 < (1-y)_m/m! <= 1 and
+0 < k_n <= 3 ln 3 (k_n falls to 0).  Past N terms a Beta sum loses less than
+sum_(m>=N) 2^-m/m < 2^(1-N)/N of a sum above 1, so I is low by less than
+2^(2-N)/N relative.  The first J piece loses at most 2^(1-N); summing the
+second over n + m < N leaves layers n + m = M >= N of at most
 (M + 1) (3 ln 3 + ln 2 + 1) w_M < 5 * 2^-(M+1), so at most 5 * 2^-N in all.
 With the prefactors, J is then off by at most 2^-N, and J >= 2 pi / (27 sqrt3)
-> 1/8 (F >= 1, u^(a-1) >= 1), so by at most 2^(3-N) relative.  Rounding
-(sums of positive terms, fewer than N^2 operations at 32 guard bits) adds
-less than 2^(3-N) more for N < 2^13.
+> 1/8 (F >= 1, u^(a-1) >= 1), so by at most 2^(3-N) relative.
+
+Rounding.  Everything is Python-int fixed point at w = p + 64 bits (units of
+2^-w), with the kernels of bigreal_periods: pi, sqrt3, ln 3 and ln 2 are off
+by less than 2 units, and 2^-x = exp(-x ln 2) by less than 5.  A coefficient
+list ((1-x)_m/m!, c_n) multiplies by a factor below 1 and floors at each
+step, so entry m is low by less than m units, and a floored sum
+sum_m coeff_m 2^-m/(m+x) is low by less than N + 1 units.  So each of the
+two parts of B(x, y), which is above 1/2 times its sum, and B itself are off
+by less than 2N + 14 units relative; I, which is above I(1) = sqrt3/(12 pi)
+> 1/22 because B(x, y) falls as x grows, by less than 4N + 64.  In J, k_n is
+off by less than n + 6 units, c_n (k_n + ln 2) by less than 5n + 9, S_m by
+less than 5N + 14 and sum beta_m S_m by less than 5N^2 + 14N + 6; with the
+first piece (below l + 1, off by less than 5l + N + 7) and the prefactors,
+J is off by less than N^2 + 2l units, 8 (N^2 + 2l) relative.  For N = p + 8
+< 2^20 and l < 2^20 both roundings stay below 2^-(p+20) relative.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import List
 
-from mpmath import mp
+from .bigreal_periods import (
+    _GUARD,
+    BigReal,
+    PeriodPair,
+    _digits_of_bits,
+    _exp,
+    _fixed_constants,
+    _require_lj,
+)
 
-from .bigreal_periods import BigReal, PeriodPair, _digits_of_bits, _require_lj
+
+def _binomial_series(num: int, den: int, N: int, w: int) -> List[int]:
+    """(1 - x)_m / m! for m < N at w bits, x = num/den in (0, 1]: the coefficients
+    of (1 - u)^(x-1); entry m is low by less than m units."""
+    t = 1 << w
+    out = [t]
+    for m in range(1, N):
+        t = t * (m * den - num) // (m * den)  # times (m - x)/m
+        out.append(t)
+    return out
 
 
-def _shared(N: int) -> tuple:
-    """(c_n 2^-n for n < N, S_m for m < N): the parts of every J(j) that do not depend on a."""
-    third = mp.mpf(1) / 3
-    c, k = [mp.mpf(1)], [3 * mp.ln(3)]
+def _half_sum(coeffs: List[int], den: int, num: int) -> int:
+    """sum_m coeffs_m 2^-m / (m + num/den), each term floored once."""
+    return sum(coeff * den // ((m * den + num) << m) for m, coeff in enumerate(coeffs))
+
+
+def _shared(N: int, w: int) -> tuple:
+    """(c_n for n < N, S_m for m < N) at w bits: the parts of every J(j) that do not depend on a."""
+    k = _fixed_constants(w)
+    c, kn = [1 << w], 3 * k.ln3
+    ck = [(kn + k.ln2) << w]  # c_n (k_n + ln 2) at 2w bits, floored to w below
     for n in range(N - 1):
-        c.append(c[n] * (n + third) * (n + 1 - third) / (n + 1) ** 2)
-        k.append(k[n] + mp.mpf(2) / (n + 1) - 1 / (n + third) - 1 / (n + 1 - third))
-    w = [mp.ldexp(mp.mpf(1) / (M + 1), -(M + 1)) for M in range(N)]
-    ln2 = mp.ln(2)
-    ck = [cn * (kn + ln2) for cn, kn in zip(c, k)]
-    w1 = [wM / (M + 1) for M, wM in enumerate(w)]
-    S = [mp.fdot(ck[:N - m], w[m:]) + mp.fdot(c[:N - m], w1[m:]) for m in range(N)]
-    return [mp.ldexp(cn, -n) for n, cn in enumerate(c)], S
+        c.append(c[n] * (3 * n + 1) * (3 * n + 2) // (9 * (n + 1) ** 2))
+        kn -= ((9 * n + 5) << w) // ((n + 1) * (3 * n + 1) * (3 * n + 2))
+        ck.append(c[-1] * (kn + k.ln2))
+    ck = [v >> w for v in ck]
+    wM = [(1 << w - M - 1) // (M + 1) for M in range(N)]  # w_M = 2^-(M+1) / (M+1)
+    w1 = [v // (M + 1) for M, v in enumerate(wM)]  # w_M / (M+1)
+    S = [sum(map(mul, ck, wM[m:])) + sum(map(mul, c, w1[m:])) >> w for m in range(N)]
+    return c, S
 
 
 def period_table(l: int, p: int = 64) -> List[PeriodPair]:
     """(I(j), J(j)) for j = 1..l-1 from the closed forms, certified to the digits of p bits.
 
     N = p + 8 terms put the truncation and rounding of J below 2^(4-N)
-    relative; I has only the rounding of four Gamma values.
+    relative, and those of I below 2^(3-N)/N (for N < 2^14).
     """
     _require_lj(l, 1)
     N = p + 8
+    w = p + _GUARD
     digits = _digits_of_bits(p)
     cert_J = min(digits, int((N - 4) * math.log10(2)))
+    k = _fixed_constants(w)
+    c, S = _shared(N, w)
+    pref_J = (k.pi << w + 1) // (27 * k.sqrt3)  # 2 pi / (27 sqrt3)
+    # y = 1/3 and 2/3: the coefficients (1-y)_m/m! and 2^-y
+    thirds = [(n, _binomial_series(n, 3, N, w), _exp(-(n * k.ln2) // 3, w)) for n in (1, 2)]
     table = []
-    with mp.workprec(p + 32):
-        c_half, S = _shared(N)
-        third = mp.mpf(1) / 3
-        pref_A = 2 * mp.pi / (27 * mp.sqrt(3))
-        for j in range(1, l):
-            a = mp.mpf(j) / l
-            I = mp.gamma(a) ** 2 / (27 * mp.gamma(a + third) * mp.gamma(a + 1 - third))
-            lower = mp.power(2, -a) * mp.fdot(c_half, [1 / (n + a) for n in range(N)])
-            beta = [mp.mpf(1)]
-            for m in range(N - 1):
-                beta.append(beta[m] * (m + 1 - a) / (m + 1))
-            J = pref_A * lower + mp.fdot(beta, S) / 27
-            table.append(PeriodPair(l, j, BigReal(I, p, digits), BigReal(J, p, cert_J), N))
+    for j in range(1, l):
+        beta = _binomial_series(j, l, N, w)  # (1-a)_m / m!
+        two_a = _exp(-(j * k.ln2) // l, w)  # 2^-a
+        B1, B2 = [(two_a * _half_sum(coeffs, l, j) + two_y * _half_sum(beta, 3, n)) >> w
+                  for n, coeffs, two_y in thirds]  # B(a, 1/3), B(a, 2/3)
+        I = (B1 * B2 >> w) * k.sqrt3 // (54 * k.pi)
+        lower = two_a * _half_sum(c, l, j) >> w
+        J = (pref_J * lower >> w) + (sum(map(mul, beta, S)) >> w) // 27
+        table.append(PeriodPair(l, j, BigReal((I, -w), p, digits),
+                                BigReal((J, -w), p, cert_J), N))
     return table

@@ -15,6 +15,7 @@ from reglab.bigreal_periods import (
     _digits_of_bits,
     _exp,
     _fixed_constants,
+    _nstr,
     _sin,
     constants,
     eisenstein_numeric,
@@ -112,6 +113,25 @@ class TestBigReal:
     def test_zero(self):
         assert BigReal(0, 64).to_decimal(10) == mp.nstr(mp.mpf(0), 10, strip_zeros=False)
 
+    @given(man=st.integers(min_value=1, max_value=2 ** 400 - 1),
+           top=st.integers(min_value=-131, max_value=0))
+    @settings(max_examples=300, deadline=None)
+    def test_nstr_is_nstr_3(self, man, top):
+        # dyadics from about 1e-40 to 1, the range of a relative difference
+        exp = top - man.bit_length()
+        assert _nstr(man, exp, 3) == mp.nstr(_exact_mpf(man, exp), 3)
+
+    @pytest.mark.parametrize("num, den, text", (
+        (99951, 10 ** 24, "1.0e-19"),  # carries into the next decade
+        # mpmath floors to about 29 bits before rounding the digits, so a
+        # dyadic just above 9.995e-20 still prints 9.99e-20
+        (9995, 10 ** 23, "9.99e-20"),
+        (3, 10 ** 23, "3.0e-23"),  # strips to one zero, not to "3.00e-23"
+        (25, 10 ** 8, "2.5e-7")))
+    def test_nstr_carries_and_strips(self, num, den, text):
+        man = -((-num << 128) // den)  # num/den rounded up at 2^-128
+        assert _nstr(man, -128, 3) == mp.nstr(_exact_mpf(man, -128), 3) == text
+
 
 class TestAgreementDigits:
     def test_matches_float_formula(self):
@@ -155,7 +175,7 @@ class TestKernels:
         with mp.workprec(w + 64):
             K = 2 * mp.pi / mp.sqrt(3)
             for got, want in ((k.pi, mp.pi), (k.sqrt3, mp.sqrt(3)), (k.ln3, mp.ln(3)),
-                              (k.K, K), (k.c, mp.exp(-K))):
+                              (k.ln2, mp.ln(2)), (k.K, K), (k.c, mp.exp(-K))):
                 assert _within_units(got, want, w)
             public = constants(p)
             for x, want in ((public.pi, k.pi), (public.sqrt3, k.sqrt3), (public.c, k.c)):

@@ -5,11 +5,13 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from mpmath import mp
 
+import reglab.bigreal_periods as bigreal_periods
 import reglab.elliptic_oracle as elliptic_oracle
 import reglab.gauss_manin as gauss_manin
 import reglab.hypergeometric as hypergeometric
@@ -17,6 +19,7 @@ import reglab.regulator as regulator
 import reglab.weierstrass as weierstrass
 from reglab.bigreal_periods import BigReal, series_periods
 from reglab.cli import main
+from reglab.errors import QuadratureNotConverged
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -173,8 +176,8 @@ class TestCache:
     def test_key_includes_skip_oracle(self, capsys, tmp_path, monkeypatch):
         import reglab.cli as cli
 
-        monkeypatch.setattr(cli, "_oracle_rows",
-                            lambda pairs, p_oracle: [(1, "delta", 1, 1, mp.mpf("1e-20"))])
+        monkeypatch.setattr(cli, "_relative_difference",
+                            lambda series, check: Fraction(1, 10 ** 20))
         base = ("compute", "--l", "5", "--digits", "12", "--format", "json",
                 "--cache", str(tmp_path))
         _, skipped, _ = run(capsys, *base, "--skip-oracle")
@@ -462,6 +465,15 @@ class TestOtherCommands:
         assert out.count("[pass]") == 6
         assert "[fail] vandermonde determinant identity" in out
 
+    def test_selfcheck_fails_a_nonzero_connection_trace(self, capsys, monkeypatch):
+        t = weierstrass.RationalFunction(weierstrass.Polynomial([0, 1]))
+        monkeypatch.setattr(gauss_manin.ConnectionMatrix, "trace", lambda self: t)
+        monkeypatch.setattr(elliptic_oracle, "direct_periods", _real_direct_periods)
+        code, out, _ = run(capsys, "selfcheck")
+        assert code == 1
+        assert out.count("[pass]") == 6
+        assert "[fail] connection trace zero" in out
+
 
 # one quadrature per (l, j, p), shared by the gate and route tests below
 _real_direct_periods = functools.lru_cache(maxsize=None)(elliptic_oracle.direct_periods)
@@ -515,6 +527,46 @@ class TestOracleGate:
         assert "[fail] l = 5 oracle cross-check" in out
 
 
+def _skewed_constants(name):
+    """bigreal_periods._fixed_constants with the constant name 1e-5 relative too
+    large, and K = 2 pi / sqrt3 and c = exp(-K) rebuilt from the skewed values."""
+    real = bigreal_periods._fixed_constants
+
+    def skewed(w):
+        k = real(w)
+        k = k._replace(**{name: getattr(k, name) + getattr(k, name) // 10 ** 5})
+        K = (k.pi << w + 1) // k.sqrt3
+        return k._replace(K=K, c=bigreal_periods._exp(-K, w))
+
+    return skewed
+
+
+class TestSharedKernels:
+    """The series route and the closed forms share the integer kernels, but
+    depend on each constant differently: one skewed for both still fails the gate."""
+
+    @pytest.mark.parametrize("name", ("pi", "sqrt3", "ln3"))
+    def test_compute_exits_3_and_caches_nothing(self, capsys, tmp_path, monkeypatch, name):
+        skewed = _skewed_constants(name)
+        for module in (bigreal_periods, hypergeometric, regulator):
+            monkeypatch.setattr(module, "_fixed_constants", skewed)
+        code, out, err = run(capsys, "compute", "--l", "5", "--digits", "10",
+                             "--format", "json", "--cache", str(tmp_path))
+        assert code == 3
+        assert out == ""
+        assert "QuadratureNotConverged" in err
+        assert os.listdir(tmp_path) == []
+
+
+class TestGate:
+    def test_exact_at_1e6_and_message_uses_the_formatter(self):
+        import reglab.cli as cli
+
+        assert cli._worst([Fraction(1, 10 ** 20), Fraction(1, 10 ** 6)]) == "1.0e-6"
+        with pytest.raises(QuadratureNotConverged, match="differ by 1.0e-6 relative"):
+            cli._worst([Fraction(10 ** 14 + 1, 10 ** 20)])
+
+
 class TestRoutes:
     def test_closed_forms_match_quadrature_l5(self):
         for pair in _real_period_table(5, 64):
@@ -539,8 +591,8 @@ class TestRoutes:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.decode().splitlines()
         assert lines[0] == (GOLDEN / "compute_l5_d10_oracle.json").read_text().rstrip("\n")
-        # the closed-form check runs in mpmath; the series route it checks does not
-        assert lines[1] == "0 False True True"
+        # the closed-form check and the series route it checks both run in Python ints
+        assert lines[1] == "0 False True False"
 
 
 _REPORT_NUMERIC_IMPORTS = (

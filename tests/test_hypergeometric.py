@@ -11,10 +11,39 @@ from reglab.errors import UnsupportedL
 from reglab.hypergeometric import period_table
 
 ADMISSIBLE_L = [l for l in range(5, 26) if math.gcd(l, 6) == 1]
+ADMISSIBLE_L_49 = [l for l in range(5, 50) if math.gcd(l, 6) == 1]
 
 
 def rel(a, b):
     return abs(a - b) / abs(b)
+
+
+def _reference(l, j, p):
+    """(I(j), J(j)) as mpfs from the closed forms in mpmath, at p + 32 bits with N = p + 8 terms.
+
+    I from Gamma values; J from the split sums of the module docstring.
+    """
+    N = p + 8
+    with mp.workprec(p + 32):
+        third = mp.mpf(1) / 3
+        c, k = [mp.mpf(1)], [3 * mp.ln(3)]
+        for n in range(N - 1):
+            c.append(c[n] * (n + third) * (n + 1 - third) / (n + 1) ** 2)
+            k.append(k[n] + mp.mpf(2) / (n + 1) - 1 / (n + third) - 1 / (n + 1 - third))
+        w = [mp.ldexp(mp.mpf(1) / (M + 1), -(M + 1)) for M in range(N)]
+        ln2 = mp.ln(2)
+        ck = [cn * (kn + ln2) for cn, kn in zip(c, k)]
+        w1 = [wM / (M + 1) for M, wM in enumerate(w)]
+        S = [mp.fdot(ck[:N - m], w[m:]) + mp.fdot(c[:N - m], w1[m:]) for m in range(N)]
+        a = mp.mpf(j) / l
+        I = mp.gamma(a) ** 2 / (27 * mp.gamma(a + third) * mp.gamma(a + 1 - third))
+        lower = mp.power(2, -a) * mp.fdot([mp.ldexp(cn, -n) for n, cn in enumerate(c)],
+                                          [1 / (n + a) for n in range(N)])
+        beta = [mp.mpf(1)]
+        for m in range(N - 1):
+            beta.append(beta[m] * (m + 1 - a) / (m + 1))
+        J = 2 * mp.pi / (27 * mp.sqrt(3)) * lower + mp.fdot(beta, S) / 27
+    return I, J
 
 
 def _worst_against_series(l, js, p):
@@ -47,7 +76,7 @@ class TestPeriodTable:
 
     def test_rejects_bad_l(self, monkeypatch):
         # checked before any sum: l = 0 and l = -5 have no j for a check inside the j loop
-        def not_called(N):
+        def not_called(N, w):
             raise AssertionError("_shared ran before l was checked")
 
         monkeypatch.setattr(hypergeometric, "_shared", not_called)
@@ -65,3 +94,18 @@ class TestPeriodTable:
         with mp.workprec(2 * p + 32):
             for a, b in ((lo.I, hi.I), (lo.J, hi.J)):
                 assert a.agreement_certificate <= _agreement_digits(a.value, b.value, 10 ** 6)
+
+    @given(l=st.sampled_from(ADMISSIBLE_L_49), data=st.data(),
+           p=st.integers(min_value=16, max_value=400))
+    @settings(max_examples=10, deadline=None)
+    def test_matches_the_mpmath_reference(self, l, data, p):
+        # the same N = p + 8 terms: J differs only by rounding, I by the
+        # truncation of its Beta sums against the Gamma values
+        j = data.draw(st.integers(min_value=1, max_value=l - 1))
+        pair = period_table(l, p)[j - 1]
+        ref = _reference(l, j, p)
+        with mp.workprec(2 * p + 64):
+            for got, want in zip((pair.I, pair.J), ref):
+                assert rel(got.value, want) < mp.ldexp(1, -(p + 8))
+            for got, want in zip((pair.I, pair.J), _reference(l, j, 2 * p)):
+                assert got.agreement_certificate <= _agreement_digits(got.value, want, 10 ** 6)
