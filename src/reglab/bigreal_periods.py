@@ -8,12 +8,13 @@ requested digits.  Printed digits never exceed the certificate.
 
 eval_IJ regroups I(j) and J(j) into four sums whose weights are rational
 (A1, A2 over a_n, B1, B2 over b_n; see _RunningSums), reads their terms off
-the exact scaled integers of exact_series._ScaledPower, and evaluates the
-sums, the constants and the prefactors in Python-int fixed point with
-_GUARD = 64 bits beyond the requested precision p.  BigReal.to_decimal
-prints the digits mpmath's nstr prints for the same number, so this route
-imports no mpmath.  BigReal.value, series_periods and the Eisenstein
-evaluations import it on first use, for the checks that run in mpmath.
+the exact integers l^(2m) a_(m+1) and l^(2m) b_m of exact_series._ScaledPower
+(j/l reduced), and evaluates the sums, the constants and the prefactors
+in Python-int fixed point with _GUARD = 64 bits beyond the requested
+precision p.  BigReal.to_decimal prints the digits mpmath's nstr prints for
+the same number, so this route imports no mpmath.  BigReal.value,
+series_periods and the Eisenstein evaluations import it on first use, for
+the checks that run in mpmath.
 """
 
 from __future__ import annotations
@@ -316,8 +317,8 @@ class _RunningSums:
 
     Everything is fixed point at w = p + 64 bits (units of 2^-w).
     advance(N) sums only the block of terms past the previous N, so no term
-    is summed twice across certificate rounds.  Writing a_(m+1) = Ya_m/(l^m m!)
-    and b_m = Yb_m/(l^m m!) with the exact integers of
+    is summed twice across certificate rounds.  Writing a_(m+1) = Ya_m/l^(2m)
+    and b_m = Yb_m/l^(2m) with the exact integers of
     exact_series._ScaledPower, the block m = lo .. N-1 is summed by Horner's
     rule: each term is a floor quotient of (Y_m << w), each step is
     S <- floor(S C / 2^w) + t_m with C = c at w bits, and the A-blocks take
@@ -371,7 +372,7 @@ class _RunningSums:
         lo, w, C, l, j = self.N, self.w, self.C, self.l, self.j
         Ya, Yb = self.ya.scaled(N), self.yb.scaled(N)
         a1 = a2 = b1 = b2 = 0
-        scale = l ** (N - 1) * math.factorial(N - 1)  # l^m m! at m = N - 1
+        scale = l ** (2 * N - 2)  # l^(2m) at m = N - 1
         for m in range(N - 1, lo - 1, -1):
             ta = (Ya[m] << w) // scale
             q = m * l + j
@@ -381,8 +382,7 @@ class _RunningSums:
             a2 = ((a2 * C) >> w) + ta // (n * n)
             b1 = ((b1 * C) >> w) + tb
             b2 = ((b2 * C) >> w) + tb * l // q
-            if m:
-                scale //= l * m
+            scale //= l * l
         M, s = self.cn
         self.A1 += a1 * C * M >> s + w
         self.A2 += a2 * C * M >> s + w

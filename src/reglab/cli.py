@@ -380,9 +380,7 @@ def cmd_pf(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------- oracle
 
 def cmd_oracle(cfg: RunConfig) -> int:
-    from mpmath import mp
-
-    from .bigreal_periods import eval_IJ
+    from .bigreal_periods import _nstr, eval_IJ
 
     p_series = max(128, cfg.oracle_bits)
     js = [cfg.j] if cfg.j is not None else range(1, cfg.l)
@@ -390,7 +388,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
         "series route".ljust(22), "quadrature".ljust(22), "rel diff"))
     rows = _quadrature_rows([eval_IJ(cfg.l, j, p_series) for j in js], cfg.oracle_bits)
     # at most 15 significant digits, and none past a value's certificate
-    cell = lambda x: mp.nstr(x.value, min(15, x.agreement_certificate)).ljust(22)
+    cell = lambda x: _nstr(x.man, x.exp, min(15, x.agreement_certificate)).ljust(22)
     for j, arch, series, quadrature, diff in rows:
         print("  {}  {}  {}  {}  {}  {}".format(
             cfg.l, j, arch.ljust(5), cell(series), cell(quadrature), _rel_text(diff)))

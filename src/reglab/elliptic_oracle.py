@@ -23,6 +23,8 @@ from .errors import DomainError, QuadratureNotConverged, RootOrderingFailed
 
 
 _TAIL_MODEL_DIGITS = 10
+_PANELS = 20  # dyadic panels of _outer_integral toward each end of (0, 1)
+_MAXDEGREE = 6  # mp.quad's maxdegree on each panel
 
 
 class CubicRoots(NamedTuple):
@@ -172,28 +174,29 @@ def inner_integrals(l: int, t, p: int = 64) -> InnerIntegrals:
     return InnerIntegrals(BigReal(delta_val, p), BigReal(gamma_val, p))
 
 
-def _outer_integral(l: int, j: int, which: str, K: int = 20, maxdegree: int = 6):
+def _outer_integral(l: int, j: int, which: str):
     """2 sqrt(3) * integral of t^(j-1) inner(t) dt over (0,1) at ambient precision.
 
-    Dyadic panels [2^-k-1, 2^-k] toward t = 0 and mirrored toward t = 1;
-    the end gaps are closed with a two-point logarithmic tail model
-    inner(t) ~ C1 + C2 log(1/t) integrated in closed form.
+    _PANELS dyadic panels [2^-k-1, 2^-k] toward t = 0 and mirrored toward
+    t = 1, each by mp.quad at _MAXDEGREE; the end gaps are closed with a
+    two-point logarithmic tail model inner(t) ~ C1 + C2 log(1/t) integrated
+    in closed form.
     """
     inner = lambda u: _inner(l, u, which)
     f = lambda u: u ** (j - 1) * inner(u)
     total = mp.mpf(0)
     errsum = mp.mpf(0)
-    a = mp.mpf(2) ** (-K)
+    a = mp.mpf(2) ** (-_PANELS)
     i1, i2 = inner(a), inner(2 * a)
     C2 = (i1 - i2) / mp.log(2)
     C1 = i1 - C2 * mp.log(1 / a)
     total += C1 * a**j / j + C2 * (a**j / j) * (mp.log(1 / a) + mp.mpf(1) / j)
-    points = [mp.mpf(2) ** (-k) for k in range(K, 0, -1)]
-    points += [1 - mp.mpf(2) ** (-k) for k in range(1, K + 1)]
+    points = [mp.mpf(2) ** (-k) for k in range(_PANELS, 0, -1)]
+    points += [1 - mp.mpf(2) ** (-k) for k in range(1, _PANELS + 1)]
     prev = a
     for pt in points:
         if pt > prev:
-            value, err = mp.quad(f, [prev, pt], error=True, maxdegree=maxdegree)
+            value, err = mp.quad(f, [prev, pt], error=True, maxdegree=_MAXDEGREE)
             total += value
             errsum += err
         prev = pt

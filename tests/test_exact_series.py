@@ -1,8 +1,9 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reglab.errors import ConstantTermNotOne, ZeroConstantTerm
@@ -225,18 +226,24 @@ class TestFormalAlpha:
         assert hash(ser(0, [5], 1)) == hash(TruncatedQSeries(0, [Polynomial([5])], 1))
 
 
+@lru_cache(maxsize=None)
+def _generic_bases(N):
+    """(factor, power base) of the a- and b-series over Fractions at order N."""
+    e3a = eisenstein_q_expansion("E3a", N + 1)
+    e3b = eisenstein_q_expansion("E3b", N + 1)
+    inv = series_inverse(e3a + 27 * e3b)
+    return {"a": (e3b.truncate(N), series_mul(e3a, inv).truncate(N)),
+            "b": (e3a.truncate(N), series_mul(e3b.shift(-1), inv))}
+
+
 def _generic_a(alpha, N):
-    e3a = eisenstein_q_expansion("E3a", N)
-    e3b = eisenstein_q_expansion("E3b", N)
-    base = series_mul(e3a, series_inverse(e3a + 27 * e3b))
-    return series_mul(e3b, series_pow_rational(base, alpha))
+    factor, base = _generic_bases(N)["a"]
+    return series_mul(factor, series_pow_rational(base, alpha))
 
 
 def _generic_b(alpha, N):
-    e3a = eisenstein_q_expansion("E3a", N + 1)
-    e3b = eisenstein_q_expansion("E3b", N + 1)
-    base = series_mul(e3b.shift(-1), series_inverse(e3a + 27 * e3b))
-    return series_mul(e3a.truncate(N), series_pow_rational(base.truncate(N), alpha))
+    factor, base = _generic_bases(N)["b"]
+    return series_mul(factor, series_pow_rational(base, alpha))
 
 
 @st.composite
@@ -245,15 +252,40 @@ def admissible_lj(draw):
     return l, draw(st.integers(min_value=1, max_value=l - 1))
 
 
-class TestIntegerKernel:
-    """a_coeffs/b_coeffs at rational alpha against the generic Fraction composition."""
+@st.composite
+def kernel_inputs(draw):
+    """A j/l from admissible_lj with N <= 60, or the formal alpha with N <= 10."""
+    if draw(st.booleans()):
+        return formal_alpha(), draw(st.integers(min_value=2, max_value=10))
+    l, j = draw(admissible_lj())
+    return F(j, l), draw(st.integers(min_value=2, max_value=60))
 
-    @given(admissible_lj(), st.integers(min_value=2, max_value=60))
+
+class TestIntegerKernel:
+    """a_coeffs/b_coeffs, one recurrence for rational and formal alpha, against
+    the generic Fraction composition."""
+
+    @given(kernel_inputs())
+    @example((formal_alpha(), 10))
     @settings(max_examples=25, deadline=None)
-    def test_matches_generic_composition(self, lj, N):
-        alpha = F(lj[1], lj[0])
+    def test_matches_generic_composition(self, inputs):
+        alpha, N = inputs
         assert a_coeffs(alpha, N) == _generic_a(alpha, N)
         assert b_coeffs(alpha, N) == _generic_b(alpha, N)
+
+    @pytest.mark.parametrize("l", [l for l in range(5, 50) if l % 2 and l % 3])
+    def test_den_2n_y_n_is_an_integer(self, l):
+        # _ScaledPower's integrality proof, checked on the composition, which does
+        # not use it: l^(2n) y_n is an integer for y_n = a_(n+1) and y_n = b_n;
+        # at l = 25, 35 and 49, a p | l divides n! for some n < 40
+        N = 40
+        for j in range(1, l):
+            if math.gcd(j, l) > 1:
+                continue
+            a, b = _generic_a(F(j, l), N), _generic_b(F(j, l), N)
+            for y in ([a.coefficient(n + 1) for n in range(N - 1)],
+                      [b.coefficient(n) for n in range(N)]):
+                assert all((c * l ** (2 * n)).denominator == 1 for n, c in enumerate(y))
 
     def test_extension_matches_fresh_build(self):
         # a shorter request after a longer one, then a longer one again

@@ -5,11 +5,13 @@ The files under tests/golden/ hold the stdout of each case: the
 before the exact series moved to scaled-integer arithmetic, and those for
 (l, digits) = (25, 15), (13, 30) and (5, 100) before the period sums moved to
 fixed-point Horner blocks over a one-pass coefficient recurrence; they cover
-the unreduced exponents 5/25 .. 20/25, a run that takes two certificate
-rounds, and the largest integers (N_used 164); those for (13, 15), (7, 100)
-and (13, 100) before the constants, determinants and decimal output moved to
-Python-int fixed point, completing the grid l in {5, 7, 13} x digits in
-{15, 30, 100}.  The `fibers` and `pf` outputs were recorded before the
+the unreduced exponents 5/25 .. 20/25 and a run that takes two certificate
+rounds.  Those for (13, 15), (7, 100) and (13, 100) were recorded before the
+constants, determinants and decimal output moved to Python-int fixed point,
+completing the grid l in {5, 7, 13} x digits in {15, 30, 100}, and that for
+(5, 300) before the coefficient recurrence moved from den^n n! y_n to
+den^(2n) y_n for formal and rational exponents alike; it pins the largest
+integers (N_used 421).  The `fibers` and `pf` outputs were recorded before the
 formal series coefficients moved to weierstrass.Polynomial, whose `__str__`
 prints them.  Any change to a printed digit, a certificate-driven field
 (`N_used`, `det_agreement_digits`), a polynomial or the key order shows up
@@ -32,7 +34,7 @@ def _stdout(capsys, *argv):
 
 
 @pytest.mark.parametrize("l, digits", [(l, d) for l in (5, 7, 11) for d in (15, 30)]
-                         + [(25, 15), (13, 30), (5, 100), (13, 15), (7, 100), (13, 100)])
+                         + [(25, 15), (13, 30), (5, 100), (13, 15), (7, 100), (13, 100), (5, 300)])
 def test_compute_json_byte_identical(capsys, l, digits):
     out = _stdout(capsys, "compute", "--l", str(l), "--digits", str(digits),
                   "--format", "json", "--skip-oracle")
