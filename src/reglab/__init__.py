@@ -1,6 +1,6 @@
 """Period integrals and regulator determinants for the surfaces 3y^2 + x^3 + (3x + 4t^l)^2 = 0."""
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"
 
 from .errors import (
     ConstantTermNotOne,

@@ -8,24 +8,25 @@ requested digits.  Printed digits never exceed the certificate.
 
 eval_IJ regroups I(j) and J(j) into four sums whose weights are rational
 (A1, A2 over a_n, B1, B2 over b_n; see _RunningSums), reads their terms off
-the exact integers l^(2m) a_(m+1) and l^(2m) b_m of exact_series._ScaledPower
-(j/l reduced), and evaluates the sums, the constants and the prefactors
-in Python-int fixed point with _GUARD = 64 bits beyond the requested
-precision p.  BigReal.to_decimal prints the digits mpmath's nstr prints for
-the same number, so this route imports no mpmath.  BigReal.value,
-series_periods and the Eisenstein evaluations import it on first use, for
-the checks that run in mpmath.
+the exact integers l^(2m) a_(m+1) and l^(2m) b_m of
+integer_kernel._ScaledPower (j/l reduced), and evaluates the sums, the
+constants and the prefactors in Python-int fixed point with _GUARD = 64
+bits beyond the requested precision p.  BigReal.to_decimal prints the
+digits mpmath's nstr prints for the same number, so this route imports no
+mpmath, and no Fraction either: the exact layer's Fractions and
+Polynomials (exact_series, weierstrass) stay unloaded.  BigReal.value,
+series_periods and the Eisenstein evaluations import mpmath on first use,
+for the checks that run in mpmath.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Union
 
-from .errors import PrecisionNotReached, UnsupportedL
-from .exact_series import _scaled_power, eisenstein_q_expansion
+from .errors import PrecisionNotReached
+from .integer_kernel import eisenstein_ints, require_l, scaled_power
 
 SIGN_POLICY = "magnitudes only; sign left unresolved"
 
@@ -182,8 +183,7 @@ class SeriesPeriods(NamedTuple):
 
 def _require_lj(l: int, j: int) -> None:
     """Reject (l, j) outside the period tables: l >= 1 with gcd(l, 6) = 1, 1 <= j <= l - 1."""
-    if l < 1 or math.gcd(l, 6) != 1:
-        raise UnsupportedL("need l >= 1 with gcd(l, 6) = 1, got l = {}".format(l))
+    require_l(l)
     if not 1 <= j <= l - 1:
         raise ValueError("need 1 <= j <= l - 1")
 
@@ -319,10 +319,10 @@ class _RunningSums:
     advance(N) sums only the block of terms past the previous N, so no term
     is summed twice across certificate rounds.  Writing a_(m+1) = Ya_m/l^(2m)
     and b_m = Yb_m/l^(2m) with the exact integers of
-    exact_series._ScaledPower, the block m = lo .. N-1 is summed by Horner's
-    rule: each term is a floor quotient of (Y_m << w), each step is
-    S <- floor(S C / 2^w) + t_m with C = c at w bits, and the A-blocks take
-    one more factor C.  The block is then scaled by c^lo, which is carried as
+    integer_kernel._ScaledPower and its scale(m) = l^(2m), the block
+    m = lo .. N-1 is summed by Horner's rule: each term is a floor quotient
+    of (Y_m << w), each step is S <- floor(S C / 2^w) + t_m with C = c at
+    w bits, and the A-blocks take one more factor C.  The block is then scaled by c^lo, which is carried as
     a mantissa M of w bits and a shift s, c^lo ~ M 2^-s: a plain fixed-point
     c^lo would underflow to 0 once lo passes about w/5.2 and drop every later
     block.  The sums take floor(block M 2^-s).
@@ -353,10 +353,10 @@ class _RunningSums:
     """
 
     def __init__(self, l: int, j: int, p: int) -> None:
-        alpha = Fraction(j, l)
-        self.l, self.j = alpha.denominator, alpha.numerator
-        self.ya = _scaled_power(alpha, "a")
-        self.yb = _scaled_power(alpha, "b")
+        g = math.gcd(j, l)
+        self.l, self.j = l // g, j // g
+        self.ya = scaled_power(self.j, self.l, "a")
+        self.yb = scaled_power(self.j, self.l, "b")
         self.w = w = p + _GUARD
         k = _fixed_constants(w)
         self.K, self.C = k.K, k.c
@@ -372,8 +372,9 @@ class _RunningSums:
         lo, w, C, l, j = self.N, self.w, self.C, self.l, self.j
         Ya, Yb = self.ya.scaled(N), self.yb.scaled(N)
         a1 = a2 = b1 = b2 = 0
-        scale = l ** (2 * N - 2)  # l^(2m) at m = N - 1
+        scale_of = self.ya.scale  # l^(2m), for both kinds
         for m in range(N - 1, lo - 1, -1):
+            scale = scale_of(m)
             ta = (Ya[m] << w) // scale
             q = m * l + j
             tb = (Yb[m] * l << w) // (scale * q)
@@ -382,7 +383,6 @@ class _RunningSums:
             a2 = ((a2 * C) >> w) + ta // (n * n)
             b1 = ((b1 * C) >> w) + tb
             b2 = ((b2 * C) >> w) + tb * l // q
-            scale //= l * l
         M, s = self.cn
         self.A1 += a1 * C * M >> s + w
         self.A2 += a2 * C * M >> s + w
@@ -471,15 +471,14 @@ def eisenstein_numeric(kind: str, q, N: int = 64, p: int = 128) -> BigReal:
     """Partial sum of the exact q-expansion at a real point 0 < q < 1."""
     from mpmath import mp
 
-    series = eisenstein_q_expansion(kind, N)
+    coeffs = eisenstein_ints(kind, N)
     with mp.workprec(p + 32):
         qm = q.value if isinstance(q, BigReal) else mp.mpf(q)
         if not 0 < qm < 1:
             raise ValueError("need 0 < q < 1")
         acc = mp.mpf(0)
-        for k in range(series.truncation_order - 1, -1, -1):
-            coeff = series.coefficient(k) if k >= series.valuation else Fraction(0)
-            acc = acc * qm + _to_mpf(coeff)
+        for coeff in reversed(coeffs):
+            acc = acc * qm + coeff
         # crude geometric tail bound: |coeff_n| <= 9 n^3 for both kinds
         tail = 27 * mp.mpf(N) ** 3 * qm**N / (1 - qm)
         scale = abs(acc) if acc != 0 else mp.mpf(1)

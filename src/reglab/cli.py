@@ -11,12 +11,15 @@ Subcommands:
 `hypergeometric`; `oracle` and `selfcheck` check it against the quadrature of
 `elliptic_oracle`.  Either check compares the two routes by one exact
 relative difference of dyadic numbers, printed as mpmath's nstr(x, 3) would
-print it.  Results of `compute` can be cached as one checksummed
-JSON file per (l, digits, skip-oracle, version) key; corrupted, unreadable or
-stale files are ignored with a warning and recomputed, and a cache that
-cannot be written is reported with a warning.  The numeric layer is
-imported only inside the functions that evaluate numbers, so `fibers`, `pf`
-and cache hits start without it.  The series route and the closed forms
+print it.  Results of `compute` can be cached as one JSON file per
+(l, digits, skip-oracle, version) key, with a CRC-32 of its key and payload
+against torn or corrupted files; corrupted or unreadable files are ignored
+with a warning, files of another version silently, and either is
+recomputed; a cache that cannot be written is reported with a warning.
+The numeric layer is imported only inside the functions that evaluate
+numbers, so `fibers`, `pf` and cache hits start without it; the numeric
+layer in turn loads none of the exact layer's Fractions and Polynomials,
+and no cache read or write loads hashlib.  The series route and the closed forms
 evaluate exact dyadic numbers in Python-int fixed point, so `compute`, with
 or without its check, never imports mpmath; mpmath is the arithmetic of the
 quadrature of `oracle` and `selfcheck`.
@@ -31,6 +34,7 @@ checked against; a reader that closes the output pipe early
 from __future__ import annotations
 
 import argparse
+import binascii
 import json
 import math
 import os
@@ -162,7 +166,7 @@ def compute_payload(cfg: RunConfig) -> dict:
             _relative_difference(series, check)
             for pair, other in zip(pairs, closed)
             for series, check in ((pair.I, other.I), (pair.J, other.J)))}
-    from .weierstrass import hodge_and_dims
+    from .integer_kernel import hodge_and_dims
 
     return {
         "l": cfg.l,
@@ -218,11 +222,15 @@ def _render(payload: dict, fmt: str) -> str:
 # ---------------------------------------------------------------- cache
 
 def _checksum(key: dict, payload: dict) -> str:
-    import hashlib
+    """CRC-32 of the sorted, compact JSON of key and payload, as eight hex digits.
 
+    It catches torn and corrupted files; it is no seal, since whoever can
+    write the file can recompute it.  What a loaded entry answers is checked
+    by its key and by _check_payload.
+    """
     body = json.dumps({"key": key, "payload": payload},
                       sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(body.encode()).hexdigest()
+    return "{:08x}".format(binascii.crc32(body.encode()))
 
 
 def _cache_path(cfg: RunConfig) -> str:
@@ -546,6 +554,8 @@ def main(argv=None) -> int:
                 "(the standing assumption on l); got l = {}".format(cfg.subcommand, cfg.l))
         if cfg.subcommand in ("fibers", "pf") and cfg.l < 1:
             raise ValueError("--l must be at least 1")
+        if cfg.subcommand == "pf" and cfg.m is not None and cfg.m < 0:
+            raise ValueError("--m must be at least 0")
         if cfg.subcommand == "oracle" and cfg.j is not None and not 1 <= cfg.j <= cfg.l - 1:
             raise ValueError("--j must be between 1 and l - 1")
         if (cfg.subcommand == "compute" and cfg.cache_dir and os.path.exists(cfg.cache_dir)

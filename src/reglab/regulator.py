@@ -35,7 +35,7 @@ from .bigreal_periods import (
     eval_IJ,
 )
 from .errors import UnsupportedL
-from .weierstrass import hodge_and_dims
+from .integer_kernel import hodge_and_dims
 
 
 class RegulatorResult(NamedTuple):

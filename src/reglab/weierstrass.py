@@ -11,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
 
-from .errors import IsotrivialFamily, NonIntegralEpsilon, NotMinimal, UnsupportedL
+from .errors import IsotrivialFamily, NonIntegralEpsilon, NotMinimal
+from .integer_kernel import hodge_and_dims  # re-exported: the dimensions of the fiber data
 
 _ORD_INF = 10**9
 
@@ -594,20 +595,3 @@ def euler_epsilon(fibers: Sequence[KodairaFiber]) -> Tuple[int, int, int, int]:
         raise NonIntegralEpsilon("sum of epsilon_s is {}, not divisible by 12".format(total))
     epsilon = total // 12
     return epsilon, additive, epsilon - additive, -epsilon
-
-
-def hodge_and_dims(l: int) -> dict:
-    """Hodge numbers and the dimension bookkeeping of the example family."""
-    if l < 1 or l % 2 == 0 or l % 3 == 0:
-        raise UnsupportedL("need l >= 1 with gcd(l, 6) = 1, got l = {}".format(l))
-    h20 = (l - 1) // 3
-    return {
-        "l": l,
-        "h20": h20,
-        "h11": 10 * (1 + h20),
-        "h": l - 1 - h20,
-        "dim_Lambda1": l - 1 - h20,
-        "dim_Lambda2": h20,
-        "dim_E": l - 1,
-        "dim_E_rel": 2 * l - 1,
-    }

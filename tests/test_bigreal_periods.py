@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-import reglab.exact_series as exact_series
+import reglab.integer_kernel as integer_kernel
 from reglab.bigreal_periods import (
     BigReal,
     _RunningSums,
@@ -264,7 +264,7 @@ class TestEvalIJ:
         # (13, 3) at 30 digits needs two certificate rounds; each coefficient
         # is computed once and each term summed once across them
         blocks, grown = [], {"a": 0, "b": 0}
-        advance, scaled = _RunningSums.advance, exact_series._ScaledPower.scaled
+        advance, scaled = _RunningSums.advance, integer_kernel._ScaledPower.scaled
 
         def counted_advance(self, N):
             blocks.append((self.N, N))
@@ -277,8 +277,8 @@ class TestEvalIJ:
             return out
 
         monkeypatch.setattr(_RunningSums, "advance", counted_advance)
-        monkeypatch.setattr(exact_series._ScaledPower, "scaled", counted_scaled)
-        exact_series._scaled_power.cache_clear()
+        monkeypatch.setattr(integer_kernel._ScaledPower, "scaled", counted_scaled)
+        monkeypatch.setattr(integer_kernel, "_STORE", integer_kernel._Store())
         pair = eval_IJ(13, 3, 108)
         assert len(blocks) == 2 * 2  # the sums at N and N + 16 in each round
         assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]

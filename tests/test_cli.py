@@ -114,14 +114,14 @@ class TestComputeCommand:
     def test_second_payload_rebuilds_no_scaled_power(self):
         # one compute at l = 31 makes 2 (l - 1) = 60 scaled powers; all must stay cached
         import reglab.cli as cli
-        from reglab.exact_series import _scaled_power
+        from reglab.integer_kernel import _STORE
 
         cfg = cli._config_from(cli._build_parser().parse_args(
             ["compute", "--l", "31", "--digits", "15", "--skip-oracle"]))
         first = cli.compute_payload(cfg)
-        misses = _scaled_power.cache_info().misses
+        powers = dict(_STORE.powers)
         assert cli.compute_payload(cfg) == first
-        assert _scaled_power.cache_info().misses == misses
+        assert _STORE.powers == powers  # no new entry, every entry the same object
 
 
 class TestCache:
@@ -382,6 +382,11 @@ class TestOtherCommands:
         assert code == 0
         assert "-104*t^5 + 9" in out
 
+    def test_pf_negative_m_prints_nothing(self, capsys):
+        code, out, err = run(capsys, "pf", "--l", "5", "--m", "-1")
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: --m must be at least 0"]
+
     def test_fibers_builds_delta_and_fiber_list_once(self, capsys, monkeypatch):
         calls, builds = [], []
         real_fiber_list = weierstrass.fiber_list
@@ -595,14 +600,17 @@ class TestRoutes:
         assert lines[1] == "0 False True False"
 
 
+_REPORTED_MODULES = ("_hashlib", "fractions", "mpmath", "reglab.bigreal_periods",
+                     "reglab.exact_series", "reglab.weierstrass")
 _REPORT_NUMERIC_IMPORTS = (
     "import sys; from reglab.cli import main; code = main(sys.argv[1:]); "
-    "print(code, [m for m in ('mpmath', 'reglab.bigreal_periods') if m in sys.modules], "
-    "file=sys.stderr)")
+    "print(code, [m for m in {!r} if m in sys.modules], "
+    "file=sys.stderr)".format(_REPORTED_MODULES))
 
 
 def _run_reporting_numeric_imports(*argv):
-    """stdout of the CLI in a fresh process, and its exit code with the numeric modules it loaded."""
+    """stdout of the CLI in a fresh process, and its exit code with those of
+    _REPORTED_MODULES it loaded: the numeric layer, the exact layer and hashlib."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", _REPORT_NUMERIC_IMPORTS, *argv],
                           capture_output=True, env=env, timeout=120)
@@ -612,7 +620,8 @@ def _run_reporting_numeric_imports(*argv):
 
 class TestImportFootprint:
     """Paths that evaluate no number start without mpmath and the numeric layer,
-    and the series route evaluates its numbers without mpmath."""
+    the series route evaluates its numbers without mpmath and without the
+    exact layer's Fractions, and no cache read or write loads OpenSSL."""
 
     @pytest.mark.parametrize("argv, golden", (
         (("fibers", "--l", "5"), "fibers_l5.txt"),
@@ -620,7 +629,7 @@ class TestImportFootprint:
     ))
     def test_exact_layer_commands(self, argv, golden):
         out, report = _run_reporting_numeric_imports(*argv)
-        assert report == "0 []"
+        assert report == "0 ['fractions', 'reglab.weierstrass']"
         assert out == (GOLDEN / golden).read_text()
 
     def test_cache_hit(self, tmp_path):

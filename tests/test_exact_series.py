@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reglab.integer_kernel as integer_kernel
 from reglab.errors import ConstantTermNotOne, ZeroConstantTerm
 from reglab.exact_series import (
     ExponentParam,
@@ -18,7 +19,6 @@ from reglab.exact_series import (
     series_inverse,
     series_mul,
     series_pow_rational,
-    _power_base,
 )
 from reglab.weierstrass import Polynomial
 
@@ -287,10 +287,12 @@ class TestIntegerKernel:
                       [b.coefficient(n) for n in range(N)]):
                 assert all((c * l ** (2 * n)).denominator == 1 for n, c in enumerate(y))
 
-    def test_extension_matches_fresh_build(self):
-        # a shorter request after a longer one, then a longer one again
+    def test_extension_matches_fresh_build(self, monkeypatch):
+        # on a fresh store: the lists grow 20 -> 60 -> 90, with a shorter
+        # request after a longer one
+        monkeypatch.setattr(integer_kernel, "_STORE", integer_kernel._Store())
         alpha = F(4, 17)
-        for N in (30, 12, 47):
+        for N in (20, 12, 60, 90):
             a, b = a_coeffs(alpha, N), b_coeffs(alpha, N)
             assert a == _generic_a(alpha, N) and a.valuation == 1
             assert b == _generic_b(alpha, N) and b.valuation == 0
@@ -302,7 +304,7 @@ class TestIntegerKernel:
 
     def test_shared_F_and_per_kind_H0(self):
         # the reference: F = E3a E3b / (q (E3a + 27 E3b)) and H0 = (theta e~) f over Fractions
-        N = 40
+        N = 90
         e3a = eisenstein_q_expansion("E3a", N + 1)
         e3b = eisenstein_q_expansion("E3b", N + 1)
         inv = series_inverse(e3a + 27 * e3b)
@@ -311,10 +313,13 @@ class TestIntegerKernel:
             0, [n * s.coefficient(n) for n in range(s.truncation_order)], s.truncation_order)
         tilde = {"a": e3b.shift(-1), "b": e3a}
         base = {"a": series_mul(e3a, inv), "b": series_mul(e3b.shift(-1), inv)}
-        kinds = _power_base(N).kinds
-        assert kinds["a"][0] is kinds["b"][0]
-        for kind in ("a", "b"):
-            F_list, H0 = kinds[kind]
-            H0_ref = series_mul(theta(tilde[kind]), base[kind]).truncate(N)
-            assert F_list[:N] == [F_ref.coefficient(n) for n in range(N)]
-            assert H0[:N] == [H0_ref.coefficient(n) for n in range(N)]
+        H0_ref = {kind: series_mul(theta(tilde[kind]), base[kind]).truncate(N)
+                  for kind in ("a", "b")}
+        bases = integer_kernel._IntegerBases()
+        for n in (20, 60, 90):  # the lists grow
+            kinds = bases.extend(n).kinds
+            assert kinds["a"][0] is kinds["b"][0]
+            for kind in ("a", "b"):
+                F_list, H0 = kinds[kind]
+                assert F_list == [F_ref.coefficient(k) for k in range(n)]
+                assert H0 == [H0_ref[kind].coefficient(k) for k in range(n)]
