@@ -16,30 +16,36 @@ print it.  Results of `compute` can be cached as one JSON file per
 against torn or corrupted files; corrupted or unreadable files are ignored
 with a warning, files of another version silently, and either is
 recomputed; a cache that cannot be written is reported with a warning.
-The numeric layer is imported only inside the functions that evaluate
-numbers, so `fibers`, `pf` and cache hits start without it; the numeric
-layer in turn loads none of the exact layer's Fractions and Polynomials,
-and no cache read or write loads hashlib.  The series route and the closed forms
+The command line is read by parse_config from one table of flags per
+subcommand: `--flag value` and `--flag=value`, a unique prefix of a flag
+(`--dig 30`), the last of a repeated flag, a negative number, a lone `-` or
+a string with a space as a value, and `-h`/`--help`, which print usage and
+exit 0.  Each command loads only what it runs: `compute` loads the numeric
+layer and, where it reads or writes JSON, `json`; a cache hit loads `json`
+only; `fibers` and `pf` load the exact layer and no `json`; and no command
+loads argparse, gettext, locale or hashlib.  The numeric layer is imported
+only inside the functions that evaluate numbers, and loads none of the exact
+layer's Fractions and Polynomials; the two routes are compared on Python
+ints, without fractions.  The series route and the closed forms
 evaluate exact dyadic numbers in Python-int fixed point, so `compute`, with
 or without its check, never imports mpmath; mpmath is the arithmetic of the
 quadrature of `oracle` and `selfcheck`.
 
-Exit codes: 0 success, 1 a failed selfcheck check, 2 validation error (a
---cache path that is not a directory among them), 3 precision or quadrature
-failure, including the series route more than 1e-6 from the route it is
-checked against; a reader that closes the output pipe early
+Exit codes: 0 success, 1 a failed selfcheck check, 2 a usage error (printed
+as a usage line and `reglab: error: ...`) or a validation error (printed as
+`error: ...`; a --cache path that is not a directory among them), 3 precision
+or quadrature failure, including the series route more than 1e-6 from the
+route it is checked against; a reader that closes the output pipe early
 (`reglab fibers --l 5 | head -1`) ends the run with 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import binascii
-import json
 import math
 import os
 import sys
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .errors import (
@@ -58,14 +64,17 @@ _PAYLOAD_KEYS = frozenset((  # the keys of a compute_payload result
 
 
 class RunConfig(NamedTuple):
+    """One run, as parse_config reads it from argv; a flag that is not given,
+    or that the subcommand does not take, keeps the default here."""
+
     subcommand: str
-    l: int
-    digits: Optional[int]  # None means subcommand default
-    format: str
-    cache_dir: Optional[str]
-    skip_oracle: bool
-    m: Optional[int]
-    j: Optional[int]
+    l: int = 0
+    digits: Optional[int] = None  # None means subcommand default
+    format: str = "text"
+    cache_dir: Optional[str] = None
+    skip_oracle: bool = False
+    m: Optional[int] = None
+    j: Optional[int] = None
 
     @property
     def effective_digits(self) -> int:
@@ -80,50 +89,45 @@ def _bits(digits: int) -> int:
     return int(math.ceil(digits * math.log2(10))) + 8
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    digits = getattr(args, "digits", None)
-    if digits is not None and digits < 10:
-        raise ValueError("--digits must be at least 10")
-    parallelism = getattr(args, "parallelism", None)  # accepted and validated, never used
-    if parallelism is not None and parallelism < 1:
-        raise ValueError("--parallelism must be at least 1")
-    cache_dir = os.environ.get("REGLAB_CACHE") or getattr(args, "cache", None)
-    return RunConfig(
-        subcommand=args.subcommand,
-        l=getattr(args, "l", 0),
-        digits=digits,
-        format=getattr(args, "format", "text"),
-        cache_dir=cache_dir,
-        skip_oracle=getattr(args, "skip_oracle", False),
-        m=getattr(args, "m", None),
-        j=getattr(args, "j", None),
-    )
-
-
 # ---------------------------------------------------------------- compute
 
-def _relative_difference(series, check):
-    """|series - check| / |series| for two BigReals, as an exact Fraction."""
-    from fractions import Fraction
+class _Ratio(NamedTuple):
+    """A ratio of two integers, unreduced; read, like a Fraction, through
+    .numerator and .denominator, and never ordered as a tuple."""
 
+    numerator: int
+    denominator: int
+
+
+def _relative_difference(series, check) -> _Ratio:
+    """|series - check| / |series| for two BigReals, exactly: both mantissas on
+    the smaller of the two exponents."""
     e = min(series.exp, check.exp)
     s, c = series.man << series.exp - e, check.man << check.exp - e
-    return Fraction(abs(s - c), abs(s))
+    return _Ratio(abs(s - c), abs(s))
 
 
 def _rel_text(x) -> str:
-    """A Fraction 0 <= x as mpmath's nstr(x, 3) prints it, from x floored to 64 bits."""
+    """A ratio 0 <= x as mpmath's nstr(x, 3) prints it, from x in lowest terms
+    floored to 64 bits."""
     from .bigreal_periods import _nstr
 
-    shift = max(64 + x.denominator.bit_length() - x.numerator.bit_length(), 0)
-    return _nstr((x.numerator << shift) // x.denominator, -shift, 3)
+    g = math.gcd(x.numerator, x.denominator)
+    num, den = x.numerator // g, x.denominator // g
+    shift = max(64 + den.bit_length() - num.bit_length(), 0)
+    return _nstr((num << shift) // den, -shift, 3)
 
 
 def _worst(diffs) -> str:
-    """The largest of the exact relative differences, as _rel_text prints it;
-    QuadratureNotConverged when |series - check| 10^6 > |series|, past _ORACLE_GATE."""
-    worst = max(diffs)
-    if worst * 10 ** 6 > 1:
+    """The largest of the exact relative differences, found by
+    cross-multiplication, as _rel_text prints it; QuadratureNotConverged when
+    |series - check| 10^6 > |series|, past _ORACLE_GATE."""
+    diffs = iter(diffs)
+    worst = next(diffs)
+    for x in diffs:
+        if x.numerator * worst.denominator > worst.numerator * x.denominator:
+            worst = x
+    if worst.numerator * 10 ** 6 > worst.denominator:
         raise QuadratureNotConverged(
             "series route and its check differ by {} relative, above {}".format(
                 _rel_text(worst), _ORACLE_GATE))
@@ -213,6 +217,8 @@ def _render_csv(payload: dict) -> str:
 
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
     if fmt == "csv":
         return _render_csv(payload)
@@ -228,6 +234,8 @@ def _checksum(key: dict, payload: dict) -> str:
     write the file can recompute it.  What a loaded entry answers is checked
     by its key and by _check_payload.
     """
+    import json
+
     body = json.dumps({"key": key, "payload": payload},
                       sort_keys=True, separators=(",", ":"))
     return "{:08x}".format(binascii.crc32(body.encode()))
@@ -270,6 +278,8 @@ def _check_payload(payload, cfg: RunConfig) -> None:
 
 
 def _cache_load(cfg: RunConfig) -> Optional[dict]:
+    import json
+
     path = _cache_path(cfg)
     if not os.path.exists(path):
         return None
@@ -299,6 +309,8 @@ def _cache_load(cfg: RunConfig) -> Optional[dict]:
 
 
 def _cache_store(cfg: RunConfig, payload: dict) -> None:
+    import json
+
     key = {
         "l": cfg.l,
         "digits": cfg.effective_digits,
@@ -502,66 +514,240 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
 
 # ---------------------------------------------------------------- entry point
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="reglab",
-        description="Period integrals and regulator determinants for "
-                    "3y^2 + x^3 + (3x + 4t^l)^2 = 0.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+class _Flag(NamedTuple):
+    """One flag of a subcommand: the type of its value (bool: a switch that
+    takes none), whether it must be given, the values it may take and the
+    least it may be.  Its value lands in the RunConfig field named after it."""
 
-    compute = sub.add_parser("compute", help="period table and regulator value")
-    compute.add_argument("--l", type=int, required=True)
-    compute.add_argument("--digits", type=int, default=None)
-    compute.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    compute.add_argument("--cache", default=None, metavar="DIR")
-    compute.add_argument("--parallelism", type=int, default=None)
-    compute.add_argument("--skip-oracle", action="store_true", dest="skip_oracle")
-
-    fibers = sub.add_parser("fibers", help="singular fiber inventory")
-    fibers.add_argument("--l", type=int, required=True)
-
-    pf = sub.add_parser("pf", help="Picard-Fuchs operator data")
-    pf.add_argument("--l", type=int, required=True)
-    pf.add_argument("--m", type=int, default=None)
-
-    oracle = sub.add_parser("oracle", help="quadrature cross-check")
-    oracle.add_argument("--l", type=int, required=True)
-    oracle.add_argument("--j", type=int, default=None)
-    oracle.add_argument("--digits", type=int, default=None)
-
-    selfcheck = sub.add_parser("selfcheck", help="bundled invariant suite")
-    selfcheck.add_argument("--digits", type=int, default=None)
-    return parser
+    type: type = int
+    required: bool = False
+    choices: tuple = ()
+    minimum: Optional[int] = None
+    metavar: str = ""
 
 
-_DISPATCH = {
-    "compute": cmd_compute,
-    "fibers": cmd_fibers,
-    "pf": cmd_pf,
-    "oracle": cmd_oracle,
-    "selfcheck": cmd_selfcheck,
+class _Command(NamedTuple):
+    run: Callable[[RunConfig], int]
+    help: str
+    flags: dict  # flag -> _Flag, in the order usage lists them
+
+
+_COMMANDS = {
+    "compute": _Command(cmd_compute, "period table and regulator value", {
+        "--l": _Flag(required=True),
+        "--digits": _Flag(minimum=10),
+        "--format": _Flag(str, choices=("json", "csv", "text")),
+        "--cache": _Flag(str, metavar="DIR"),
+        "--parallelism": _Flag(minimum=1),  # accepted and validated, never used
+        "--skip-oracle": _Flag(bool),
+    }),
+    "fibers": _Command(cmd_fibers, "singular fiber inventory", {
+        "--l": _Flag(required=True, minimum=1),
+    }),
+    "pf": _Command(cmd_pf, "Picard-Fuchs operator data", {
+        "--l": _Flag(required=True, minimum=1),
+        "--m": _Flag(minimum=0),
+    }),
+    "oracle": _Command(cmd_oracle, "quadrature cross-check", {
+        "--l": _Flag(required=True),
+        "--j": _Flag(),
+        "--digits": _Flag(minimum=10),
+    }),
+    "selfcheck": _Command(cmd_selfcheck, "bundled invariant suite", {
+        "--digits": _Flag(minimum=10),
+    }),
 }
+_HELP_FLAGS = ("-h", "--help")
+
+
+def _field(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _flag_text(flag: str, spec: _Flag) -> str:
+    if spec.type is bool:
+        return flag
+    if spec.choices:
+        return "{} {{{}}}".format(flag, ",".join(spec.choices))
+    return "{} {}".format(flag, spec.metavar or _field(flag).upper())
+
+
+def _usage(name: str) -> str:
+    """The usage line of subcommand name, or of reglab itself for name ""."""
+    if not name:
+        return "usage: reglab [-h] {{{}}} ...".format(",".join(_COMMANDS))
+    words = ["usage: reglab", name, "[-h]"]
+    for flag, spec in _COMMANDS[name].flags.items():
+        text = _flag_text(flag, spec)
+        words.append(text if spec.required else "[{}]".format(text))
+    return " ".join(words)
+
+
+def _help(name: str) -> str:
+    """The usage line, then what name does, or what each subcommand does."""
+    if name:
+        return "{}\n\n{}".format(_usage(name), _COMMANDS[name].help)
+    return "\n".join([_usage(""), "", "Period integrals and regulator determinants for "
+                       "3y^2 + x^3 + (3x + 4t^l)^2 = 0.", ""] + [
+        "  {}  {}".format(n.ljust(9), command.help) for n, command in _COMMANDS.items()])
+
+
+def _usage_error(name: str, message: str):
+    print(_usage(name), file=sys.stderr)
+    print("reglab: error: {}".format(message), file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _looks_negative(token: str) -> bool:
+    r"""argparse's test for a negative number, ^-\d+$|^-\d*\.\d+$, where $ also
+    matches before a final newline and \d is any Unicode decimal digit."""
+    body = token[1:-1] if token.endswith("\n") else token[1:]
+    whole, dot, frac = body.partition(".")
+    return body.isdecimal() or bool(dot) and frac.isdecimal() and (
+        not whole or whole.isdecimal())
+
+
+def _read(token: str, options, name: str):
+    """How argparse reads token where options are the flags: None for a value,
+    otherwise (flag, the value after "=" or None), with flag "" for a flag
+    that is not among options.  A unique prefix names its flag; -h may carry
+    more characters (-hh)."""
+    if not token.startswith("-"):
+        return None
+    if token in options:
+        return token, None
+    if len(token) == 1:
+        return None
+    prefix, eq, value = token.partition("=")
+    if eq and prefix in options:
+        return prefix, value
+    if token[1] == "-":
+        matches = [option for option in options if option.startswith(prefix)]
+        if len(matches) > 1:
+            _usage_error(name, "ambiguous option: {} could match {}".format(
+                token, ", ".join(matches)))
+        if matches:
+            return matches[0], value if eq else None
+    elif token[:2] in options:
+        return token[:2], token[2:]
+    if _looks_negative(token) or " " in token:
+        return None
+    return "", None
+
+
+def _take_help(read, name: str) -> None:
+    """Print the help of name and exit 0; a value after it is a usage error,
+    except more h's after -h."""
+    flag, value = read
+    if value is None or (flag == "-h" and value and not value.strip("h")):
+        print(_help(name))
+        raise SystemExit(0)
+    _usage_error(name, "argument -h/--help: ignored explicit argument {!r}".format(value))
+
+
+def _value(name: str, flag: str, spec: _Flag, text: str):
+    try:
+        value = spec.type(text)
+    except ValueError:
+        _usage_error(name, "argument {}: invalid {} value: {!r}".format(
+            flag, spec.type.__name__, text))
+    if spec.choices and value not in spec.choices:
+        _usage_error(name, "argument {}: invalid choice: {!r} (choose from {})".format(
+            flag, value, ", ".join(map(repr, spec.choices))))
+    return value
+
+
+def _parse(argv) -> tuple:
+    """The subcommand of argv and its flag values by RunConfig field, read
+    as argparse read them: `--flag value`, `--flag=value`, unique prefixes,
+    the last of repeated flags, a negative number, a lone - or a string with
+    a space as a value; usage errors exit 2 and -h exits 0."""
+    args, extras = list(argv), []
+    k = 0
+    while k < len(args) and args[k] != "--":  # flags before the subcommand: only -h
+        read = _read(args[k], _HELP_FLAGS, "")
+        if read is None:
+            break
+        if read[0]:
+            _take_help(read, "")
+        extras.append(args[k])
+        k += 1
+    if k == len(args):
+        _usage_error("", "the following arguments are required: subcommand")
+    name, rest = args[k], args[k + 1:]
+    if name not in _COMMANDS:
+        _usage_error("", "argument subcommand: invalid choice: {!r} (choose from {})".format(
+            name, ", ".join(map(repr, _COMMANDS))))
+    flags = _COMMANDS[name].flags
+    end = rest.index("--") if "--" in rest else len(rest)  # no flag after --
+    # every token is read before any is taken, so an ambiguous prefix fails first
+    reads = [_read(token, _HELP_FLAGS + tuple(flags), name) for token in rest[:end]]
+    values = {}
+    i = 0
+    while i < end:
+        if reads[i] is None or not reads[i][0]:
+            extras.append(rest[i])
+        elif reads[i][0] in _HELP_FLAGS:
+            _take_help(reads[i], name)
+        else:
+            flag, text = reads[i]
+            spec = flags[flag]
+            if spec.type is bool:
+                if text is not None:
+                    _usage_error(name, "argument {}: ignored explicit argument {!r}".format(
+                        flag, text))
+                values[_field(flag)] = True
+            else:
+                if text is None and i + 1 < end and reads[i + 1] is None:
+                    i += 1
+                    text = rest[i]
+                if text is None or text == "--":
+                    _usage_error(name, "argument {}: expected one argument".format(flag))
+                values[_field(flag)] = _value(name, flag, spec, text)
+        i += 1
+    missing = [flag for flag, spec in flags.items()
+               if spec.required and _field(flag) not in values]
+    if missing:
+        _usage_error(name, "the following arguments are required: {}".format(
+            ", ".join(missing)))
+    if extras or end < len(rest):
+        _usage_error(name, "unrecognized arguments: {}".format(
+            " ".join(extras + rest[end:])))
+    return name, values
+
+
+def parse_config(argv) -> RunConfig:
+    """argv as a RunConfig: the one place that reads and checks a command line.
+
+    Usage errors print the usage line and `reglab: error: ...` to stderr and
+    raise SystemExit(2); -h and --help print help and raise SystemExit(0).
+    A value out of range raises ValueError, an l outside the standing
+    assumption UnsupportedL, which main reports as `error: ...` with exit 2.
+    """
+    name, values = _parse(argv)
+    for flag, spec in _COMMANDS[name].flags.items():
+        value = values.get(_field(flag))
+        if spec.minimum is not None and value is not None and value < spec.minimum:
+            raise ValueError("{} must be at least {}".format(flag, spec.minimum))
+    values.pop("parallelism", None)
+    cache = values.pop("cache", None)
+    cfg = RunConfig(name, cache_dir=os.environ.get("REGLAB_CACHE") or cache, **values)
+    if name in ("compute", "oracle") and (cfg.l < 5 or math.gcd(cfg.l, 6) != 1):
+        raise UnsupportedL(
+            "{} requires l >= 5 with gcd(l, 6) = 1 "
+            "(the standing assumption on l); got l = {}".format(name, cfg.l))
+    if name == "oracle" and cfg.j is not None and not 1 <= cfg.j <= cfg.l - 1:
+        raise ValueError("--j must be between 1 and l - 1")
+    if (name == "compute" and cfg.cache_dir and os.path.exists(cfg.cache_dir)
+            and not os.path.isdir(cfg.cache_dir)):
+        raise ValueError("cache path {} is not a directory".format(cfg.cache_dir))
+    return cfg
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _config_from(args)
-        if cfg.subcommand in ("compute", "oracle") and (cfg.l < 5 or math.gcd(cfg.l, 6) != 1):
-            raise UnsupportedL(
-                "{} requires l >= 5 with gcd(l, 6) = 1 "
-                "(the standing assumption on l); got l = {}".format(cfg.subcommand, cfg.l))
-        if cfg.subcommand in ("fibers", "pf") and cfg.l < 1:
-            raise ValueError("--l must be at least 1")
-        if cfg.subcommand == "pf" and cfg.m is not None and cfg.m < 0:
-            raise ValueError("--m must be at least 0")
-        if cfg.subcommand == "oracle" and cfg.j is not None and not 1 <= cfg.j <= cfg.l - 1:
-            raise ValueError("--j must be between 1 and l - 1")
-        if (cfg.subcommand == "compute" and cfg.cache_dir and os.path.exists(cfg.cache_dir)
-                and not os.path.isdir(cfg.cache_dir)):
-            raise ValueError("cache path {} is not a directory".format(cfg.cache_dir))
-        code = _DISPATCH[cfg.subcommand](cfg)
+        cfg = parse_config(sys.argv[1:] if argv is None else argv)
+        code = _COMMANDS[cfg.subcommand].run(cfg)
         sys.stdout.flush()  # a closed pipe raises here, inside the handler, not at exit
         return code
     except (UnsupportedL, ValueError) as exc:

@@ -106,8 +106,8 @@ class TestComputeCommand:
         monkeypatch.setattr(regulator, "eval_IJ", counted)
         for l in (5, 7):
             calls.clear()
-            cli.compute_payload(cli._config_from(cli._build_parser().parse_args(
-                ["compute", "--l", str(l), "--digits", "12", "--skip-oracle"])))
+            cli.compute_payload(cli.parse_config(
+                ["compute", "--l", str(l), "--digits", "12", "--skip-oracle"]))
             assert len(calls) == l - 1
             assert sorted(j for _, j, _ in calls) == list(range(1, l))
 
@@ -116,8 +116,7 @@ class TestComputeCommand:
         import reglab.cli as cli
         from reglab.integer_kernel import _STORE
 
-        cfg = cli._config_from(cli._build_parser().parse_args(
-            ["compute", "--l", "31", "--digits", "15", "--skip-oracle"]))
+        cfg = cli.parse_config(["compute", "--l", "31", "--digits", "15", "--skip-oracle"])
         first = cli.compute_payload(cfg)
         powers = dict(_STORE.powers)
         assert cli.compute_payload(cfg) == first
@@ -220,7 +219,7 @@ class TestCache:
         args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle",
                 "--cache", str(tmp_path))
         _, first, _ = run(capsys, "compute", "--l", "5", "--digits", "12", "--skip-oracle")
-        monkeypatch.setattr(cli.json, "dump", broken_dump)
+        monkeypatch.setattr(json, "dump", broken_dump)  # the json module cli imports when it writes
         code, out, err = run(capsys, *args)
         assert code == 0 and out == first
         assert "could not write cache file" in err and "disk full" in err
@@ -240,8 +239,7 @@ class TestCache:
 
         args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle")
         _, first, _ = run(capsys, *args)
-        cfg = cli._config_from(cli._build_parser().parse_args(
-            list(args) + ["--cache", str(tmp_path)]))
+        cfg = cli.parse_config(list(args) + ["--cache", str(tmp_path)])
         os.mkdir(cli._cache_path(cfg))
         code, out, err = run(capsys, *args, "--cache", str(tmp_path))
         # the load and the store both meet the directory: warn, recompute, print
@@ -600,17 +598,20 @@ class TestRoutes:
         assert lines[1] == "0 False True False"
 
 
-_REPORTED_MODULES = ("_hashlib", "fractions", "mpmath", "reglab.bigreal_periods",
+_REPORTED_MODULES = ("_hashlib", "argparse", "decimal", "fractions", "getopt", "gettext",
+                     "json", "locale", "mpmath", "reglab.bigreal_periods",
                      "reglab.exact_series", "reglab.weierstrass")
 _REPORT_NUMERIC_IMPORTS = (
-    "import sys; from reglab.cli import main; code = main(sys.argv[1:]); "
-    "print(code, [m for m in {!r} if m in sys.modules], "
+    "import sys; before = set(sys.modules); from reglab.cli import main; "
+    "code = main(sys.argv[1:]); "
+    "print(code, [m for m in {!r} if m in sys.modules and m not in before], "
     "file=sys.stderr)".format(_REPORTED_MODULES))
 
 
 def _run_reporting_numeric_imports(*argv):
     """stdout of the CLI in a fresh process, and its exit code with those of
-    _REPORTED_MODULES it loaded: the numeric layer, the exact layer and hashlib."""
+    _REPORTED_MODULES it loaded: the numeric layer, the exact layer, hashlib,
+    json and the argument-parsing modules (argparse, getopt, gettext, locale)."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", _REPORT_NUMERIC_IMPORTS, *argv],
                           capture_output=True, env=env, timeout=120)
@@ -619,9 +620,12 @@ def _run_reporting_numeric_imports(*argv):
 
 
 class TestImportFootprint:
-    """Paths that evaluate no number start without mpmath and the numeric layer,
-    the series route evaluates its numbers without mpmath and without the
-    exact layer's Fractions, and no cache read or write loads OpenSSL."""
+    """A start-up budget.  Paths that evaluate no number start without mpmath
+    and the numeric layer; the series route and its closed-form check run
+    without mpmath and without the exact layer's Fractions (fractions imports
+    decimal); no cache read or write loads OpenSSL; json loads only where JSON
+    is read or written; and no command loads argparse, getopt, gettext or
+    locale."""
 
     @pytest.mark.parametrize("argv, golden", (
         (("fibers", "--l", "5"), "fibers_l5.txt"),
@@ -629,24 +633,39 @@ class TestImportFootprint:
     ))
     def test_exact_layer_commands(self, argv, golden):
         out, report = _run_reporting_numeric_imports(*argv)
-        assert report == "0 ['fractions', 'reglab.weierstrass']"
+        assert report == "0 ['decimal', 'fractions', 'reglab.weierstrass']"
         assert out == (GOLDEN / golden).read_text()
 
     def test_cache_hit(self, tmp_path):
         args = ("compute", "--l", "5", "--digits", "15", "--skip-oracle",
                 "--format", "json", "--cache", str(tmp_path))
         miss, report = _run_reporting_numeric_imports(*args)
-        assert report == "0 ['reglab.bigreal_periods']"
+        assert report == "0 ['json', 'reglab.bigreal_periods']"
         assert miss == (GOLDEN / "compute_l5_d15.json").read_text()
         hit, report = _run_reporting_numeric_imports(*args)
-        assert report == "0 []"
+        assert report == "0 ['json']"
         assert hit == miss
 
     def test_compute_skip_oracle(self):
         out, report = _run_reporting_numeric_imports(
             "compute", "--l", "13", "--digits", "30", "--skip-oracle", "--format", "json")
-        assert report == "0 ['reglab.bigreal_periods']"
+        assert report == "0 ['json', 'reglab.bigreal_periods']"
         assert out == (GOLDEN / "compute_l13_d30.json").read_text()
+
+    def test_checked_compute(self):
+        out, report = _run_reporting_numeric_imports(
+            "compute", "--l", "5", "--digits", "15", "--format", "json")
+        assert report == "0 ['json', 'reglab.bigreal_periods']"
+        checked = json.loads(out)
+        assert float(checked.pop("oracle_check")["max_rel_diff"]) < 1e-6
+        skipped = json.loads((GOLDEN / "compute_l5_d15.json").read_text())
+        assert skipped.pop("oracle_check") is None and checked == skipped
+
+    def test_text_compute(self):
+        out, report = _run_reporting_numeric_imports(
+            "compute", "--l", "5", "--digits", "15", "--skip-oracle")
+        assert report == "0 ['reglab.bigreal_periods']"
+        assert "0.346139631939354" in out
 
 
 def _run_entry_point(*argv):
