@@ -1,9 +1,11 @@
 """Exact truncated q-series arithmetic over the rationals.
 
 Coefficients are either exact rationals or polynomials in a formal exponent
-symbol alpha (weierstrass.Polynomial), so the same engine serves exact
-identity checks and numeric evaluation after specializing alpha = j/l.
-Includes the two weight-3 Eisenstein series on Gamma_1(3) and the
+symbol alpha (weierstrass.Polynomial).  In the library this engine serves
+only the exact series identities of `selfcheck` (cli._check_series_identities);
+the numeric route reads the integers of integer_kernel directly and never
+loads it, and the tests use it as their Fraction reference for those
+integers.  Includes the two weight-3 Eisenstein series on Gamma_1(3) and the
 fractional-power coefficient families a_n, b_n built from them.  Both
 families come from one exact recurrence per kind, for a formal and a
 rational exponent alike, which integer_kernel._ScaledPower runs in ints

@@ -22,20 +22,30 @@ terms with ratio at most 1/2, so no Gamma value is needed:
                  F(1 - v) = (sqrt3 / 2 pi) sum c_n v^n (k_n - ln v), with
                  k_0 = 3 ln 3 and k_(n+1) = k_n + 2/(n+1) - 1/(n+1/3) - 1/(n+2/3)
                  = k_n - (9n + 5) / ((n+1)(3n+1)(3n+2)).
-                 Times (1 - v)^(a-1) = sum beta_m v^m, beta_m = (1-a)_m / m!,
-                 term by term over [0, 1/2]:
-                   int_0^(1/2) v^M (k - ln v) dv = w_M (k + ln 2 + 1/(M+1)),
-                   w_M = 2^-(M+1) / (M+1).
-                 So the piece is (sqrt3 / 2 pi) sum_m beta_m S_m, where
-                   S_m = sum_n c_n (k_n + ln 2 + 1/(n+m+1)) w_(n+m)
-                 does not depend on a and is built once per table.
+                 Times (1 - v)^(a-1), over [0, 1/2], the piece is
+                 (sqrt3 / 2 pi) sum_n c_n (k_n I_n + L_n) with the moments
+                   I_n = int_0^(1/2) v^n (1-v)^(a-1) dv,
+                   L_n = int_0^(1/2) v^n (1-v)^(a-1) (-ln v) dv.
+                 Integration by parts (the incomplete Beta recurrences of
+                 DLMF 8.17) runs both forward once per j: I_0 = (1 - 2^-a)/a
+                 and, for n >= 1,
+                   I_n = (n I_(n-1) - 2^-(n+a)) / (n+a),
+                   L_n = (n L_(n-1) - 2^-(n+a) (ln 2 + 1/n) - a I_n/n) / (n+a).
+                 L_0 is a series: with (1 - v)^(a-1) = sum beta_m v^m,
+                 beta_m = (1-a)_m / m!, and
+                   int_0^(1/2) v^m (-ln v) dv = w_m (ln 2 + 1/(m+1)),
+                   w_m = 2^-(m+1) / (m+1),
+                 L_0 = sum_m beta_m w_m (ln 2 + 1/(m+1)).
 
-Tail bounds: 0 < c_n <= 1, 0 < beta_m <= 1, 0 < (1-y)_m/m! <= 1 and
+Tail bounds: 0 < c_n <= 1/(n+1), 0 < beta_m <= 1, 0 < (1-y)_m/m! <= 1 and
 0 < k_n <= 3 ln 3 (k_n falls to 0).  Past N terms a Beta sum loses less than
 sum_(m>=N) 2^-m/m < 2^(1-N)/N of a sum above 1, so I is low by less than
-2^(2-N)/N relative.  The first J piece loses at most 2^(1-N); summing the
-second over n + m < N leaves layers n + m = M >= N of at most
-(M + 1) (3 ln 3 + ln 2 + 1) w_M < 5 * 2^-(M+1), so at most 5 * 2^-N in all.
+2^(2-N)/N relative.  The first J piece loses at most 2^(1-N).  The second is
+summed over n < N alone.  As 1 <= (1-v)^(a-1) <= 2 on [0, 1/2], I_n <= 2 w_n
+and L_n <= 2 w_n (ln 2 + 1/(n+1)), so the terms n >= N add less than
+sum_(n>=N) 5 * 2^-n/(n+1)^2 < 2^-N.  Cutting L_0 at m < N drops less than
+2^-N/(N+1) (N >= 8), and each L_n inherits that times a product of factors
+n/(n+a) < 1, so sum c_n L_n loses less than 2^-N (1 + ln N)/(N+1) < 2^-N.
 With the prefactors, J is then off by at most 2^-N, and J >= 2 pi / (27 sqrt3)
 > 1/8 (F >= 1, u^(a-1) >= 1), so by at most 2^(3-N) relative.
 
@@ -48,17 +58,20 @@ sum_m coeff_m 2^-m/(m+x) is low by less than N + 1 units.  So each of the
 two parts of B(x, y), which is above 1/2 times its sum, and B itself are off
 by less than 2N + 14 units relative; I, which is above I(1) = sqrt3/(12 pi)
 > 1/22 because B(x, y) falls as x grows, by less than 4N + 64.  In J, k_n is
-off by less than n + 6 units, c_n (k_n + ln 2) by less than 5n + 9, S_m by
-less than 5N + 14 and sum beta_m S_m by less than 5N^2 + 14N + 6; with the
-first piece (below l + 1, off by less than 5l + N + 7) and the prefactors,
-J is off by less than N^2 + 2l units, 8 (N^2 + 2l) relative.  For N = p + 8
-< 2^20 and l < 2^20 both roundings stay below 2^-(p+20) relative.
+off by less than n + 6 units and c_n k_n by less than 4n + 7.  Each step of
+the moment recurrences scales the previous error by n/(n+a) < 1 and adds
+O(1) units (2^-(n+a), taken as 2^-a shifted by n bits, is off by less than
+3.5 for n >= 1), so I_n is off by less than 5/a + 2n + 5 units (5/a from
+I_0) and L_n by less than 3n + 42 (5 from L_0; the 5/a reaches L_n only
+through a I_n/n^2).  Then sum c_n (k_n I_n + L_n) is off by less than
+30 (l + N) H_N units, H_N <= 1 + ln N the harmonic number; with the first
+piece (below l + 1, off by less than 5l + N + 7) and the prefactors, J is
+off by less than 4 (l + N) H_N units, 32 (l + N) H_N relative.  For
+N = p + 8 < 2^20 and l < 2^20 both roundings stay below 2^-(p+20) relative.
 """
 
 from __future__ import annotations
 
-import math
-from operator import mul
 from typing import List
 
 from .bigreal_periods import (
@@ -85,23 +98,36 @@ def _binomial_series(num: int, den: int, N: int, w: int) -> List[int]:
 
 def _half_sum(coeffs: List[int], den: int, num: int) -> int:
     """sum_m coeffs_m 2^-m / (m + num/den), each term floored once."""
-    return sum(coeff * den // ((m * den + num) << m) for m, coeff in enumerate(coeffs))
+    return sum((coeff * den >> m) // (m * den + num) for m, coeff in enumerate(coeffs))
 
 
 def _shared(N: int, w: int) -> tuple:
-    """(c_n for n < N, S_m for m < N) at w bits: the parts of every J(j) that do not depend on a."""
+    """(c_n, c_n k_n) for n < N at w bits: the parts of every J(j) that do not depend on a."""
     k = _fixed_constants(w)
     c, kn = [1 << w], 3 * k.ln3
-    ck = [(kn + k.ln2) << w]  # c_n (k_n + ln 2) at 2w bits, floored to w below
+    ck = [kn]
     for n in range(N - 1):
         c.append(c[n] * (3 * n + 1) * (3 * n + 2) // (9 * (n + 1) ** 2))
         kn -= ((9 * n + 5) << w) // ((n + 1) * (3 * n + 1) * (3 * n + 2))
-        ck.append(c[-1] * (kn + k.ln2))
-    ck = [v >> w for v in ck]
-    wM = [(1 << w - M - 1) // (M + 1) for M in range(N)]  # w_M = 2^-(M+1) / (M+1)
-    w1 = [v // (M + 1) for M, v in enumerate(wM)]  # w_M / (M+1)
-    S = [sum(map(mul, ck, wM[m:])) + sum(map(mul, c, w1[m:])) >> w for m in range(N)]
-    return c, S
+        ck.append(c[-1] * kn >> w)
+    return c, ck
+
+
+def _moments(j: int, l: int, beta: List[int], two_a: int, ln2: int, w: int):
+    """(I_n, L_n) for n < len(beta) at w bits, a = j/l: the moments of
+    (1 - v)^(a-1) and (1 - v)^(a-1) (-ln v) over [0, 1/2], from
+    beta_m = (1-a)_m/m!, 2^-a and ln 2 (module docstring)."""
+    one = 1 << w
+    I = (one - two_a) * l // j
+    L = sum((b * (ln2 + one // (m + 1)) >> m + 1) // (m + 1) for m, b in enumerate(beta)) >> w
+    yield I, L
+    two_a_ln2 = two_a * ln2 >> w
+    for n in range(1, len(beta)):
+        t = two_a >> n  # 2^-(n+a)
+        I = (n * I - t) * l // (n * l + j)
+        # 2^-(n+a) (ln 2 + 1/n) as 2^-a ln 2 shifted by n bits plus t/n
+        L = (n * L - (two_a_ln2 >> n) - t // n - j * I // (n * l)) * l // (n * l + j)
+        yield I, L
 
 
 def period_table(l: int, p: int = 64) -> List[PeriodPair]:
@@ -114,9 +140,8 @@ def period_table(l: int, p: int = 64) -> List[PeriodPair]:
     N = p + 8
     w = p + _GUARD
     digits = _digits_of_bits(p)
-    cert_J = min(digits, int((N - 4) * math.log10(2)))
     k = _fixed_constants(w)
-    c, S = _shared(N, w)
+    c, ck = _shared(N, w)
     pref_J = (k.pi << w + 1) // (27 * k.sqrt3)  # 2 pi / (27 sqrt3)
     # y = 1/3 and 2/3: the coefficients (1-y)_m/m! and 2^-y
     thirds = [(n, _binomial_series(n, 3, N, w), _exp(-(n * k.ln2) // 3, w)) for n in (1, 2)]
@@ -128,7 +153,9 @@ def period_table(l: int, p: int = 64) -> List[PeriodPair]:
                   for n, coeffs, two_y in thirds]  # B(a, 1/3), B(a, 2/3)
         I = (B1 * B2 >> w) * k.sqrt3 // (54 * k.pi)
         lower = two_a * _half_sum(c, l, j) >> w
-        J = (pref_J * lower >> w) + (sum(map(mul, beta, S)) >> w) // 27
+        upper = sum(ckn * I_n + cn * L_n  # sum c_n (k_n I_n + L_n) at 2w bits
+                    for cn, ckn, (I_n, L_n) in zip(c, ck, _moments(j, l, beta, two_a, k.ln2, w)))
+        J = (pref_J * lower >> w) + (upper >> w) // 27
         table.append(PeriodPair(l, j, BigReal((I, -w), p, digits),
-                                BigReal((J, -w), p, cert_J), N))
+                                BigReal((J, -w), p, digits), N))
     return table

@@ -6,12 +6,22 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import reglab.hypergeometric as hypergeometric
-from reglab.bigreal_periods import _agreement_digits, _digits_of_bits, eval_IJ
+from reglab.bigreal_periods import (
+    _GUARD,
+    _agreement_digits,
+    _digits_of_bits,
+    _exp,
+    _fixed_constants,
+    eval_IJ,
+)
 from reglab.errors import UnsupportedL
 from reglab.hypergeometric import period_table
 
 ADMISSIBLE_L = [l for l in range(5, 26) if math.gcd(l, 6) == 1]
 ADMISSIBLE_L_49 = [l for l in range(5, 50) if math.gcd(l, 6) == 1]
+SERIES_ROUTE_CASES = [pytest.param(l, j, 340, "1e-100", id=f"{l}-{j}")
+                      for l, j in ((5, 1), (7, 3), (11, 4), (13, 12))]
+SERIES_ROUTE_CASES += [pytest.param(5, j, 1000, "1e-300", id=f"5-{j}-1000bits") for j in (1, 4)]
 
 
 def rel(a, b):
@@ -21,7 +31,10 @@ def rel(a, b):
 def _reference(l, j, p):
     """(I(j), J(j)) as mpfs from the closed forms in mpmath, at p + 32 bits with N = p + 8 terms.
 
-    I from Gamma values; J from the split sums of the module docstring.
+    I from Gamma values.  J's upper piece is the O(N^2) double sum
+    sum_m beta_m S_m over n + m < N, with S_m = sum_n c_n (k_n + ln 2 +
+    1/(n+m+1)) w_(n+m) built from int_0^(1/2) v^M (k - ln v) dv term by term:
+    an algorithm independent of the moment recurrences of period_table.
     """
     N = p + 8
     with mp.workprec(p + 32):
@@ -62,9 +75,9 @@ class TestPeriodTable:
     def test_matches_series_route_64_bits(self, l):
         assert _worst_against_series(l, range(1, l), 64) <= mp.mpf("1e-17")
 
-    @pytest.mark.parametrize("l,j", ((5, 1), (7, 3), (11, 4), (13, 12)))
-    def test_matches_series_route_340_bits(self, l, j):
-        assert _worst_against_series(l, [j], 340) <= mp.mpf("1e-100")
+    @pytest.mark.parametrize("l,j,p,bound", SERIES_ROUTE_CASES)
+    def test_matches_series_route_340_bits(self, l, j, p, bound):
+        assert _worst_against_series(l, [j], p) <= mp.mpf(bound)
 
     def test_table_layout(self):
         table = period_table(7, 64)
@@ -83,6 +96,33 @@ class TestPeriodTable:
         for l in (0, -5, 4, 9):
             with pytest.raises(UnsupportedL):
                 period_table(l, 64)
+
+    @pytest.mark.parametrize("j,l", ((1, 49), (2, 5), (48, 49)))
+    def test_moment_recurrences_match_mpmath(self, j, l):
+        # the module docstring's rounding bounds in units of 2^-w: I_n within
+        # 5/a + 2n + 5, and L_n within 3n + 42 once the cut of L_0 at m < N,
+        # which L_n inherits times prod_(k<=n) k/(k+a), is taken off
+        p = 200
+        N, w = p + 8, p + _GUARD
+        k = _fixed_constants(w)
+        beta = hypergeometric._binomial_series(j, l, N, w)
+        two_a = _exp(-(j * k.ln2) // l, w)
+        moments = list(hypergeometric._moments(j, l, beta, two_a, k.ln2, w))
+        assert len(moments) == N
+        with mp.workprec(w + 32):
+            a = mp.mpf(j) / l
+
+            def L(n):
+                return mp.quad(lambda v: v ** n * (1 - v) ** (a - 1) * -mp.log(v), [0, 0.25, 0.5])
+
+            cut = L(0) - mp.fsum(mp.rf(1 - a, m) / mp.factorial(m) * (mp.ln(2) + mp.mpf(1) / (m + 1))
+                                 / ((m + 1) * mp.mpf(2) ** (m + 1)) for m in range(N))
+            assert 0 < cut < mp.ldexp(1, -N) / (N + 1)
+            for n in (0, 1, 7, N - 1):
+                inherited = cut * mp.fprod(kk / (kk + a) for kk in range(1, n + 1))
+                got_I, got_L = moments[n]
+                assert abs(got_I - mp.ldexp(mp.betainc(n + 1, a, 0, 0.5), w)) < 5 * l / j + 2 * n + 5
+                assert abs(got_L - mp.ldexp(L(n) - inherited, w)) < 3 * n + 42
 
     @given(l=st.sampled_from(ADMISSIBLE_L), data=st.data(),
            p=st.integers(min_value=16, max_value=400))
