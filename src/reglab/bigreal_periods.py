@@ -8,8 +8,9 @@ requested digits.  Printed digits never exceed the certificate.
 
 eval_IJ regroups I(j) and J(j) into four sums whose weights are rational
 (A1, A2 over a_n, B1, B2 over b_n; see _RunningSums), reads their terms off
-the exact integers l^(2m) a_(m+1) and l^(2m) b_m of
-integer_kernel._ScaledPower (j/l reduced), and evaluates the sums, the
+the exact integers scale(m) a_(m+1) and scale(m) b_m of
+integer_kernel._ScaledPower (j/l reduced, scale(m) = l^m prod_{p | l}
+p^(v_p(m!))), and evaluates the sums, the
 constants and the prefactors in Python-int fixed point with _GUARD = 64
 bits beyond the requested precision p.  BigReal.to_decimal prints the
 digits mpmath's nstr prints for the same number, so this route imports no
@@ -317,9 +318,10 @@ class _RunningSums:
 
     Everything is fixed point at w = p + 64 bits (units of 2^-w).
     advance(N) sums only the block of terms past the previous N, so no term
-    is summed twice across certificate rounds.  Writing a_(m+1) = Ya_m/l^(2m)
-    and b_m = Yb_m/l^(2m) with the exact integers of
-    integer_kernel._ScaledPower and its scale(m) = l^(2m), the block
+    is summed twice across certificate rounds.  Writing a_(m+1) = Ya_m/scale(m)
+    and b_m = Yb_m/scale(m) with the exact integers of
+    integer_kernel._ScaledPower and its least scale
+    scale(m) = l^m prod_{p | l} p^(v_p(m!)), the block
     m = lo .. N-1 is summed by Horner's rule: each term is a floor quotient
     of (Y_m << w), each step is S <- floor(S C / 2^w) + t_m with C = c at
     w bits, and the A-blocks take one more factor C.  The block is then scaled by c^lo, which is carried as
@@ -372,7 +374,7 @@ class _RunningSums:
         lo, w, C, l, j = self.N, self.w, self.C, self.l, self.j
         Ya, Yb = self.ya.scaled(N), self.yb.scaled(N)
         a1 = a2 = b1 = b2 = 0
-        scale_of = self.ya.scale  # l^(2m), for both kinds
+        scale_of = self.ya.scale  # the same for both kinds: it depends on l alone
         for m in range(N - 1, lo - 1, -1):
             scale = scale_of(m)
             ta = (Ya[m] << w) // scale

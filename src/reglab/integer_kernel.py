@@ -4,11 +4,22 @@ Everything here is Python ints (a formal alpha brings its own Polynomial
 arithmetic), so this module imports neither `fractions` nor mpmath: the
 coefficient lists of the two weight-3 Eisenstein series on
 Gamma_1(3) (eisenstein_ints), the recurrence lists built from them
-(_IntegerBases), the scaled fractional powers Y_n = den^(2n) y_n of the
-a- and b-series (_ScaledPower), one process-wide store of both, and the
-standing assumption gcd(l, 6) = 1 with the Hodge bookkeeping it enables.
+(_IntegerBases), the scaled fractional powers of the a- and b-series
+(_ScaledPower), one process-wide store of both, and the standing
+assumption gcd(l, 6) = 1 with the Hodge bookkeeping it enables.
 exact_series turns the integers into Fractions and Polynomials;
 bigreal_periods sums them in fixed point.
+
+The a- and b-series are y = e~ f**alpha, with e~ and f built from
+u = E3a, v = E3b/q and D = u + 27 q v.  Multiplying theta y / y by
+C = u v D clears every denominator: C theta y = (A + alpha B) y, with C, A
+and B products of integer series (derived in _IntegerBases).  Their
+entries stay below 2^49 for k < 810, so the power-series recurrence
+(J. C. P. Miller; Knuth, TAOCP vol. 2, 4.7) that this gives for y_n
+multiplies each big integer by a small one only.  For alpha = num/den,
+y_n is carried as the integer Y_n = scale(n) y_n at the least scale
+scale(n) = den^n prod_{p | den} p^(v_p(n!)), whose Horner multiplier is
+den prod_{p | den} p^(v_p(m)) (derived in _ScaledPower).
 """
 
 from __future__ import annotations
@@ -73,108 +84,165 @@ def eisenstein_ints(kind: str, N: int) -> list:
     return sums
 
 
-def _quotient(out: list, u: list, v: list, d: list, N: int) -> None:
-    """Extend out, the coefficients of u v / d, to N entries; d_0 = 1, so they are ints.
-
-    Coefficient n is (u v)_n - sum_{k=1..n} d_k out_(n-k).
-    """
-    d1 = d[1:]
+def _product(out: list, x: list, y: list, N: int) -> None:
+    """Extend out, the coefficients of x y, to N entries; x and y hold at least N."""
     for n in range(len(out), N):
-        out.append(sum(map(mul, u, v[n::-1])) - sum(map(mul, d1, reversed(out))))
+        out.append(sum(map(mul, x, y[n::-1])))
 
 
 class _IntegerBases:
-    """The recurrence lists F and H0 of _ScaledPower, as ints.
+    """The recurrence lists C, A and B of _ScaledPower, as small ints.
 
-    With D = E3a + 27 E3b, the power bases f_a = E3a/D and f_b = E3b/(q D),
-    and e~ = E3b/q (kind "a") or e~ = E3a (kind "b"),
-        F_k = sum_i e~_i f_(k-i),  H0_k = sum_i i e~_i f_(k-i).
-    F = e~ f = E3a E3b/(q D) for both kinds, so kinds maps each kind to
-    (F, H0) with one shared F list, and each list is one quotient by D:
-        F = E3a (E3b/q) / D,  H0a = (theta (E3b/q)) E3a / D,
-        H0b = (theta E3a) (E3b/q) / D.
-    _ScaledPower also needs H1_k = sum_i (k-i) e~_i f_(k-i), the
-    coefficients of e~ theta f, and theta (e~ f) = (theta e~) f + e~ theta f
-    gives H1_k = k F_k - H0_k.  Coefficient n of each list does not depend
-    on the truncation order, so the lists only ever grow.
+    With u = E3a, v = E3b/q and D = u + 27 q v, the power bases are
+    f = u/D (kind "a") and f = v/D (kind "b"), and e~ = v (kind "a") or
+    e~ = u (kind "b").  The logarithmic derivative
+    theta y / y = theta e~ / e~ + alpha theta f / f of y = e~ f**alpha has
+    denominators u, v and D only, so C = u v D clears them: C theta y =
+    (A + alpha B) y, where, with W = v theta u - u theta v,
+        kind "a": A = D u theta v,  B = 27 q v (W - u v),
+        kind "b": A = D v theta u,  B = -u (W + 27 q v^2).
+    For kind "a", theta f / f = theta u / u - theta D / D and
+    D theta u - u theta D = 27 (q v theta u - u theta (q v)) = 27 q (W - u v),
+    since theta (q v) = q v + q theta v; for kind "b",
+    D theta v - v theta D = u theta v - v theta u - 27 q v^2 = -(W + 27 q v^2).
+    C is the same for both kinds, so kinds maps each kind to (C, A, B) with
+    one shared C list.  u_0 = v_0 = D_0 = 1 give C_0 = 1, and every theta
+    term and the factor q give A_0 = B_0 = 0.
+
+    Every list is a product of the integer series u, v, D and their theta,
+    so no entry needs a division, and the entries stay small (measured, and
+    tested below k = 400): below 2^40 (C) and 2^49 (A, B) for k < 810, and
+    below 2^44 for k < 400.  The lists are formed from the products
+    uv = u v and utv = u theta v, with vtu = v theta u = theta (u v) - utv
+    and X = W - u v = vtu - utv - uv.  As 27 q v = D - u, 27 q v^2 =
+    v D - u v, so B of kind "b" is -u X - C, and only u X is one more
+    product.  Coefficient n of each list does not depend on the truncation
+    order, so the lists only ever grow.
     """
 
     def __init__(self) -> None:
-        F = []
-        self.kinds: dict = {"a": (F, []), "b": (F, [])}
+        C = []
+        self.kinds: dict = {"a": (C, [], []), "b": (C, [], [])}
+        self._uv, self._utv, self._uX = [], [], []
 
     def extend(self, N: int) -> "_IntegerBases":
         """Make every list hold at least N coefficients."""
-        (F, H0a), (_, H0b) = self.kinds["a"], self.kinds["b"]
-        if N <= len(F):
+        (C, Aa, Ba), (_, Ab, Bb) = self.kinds["a"], self.kinds["b"]
+        if N <= len(C):
             return self
-        e3a, e3b = eisenstein_ints("E3a", N), eisenstein_ints("E3b", N + 1)
-        d = [a + 27 * b for a, b in zip(e3a, e3b)]
-        ea = e3b[1:]  # E3b/q, the e~ of kind "a"
-        _quotient(F, e3a, ea, d, N)
-        _quotient(H0a, e3a, [i * x for i, x in enumerate(ea)], d, N)
-        _quotient(H0b, ea, [i * x for i, x in enumerate(e3a)], d, N)
+        u, e3b = eisenstein_ints("E3a", N), eisenstein_ints("E3b", N + 1)
+        v = e3b[1:]
+        D = [a + 27 * b for a, b in zip(u, e3b)]
+        uv, utv, uX = self._uv, self._utv, self._uX
+        _product(uv, u, v, N)
+        _product(utv, u, [n * x for n, x in enumerate(v)], N)
+        vtu = [n * x - y for n, (x, y) in enumerate(zip(uv, utv))]
+        X = [x - y - z for x, y, z in zip(vtu, utv, uv)]
+        _product(C, D, uv, N)
+        _product(Aa, D, utv, N)
+        _product(Ab, D, vtu, N)
+        _product(Ba, v, [0] + [27 * x for x in X], N)
+        _product(uX, u, X, N)
+        Bb.extend(-x - c for x, c in zip(uX[len(Bb):], C[len(Bb):]))
         return self
+
+
+def _primes(n: int) -> list:
+    """The primes dividing n >= 1, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
 
 
 class _ScaledPower:
     """The series y = e~ f**alpha of one kind, with e~ and f as in _IntegerBases
     and alpha = num/den in lowest terms, or num a formal Polynomial and den = 1.
 
-    a_n = y_(n-1) (kind "a") and b_n = y_n (kind "b").  Since
-    theta y / y = theta e~ / e~ + alpha theta f / f with theta = q d/dq,
-    F theta y = H y for F = e~ f and H = f theta e~ + alpha e~ theta f = H0 + alpha H1,
-    and F_0 = 1, H_0 = 0 give the one-pass recurrence
-        n y_n = sum_{k=1..n} (H_k - (n-k) F_k) y_(n-k).
-    y is carried as Y_n = scale(n) y_n with scale(n) = den^(2n), for which
-        n Y_n = den sum_{k=1..n} (P_k - den (n-k) F_k) den^(2(k-1)) Y_(n-k)
-    with P_k = den H0_k + num H1_k, H1_k = k F_k - H0_k.
+    a_n = y_(n-1) (kind "a") and b_n = y_n (kind "b").  C theta y = (A + alpha B) y
+    with theta = q d/dq and C_0 = 1, A_0 = B_0 = 0 give, at coefficient n,
+    the one-pass recurrence
+        n y_n = sum_{k=1..n} (A_k + alpha B_k - (n-k) C_k) y_(n-k).
 
-    At a rational alpha, Y_n is an integer, so the division by n is exact.
-    e~ and f are integer series and f = 1 + g with g of valuation >= 1, so
-    y = e~ sum_m binom(alpha, m) g^m and y_n is a sum over m <= n of
-    binom(alpha, m) times integers.  binom(alpha, m) = prod_{i<m} (num - i den)
-    / (den^m m!).  At a prime p not dividing den, alpha is a p-adic integer,
-    and so is binom(alpha, m).  At a prime p dividing den, every factor
-    num - i den is prime to p, so p enters the denominator exactly
-    m v_p(den) + v_p(m!) times.  The denominator of binom(alpha, m) is thus
-    den^m prod_{p | den} p^(v_p(m!)), and as v_p(m!) <= m <= m v_p(den), it
-    divides den^(2m), which divides den^(2n).  At a formal alpha, Y_n = y_n is
-    a Polynomial over the rationals and the division by n is exact there.
-    The list grows on demand.
+    The least scale.  e~ and f are integer series and f = 1 + g with g of
+    valuation >= 1, so y = e~ sum_m binom(alpha, m) g^m and y_n is a sum over
+    m <= n of binom(alpha, m) times integers.  binom(alpha, m) =
+    prod_{i<m} (num - i den) / (den^m m!).  At a prime p not dividing den,
+    alpha is a p-adic integer, and so is binom(alpha, m).  At a prime p
+    dividing den, every factor num - i den is prime to p, so p enters the
+    denominator exactly m v_p(den) + v_p(m!) times.  The denominator of
+    binom(alpha, m) is thus den^m prod_{p | den} p^(v_p(m!)), which grows
+    with m, so y is carried as the integers Y_n = scale(n) y_n with
+        scale(n) = den^n prod_{p | den} p^(v_p(n!)).
+    As v_p(n!) <= n <= n v_p(den), scale(n) divides den^(2n).
+
+    The Horner multiplier.  With g(m) = prod_{p | den} p^(v_p(m)),
+    scale(n) / scale(n-k) = den^k g(n-k+1) ... g(n), so multiplying the
+    recurrence by scale(n) gives
+        n Y_n = g(n) sum_{k=1..n} T_k den^(k-1) g(n-k+1) ... g(n-1) Y_(n-k)
+    with T_k = P_k - (n-k) den C_k and P_k = den A_k + num B_k, small ints.
+    Horner's rule from k = n down to 1 multiplies the running sum by
+    den g(m) at m = n-k, and g(n) divides n, so Y_n = acc // (n / g(n)),
+    an exact division because Y_n is an integer.  The big integers Y_(n-k)
+    are only ever multiplied by the small T_k and den g(m).  At den = 1
+    (an integer or formal alpha) scale and multiplier are 1; at a formal
+    alpha Y_n = y_n is a Polynomial over the rationals and the division by
+    n is exact there.  The list grows on demand.
     """
 
     def __init__(self, num, den: int, kind: str, bases: _IntegerBases) -> None:
         self.num, self.den, self.kind, self.bases = num, den, kind, bases
+        self.primes = _primes(den)
         self.Y: list = [1]
-        self.P: list = [0]  # den H0_k + num (k F_k - H0_k)
-        self.dF: list = [den]  # den F_k
+        self.P: list = [0]  # den A_k + num B_k
+        self.dC: list = [den]  # den C_k
+        self.step: list = [den]  # den g(m), the Horner multiplier at m
+
+    def _g(self, m: int) -> int:
+        """prod_{p | den} p^(v_p(m)), which divides m."""
+        g = 1
+        for p in self.primes:
+            while m % p == 0:
+                m //= p
+                g *= p
+        return g
 
     def scale(self, m: int) -> int:
-        """The integer scale of Y_m: y_m = Y_m / scale(m).
+        """The integer scale of Y_m: y_m = Y_m / scale(m) = den^m prod_{p | den} p^(v_p(m!)).
 
         Every reader of y (bigreal_periods._RunningSums, exact_series'
         a_coeffs and b_coeffs) divides by this; the recurrence in scaled is
-        written for den^(2m) and changes with it.
+        written for it and changes with it.
         """
-        return self.den ** (2 * m)
+        s = self.den ** m
+        for p in self.primes:
+            pk = p
+            while pk <= m:  # Legendre: v_p(m!) = sum_i floor(m / p^i)
+                s *= p ** (m // pk)
+                pk *= p
+        return s
 
     def scaled(self, N: int) -> list:
-        """Y_0 .. Y_(N-1)."""
-        num, den, Y, P, dF = self.num, self.den, self.Y, self.P, self.dF
+        """Y_0 .. Y_(N-1), for N >= 0."""
+        if N < 0:
+            raise ValueError("need N >= 0, got {}".format(N))
+        num, den, Y, P, dC, step = self.num, self.den, self.Y, self.P, self.dC, self.step
         if len(Y) < N:
-            F, H0 = self.bases.extend(N).kinds[self.kind]
+            C, A, B = self.bases.extend(N).kinds[self.kind]
             for k in range(len(P), N):
-                P.append(den * H0[k] + num * (k * F[k] - H0[k]))
-                dF.append(den * F[k])
-            den2 = den * den
+                P.append(den * A[k] + num * B[k])
+                dC.append(den * C[k])
+                step.append(den * self._g(k))
             for n in range(len(Y), N):
-                # Horner in k: den^(2(k-1)) grows by den^2 per step
                 acc = P[n] * Y[0]
                 for k in range(n - 1, 0, -1):
                     m = n - k
-                    acc = (P[k] - m * dF[k]) * Y[m] + den2 * acc
-                Y.append(den * acc // n)
+                    acc = (P[k] - m * dC[k]) * Y[m] + step[m] * acc
+                Y.append(acc // (n // self._g(n)))
         return Y[:N]
 
 

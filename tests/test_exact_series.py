@@ -246,6 +246,17 @@ def _generic_b(alpha, N):
     return series_mul(factor, series_pow_rational(base, alpha))
 
 
+def _least_scale(den, n):
+    """den^n prod_{p | den} p^(v_p(n!)), with v_p(n!) counted factor by factor."""
+    scale = den ** n
+    for p in (p for p in range(2, den + 1) if den % p == 0 and all(p % d for d in range(2, p))):
+        for i in range(1, n + 1):
+            while i % p == 0:
+                i //= p
+                scale *= p
+    return scale
+
+
 @st.composite
 def admissible_lj(draw):
     l = draw(st.sampled_from([l for l in range(5, 26) if l % 2 and l % 3]))
@@ -267,6 +278,8 @@ class TestIntegerKernel:
 
     @given(kernel_inputs())
     @example((formal_alpha(), 10))
+    @example((F(1, 25), 60))  # g(25) = g(50) = 25 in the Horner multiplier
+    @example((F(1, 35), 60))  # two primes, and g(49) = 49
     @settings(max_examples=25, deadline=None)
     def test_matches_generic_composition(self, inputs):
         alpha, N = inputs
@@ -276,16 +289,20 @@ class TestIntegerKernel:
     @pytest.mark.parametrize("l", [l for l in range(5, 50) if l % 2 and l % 3])
     def test_den_2n_y_n_is_an_integer(self, l):
         # _ScaledPower's integrality proof, checked on the composition, which does
-        # not use it: l^(2n) y_n is an integer for y_n = a_(n+1) and y_n = b_n;
+        # not use it: the least scale l^n prod_{p | l} p^(v_p(n!)) times y_n is an
+        # integer for y_n = a_(n+1) and y_n = b_n, and the scale divides l^(2n);
         # at l = 25, 35 and 49, a p | l divides n! for some n < 40
         N = 40
+        scales = [_least_scale(l, n) for n in range(N)]
+        assert all(l ** (2 * n) % s == 0 for n, s in enumerate(scales))
+        assert scales == [integer_kernel._ScaledPower(1, l, "a", None).scale(n) for n in range(N)]
         for j in range(1, l):
             if math.gcd(j, l) > 1:
                 continue
             a, b = _generic_a(F(j, l), N), _generic_b(F(j, l), N)
             for y in ([a.coefficient(n + 1) for n in range(N - 1)],
                       [b.coefficient(n) for n in range(N)]):
-                assert all((c * l ** (2 * n)).denominator == 1 for n, c in enumerate(y))
+                assert all((c * s).denominator == 1 for c, s in zip(y, scales))
 
     def test_extension_matches_fresh_build(self, monkeypatch):
         # on a fresh store: the lists grow 20 -> 60 -> 90, with a shorter
@@ -302,24 +319,49 @@ class TestIntegerKernel:
         assert a_coeffs(ExponentParam(F(2, 7)), 20) == _generic_a(F(2, 7), 20)
         assert b_coeffs(-2, 15) == _generic_b(F(-2), 15)
 
-    def test_shared_F_and_per_kind_H0(self):
-        # the reference: F = E3a E3b / (q (E3a + 27 E3b)) and H0 = (theta e~) f over Fractions
+    def test_shared_C_and_per_kind_A_B(self):
+        # the reference over Fractions: u = E3a, v = E3b/q, D = E3a + 27 E3b,
+        # W = v theta u - u theta v, and the lists as _IntegerBases defines them
         N = 90
-        e3a = eisenstein_q_expansion("E3a", N + 1)
-        e3b = eisenstein_q_expansion("E3b", N + 1)
-        inv = series_inverse(e3a + 27 * e3b)
-        F_ref = series_mul(series_mul(e3a, e3b.shift(-1)), inv).truncate(N)
         theta = lambda s: TruncatedQSeries(
             0, [n * s.coefficient(n) for n in range(s.truncation_order)], s.truncation_order)
-        tilde = {"a": e3b.shift(-1), "b": e3a}
-        base = {"a": series_mul(e3a, inv), "b": series_mul(e3b.shift(-1), inv)}
-        H0_ref = {kind: series_mul(theta(tilde[kind]), base[kind]).truncate(N)
-                  for kind in ("a", "b")}
+        e3b = eisenstein_q_expansion("E3b", N + 1)
+        u, v = eisenstein_q_expansion("E3a", N), e3b.shift(-1)
+        D = u + 27 * e3b.truncate(N)
+        W = series_mul(v, theta(u)) - series_mul(u, theta(v))
+        C_ref = series_mul(series_mul(u, v), D)
+        ref = {"a": (series_mul(series_mul(D, u), theta(v)),
+                     27 * series_mul(v, W - series_mul(u, v)).shift(1).truncate(N)),
+               "b": (series_mul(series_mul(D, v), theta(u)),
+                     -series_mul(u, W + 27 * series_mul(v, v).shift(1).truncate(N)))}
+        # the identity they come from: C theta e~ = A e~ and C theta f = B f,
+        # so C theta y = (A + alpha B) y for y = e~ f**alpha
+        inv = series_inverse(D)
+        tilde_and_base = {"a": (v, series_mul(u, inv)), "b": (u, series_mul(v, inv))}
         bases = integer_kernel._IntegerBases()
         for n in (20, 60, 90):  # the lists grow
             kinds = bases.extend(n).kinds
             assert kinds["a"][0] is kinds["b"][0]
             for kind in ("a", "b"):
-                F_list, H0 = kinds[kind]
-                assert F_list == [F_ref.coefficient(k) for k in range(n)]
-                assert H0 == [H0_ref[kind].coefficient(k) for k in range(n)]
+                C, A, B = kinds[kind]
+                assert C == [C_ref.coefficient(k) for k in range(n)]
+                assert A == [ref[kind][0].coefficient(k) for k in range(n)]
+                assert B == [ref[kind][1].coefficient(k) for k in range(n)]
+                Cs, As, Bs = (TruncatedQSeries(0, x, n) for x in (C, A, B))
+                e, f = (s.truncate(n) for s in tilde_and_base[kind])
+                assert series_mul(Cs, theta(e)) == series_mul(As, e)
+                assert series_mul(Cs, theta(f)) == series_mul(Bs, f)
+
+    def test_list_entries_fit_in_64_bits(self):
+        # the speed of _ScaledPower.scaled rests on this: each Horner step
+        # multiplies a big Y_m by a small list entry
+        bases = integer_kernel._IntegerBases().extend(400)
+        for kind in ("a", "b"):
+            assert all(abs(x) < 2 ** 64 for x in (e for lst in bases.kinds[kind] for e in lst))
+
+    def test_scaled_rejects_negative_N(self):
+        # Y[:N] would silently drop the last -N entries
+        power = integer_kernel._ScaledPower(1, 5, "a", integer_kernel._IntegerBases())
+        assert len(power.scaled(5)) == 5 and power.scaled(0) == []
+        with pytest.raises(ValueError):
+            power.scaled(-1)

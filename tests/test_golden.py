@@ -11,7 +11,10 @@ constants, determinants and decimal output moved to Python-int fixed point,
 completing the grid l in {5, 7, 13} x digits in {15, 30, 100}, and that for
 (5, 300) before the coefficient recurrence moved from den^n n! y_n to
 den^(2n) y_n for formal and rational exponents alike; it pins the largest
-integers (N_used 421).  The `fibers` and `pf` outputs were recorded before the
+integers (N_used 421).  That for (13, 300) was recorded before the recurrence
+moved from quotients by E3a + 27 E3b at the scale den^(2n) to small product
+lists at the least scale; it pins den = 13 at N_used 421, where that
+change moves the integers most.  The `fibers` and `pf` outputs were recorded before the
 formal series coefficients moved to weierstrass.Polynomial, whose `__str__`
 prints them.  Any change to a printed digit, a certificate-driven field
 (`N_used`, `det_agreement_digits`), a polynomial or the key order shows up
@@ -34,7 +37,8 @@ def _stdout(capsys, *argv):
 
 
 @pytest.mark.parametrize("l, digits", [(l, d) for l in (5, 7, 11) for d in (15, 30)]
-                         + [(25, 15), (13, 30), (5, 100), (13, 15), (7, 100), (13, 100), (5, 300)])
+                         + [(25, 15), (13, 30), (5, 100), (13, 15), (7, 100), (13, 100), (5, 300),
+                          (13, 300)])
 def test_compute_json_byte_identical(capsys, l, digits):
     out = _stdout(capsys, "compute", "--l", str(l), "--digits", str(digits),
                   "--format", "json", "--skip-oracle")
