@@ -2,11 +2,8 @@
 # on the imaginary axis, where everything is real.
 from mpmath import mp
 
-from reglab.bigreal_periods import (
-    constants,
-    eisenstein_numeric,
-    eisenstein_transform_residual,
-)
+from reglab.bigreal_periods import constants
+from reglab.exact_series import eisenstein_numeric, eisenstein_transform_residual
 
 for y, n in ((0.5, 300), (1, 80), (2, 200)):
     res = eisenstein_transform_residual(mp.mpc(0, y), N=n, p=128)

@@ -12,12 +12,13 @@ the exact integers scale(m) a_(m+1) and scale(m) b_m of
 integer_kernel._ScaledPower (j/l reduced, scale(m) = l^m prod_{p | l}
 p^(v_p(m!))), and evaluates the sums, the
 constants and the prefactors in Python-int fixed point with _GUARD = 64
-bits beyond the requested precision p.  BigReal.to_decimal prints the
-digits mpmath's nstr prints for the same number, so this route imports no
-mpmath, and no Fraction either: the exact layer's Fractions and
-Polynomials (exact_series, weierstrass) stay unloaded.  BigReal.value,
-series_periods and the Eisenstein evaluations import mpmath on first use,
-for the checks that run in mpmath.
+bits beyond the requested precision p; series_periods scales them to the
+period magnitudes the same way.  BigReal.to_decimal prints the digits
+mpmath's nstr prints for the same number, so no computation here needs
+mpmath, and none needs a Fraction: the exact layer's Fractions and
+Polynomials (exact_series, weierstrass) stay unloaded.  Only BigReal.value
+and the mpf branch of _dyadic, which write and read the mpf format for the
+checks that run in mpmath, import it, on first use.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import lru_cache
 from typing import NamedTuple, Union
 
 from .errors import PrecisionNotReached
-from .integer_kernel import eisenstein_ints, require_l, scaled_power
+from .integer_kernel import require_l, scaled_power
 
 SIGN_POLICY = "magnitudes only; sign left unresolved"
 
@@ -187,17 +188,6 @@ def _require_lj(l: int, j: int) -> None:
     require_l(l)
     if not 1 <= j <= l - 1:
         raise ValueError("need 1 <= j <= l - 1")
-
-
-def _to_mpf(v) -> "mp.mpf":
-    """An exact rational (numerator / denominator), a BigReal or anything mpf accepts."""
-    from mpmath import mp
-
-    if isinstance(v, BigReal):
-        return v.value
-    if isinstance(v, int) or not hasattr(v, "numerator"):
-        return mp.mpf(v)
-    return mp.mpf(v.numerator) / v.denominator
 
 
 # ---------------------------------------------------------------- fixed-point kernels
@@ -455,57 +445,14 @@ def series_periods(pair: PeriodPair) -> SeriesPeriods:
     """Magnitudes |period over delta| = (54 pi / l) I(j) and |period over gamma| = (27 / l) J(j).
 
     The delta-arch period lies on the imaginary axis and the gamma-arch
-    period on the real axis; only magnitudes are reported.
+    period on the real axis; only magnitudes are reported.  Both are fixed
+    point at w = p + 64 bits, p the pair's precision: 54 pi / l at w bits
+    times I, floored, and 27 J / l, floored.  regulator.build_matrix reads
+    the delta-arch magnitude at these w bits.
     """
-    from mpmath import mp
-
     p = pair.I.precision
-    with mp.workprec(p + 32):
-        delta = 54 * mp.pi / pair.l * pair.I.value
-        gamma = mp.mpf(27) / pair.l * pair.J.value
-    return SeriesPeriods(
-        BigReal(delta, p, pair.I.agreement_certificate),
-        BigReal(gamma, p, pair.J.agreement_certificate),
-    )
-
-
-def eisenstein_numeric(kind: str, q, N: int = 64, p: int = 128) -> BigReal:
-    """Partial sum of the exact q-expansion at a real point 0 < q < 1."""
-    from mpmath import mp
-
-    coeffs = eisenstein_ints(kind, N)
-    with mp.workprec(p + 32):
-        qm = q.value if isinstance(q, BigReal) else mp.mpf(q)
-        if not 0 < qm < 1:
-            raise ValueError("need 0 < q < 1")
-        acc = mp.mpf(0)
-        for coeff in reversed(coeffs):
-            acc = acc * qm + coeff
-        # crude geometric tail bound: |coeff_n| <= 9 n^3 for both kinds
-        tail = 27 * mp.mpf(N) ** 3 * qm**N / (1 - qm)
-        scale = abs(acc) if acc != 0 else mp.mpf(1)
-        cert = _agreement_digits(acc + tail, acc, _digits_of_bits(p + 32))
-        if tail / scale >= 1:
-            cert = 0
-    return BigReal(acc, p, cert)
-
-
-def eisenstein_transform_residual(z, N: int = 80, p: int = 128) -> BigReal:
-    """|27 E3b(-1/(3z)) - 3 sqrt3 i z^3 E3a(z)| for z = iy on the imaginary axis.
-
-    Both q-values are then real: q = exp(-2 pi y) and q' = exp(-2 pi / (3y)),
-    and the prefactor 3 sqrt3 i (iy)^3 collapses to the real number 3 sqrt3 y^3.
-    """
-    from mpmath import mp
-
-    with mp.workprec(p + 32):
-        zm = mp.mpc(z.value if isinstance(z, BigReal) else z)
-        if mp.re(zm) != 0 or mp.im(zm) <= 0:
-            raise ValueError("z must lie on the positive imaginary axis")
-        y = mp.im(zm)
-        q_direct = mp.exp(-2 * mp.pi * y)
-        q_flipped = mp.exp(-2 * mp.pi / (3 * y))
-        lhs = 27 * eisenstein_numeric("E3b", BigReal(q_flipped, p + 32), N, p + 32).value
-        rhs = 3 * mp.sqrt(3) * y**3 * eisenstein_numeric("E3a", BigReal(q_direct, p + 32), N, p + 32).value
-        residual = abs(lhs - rhs)
-    return BigReal(residual, p)
+    w = p + _GUARD
+    delta = (54 * _fixed_constants(w).pi // pair.l) * pair.I.fixed(w) >> w
+    gamma = 27 * pair.J.fixed(w) // pair.l
+    return SeriesPeriods(BigReal((delta, -w), p, pair.I.agreement_certificate),
+                         BigReal((gamma, -w), p, pair.J.agreement_certificate))

@@ -2,13 +2,15 @@
 
 The cubic x^3 + 9x^2 + 24 T x + 16 T^2 (T = t^l) has three real roots on
 0 < t < 1; the two arches between adjacent roots give complete elliptic
-integrals, evaluated through Carlson's R_F on the root gaps.  Near t = 0 the
-upper pair of roots collides at O(T^(3/2)) separation and near t = 1 the
-lower pair collides; the roots come in closed trigonometric form, which
-gives each gap as the sine of an angle and never subtracts nearly equal
-root values, under a locally elevated working precision.  The outer
-t-integral runs over dyadic panels accumulated toward both endpoints, with
-a fitted logarithmic tail model closing the gap to the endpoints.
+integrals, evaluated as Carlson's R_F(0, y, z) = pi / (2 agm(sqrt y, sqrt z))
+on the root gaps (_rf_zero; its tests check it against the R_F duplication
+algorithm).  Near t = 0 the upper pair of roots collides at O(T^(3/2))
+separation and near t = 1 the lower pair collides; the roots come in closed
+trigonometric form, which gives each gap as the sine of an angle and never
+subtracts nearly equal root values, under a locally elevated working
+precision.  The outer t-integral runs over dyadic panels accumulated toward
+both endpoints, with a fitted logarithmic tail model closing the gap to the
+endpoints.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import NamedTuple
 
 from mpmath import mp
 
-from .bigreal_periods import BigReal, _agreement_digits, _digits_of_bits, _require_lj, _to_mpf
+from .bigreal_periods import BigReal, _agreement_digits, _digits_of_bits, _require_lj
 from .errors import DomainError, QuadratureNotConverged, RootOrderingFailed
 
 
@@ -45,6 +47,15 @@ class OraclePeriods(NamedTuple):
     delta_abs: BigReal
     gamma_abs: BigReal
     error_estimate: BigReal
+
+
+def _to_mpf(v) -> mp.mpf:
+    """An exact rational (numerator / denominator), a BigReal or anything mpf accepts."""
+    if isinstance(v, BigReal):
+        return v.value
+    if isinstance(v, int) or not hasattr(v, "numerator"):
+        return mp.mpf(v)
+    return mp.mpf(v.numerator) / v.denominator
 
 
 def _root_data(l: int, t):
@@ -107,42 +118,6 @@ def _rf_zero(y, z):
     while abs(a - b) > 4 * mp.eps * abs(a):
         a, b = (a + b) / 2, mp.sqrt(a * b)
     return mp.pi / (a + b)
-
-
-def _rf_duplication(x, y, z):
-    """Classic R_F duplication iteration; returns (value, iteration count)."""
-    cutoff = mp.power(mp.eps, mp.mpf(1) / 6)
-    iterations = 0
-    while True:
-        mu = (x + y + z) / 3
-        spread = max(abs(x - mu), abs(y - mu), abs(z - mu)) / mu
-        if spread < cutoff:
-            break
-        lam = mp.sqrt(x) * mp.sqrt(y) + mp.sqrt(y) * mp.sqrt(z) + mp.sqrt(z) * mp.sqrt(x)
-        x, y, z = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4
-        iterations += 1
-    X = (mu - x) / mu
-    Y = (mu - y) / mu
-    Z = -X - Y
-    e2 = X * Y - Z * Z
-    e3 = X * Y * Z
-    value = (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / mp.sqrt(mu)
-    return value, iterations
-
-
-def carlson_rf(x, y, z, p: int = 64) -> BigReal:
-    """Carlson symmetric integral R_F by the duplication algorithm."""
-    with mp.workprec(p + 16):
-        args = sorted(_to_mpf(v) for v in (x, y, z))
-        if args[0] < 0:
-            raise DomainError("R_F needs nonnegative arguments")
-        if args[1] <= 0:
-            raise DomainError("R_F needs at most one zero argument")
-        if args[0] == 0:
-            value = _rf_zero(args[1], args[2])
-        else:
-            value, _ = _rf_duplication(*args)
-    return BigReal(value, p)
 
 
 def cubic_roots(l: int, t, p: int = 64) -> CubicRoots:

@@ -1,29 +1,28 @@
-"""Exact truncated q-series arithmetic over the rationals.
+"""Exact coefficients of the period q-series, and the q-series evaluated in mpmath.
 
-Coefficients are either exact rationals or polynomials in a formal exponent
-symbol alpha (weierstrass.Polynomial).  In the library this engine serves
-only the exact series identities of `selfcheck` (cli._check_series_identities);
-the numeric route reads the integers of integer_kernel directly and never
-loads it, and the tests use it as their Fraction reference for those
-integers.  Includes the two weight-3 Eisenstein series on Gamma_1(3) and the
-fractional-power coefficient families a_n, b_n built from them.  Both
-families come from one exact recurrence per kind, for a formal and a
-rational exponent alike, which integer_kernel._ScaledPower runs in ints
-(or Polynomials, at a formal alpha): with y = e~ f**alpha, n y_n is a
-convolution of y with kind-level integer lists built once, and y_n is
-carried as Y_n = scale(n) y_n, an integer when alpha = num/den.  This
-module turns those integers into the Fractions and Polynomials of a
-TruncatedQSeries.
+a_coeffs and b_coeffs return the first N coefficients of the fractional-power
+families a_n, b_n built from the two weight-3 Eisenstein series on
+Gamma_1(3): reduced Fractions for a rational exponent, Polynomials in the
+formal symbol alpha (weierstrass.Polynomial) at formal_alpha().  Both come
+from one exact recurrence per kind, which integer_kernel._ScaledPower runs
+in ints (or Polynomials, at a formal alpha): with y = e~ f**alpha, y_n is
+carried as Y_n = scale(n) y_n, an integer when alpha = num/den, and this
+module divides by the scale.  In the library they serve the exact series
+identities of `selfcheck` (cli._check_series_identities); the numeric route
+reads the integers of integer_kernel directly and never loads this module.
+
+eisenstein_numeric sums the Eisenstein q-expansions at a real point and
+eisenstein_transform_residual checks their weight-3 transformation law, in
+mpmath, for `selfcheck` and the demos.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
 
-from .errors import ConstantTermNotOne, ZeroConstantTerm
-from .integer_kernel import chi3, eisenstein_ints, scaled_power  # chi3: re-exported
-from .weierstrass import Polynomial, _as_poly
+from .bigreal_periods import BigReal, _agreement_digits, _digits_of_bits
+from .integer_kernel import eisenstein_ints, scaled_power
+from .weierstrass import Polynomial
 
 
 def formal_alpha() -> Polynomial:
@@ -31,260 +30,72 @@ def formal_alpha() -> Polynomial:
     return Polynomial([0, 1])
 
 
-class ExponentParam:
-    """Exponent j/l of the fractional-power series, as an exact rational."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value) -> None:
-        value = Fraction(value)
-        if not 0 < value < 1:
-            raise ValueError("exponent must satisfy 0 < j/l < 1")
-        self.value: Fraction = value
-
-    @classmethod
-    def from_lj(cls, l: int, j: int) -> "ExponentParam":
-        if not 1 <= j <= l - 1:
-            raise ValueError("need 1 <= j <= l-1")
-        return cls(Fraction(j, l))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ExponentParam):
-            return self.value == other.value
-        return self.value == other
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __repr__(self) -> str:
-        return "ExponentParam({})".format(self.value)
-
-
-Coefficient = Union[Fraction, Polynomial]
-
-
-def _alpha_value(alpha) -> Coefficient:
-    if isinstance(alpha, ExponentParam):
-        return alpha.value
-    if isinstance(alpha, Polynomial):
-        return alpha
-    return Fraction(alpha)
-
-
-class TruncatedQSeries:
-    """q-expansion known for exponents < truncation_order.
-
-    coefficients[i] multiplies q**(valuation + i); the list always has
-    truncation_order - valuation entries.
-    """
-
-    __slots__ = ("valuation", "coefficients", "truncation_order")
-
-    def __init__(self, valuation: int, coefficients: Sequence, truncation_order: int) -> None:
-        coeffs = [c if isinstance(c, Polynomial) else Fraction(c) for c in coefficients]
-        if valuation < 0:
-            raise ValueError("valuation must be >= 0")
-        if len(coeffs) != truncation_order - valuation:
-            raise ValueError("need len(coefficients) == truncation_order - valuation")
-        # normalize away leading zeros so valuation reports the lowest power present
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            valuation += 1
-        self.valuation: int = valuation
-        self.coefficients: tuple = tuple(coeffs)
-        self.truncation_order: int = truncation_order
-
-    @classmethod
-    def zero(cls, truncation_order: int) -> "TruncatedQSeries":
-        return cls(truncation_order, [], truncation_order)
-
-    @classmethod
-    def one(cls, truncation_order: int) -> "TruncatedQSeries":
-        return cls(0, [Fraction(1)] + [Fraction(0)] * (truncation_order - 1), truncation_order)
-
-    def coefficient(self, n: int) -> Coefficient:
-        """Coefficient of q**n; n must be below the truncation order."""
-        if n >= self.truncation_order:
-            raise IndexError("coefficient at or beyond truncation order")
-        if n < self.valuation:
-            return Fraction(0)
-        return self.coefficients[n - self.valuation]
-
-    def is_zero(self) -> bool:
-        return not self.coefficients  # the constructor strips leading zeros
-
-    def truncate(self, order: int) -> "TruncatedQSeries":
-        if order > self.truncation_order:
-            raise ValueError("cannot extend a truncated series")
-        if order <= self.valuation:
-            return TruncatedQSeries(order, [], order)
-        return TruncatedQSeries(self.valuation, self.coefficients[: order - self.valuation], order)
-
-    def shift(self, k: int) -> "TruncatedQSeries":
-        """Multiply by q**k (k may be negative down to -valuation)."""
-        if self.valuation + k < 0:
-            raise ValueError("shift would create negative exponents")
-        return TruncatedQSeries(self.valuation + k, self.coefficients, self.truncation_order + k)
-
-    def specialize(self, alpha) -> "TruncatedQSeries":
-        """Evaluate every formal coefficient at the given rational."""
-        alpha = _alpha_value(alpha)
-        coeffs = [_as_poly(c)(alpha) for c in self.coefficients]
-        return TruncatedQSeries(self.valuation, coeffs, self.truncation_order)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedQSeries):
-            return NotImplemented
-        return (
-            self.valuation == other.valuation
-            and self.truncation_order == other.truncation_order
-            and all(a == b for a, b in zip(self.coefficients, other.coefficients))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.valuation, self.coefficients, self.truncation_order))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedQSeries(0, [other] + [Fraction(0)] * (self.truncation_order - 1),
-                                     self.truncation_order)
-        if not isinstance(other, TruncatedQSeries):
-            return NotImplemented
-        order = min(self.truncation_order, other.truncation_order)
-        val = min(self.valuation, other.valuation, order)
-        coeffs = []
-        for n in range(val, order):
-            a = self.coefficient(n) if n < self.truncation_order else Fraction(0)
-            b = other.coefficient(n) if n < other.truncation_order else Fraction(0)
-            coeffs.append(a + b)
-        return TruncatedQSeries(val, coeffs, order)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedQSeries(self.valuation, [-c for c in self.coefficients],
-                                self.truncation_order)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-Fraction(other))
-        if not isinstance(other, TruncatedQSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return TruncatedQSeries(self.valuation, [c * other for c in self.coefficients],
-                                    self.truncation_order)
-        if not isinstance(other, TruncatedQSeries):
-            return NotImplemented
-        return series_mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        head = ", ".join(repr(c) for c in self.coefficients[:4])
-        if len(self.coefficients) > 4:
-            head += ", ..."
-        return "TruncatedQSeries(v={}, [{}], N={})".format(
-            self.valuation, head, self.truncation_order)
-
-
-def series_mul(f: TruncatedQSeries, g: TruncatedQSeries) -> TruncatedQSeries:
-    """Product truncated at the smallest order either factor can certify."""
-    order = min(f.truncation_order + g.valuation, g.truncation_order + f.valuation)
-    val = f.valuation + g.valuation
-    if val >= order:
-        return TruncatedQSeries(order, [], order)
-    out = [Fraction(0)] * (order - val)
-    for i, a in enumerate(f.coefficients):
-        if a == 0:
-            continue
-        ei = f.valuation + i
-        for j, b in enumerate(g.coefficients):
-            e = ei + g.valuation + j
-            if e >= order:
-                break
-            out[e - val] = out[e - val] + a * b
-    return TruncatedQSeries(val, out, order)
-
-
-def series_inverse(f: TruncatedQSeries) -> TruncatedQSeries:
-    """Multiplicative inverse mod q**truncation_order."""
-    if f.valuation > 0 or not f.coefficients:
-        raise ZeroConstantTerm("series has no invertible constant term")
-    c0 = _as_poly(f.coefficients[0])  # nonzero: the constructor strips leading zeros
-    if c0.degree > 0:
-        raise ValueError("constant term must be a unit rational, not a formal polynomial")
-    n_terms = f.truncation_order
-    inv0 = 1 / c0.coeffs[0]
-    out = [inv0] + [Fraction(0)] * (n_terms - 1)
-    for n in range(1, n_terms):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            a = f.coefficient(k)
-            if a == 0:
-                continue
-            acc = acc + a * out[n - k]
-        out[n] = -inv0 * acc
-    return TruncatedQSeries(0, out, n_terms)
-
-
-def series_pow_rational(f: TruncatedQSeries, alpha) -> TruncatedQSeries:
-    """f**alpha for a series with constant term 1.
-
-    Uses the logarithmic-derivative recurrence
-        n g_n = sum_{k=1..n} (alpha k - (n - k)) f_k g_{n-k},
-    one exact O(N^2) pass with no exp/log composition.  alpha may be a
-    rational, an ExponentParam, or a formal Polynomial.
-    """
-    if f.valuation > 0 or not f.coefficients or f.coefficients[0] != 1:
-        raise ConstantTermNotOne("series constant term must be 1")
-    alpha = _alpha_value(alpha)
-    n_terms = f.truncation_order
-    out: list = [Fraction(1)] + [Fraction(0)] * (n_terms - 1)
-    for n in range(1, n_terms):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            fk = f.coefficient(k)
-            if fk != 0:
-                acc = acc + (alpha * k - (n - k)) * fk * out[n - k]
-        out[n] = acc * Fraction(1, n)
-    return TruncatedQSeries(0, out, n_terms)
-
-
-def eisenstein_q_expansion(kind: str, N: int) -> TruncatedQSeries:
-    """Weight-3 Eisenstein series on Gamma_1(3), truncated at q**N.
-
-    E3a = 1 - 9 sum_n (sum_{k|n} chi3(k) k^2) q^n
-    E3b =     sum_n (sum_{k|n} chi3(n/k) k^2) q^n
-    """
-    return TruncatedQSeries(0, eisenstein_ints(kind, N), N)
-
-
-def _coefficients(alpha, N: int, kind: str) -> TruncatedQSeries:
+def _coefficients(alpha, N: int, kind: str) -> list:
     """Coefficients 0 .. N-1 of the a- or b-series from the kernel's integers
     y_m = Y_m / scale(m): reduced Fractions, or Polynomials at a formal alpha."""
     if N < 2:
         raise ValueError("need N >= 2")
-    alpha = _alpha_value(alpha)
     if isinstance(alpha, Polynomial):
         power = scaled_power(alpha, 1, kind)
     else:
+        alpha = Fraction(alpha)
         power = scaled_power(alpha.numerator, alpha.denominator, kind)
     shift = 1 if kind == "a" else 0  # a_0 = 0 and a_n = y_(n-1)
     coeffs = [y * Fraction(1, power.scale(m)) for m, y in enumerate(power.scaled(N - shift))]
-    return TruncatedQSeries(0, [Fraction(0)] * shift + coeffs, N)
+    return [Fraction(0)] * shift + coeffs
 
 
-def a_coeffs(alpha, N: int) -> TruncatedQSeries:
-    """Coefficients a_n of E3b * (E3a / (E3a + 27 E3b))**alpha, order N."""
+def a_coeffs(alpha, N: int) -> list:
+    """Coefficients a_0 .. a_(N-1) of E3b * (E3a / (E3a + 27 E3b))**alpha."""
     return _coefficients(alpha, N, "a")
 
 
-def b_coeffs(alpha, N: int) -> TruncatedQSeries:
-    """Coefficients b_n of E3a * (E3b / (q (E3a + 27 E3b)))**alpha, order N."""
+def b_coeffs(alpha, N: int) -> list:
+    """Coefficients b_0 .. b_(N-1) of E3a * (E3b / (q (E3a + 27 E3b)))**alpha."""
     return _coefficients(alpha, N, "b")
+
+
+def eisenstein_numeric(kind: str, q, N: int = 64, p: int = 128) -> BigReal:
+    """Partial sum of the exact q-expansion at a real point 0 < q < 1.
+
+    The certificate is the digits the sum shares with the sum plus a bound
+    on the tail, capped at the digits of p.
+    """
+    from mpmath import mp
+
+    coeffs = eisenstein_ints(kind, N)
+    with mp.workprec(p + 32):
+        qm = q.value if isinstance(q, BigReal) else mp.mpf(q)
+        if not 0 < qm < 1:
+            raise ValueError("need 0 < q < 1")
+        acc = mp.mpf(0)
+        for coeff in reversed(coeffs):
+            acc = acc * qm + coeff
+        # crude geometric tail bound: |coeff_n| <= 9 n^3 for both kinds
+        tail = 27 * mp.mpf(N) ** 3 * qm**N / (1 - qm)
+        scale = abs(acc) if acc != 0 else mp.mpf(1)
+        cert = _agreement_digits(acc + tail, acc, _digits_of_bits(p))
+        if tail / scale >= 1:
+            cert = 0
+    return BigReal(acc, p, cert)
+
+
+def eisenstein_transform_residual(z, N: int = 80, p: int = 128) -> BigReal:
+    """|27 E3b(-1/(3z)) - 3 sqrt3 i z^3 E3a(z)| for z = iy on the imaginary axis.
+
+    Both q-values are then real: q = exp(-2 pi y) and q' = exp(-2 pi / (3y)),
+    and the prefactor 3 sqrt3 i (iy)^3 collapses to the real number 3 sqrt3 y^3.
+    """
+    from mpmath import mp
+
+    with mp.workprec(p + 32):
+        zm = mp.mpc(z.value if isinstance(z, BigReal) else z)
+        if mp.re(zm) != 0 or mp.im(zm) <= 0:
+            raise ValueError("z must lie on the positive imaginary axis")
+        y = mp.im(zm)
+        q_direct = mp.exp(-2 * mp.pi * y)
+        q_flipped = mp.exp(-2 * mp.pi / (3 * y))
+        lhs = 27 * eisenstein_numeric("E3b", BigReal(q_flipped, p + 32), N, p + 32).value
+        rhs = 3 * mp.sqrt(3) * y**3 * eisenstein_numeric("E3a", BigReal(q_direct, p + 32), N, p + 32).value
+        residual = abs(lhs - rhs)
+    return BigReal(residual, p)

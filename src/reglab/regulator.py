@@ -33,6 +33,7 @@ from .bigreal_periods import (
     _fixed_constants,
     _sin,
     eval_IJ,
+    series_periods,
 )
 from .errors import UnsupportedL
 from .integer_kernel import hodge_and_dims
@@ -106,11 +107,10 @@ def build_matrix(l: int, p: int = 128) -> RegulatorMatrix:
     h = hodge_and_dims(l)["h"]
     w = p + _GUARD
     col = _sine_column(l, w)
-    pi_54 = 54 * _fixed_constants(w).pi // l  # 54 pi / l
     pairs = [eval_IJ(l, j, p) for j in range(1, h + 1)]
     entries = []
     for row, pair in enumerate(pairs, start=1):
-        period = pi_54 * pair.I.fixed(w) >> w  # |delta-arch period| = (54 pi / l) I(row)
+        period = series_periods(pair).delta_period.fixed(w)  # (54 pi / l) I(row)
         entries.append([BigReal((col[row * q % l] * period >> w, -w), p,
                                 pair.I.agreement_certificate)
                         for q in range(1, (l + 1) // 2)])

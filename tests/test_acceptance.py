@@ -11,15 +11,17 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from reglab.bigreal_periods import (
-    constants,
+from reglab.bigreal_periods import constants, eval_IJ
+from reglab.elliptic_oracle import direct_periods, inner_integrals
+from reglab.exact_series import (
+    a_coeffs,
+    b_coeffs,
     eisenstein_numeric,
     eisenstein_transform_residual,
-    eval_IJ,
+    formal_alpha,
 )
-from reglab.elliptic_oracle import direct_periods, inner_integrals
-from reglab.exact_series import a_coeffs, b_coeffs, formal_alpha
 from reglab.gauss_manin import connection_matrix, degeneracy_locus, picard_fuchs, pf_relation
+from reglab.integer_kernel import eisenstein_ints
 from reglab.regulator import regulator_closed_form, vandermonde_like_det
 from reglab.weierstrass import (
     Polynomial,
@@ -90,19 +92,17 @@ def test_criterion_04_exact_coefficients():
     a = a_coeffs(alpha, 4)
     b = b_coeffs(alpha, 3)
     F = Fraction
-    assert a.coefficient(2) == Polynomial([3, -27])
-    assert a.coefficient(3) == Polynomial([9, F(-81, 2), F(729, 2)])
-    assert b.coefficient(1) == Polynomial([-9, -15])
-    assert b.coefficient(2) == Polynomial([27, F(387, 2), F(225, 2)])
-    from reglab.exact_series import eisenstein_q_expansion
-
-    e3a = eisenstein_q_expansion("E3a", 8)
-    e3b = eisenstein_q_expansion("E3b", 8)
+    assert a[2] == Polynomial([3, -27])
+    assert a[3] == Polynomial([9, F(-81, 2), F(729, 2)])
+    assert b[1] == Polynomial([-9, -15])
+    assert b[2] == Polynomial([27, F(387, 2), F(225, 2)])
+    e3a = eisenstein_ints("E3a", 8)
+    e3b = eisenstein_ints("E3b", 8)
     a0 = a_coeffs(Fraction(0), 8)
     b0 = b_coeffs(Fraction(0), 8)
     for n in range(1, 8):
-        assert a0.coefficient(n) == e3b.coefficient(n)
-        assert b0.coefficient(n) == e3a.coefficient(n)
+        assert a0[n] == e3b[n]
+        assert b0[n] == e3a[n]
     _report(4, "a2, a3, b1, b2 as exact polynomials; alpha = 0 specializations")
 
 

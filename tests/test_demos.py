@@ -1,9 +1,14 @@
-"""Every demo but the quadrature one runs to exit 0 in a fresh process.
+"""Every demo but the quadrature one runs to exit 0 in a fresh process, and
+every name any demo imports from reglab exists.
 
 The demos import names from across the package, so a moved or renamed name
-shows here.  oracle_crosscheck.py is left out: its quadrature takes about 5 s.
+shows here.  oracle_crosscheck.py is not run: its quadrature takes about
+5 s.  Its imports, like those of every other demo, are resolved from the
+source without running it.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -12,11 +17,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py") if p.name != "oracle_crosscheck.py")
+ALL_DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+DEMOS = [name for name in ALL_DEMOS if name != "oracle_crosscheck.py"]
 
 
 def test_demos_found():
     assert len(DEMOS) == 6
+    assert len(ALL_DEMOS) == 7
 
 
 @pytest.mark.parametrize("demo", DEMOS)
@@ -26,3 +33,15 @@ def test_demo_exits_0(demo):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                           capture_output=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("demo", ALL_DEMOS)
+def test_demo_imports_resolve(demo):
+    tree = ast.parse((ROOT / "demos" / demo).read_text())
+    imports = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("reglab")
+               for alias in node.names]
+    assert imports, "no reglab import found"
+    missing = [(module, name) for module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from reglab import elliptic_oracle
-from reglab.bigreal_periods import eval_IJ
+from reglab.bigreal_periods import BigReal, eval_IJ
 from reglab.elliptic_oracle import (
     _inner,
-    _rf_duplication,
     _rf_zero,
-    carlson_rf,
+    _to_mpf,
     cubic_roots,
     direct_periods,
     inner_integrals,
@@ -32,6 +31,44 @@ def rel(a, b):
 
 def cubic(T, x):
     return ((x + 9) * x + 24 * T) * x + 16 * T * T
+
+
+# the reference for the oracle's _rf_zero: Carlson's R_F by duplication
+
+def _rf_duplication(x, y, z):
+    """Classic R_F duplication iteration; returns (value, iteration count)."""
+    cutoff = mp.power(mp.eps, mp.mpf(1) / 6)
+    iterations = 0
+    while True:
+        mu = (x + y + z) / 3
+        spread = max(abs(x - mu), abs(y - mu), abs(z - mu)) / mu
+        if spread < cutoff:
+            break
+        lam = mp.sqrt(x) * mp.sqrt(y) + mp.sqrt(y) * mp.sqrt(z) + mp.sqrt(z) * mp.sqrt(x)
+        x, y, z = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4
+        iterations += 1
+    X = (mu - x) / mu
+    Y = (mu - y) / mu
+    Z = -X - Y
+    e2 = X * Y - Z * Z
+    e3 = X * Y * Z
+    value = (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / mp.sqrt(mu)
+    return value, iterations
+
+
+def carlson_rf(x, y, z, p: int = 64) -> BigReal:
+    """Carlson symmetric integral R_F by the duplication algorithm."""
+    with mp.workprec(p + 16):
+        args = sorted(_to_mpf(v) for v in (x, y, z))
+        if args[0] < 0:
+            raise DomainError("R_F needs nonnegative arguments")
+        if args[1] <= 0:
+            raise DomainError("R_F needs at most one zero argument")
+        if args[0] == 0:
+            value = _rf_zero(args[1], args[2])
+        else:
+            value, _ = _rf_duplication(*args)
+    return BigReal(value, p)
 
 
 class TestCarlsonRF:

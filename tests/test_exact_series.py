@@ -1,6 +1,8 @@
+import ast
 import math
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,19 +10,17 @@ from hypothesis import strategies as st
 
 import reglab.integer_kernel as integer_kernel
 from reglab.errors import ConstantTermNotOne, ZeroConstantTerm
-from reglab.exact_series import (
-    ExponentParam,
+from reglab.exact_series import a_coeffs, b_coeffs, formal_alpha
+from reglab.integer_kernel import chi3
+from reglab.weierstrass import Polynomial
+from series_reference import (
     TruncatedQSeries,
-    a_coeffs,
-    b_coeffs,
-    chi3,
-    eisenstein_q_expansion,
-    formal_alpha,
+    eisenstein,
+    series,
     series_inverse,
     series_mul,
     series_pow_rational,
 )
-from reglab.weierstrass import Polynomial
 
 F = Fraction
 
@@ -104,29 +104,29 @@ class TestEisenstein:
         assert [chi3(n) for n in range(7)] == [0, 1, -1, 0, 1, -1, 0]
 
     def test_e3a_head(self):
-        assert eisenstein_q_expansion("E3a", 5) == ser(0, [1, -9, 27, -9, -117], 5)
+        assert eisenstein("E3a", 5) == ser(0, [1, -9, 27, -9, -117], 5)
 
     def test_e3b_head(self):
-        assert eisenstein_q_expansion("E3b", 5) == ser(1, [1, 3, 9, 13], 5)
+        assert eisenstein("E3b", 5) == ser(1, [1, 3, 9, 13], 5)
 
     def test_e3b_leading_term(self):
-        assert eisenstein_q_expansion("E3b", 2).coefficient(1) == 1
+        assert eisenstein("E3b", 2).coefficient(1) == 1
 
     def test_prime_coefficients_of_e3b(self):
         # multiplicativity: coefficient at a prime p is chi3(p) + p^2
-        e3b = eisenstein_q_expansion("E3b", 100)
+        e3b = eisenstein("E3b", 100)
         primes = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
         for p in primes:
             assert e3b.coefficient(p) == chi3(p) + p * p
 
     def test_product_head(self):
-        e3a = eisenstein_q_expansion("E3a", 3)
-        e3b = eisenstein_q_expansion("E3b", 3)
+        e3a = eisenstein("E3a", 3)
+        e3b = eisenstein("E3b", 3)
         assert series_mul(e3a, e3b) == ser(1, [1, -6], 3)
 
     def test_denominator_inverse_head(self):
-        e3a = eisenstein_q_expansion("E3a", 2)
-        e3b = eisenstein_q_expansion("E3b", 2)
+        e3a = eisenstein("E3a", 2)
+        e3b = eisenstein("E3b", 2)
         assert series_inverse(e3a + 27 * e3b) == ser(0, [1, -18], 2)
 
     def test_cubic_theta_identity(self):
@@ -139,42 +139,35 @@ class TestEisenstein:
                 if m * m + m * n + n * n < N:
                     theta[m * m + m * n + n * n] += 1
         a = ser(0, theta, N)
-        lhs = eisenstein_q_expansion("E3a", N) + 27 * eisenstein_q_expansion("E3b", N)
+        lhs = eisenstein("E3a", N) + 27 * eisenstein("E3b", N)
         assert lhs == series_mul(series_mul(a, a), a)
 
     def test_integer_coefficients(self):
         for kind in ("E3a", "E3b"):
-            f = eisenstein_q_expansion(kind, 40)
+            f = eisenstein(kind, 40)
             assert all(c.denominator == 1 for c in f.coefficients)
 
 
 class TestCoefficientFamilies:
     def test_a_series_low_terms_formal(self):
-        a = a_coeffs(formal_alpha(), 4)
+        a = series(a_coeffs(formal_alpha(), 4))
         assert a.valuation == 1
         assert a.coefficient(1) == 1
         assert a.coefficient(2) == Polynomial([3, -27])
         assert a.coefficient(3) == Polynomial([9, F(-81, 2), F(729, 2)])
 
     def test_b_series_low_terms_formal(self):
-        b = b_coeffs(formal_alpha(), 3)
+        b = series(b_coeffs(formal_alpha(), 3))
         assert b.valuation == 0
         assert b.coefficient(0) == 1
         assert b.coefficient(1) == Polynomial([-9, -15])
         assert b.coefficient(2) == Polynomial([27, F(387, 2), F(225, 2)])
 
     def test_a_at_zero_is_e3b(self):
-        assert a_coeffs(0, 12) == eisenstein_q_expansion("E3b", 12)
+        assert series(a_coeffs(0, 12)) == eisenstein("E3b", 12)
 
     def test_b_at_zero_is_e3a(self):
-        assert b_coeffs(0, 12) == eisenstein_q_expansion("E3a", 12)
-
-    def test_exponent_param_validation(self):
-        assert ExponentParam.from_lj(5, 2).value == F(2, 5)
-        with pytest.raises(ValueError):
-            ExponentParam(F(7, 5))
-        with pytest.raises(ValueError):
-            ExponentParam.from_lj(5, 5)
+        assert series(b_coeffs(0, 12)) == eisenstein("E3a", 12)
 
     @given(st.sampled_from([(5, j) for j in range(1, 5)] + [(7, j) for j in range(1, 7)]),
            st.integers(min_value=4, max_value=24))
@@ -182,22 +175,22 @@ class TestCoefficientFamilies:
     def test_formal_specialization_commutes(self, lj, N):
         l, j = lj
         alpha = F(j, l)
-        assert a_coeffs(formal_alpha(), N).specialize(alpha) == a_coeffs(alpha, N)
-        assert b_coeffs(formal_alpha(), N).specialize(alpha) == b_coeffs(alpha, N)
+        assert series(a_coeffs(formal_alpha(), N)).specialize(alpha) == series(a_coeffs(alpha, N))
+        assert series(b_coeffs(formal_alpha(), N)).specialize(alpha) == series(b_coeffs(alpha, N))
 
     def test_formal_specialization_deep(self):
         alpha = F(3, 7)
-        assert a_coeffs(formal_alpha(), 64).specialize(alpha) == a_coeffs(alpha, 64)
+        assert series(a_coeffs(formal_alpha(), 64)).specialize(alpha) == series(a_coeffs(alpha, 64))
 
     def test_formal_degree_bound(self):
-        a = a_coeffs(formal_alpha(), 10)
+        a = series(a_coeffs(formal_alpha(), 10))
         for n in range(1, 10):
             c = a.coefficient(n)
             if isinstance(c, Polynomial):
                 assert c.degree <= n - 1
 
     def test_lowest_terms(self):
-        a = a_coeffs(F(2, 5), 20)
+        a = series(a_coeffs(F(2, 5), 20))
         for c in a.coefficients:
             assert c == F(c.numerator, c.denominator)
             assert c.denominator > 0
@@ -229,8 +222,8 @@ class TestFormalAlpha:
 @lru_cache(maxsize=None)
 def _generic_bases(N):
     """(factor, power base) of the a- and b-series over Fractions at order N."""
-    e3a = eisenstein_q_expansion("E3a", N + 1)
-    e3b = eisenstein_q_expansion("E3b", N + 1)
+    e3a = eisenstein("E3a", N + 1)
+    e3b = eisenstein("E3b", N + 1)
     inv = series_inverse(e3a + 27 * e3b)
     return {"a": (e3b.truncate(N), series_mul(e3a, inv).truncate(N)),
             "b": (e3a.truncate(N), series_mul(e3b.shift(-1), inv))}
@@ -283,8 +276,8 @@ class TestIntegerKernel:
     @settings(max_examples=25, deadline=None)
     def test_matches_generic_composition(self, inputs):
         alpha, N = inputs
-        assert a_coeffs(alpha, N) == _generic_a(alpha, N)
-        assert b_coeffs(alpha, N) == _generic_b(alpha, N)
+        assert series(a_coeffs(alpha, N)) == _generic_a(alpha, N)
+        assert series(b_coeffs(alpha, N)) == _generic_b(alpha, N)
 
     @pytest.mark.parametrize("l", [l for l in range(5, 50) if l % 2 and l % 3])
     def test_den_2n_y_n_is_an_integer(self, l):
@@ -310,14 +303,13 @@ class TestIntegerKernel:
         monkeypatch.setattr(integer_kernel, "_STORE", integer_kernel._Store())
         alpha = F(4, 17)
         for N in (20, 12, 60, 90):
-            a, b = a_coeffs(alpha, N), b_coeffs(alpha, N)
+            a, b = series(a_coeffs(alpha, N)), series(b_coeffs(alpha, N))
             assert a == _generic_a(alpha, N) and a.valuation == 1
             assert b == _generic_b(alpha, N) and b.valuation == 0
             assert a.truncation_order == b.truncation_order == N
 
-    def test_integer_and_exponent_param_alpha(self):
-        assert a_coeffs(ExponentParam(F(2, 7)), 20) == _generic_a(F(2, 7), 20)
-        assert b_coeffs(-2, 15) == _generic_b(F(-2), 15)
+    def test_integer_alpha(self):
+        assert series(b_coeffs(-2, 15)) == _generic_b(F(-2), 15)
 
     def test_shared_C_and_per_kind_A_B(self):
         # the reference over Fractions: u = E3a, v = E3b/q, D = E3a + 27 E3b,
@@ -325,8 +317,8 @@ class TestIntegerKernel:
         N = 90
         theta = lambda s: TruncatedQSeries(
             0, [n * s.coefficient(n) for n in range(s.truncation_order)], s.truncation_order)
-        e3b = eisenstein_q_expansion("E3b", N + 1)
-        u, v = eisenstein_q_expansion("E3a", N), e3b.shift(-1)
+        e3b = eisenstein("E3b", N + 1)
+        u, v = eisenstein("E3a", N), e3b.shift(-1)
         D = u + 27 * e3b.truncate(N)
         W = series_mul(v, theta(u)) - series_mul(u, theta(v))
         C_ref = series_mul(series_mul(u, v), D)
@@ -365,3 +357,24 @@ class TestIntegerKernel:
         assert len(power.scaled(5)) == 5 and power.scaled(0) == []
         with pytest.raises(ValueError):
             power.scaled(-1)
+
+
+def test_reference_is_independent_of_the_kernel():
+    # series_reference is the Fraction composition the kernel's integers are
+    # checked against, so it must not reach the kernel or read its results
+    tree = ast.parse((Path(__file__).parent / "series_reference.py").read_text())
+    forbidden = {"scaled_power", "_ScaledPower", "_IntegerBases", "reglab.exact_series",
+                 "exact_series"}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            used.add(node.module)
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert "reglab.integer_kernel" in used  # the walk sees the imports
+    assert not used & forbidden

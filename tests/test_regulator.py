@@ -191,12 +191,15 @@ class TestDeterminantRoutes:
 
 _REPORT_MPMATH = (
     "import sys; from reglab.regulator import build_matrix, vandermonde_like_det; "
+    "from reglab.bigreal_periods import eval_IJ, series_periods; "
     "m = build_matrix(7); m.rank(); m.coker_dim(); vandermonde_like_det(9); "
+    "series_periods(eval_IJ(7, 3)); "
     "print('mpmath' in sys.modules)")
 
 
 def test_matrix_and_vandermonde_import_no_mpmath():
-    """The fixed-point matrix, its rank and the Vandermonde-like determinant run without mpmath."""
+    """The fixed-point matrix, its rank, the Vandermonde-like determinant and the
+    period magnitudes run without mpmath."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", _REPORT_MPMATH],
                           capture_output=True, env=env, timeout=120)
