@@ -3,7 +3,6 @@
 __version__ = "0.3.1"
 
 from .errors import (
-    ConstantTermNotOne,
     DomainError,
     IsotrivialFamily,
     NonIntegralEpsilon,
@@ -13,13 +12,10 @@ from .errors import (
     ReglabError,
     RootOrderingFailed,
     UnsupportedL,
-    ZeroConstantTerm,
 )
 
 __all__ = [
     "ReglabError",
-    "ZeroConstantTerm",
-    "ConstantTermNotOne",
     "IsotrivialFamily",
     "NotMinimal",
     "NonIntegralEpsilon",

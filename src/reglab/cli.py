@@ -110,12 +110,12 @@ def _relative_difference(series, check) -> _Ratio:
 def _rel_text(x) -> str:
     """A ratio 0 <= x as mpmath's nstr(x, 3) prints it, from x in lowest terms
     floored to 64 bits."""
-    from .bigreal_periods import _nstr
+    from .bigreal import nstr
 
     g = math.gcd(x.numerator, x.denominator)
     num, den = x.numerator // g, x.denominator // g
     shift = max(64 + den.bit_length() - num.bit_length(), 0)
-    return _nstr((num << shift) // den, -shift, 3)
+    return nstr((num << shift) // den, -shift, 3)
 
 
 def _worst(diffs) -> str:
@@ -155,12 +155,12 @@ def _quadrature_rows(pairs, p_oracle: int) -> list:
 
 def compute_payload(cfg: RunConfig) -> dict:
     from .bigreal_periods import eval_IJ
-    from .regulator import _closed_form_from
+    from .regulator import regulator_closed_form
 
     digits = cfg.effective_digits
     p = _bits(digits)
     pairs = [eval_IJ(cfg.l, j, p) for j in range(1, cfg.l)]
-    result = _closed_form_from(cfg.l, pairs, p)
+    result = regulator_closed_form(cfg.l, p, pairs)
     oracle = None
     if not cfg.skip_oracle:
         from .hypergeometric import period_table
@@ -400,7 +400,8 @@ def cmd_pf(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------- oracle
 
 def cmd_oracle(cfg: RunConfig) -> int:
-    from .bigreal_periods import _nstr, eval_IJ
+    from .bigreal import nstr
+    from .bigreal_periods import eval_IJ
 
     p_series = max(128, cfg.oracle_bits)
     js = [cfg.j] if cfg.j is not None else range(1, cfg.l)
@@ -408,7 +409,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
         "series route".ljust(22), "quadrature".ljust(22), "rel diff"))
     rows = _quadrature_rows([eval_IJ(cfg.l, j, p_series) for j in js], cfg.oracle_bits)
     # at most 15 significant digits, and none past a value's certificate
-    cell = lambda x: _nstr(x.man, x.exp, min(15, x.agreement_certificate)).ljust(22)
+    cell = lambda x: nstr(x.man, x.exp, min(15, x.agreement_certificate)).ljust(22)
     for j, arch, series, quadrature, diff in rows:
         print("  {}  {}  {}  {}  {}  {}".format(
             cfg.l, j, arch.ljust(5), cell(series), cell(quadrature), _rel_text(diff)))
@@ -470,11 +471,11 @@ def _check_transformation_law(p: int) -> bool:
 
 
 def _check_vandermonde(p: int) -> bool:
-    from .bigreal_periods import _digits_of_bits
+    from .bigreal import digits_of_bits
     from .regulator import vandermonde_like_det
 
     # the certificate is the digits det^2 shares with l^((l-1)/2), compared exactly
-    return all(vandermonde_like_det(l, p).agreement_certificate >= _digits_of_bits(p)
+    return all(vandermonde_like_det(l, p).agreement_certificate >= digits_of_bits(p)
                for l in range(3, 16, 2))
 
 

@@ -20,8 +20,9 @@ from typing import NamedTuple
 
 from mpmath import mp
 
-from .bigreal_periods import BigReal, _agreement_digits, _digits_of_bits, _require_lj
+from .bigreal import BigReal, agreement_digits, digits_of_bits
 from .errors import DomainError, QuadratureNotConverged, RootOrderingFailed
+from .integer_kernel import require_lj
 
 
 _TAIL_MODEL_DIGITS = 10
@@ -188,7 +189,7 @@ def direct_periods(l: int, j: int, p: int = 64) -> OraclePeriods:
     delta_abs = 2 sqrt3 int_0^1 t^(j-1) delta_inner dt, and likewise gamma.
     This route never touches the q-series machinery; it exists to check it.
     """
-    _require_lj(l, j)
+    require_lj(l, j)
     with mp.workprec(p + 16):
         delta_val, delta_err = _outer_integral(l, j, "delta")
         gamma_val, gamma_err = _outer_integral(l, j, "gamma")
@@ -200,9 +201,9 @@ def direct_periods(l: int, j: int, p: int = 64) -> OraclePeriods:
                     mp.nstr(err, 3), l, j))
         # panel error underestimates the endpoint tail-model error (~1e-11
         # relative), so the certificate is capped at the model's accuracy
-        cap = min(_digits_of_bits(p), _TAIL_MODEL_DIGITS)
-        cert_d = _agreement_digits(delta_val + err, delta_val, cap)
-        cert_g = _agreement_digits(gamma_val + err, gamma_val, cap)
+        cap = min(digits_of_bits(p), _TAIL_MODEL_DIGITS)
+        cert_d = agreement_digits(delta_val + err, delta_val, cap)
+        cert_g = agreement_digits(gamma_val + err, gamma_val, cap)
     return OraclePeriods(
         BigReal(delta_val, p, cert_d),
         BigReal(gamma_val, p, cert_g),

@@ -5,14 +5,6 @@ class ReglabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ZeroConstantTerm(ReglabError):
-    """Series inversion requested for a series with zero constant term."""
-
-
-class ConstantTermNotOne(ReglabError):
-    """Fractional power requested for a series whose constant term is not 1."""
-
-
 class IsotrivialFamily(ReglabError):
     """The j-invariant is constant, so no Picard-Fuchs operator exists."""
 

@@ -13,14 +13,15 @@ reads the integers of integer_kernel directly and never loads this module.
 
 eisenstein_numeric sums the Eisenstein q-expansions at a real point and
 eisenstein_transform_residual checks their weight-3 transformation law, in
-mpmath, for `selfcheck` and the demos.
+mpmath, for `selfcheck` and the demos, certified by their stated bounds.
+Values are BigReals of bigreal: this module never loads bigreal_periods.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .bigreal_periods import BigReal, _agreement_digits, _digits_of_bits
+from .bigreal import BigReal, agreement_digits, digits_of_bits
 from .integer_kernel import eisenstein_ints, scaled_power
 from .weierstrass import Polynomial
 
@@ -55,6 +56,11 @@ def b_coeffs(alpha, N: int) -> list:
     return _coefficients(alpha, N, "b")
 
 
+def _tail(N: int, q):
+    """A bound on the terms n >= N of either q-expansion at 0 < q < 1, as |coeff_n| <= 9 n^3."""
+    return 27 * N ** 3 * q**N / (1 - q)
+
+
 def eisenstein_numeric(kind: str, q, N: int = 64, p: int = 128) -> BigReal:
     """Partial sum of the exact q-expansion at a real point 0 < q < 1.
 
@@ -71,12 +77,8 @@ def eisenstein_numeric(kind: str, q, N: int = 64, p: int = 128) -> BigReal:
         acc = mp.mpf(0)
         for coeff in reversed(coeffs):
             acc = acc * qm + coeff
-        # crude geometric tail bound: |coeff_n| <= 9 n^3 for both kinds
-        tail = 27 * mp.mpf(N) ** 3 * qm**N / (1 - qm)
-        scale = abs(acc) if acc != 0 else mp.mpf(1)
-        cert = _agreement_digits(acc + tail, acc, _digits_of_bits(p))
-        if tail / scale >= 1:
-            cert = 0
+        # 0 digits once the tail reaches |acc|
+        cert = agreement_digits(acc + _tail(N, qm), acc, digits_of_bits(p))
     return BigReal(acc, p, cert)
 
 
@@ -85,6 +87,10 @@ def eisenstein_transform_residual(z, N: int = 80, p: int = 128) -> BigReal:
 
     Both q-values are then real: q = exp(-2 pi y) and q' = exp(-2 pi / (3y)),
     and the prefactor 3 sqrt3 i (iy)^3 collapses to the real number 3 sqrt3 y^3.
+    Each side, rounded at p + 32 bits, is taken to be within 2^-p of itself,
+    relative: 32 bits for its roundings to grow through exp, Horner's rule and
+    the prefactors.  With both truncation tails that bounds the residual's
+    error, and the certificate is 0 digits when the residual lies below it.
     """
     from mpmath import mp
 
@@ -96,6 +102,10 @@ def eisenstein_transform_residual(z, N: int = 80, p: int = 128) -> BigReal:
         q_direct = mp.exp(-2 * mp.pi * y)
         q_flipped = mp.exp(-2 * mp.pi / (3 * y))
         lhs = 27 * eisenstein_numeric("E3b", BigReal(q_flipped, p + 32), N, p + 32).value
-        rhs = 3 * mp.sqrt(3) * y**3 * eisenstein_numeric("E3a", BigReal(q_direct, p + 32), N, p + 32).value
+        factor = 3 * mp.sqrt(3) * y**3
+        rhs = factor * eisenstein_numeric("E3a", BigReal(q_direct, p + 32), N, p + 32).value
         residual = abs(lhs - rhs)
-    return BigReal(residual, p)
+        bound = (mp.ldexp(abs(lhs) + abs(rhs), -p)
+                 + 27 * _tail(N, q_flipped) + factor * _tail(N, q_direct))
+        cert = agreement_digits(residual + bound, residual, digits_of_bits(p))
+    return BigReal(residual, p, cert)

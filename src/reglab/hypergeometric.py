@@ -50,7 +50,7 @@ With the prefactors, J is then off by at most 2^-N, and J >= 2 pi / (27 sqrt3)
 > 1/8 (F >= 1, u^(a-1) >= 1), so by at most 2^(3-N) relative.
 
 Rounding.  Everything is Python-int fixed point at w = p + 64 bits (units of
-2^-w), with the kernels of bigreal_periods: pi, sqrt3, ln 3 and ln 2 are off
+2^-w), with the kernels of bigreal: pi, sqrt3, ln 3 and ln 2 are off
 by less than 2 units, and 2^-x = exp(-x ln 2) by less than 5.  A coefficient
 list ((1-x)_m/m!, c_n) multiplies by a factor below 1 and floors at each
 step, so entry m is low by less than m units, and a floored sum
@@ -74,15 +74,8 @@ from __future__ import annotations
 
 from typing import List
 
-from .bigreal_periods import (
-    _GUARD,
-    BigReal,
-    PeriodPair,
-    _digits_of_bits,
-    _exp,
-    _fixed_constants,
-    _require_lj,
-)
+from .bigreal import GUARD, BigReal, PeriodPair, digits_of_bits, exp, fixed_constants
+from .integer_kernel import require_lj
 
 
 def _binomial_series(num: int, den: int, N: int, w: int) -> List[int]:
@@ -103,7 +96,7 @@ def _half_sum(coeffs: List[int], den: int, num: int) -> int:
 
 def _shared(N: int, w: int) -> tuple:
     """(c_n, c_n k_n) for n < N at w bits: the parts of every J(j) that do not depend on a."""
-    k = _fixed_constants(w)
+    k = fixed_constants(w)
     c, kn = [1 << w], 3 * k.ln3
     ck = [kn]
     for n in range(N - 1):
@@ -136,19 +129,19 @@ def period_table(l: int, p: int = 64) -> List[PeriodPair]:
     N = p + 8 terms put the truncation and rounding of J below 2^(4-N)
     relative, and those of I below 2^(3-N)/N (for N < 2^14).
     """
-    _require_lj(l, 1)
+    require_lj(l, 1)
     N = p + 8
-    w = p + _GUARD
-    digits = _digits_of_bits(p)
-    k = _fixed_constants(w)
+    w = p + GUARD
+    digits = digits_of_bits(p)
+    k = fixed_constants(w)
     c, ck = _shared(N, w)
     pref_J = (k.pi << w + 1) // (27 * k.sqrt3)  # 2 pi / (27 sqrt3)
     # y = 1/3 and 2/3: the coefficients (1-y)_m/m! and 2^-y
-    thirds = [(n, _binomial_series(n, 3, N, w), _exp(-(n * k.ln2) // 3, w)) for n in (1, 2)]
+    thirds = [(n, _binomial_series(n, 3, N, w), exp(-(n * k.ln2) // 3, w)) for n in (1, 2)]
     table = []
     for j in range(1, l):
         beta = _binomial_series(j, l, N, w)  # (1-a)_m / m!
-        two_a = _exp(-(j * k.ln2) // l, w)  # 2^-a
+        two_a = exp(-(j * k.ln2) // l, w)  # 2^-a
         B1, B2 = [(two_a * _half_sum(coeffs, l, j) + two_y * _half_sum(beta, 3, n)) >> w
                   for n, coeffs, two_y in thirds]  # B(a, 1/3), B(a, 2/3)
         I = (B1 * B2 >> w) * k.sqrt3 // (54 * k.pi)

@@ -6,7 +6,8 @@ coefficient lists of the two weight-3 Eisenstein series on
 Gamma_1(3) (eisenstein_ints), the recurrence lists built from them
 (_IntegerBases), the scaled fractional powers of the a- and b-series
 (_ScaledPower), one process-wide store of both, and the standing
-assumption gcd(l, 6) = 1 with the Hodge bookkeeping it enables.
+assumption gcd(l, 6) = 1 (require_l, and require_lj for a period index j)
+with the Hodge bookkeeping it enables.
 exact_series turns the integers into Fractions and Polynomials;
 bigreal_periods sums them in fixed point.
 
@@ -34,6 +35,13 @@ def require_l(l: int) -> None:
     """Raise UnsupportedL unless l >= 1 and gcd(l, 6) = 1, the standing assumption on l."""
     if l < 1 or math.gcd(l, 6) != 1:
         raise UnsupportedL("need l >= 1 with gcd(l, 6) = 1, got l = {}".format(l))
+
+
+def require_lj(l: int, j: int) -> None:
+    """Reject (l, j) outside the period tables: l >= 1 with gcd(l, 6) = 1, 1 <= j <= l - 1."""
+    require_l(l)
+    if not 1 <= j <= l - 1:
+        raise ValueError("need 1 <= j <= l - 1")
 
 
 def hodge_and_dims(l: int) -> dict:

@@ -11,32 +11,27 @@ gamma-arch column has a determinant computable two ways: directly, and in
 the closed form
 l^((l-1)/4) * prod I(p) * (J(k-1)/I(k-1) + J(k)/I(k)) with k = (l+1)/2.
 The two routes are always compared; the closed form is never trusted alone.
-Everything runs in Python-int fixed point at 64 bits beyond the requested
-precision: the matrix, the direct route and the Vandermonde-like
-determinant by fraction-free elimination of the sine column, the closed
-form as one exact product.  The matrix has full column rank by the
-Vandermonde-like identity (RegulatorMatrix.rank), so no step needs mpmath.
+Everything runs in Python-int fixed point on the kernels of bigreal, at
+GUARD = 64 bits beyond the requested precision, from the series route's
+periods (bigreal_periods) or a table the caller has: the matrix, the direct
+route and the Vandermonde-like determinant by fraction-free elimination of
+the sine column, the closed form as one exact product.  The matrix has full
+column rank by the Vandermonde-like identity (RegulatorMatrix.rank), so no
+step needs mpmath.  Results are magnitudes (SIGN_POLICY).
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple
+from typing import List, NamedTuple, Optional
 
-from .bigreal_periods import (
-    _GUARD,
-    SIGN_POLICY,
-    BigReal,
-    PeriodPair,
-    _agreement_digits,
-    _digits_of_bits,
-    _fixed_constants,
-    _sin,
-    eval_IJ,
-    series_periods,
-)
+from .bigreal import (GUARD, BigReal, PeriodPair, agreement_digits, digits_of_bits,
+                      fixed_constants, sin)
+from .bigreal_periods import eval_IJ, series_periods
 from .errors import UnsupportedL
 from .integer_kernel import hodge_and_dims
+
+SIGN_POLICY = "magnitudes only; sign left unresolved"
 
 
 class RegulatorResult(NamedTuple):
@@ -95,9 +90,9 @@ def _sine_column(l: int, w: int) -> List[int]:
 
     Each is off by less than 10 units; m = 0 gives exactly 0.
     """
-    pi = _fixed_constants(w).pi
+    pi = fixed_constants(w).pi
     # sin(2 pi m / l) for 2m < l; the other m by sin(2 pi m / l) = -sin(2 pi (l - m) / l)
-    half = [_sin(2 * pi * m // l, w) for m in range((l + 1) // 2)]
+    half = [sin(2 * pi * m // l, w) for m in range((l + 1) // 2)]
     return [-2 * half[m] if 2 * m < l else 2 * half[l - m] for m in range(l)]
 
 
@@ -105,7 +100,7 @@ def build_matrix(l: int, p: int = 128) -> RegulatorMatrix:
     """Assemble the regulator matrix from the series-route periods at w = p + 64 bits."""
     _require_admissible(l)
     h = hodge_and_dims(l)["h"]
-    w = p + _GUARD
+    w = p + GUARD
     col = _sine_column(l, w)
     pairs = [eval_IJ(l, j, p) for j in range(1, h + 1)]
     entries = []
@@ -126,11 +121,11 @@ def vandermonde_like_det(l: int, p: int = 128) -> BigReal:
     if not isinstance(l, int) or l < 3 or l % 2 == 0:
         raise ValueError("need odd integer l >= 3, got {!r}".format(l))
     k = (l - 1) // 2
-    w = p + _GUARD
+    w = p + GUARD
     col = _sine_column(l, w)
     det = abs(_bareiss_det([[col[a * b % l] for b in range(1, k + 1)]
                             for a in range(1, k + 1)]))
-    cert = _agreement_digits(det * det, l ** k << 2 * k * w, _digits_of_bits(p))
+    cert = agreement_digits(det * det, l ** k << 2 * k * w, digits_of_bits(p))
     return BigReal((det, -k * w), p, cert)
 
 
@@ -158,7 +153,7 @@ def _bareiss_det(rows: List[List[int]]) -> int:
 def _general_det_from(l: int, pairs: List[PeriodPair], p: int) -> BigReal:
     """|det| of the k x k block, exactly, from its entries at w = p + 64 bits."""
     k = (l + 1) // 2
-    w = p + _GUARD
+    w = p + GUARD
     col = _sine_column(l, w)
     rows = []
     for row, pair in enumerate(pairs, start=1):
@@ -169,25 +164,24 @@ def _general_det_from(l: int, pairs: List[PeriodPair], p: int) -> BigReal:
     return BigReal((abs(_bareiss_det(rows)), -k * w), p, cert)
 
 
-def regulator_closed_form(l: int, p: int = 128) -> RegulatorResult:
+def regulator_closed_form(l: int, p: int = 128,
+                          table: Optional[List[PeriodPair]] = None) -> RegulatorResult:
     """Both determinant routes plus the normalized values sqrt(l) det and pi^s det.
 
-    The closed form generalizes the k = 3 and k = 4 worked cases; for l other
-    than 5 and 7 the sqrt(l)/pi^s normalization follows the same pattern but
-    has no independent confirmation, so normalization_verified is False there.
+    table is a period table at p bits that starts at j = 1 and holds
+    j = 1 .. (l + 1)/2 or more, such as compute's; without one, eval_IJ
+    builds j = 1 .. (l + 1)/2.  The closed form generalizes the k = 3 and
+    k = 4 worked cases; for l other than 5 and 7 the sqrt(l)/pi^s
+    normalization follows the same pattern but has no independent
+    confirmation, so normalization_verified is False there.
     """
     _require_admissible(l)
-    return _closed_form_from(l, [eval_IJ(l, j, p) for j in range(1, (l + 1) // 2 + 1)], p)
-
-
-def _closed_form_from(l: int, table: List[PeriodPair], p: int) -> RegulatorResult:
-    """regulator_closed_form on a period table that starts at j = 1 and holds j = 1 .. k or more."""
     k = (l + 1) // 2
     s = (l - 1) // 2
-    pairs = table[:k]
+    pairs = table[:k] if table is not None else [eval_IJ(l, j, p) for j in range(1, k + 1)]
     general = _general_det_from(l, pairs, p)
     cert = general.agreement_certificate
-    w = p + _GUARD
+    w = p + GUARD
     I = [pr.I.fixed(w) for pr in pairs]
     J = [pr.J.fixed(w) for pr in pairs]
     # prod I(p) * (J(k-1)/I(k-1) + J(k)/I(k)) without a division, times 2^(k w)
@@ -200,9 +194,9 @@ def _closed_form_from(l: int, table: List[PeriodPair], p: int) -> RegulatorResul
         l=l,
         det_general=general,
         det_closed_form=BigReal((closed, scale), p, cert),
-        value_e_ff=BigReal((closed * _fixed_constants(w).pi ** s, scale - s * w), p, cert),
+        value_e_ff=BigReal((closed * fixed_constants(w).pi ** s, scale - s * w), p, cert),
         value_e_ind=BigReal((core * root4(l + 1), scale), p, cert),
         sign_policy=SIGN_POLICY,
-        det_agreement_digits=_agreement_digits(general, (closed, scale), _digits_of_bits(p)),
+        det_agreement_digits=agreement_digits(general, (closed, scale), digits_of_bits(p)),
         normalization_verified=l in (5, 7),
     )

@@ -14,11 +14,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from reglab.errors import ConstantTermNotOne, ZeroConstantTerm
+from reglab.errors import ReglabError
 from reglab.integer_kernel import eisenstein_ints
 from reglab.weierstrass import Polynomial, _as_poly
 
 Coefficient = Union[Fraction, Polynomial]
+
+
+class ZeroConstantTerm(ReglabError):
+    """Series inversion requested for a series with zero constant term."""
+
+
+class ConstantTermNotOne(ReglabError):
+    """Fractional power requested for a series whose constant term is not 1."""
 
 
 def _alpha_value(alpha) -> Coefficient:

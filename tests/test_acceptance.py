@@ -11,7 +11,8 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from reglab.bigreal_periods import constants, eval_IJ
+from reglab.bigreal import constants
+from reglab.bigreal_periods import eval_IJ
 from reglab.elliptic_oracle import direct_periods, inner_integrals
 from reglab.exact_series import (
     a_coeffs,

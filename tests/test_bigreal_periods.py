@@ -8,19 +8,17 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import reglab.integer_kernel as integer_kernel
-from reglab.bigreal_periods import (
+from reglab.bigreal import (
     BigReal,
-    _RunningSums,
-    _agreement_digits,
-    _digits_of_bits,
-    _exp,
-    _fixed_constants,
-    _nstr,
-    _sin,
+    agreement_digits,
     constants,
-    eval_IJ,
-    series_periods,
+    digits_of_bits,
+    exp,
+    fixed_constants,
+    nstr,
+    sin,
 )
+from reglab.bigreal_periods import _RunningSums, eval_IJ, series_periods
 from reglab.errors import UnsupportedL
 from reglab.exact_series import (
     a_coeffs,
@@ -122,7 +120,7 @@ class TestBigReal:
     def test_nstr_is_nstr_3(self, man, top):
         # dyadics from about 1e-40 to 1, the range of a relative difference
         exp = top - man.bit_length()
-        assert _nstr(man, exp, 3) == mp.nstr(_exact_mpf(man, exp), 3)
+        assert nstr(man, exp, 3) == mp.nstr(_exact_mpf(man, exp), 3)
 
     @pytest.mark.parametrize("num, den, text", (
         (99951, 10 ** 24, "1.0e-19"),  # carries into the next decade
@@ -133,7 +131,7 @@ class TestBigReal:
         (25, 10 ** 8, "2.5e-7")))
     def test_nstr_carries_and_strips(self, num, den, text):
         man = -((-num << 128) // den)  # num/den rounded up at 2^-128
-        assert _nstr(man, -128, 3) == mp.nstr(_exact_mpf(man, -128), 3) == text
+        assert nstr(man, -128, 3) == mp.nstr(_exact_mpf(man, -128), 3) == text
 
 
 class TestAgreementDigits:
@@ -152,15 +150,15 @@ class TestAgreementDigits:
                 assert abs(-mp.log10(rel) - mp.nint(-mp.log10(rel))) > 0.04
                 for cap in (17, 40, 120):
                     old = 0 if rel >= 1 else min(cap, int(-mp.log10(rel)))
-                    assert _agreement_digits(lo, hi, cap) == old
+                    assert agreement_digits(lo, hi, cap) == old
 
     def test_edges(self):
-        assert _agreement_digits(5, 5, 17) == 17
-        assert _agreement_digits(3, 1, 17) == 0  # |hi - lo| > |hi|
-        assert _agreement_digits(0, 1, 17) == 0  # |hi - lo| = |hi|: d = 0
-        assert _agreement_digits(99, 100, 17) == 2  # 1 10^2 <= 100
-        assert _agreement_digits((1, -10), BigReal((1, -10), 64), 9) == 9
-        assert _agreement_digits(mp.mpf("1.5"), (3, -1), 9) == 9
+        assert agreement_digits(5, 5, 17) == 17
+        assert agreement_digits(3, 1, 17) == 0  # |hi - lo| > |hi|
+        assert agreement_digits(0, 1, 17) == 0  # |hi - lo| = |hi|: d = 0
+        assert agreement_digits(99, 100, 17) == 2  # 1 10^2 <= 100
+        assert agreement_digits((1, -10), BigReal((1, -10), 64), 9) == 9
+        assert agreement_digits(mp.mpf("1.5"), (3, -1), 9) == 9
 
 
 def _within_units(got, want, w, units=2):
@@ -174,7 +172,7 @@ class TestKernels:
     @pytest.mark.parametrize("p", (64, 128, 400, 1400))
     def test_constants(self, p):
         w = p + 64
-        k = _fixed_constants(w)
+        k = fixed_constants(w)
         with mp.workprec(w + 64):
             K = 2 * mp.pi / mp.sqrt(3)
             for got, want in ((k.pi, mp.pi), (k.sqrt3, mp.sqrt(3)), (k.ln3, mp.ln(3)),
@@ -188,13 +186,13 @@ class TestKernels:
     def test_exp_and_sin(self, p):
         w = p + 64
         rng = random.Random(p)
-        xs = [0, 1, -1, (4 << w) - 1, -(4 << w) + 1, _fixed_constants(w).K]
+        xs = [0, 1, -1, (4 << w) - 1, -(4 << w) + 1, fixed_constants(w).K]
         xs += [rng.randrange(-(4 << w) + 1, 4 << w) for _ in range(25)]
         with mp.workprec(w + 64):
             for x in xs:
                 arg = mp.ldexp(x, -w)
-                assert _within_units(_exp(x, w), mp.exp(arg), w), x
-                assert _within_units(_sin(x, w), mp.sin(arg), w), x
+                assert _within_units(exp(x, w), mp.exp(arg), w), x
+                assert _within_units(sin(x, w), mp.sin(arg), w), x
 
 
 class TestConstants:
@@ -252,8 +250,8 @@ class TestEvalIJ:
         # the certificate never claims the 32 guard bits of the working precision
         for l, j, p in ((5, 1, 128), (7, 3, 64), (11, 10, 200), (13, 6, 96)):
             pair = eval_IJ(l, j, p)
-            assert pair.I.agreement_certificate <= _digits_of_bits(p)
-            assert pair.J.agreement_certificate <= _digits_of_bits(p)
+            assert pair.I.agreement_certificate <= digits_of_bits(p)
+            assert pair.J.agreement_certificate <= digits_of_bits(p)
 
     def test_doubling_N_changes_no_reported_digit(self):
         pair = eval_IJ(5, 1, 64)
@@ -376,7 +374,7 @@ class TestEisensteinNumeric:
         loose = eisenstein_numeric("E3b", mp.mpf("0.3"), 8, 64)
         tight = eisenstein_numeric("E3b", mp.mpf("0.3"), 64, 64)
         assert tight.agreement_certificate > loose.agreement_certificate
-        assert tight.agreement_certificate <= _digits_of_bits(64)
+        assert tight.agreement_certificate <= digits_of_bits(64)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -391,6 +389,13 @@ class TestTransformResidual:
     def test_z_2i(self):
         res = eisenstein_transform_residual(mp.mpc(0, 2), 200, 128)
         assert res.value < mp.mpf("1e-10")
+
+    @pytest.mark.parametrize("p", (128, 192))
+    def test_noise_certifies_no_digit(self, p):
+        # at z = i the law holds, so the residual is rounding noise below its bound
+        res = eisenstein_transform_residual(mp.mpc(0, 1), 80, p)
+        assert res.agreement_certificate == 0
+        assert 0 < res.value < mp.mpf(2) ** -p
 
     def test_fixed_point(self):
         with mp.workprec(160):

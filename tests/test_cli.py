@@ -11,13 +11,15 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
+import reglab.bigreal as bigreal
 import reglab.bigreal_periods as bigreal_periods
 import reglab.elliptic_oracle as elliptic_oracle
 import reglab.gauss_manin as gauss_manin
 import reglab.hypergeometric as hypergeometric
 import reglab.regulator as regulator
 import reglab.weierstrass as weierstrass
-from reglab.bigreal_periods import BigReal, series_periods
+from reglab.bigreal import BigReal
+from reglab.bigreal_periods import series_periods
 from reglab.cli import main
 from reglab.errors import QuadratureNotConverged
 
@@ -102,13 +104,23 @@ class TestComputeCommand:
             calls.append((l, j, p))
             return eval_IJ(l, j, p)
 
+        closed = []
+        closed_form = regulator.regulator_closed_form
+
+        def counted_closed_form(l, p=128, table=None):
+            closed.append(table is not None)
+            return closed_form(l, p, table)
+
         monkeypatch.setattr(bp, "eval_IJ", counted)
         monkeypatch.setattr(regulator, "eval_IJ", counted)
+        monkeypatch.setattr(regulator, "regulator_closed_form", counted_closed_form)
         for l in (5, 7):
             calls.clear()
+            closed.clear()
             cli.compute_payload(cli.parse_config(
                 ["compute", "--l", str(l), "--digits", "12", "--skip-oracle"]))
             assert len(calls) == l - 1
+            assert closed == [True]  # once, on compute's own table
             assert sorted(j for _, j, _ in calls) == list(range(1, l))
 
     def test_second_payload_rebuilds_no_scaled_power(self):
@@ -531,15 +543,15 @@ class TestOracleGate:
 
 
 def _skewed_constants(name):
-    """bigreal_periods._fixed_constants with the constant name 1e-5 relative too
+    """bigreal.fixed_constants with the constant name 1e-5 relative too
     large, and K = 2 pi / sqrt3 and c = exp(-K) rebuilt from the skewed values."""
-    real = bigreal_periods._fixed_constants
+    real = bigreal.fixed_constants
 
     def skewed(w):
         k = real(w)
         k = k._replace(**{name: getattr(k, name) + getattr(k, name) // 10 ** 5})
         K = (k.pi << w + 1) // k.sqrt3
-        return k._replace(K=K, c=bigreal_periods._exp(-K, w))
+        return k._replace(K=K, c=bigreal.exp(-K, w))
 
     return skewed
 
@@ -552,7 +564,7 @@ class TestSharedKernels:
     def test_compute_exits_3_and_caches_nothing(self, capsys, tmp_path, monkeypatch, name):
         skewed = _skewed_constants(name)
         for module in (bigreal_periods, hypergeometric, regulator):
-            monkeypatch.setattr(module, "_fixed_constants", skewed)
+            monkeypatch.setattr(module, "fixed_constants", skewed)
         code, out, err = run(capsys, "compute", "--l", "5", "--digits", "10",
                              "--format", "json", "--cache", str(tmp_path))
         assert code == 3
@@ -599,7 +611,7 @@ class TestRoutes:
 
 
 _REPORTED_MODULES = ("_hashlib", "argparse", "decimal", "fractions", "getopt", "gettext",
-                     "json", "locale", "mpmath", "reglab.bigreal_periods",
+                     "json", "locale", "mpmath", "reglab.bigreal", "reglab.bigreal_periods",
                      "reglab.exact_series", "reglab.weierstrass")
 _REPORT_NUMERIC_IMPORTS = (
     "import sys; before = set(sys.modules); from reglab.cli import main; "
@@ -640,7 +652,7 @@ class TestImportFootprint:
         args = ("compute", "--l", "5", "--digits", "15", "--skip-oracle",
                 "--format", "json", "--cache", str(tmp_path))
         miss, report = _run_reporting_numeric_imports(*args)
-        assert report == "0 ['json', 'reglab.bigreal_periods']"
+        assert report == "0 ['json', 'reglab.bigreal', 'reglab.bigreal_periods']"
         assert miss == (GOLDEN / "compute_l5_d15.json").read_text()
         hit, report = _run_reporting_numeric_imports(*args)
         assert report == "0 ['json']"
@@ -649,13 +661,13 @@ class TestImportFootprint:
     def test_compute_skip_oracle(self):
         out, report = _run_reporting_numeric_imports(
             "compute", "--l", "13", "--digits", "30", "--skip-oracle", "--format", "json")
-        assert report == "0 ['json', 'reglab.bigreal_periods']"
+        assert report == "0 ['json', 'reglab.bigreal', 'reglab.bigreal_periods']"
         assert out == (GOLDEN / "compute_l13_d30.json").read_text()
 
     def test_checked_compute(self):
         out, report = _run_reporting_numeric_imports(
             "compute", "--l", "5", "--digits", "15", "--format", "json")
-        assert report == "0 ['json', 'reglab.bigreal_periods']"
+        assert report == "0 ['json', 'reglab.bigreal', 'reglab.bigreal_periods']"
         checked = json.loads(out)
         assert float(checked.pop("oracle_check")["max_rel_diff"]) < 1e-6
         skipped = json.loads((GOLDEN / "compute_l5_d15.json").read_text())
@@ -664,7 +676,7 @@ class TestImportFootprint:
     def test_text_compute(self):
         out, report = _run_reporting_numeric_imports(
             "compute", "--l", "5", "--digits", "15", "--skip-oracle")
-        assert report == "0 ['reglab.bigreal_periods']"
+        assert report == "0 ['reglab.bigreal', 'reglab.bigreal_periods']"
         assert "0.346139631939354" in out
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reglab import cli
-from reglab.bigreal_periods import BigReal, _nstr
+from reglab.bigreal import BigReal, nstr
 from reglab.cli import RunConfig, parse_config
 from reglab.errors import QuadratureNotConverged, UnsupportedL
 
@@ -238,7 +238,7 @@ def _fraction_relative_difference(series, check):
 
 def _fraction_rel_text(x):
     shift = max(64 + x.denominator.bit_length() - x.numerator.bit_length(), 0)
-    return _nstr((x.numerator << shift) // x.denominator, -shift, 3)
+    return nstr((x.numerator << shift) // x.denominator, -shift, 3)
 
 
 def _fraction_worst(diffs):

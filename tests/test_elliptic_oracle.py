@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from reglab import elliptic_oracle
-from reglab.bigreal_periods import BigReal, eval_IJ
+from reglab.bigreal import BigReal
+from reglab.bigreal_periods import eval_IJ
 from reglab.elliptic_oracle import (
     _inner,
     _rf_zero,

@@ -9,12 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reglab.integer_kernel as integer_kernel
-from reglab.errors import ConstantTermNotOne, ZeroConstantTerm
 from reglab.exact_series import a_coeffs, b_coeffs, formal_alpha
 from reglab.integer_kernel import chi3
 from reglab.weierstrass import Polynomial
 from series_reference import (
+    ConstantTermNotOne,
     TruncatedQSeries,
+    ZeroConstantTerm,
     eisenstein,
     series,
     series_inverse,

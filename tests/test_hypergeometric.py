@@ -6,14 +6,8 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import reglab.hypergeometric as hypergeometric
-from reglab.bigreal_periods import (
-    _GUARD,
-    _agreement_digits,
-    _digits_of_bits,
-    _exp,
-    _fixed_constants,
-    eval_IJ,
-)
+from reglab.bigreal import GUARD, agreement_digits, digits_of_bits, exp, fixed_constants
+from reglab.bigreal_periods import eval_IJ
 from reglab.errors import UnsupportedL
 from reglab.hypergeometric import period_table
 
@@ -103,10 +97,10 @@ class TestPeriodTable:
         # 5/a + 2n + 5, and L_n within 3n + 42 once the cut of L_0 at m < N,
         # which L_n inherits times prod_(k<=n) k/(k+a), is taken off
         p = 200
-        N, w = p + 8, p + _GUARD
-        k = _fixed_constants(w)
+        N, w = p + 8, p + GUARD
+        k = fixed_constants(w)
         beta = hypergeometric._binomial_series(j, l, N, w)
-        two_a = _exp(-(j * k.ln2) // l, w)
+        two_a = exp(-(j * k.ln2) // l, w)
         moments = list(hypergeometric._moments(j, l, beta, two_a, k.ln2, w))
         assert len(moments) == N
         with mp.workprec(w + 32):
@@ -130,10 +124,10 @@ class TestPeriodTable:
     def test_certificate_at_most_agreement_with_2p(self, l, data, p):
         j = data.draw(st.integers(min_value=1, max_value=l - 1))
         lo, hi = period_table(l, p)[j - 1], period_table(l, 2 * p)[j - 1]
-        assert lo.I.agreement_certificate == _digits_of_bits(p)
+        assert lo.I.agreement_certificate == digits_of_bits(p)
         with mp.workprec(2 * p + 32):
             for a, b in ((lo.I, hi.I), (lo.J, hi.J)):
-                assert a.agreement_certificate <= _agreement_digits(a.value, b.value, 10 ** 6)
+                assert a.agreement_certificate <= agreement_digits(a.value, b.value, 10 ** 6)
 
     @given(l=st.sampled_from(ADMISSIBLE_L_49), data=st.data(),
            p=st.integers(min_value=16, max_value=400))
@@ -148,4 +142,4 @@ class TestPeriodTable:
             for got, want in zip((pair.I, pair.J), ref):
                 assert rel(got.value, want) < mp.ldexp(1, -(p + 8))
             for got, want in zip((pair.I, pair.J), _reference(l, j, 2 * p)):
-                assert got.agreement_certificate <= _agreement_digits(got.value, want, 10 ** 6)
+                assert got.agreement_certificate <= agreement_digits(got.value, want, 10 ** 6)

@@ -6,11 +6,11 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from reglab.bigreal_periods import SIGN_POLICY, eval_IJ
+from reglab.bigreal_periods import eval_IJ
 from reglab.errors import UnsupportedL
 from reglab.regulator import (
+    SIGN_POLICY,
     _bareiss_det,
-    _closed_form_from,
     build_matrix,
     regulator_closed_form,
     vandermonde_like_det,
@@ -166,12 +166,20 @@ class TestDeterminantRoutes:
     def test_closed_form_from_full_table(self):
         # the j = 1 .. l-1 table of compute gives the same result as j = 1 .. k
         table = [eval_IJ(7, j, 96) for j in range(1, 7)]
-        got = _closed_form_from(7, table, 96)
+        got = regulator_closed_form(7, 96, table)
         want = regulator_closed_form(7, p=96)
         for a, b in zip(got, want):
             if hasattr(a, "agreement_certificate"):
                 a, b = ((x.value, x.precision, x.agreement_certificate) for x in (a, b))
             assert a == b
+
+    @pytest.mark.parametrize("l", (5, 7, 13))
+    def test_table_gives_the_same_result(self, l):
+        # compute passes its j = 1 .. l-1 table; the result is the one eval_IJ's own table gives
+        table = [eval_IJ(l, j, 128) for j in range(1, l)]
+        fields = lambda r: [(x.man, x.exp, x.precision, x.agreement_certificate)
+                            if hasattr(x, "agreement_certificate") else x for x in r]
+        assert fields(regulator_closed_form(l, 128, table)) == fields(regulator_closed_form(l, 128))
 
     def test_bareiss_det_exact(self):
         assert _bareiss_det([[0, 1], [1, 0]]) == -1  # a zero pivot takes a row swap
