@@ -14,8 +14,9 @@ relative difference of dyadic numbers, printed as mpmath's nstr(x, 3) would
 print it.  Results of `compute` can be cached as one JSON file per
 (l, digits, skip-oracle, version) key, with a CRC-32 of its key and payload
 against torn or corrupted files; corrupted or unreadable files are ignored
-with a warning, files of another version silently, and either is
-recomputed; a cache that cannot be written is reported with a warning.
+with a warning, files whose key is not exactly the run's (another version
+among them) silently, and either is recomputed; a cache that cannot be
+written is reported with a warning.
 The command line is read by parse_config from one table of flags per
 subcommand: `--flag value` and `--flag=value`, a unique prefix of a flag
 (`--dig 30`), the last of a repeated flag, a negative number, a lone `-` or
@@ -241,10 +242,16 @@ def _checksum(key: dict, payload: dict) -> str:
     return "{:08x}".format(binascii.crc32(body.encode()))
 
 
+def _cache_key(cfg: RunConfig) -> dict:
+    """The question a cache entry answers: its file is named by these fields, and stores them."""
+    return {"l": cfg.l, "digits": cfg.effective_digits, "skip_oracle": cfg.skip_oracle,
+            "version": __version__}
+
+
 def _cache_path(cfg: RunConfig) -> str:
-    name = "reglab-l{}-d{}-{}-v{}.json".format(
-        cfg.l, cfg.effective_digits,
-        "skip-oracle" if cfg.skip_oracle else "oracle", __version__)
+    key = _cache_key(cfg)
+    name = "reglab-l{l}-d{digits}-{oracle}-v{version}.json".format(
+        oracle="skip-oracle" if key["skip_oracle"] else "oracle", **key)
     return os.path.join(cfg.cache_dir, name)
 
 
@@ -291,11 +298,8 @@ def _cache_load(cfg: RunConfig) -> Optional[dict]:
             raise ValueError("checksum mismatch")
         if not isinstance(key, dict):
             raise ValueError("key is not an object")
-        if key.get("version") != __version__:
-            return None  # stale artifact version
-        if (key.get("l"), key.get("digits"), key.get("skip_oracle")) != (
-                cfg.l, cfg.effective_digits, cfg.skip_oracle):
-            return None
+        if key != _cache_key(cfg):
+            return None  # another question, a stale artifact version among them
         _check_payload(payload, cfg)
     except (ValueError, KeyError, TypeError) as exc:
         print("warning: ignoring corrupt cache file {}: {}".format(path, exc),
@@ -311,12 +315,7 @@ def _cache_load(cfg: RunConfig) -> Optional[dict]:
 def _cache_store(cfg: RunConfig, payload: dict) -> None:
     import json
 
-    key = {
-        "l": cfg.l,
-        "digits": cfg.effective_digits,
-        "skip_oracle": cfg.skip_oracle,
-        "version": __version__,
-    }
+    key = _cache_key(cfg)
     entry = {"key": key, "payload": payload,
              "checksum": _checksum(key, payload)}
     path = _cache_path(cfg)
@@ -362,8 +361,7 @@ def cmd_fibers(cfg: RunConfig) -> int:
     fibers = fiber_list(W)
     print("  {}  {}  {}".format("place".ljust(20), "type".ljust(8), "epsilon"))
     for fiber in fibers:
-        place = "infinity" if fiber.place.is_infinity else str(fiber.place.polynomial)
-        print("  {}  {}  {}".format(place.ljust(20), fiber.type.ljust(8),
+        print("  {}  {}  {}".format(str(fiber.place).ljust(20), fiber.type.ljust(8),
                                     fiber.epsilon_s))
     eps, a, deg_h10, deg_h01 = euler_epsilon(fibers)
     print("epsilon = {}   a = {}   deg H^(1,0) = {}   deg H^(0,1) = {}".format(
@@ -445,8 +443,7 @@ def _check_trace_zero() -> bool:
 def _check_fiber_list() -> bool:
     from .weierstrass import example_family, fiber_list
 
-    found = {(("infinity" if f.place.is_infinity else str(f.place.polynomial)),
-              f.type) for f in fiber_list(example_family(5))}
+    found = {(str(f.place), f.type) for f in fiber_list(example_family(5))}
     return found == {("t", "I_15"), ("t^5 - 1", "I_1"), ("infinity", "IV")}
 
 

@@ -99,18 +99,15 @@ def _root_data(l: int, t):
 
 @lru_cache(maxsize=1 << 17)
 def _arches(l: int, t, prec: int):
-    """(delta, gamma) inner integrals at one node, memoised per ambient precision.
+    """(delta, gamma) inner integrals at one node, memoised per precision prec.
 
-    The 2(l-1) adaptive quadratures of a `direct_periods` run visit the same
-    tanh-sinh nodes, so each node's roots and AGMs are computed once.
+    delta = 2 R_F(0, r3-r2, r3-r1) over the delta arch, gamma = 2 R_F(0,
+    r2-r1, r3-r1) over the gamma arch.  The 2(l-1) adaptive quadratures of a
+    `direct_periods` run visit the same tanh-sinh nodes, so each node's roots
+    and AGMs are computed once.
     """
     d21, d31, d32 = _root_data(l, t)[3:]
     return 2 * _rf_zero(d32, d31), 2 * _rf_zero(d21, d31)
-
-
-def _inner(l: int, t, which: str):
-    """2 R_F(0, r3-r2, r3-r1) over the delta arch, 2 R_F(0, r2-r1, r3-r1) over the gamma arch."""
-    return _arches(l, t, mp.prec)[0 if which == "delta" else 1]
 
 
 def _rf_zero(y, z):
@@ -145,20 +142,21 @@ def inner_integrals(l: int, t, p: int = 64) -> InnerIntegrals:
         tm = _to_mpf(t)
         if not 0 < tm < 1:
             raise DomainError("need 0 < t < 1")
-        delta_val = _inner(l, tm, "delta")
-        gamma_val = _inner(l, tm, "gamma")
+        delta_val, gamma_val = _arches(l, tm, mp.prec)
     return InnerIntegrals(BigReal(delta_val, p), BigReal(gamma_val, p))
 
 
-def _outer_integral(l: int, j: int, which: str):
+def _outer_integral(l: int, j: int, arch: int):
     """2 sqrt(3) * integral of t^(j-1) inner(t) dt over (0,1) at ambient precision.
+
+    inner is the arch's entry of _arches: 0 the delta arch, 1 the gamma arch.
 
     _PANELS dyadic panels [2^-k-1, 2^-k] toward t = 0 and mirrored toward
     t = 1, each by mp.quad at _MAXDEGREE; the end gaps are closed with a
     two-point logarithmic tail model inner(t) ~ C1 + C2 log(1/t) integrated
     in closed form.
     """
-    inner = lambda u: _inner(l, u, which)
+    inner = lambda u: _arches(l, u, mp.prec)[arch]
     f = lambda u: u ** (j - 1) * inner(u)
     total = mp.mpf(0)
     errsum = mp.mpf(0)
@@ -191,8 +189,8 @@ def direct_periods(l: int, j: int, p: int = 64) -> OraclePeriods:
     """
     require_lj(l, j)
     with mp.workprec(p + 16):
-        delta_val, delta_err = _outer_integral(l, j, "delta")
-        gamma_val, gamma_err = _outer_integral(l, j, "gamma")
+        delta_val, delta_err = _outer_integral(l, j, 0)
+        gamma_val, gamma_err = _outer_integral(l, j, 1)
         err = delta_err + gamma_err
         scale = min(abs(delta_val), abs(gamma_val))
         if not (delta_val > 0 and gamma_val > 0) or err > mp.mpf("1e-6") * scale:

@@ -5,10 +5,10 @@ against the good algebraic 2-forms t^(p-1) dt dx/y.  Row p carries the factor
 (zeta^(pq) - zeta^(-pq)) = 2i sin(2 pi pq / l) times the delta-arch period,
 which is i times its magnitude (54 pi / l) I(p), so every entry is the real
 number -2 sin(2 pi pq / l) (54 pi / l) I(p).  That formula is written once,
-in _sine_column, and the matrix is real by construction; the tests check it
-against the complex product.  The top-left square block augmented with the
-gamma-arch column has a determinant computable two ways: directly, and in
-the closed form
+in _sine_column, and every block of it is built in _sine_block; the matrix
+is real by construction, and the tests check it against the complex
+product.  The top-left square block augmented with the gamma-arch column
+has a determinant computable two ways: directly, and in the closed form
 l^((l-1)/4) * prod I(p) * (J(k-1)/I(k-1) + J(k)/I(k)) with k = (l+1)/2.
 The two routes are always compared; the closed form is never trusted alone.
 Everything runs in Python-int fixed point on the kernels of bigreal, at
@@ -62,8 +62,6 @@ class RegulatorMatrix:
         self.h = len(entries)
         self.entries = entries
         self.I_table = I_table
-        if self.h < (l + 1) // 2:
-            raise UnsupportedL("matrix has too few rows for l = {}".format(l))
 
     @property
     def shape(self):
@@ -96,19 +94,24 @@ def _sine_column(l: int, w: int) -> List[int]:
     return [-2 * half[m] if 2 * m < l else 2 * half[l - m] for m in range(l)]
 
 
+def _sine_block(l: int, scales: List[int], w: int) -> List[List[int]]:
+    """Rows r = 1 .. len(scales) of the sine block at w bits: col[r q mod l] * scales[r - 1] >> w
+    for q = 1 .. (l - 1)/2, where col is _sine_column; a scale of 2^w keeps the sines as they are."""
+    col = _sine_column(l, w)
+    return [[col[r * q % l] * scale >> w for q in range(1, (l + 1) // 2)]
+            for r, scale in enumerate(scales, start=1)]
+
+
 def build_matrix(l: int, p: int = 128) -> RegulatorMatrix:
     """Assemble the regulator matrix from the series-route periods at w = p + 64 bits."""
     _require_admissible(l)
     h = hodge_and_dims(l)["h"]
     w = p + GUARD
-    col = _sine_column(l, w)
     pairs = [eval_IJ(l, j, p) for j in range(1, h + 1)]
-    entries = []
-    for row, pair in enumerate(pairs, start=1):
-        period = series_periods(pair).delta_period.fixed(w)  # (54 pi / l) I(row)
-        entries.append([BigReal((col[row * q % l] * period >> w, -w), p,
-                                pair.I.agreement_certificate)
-                        for q in range(1, (l + 1) // 2)])
+    # row r scaled by (54 pi / l) I(r)
+    rows = _sine_block(l, [series_periods(pair).delta_period.fixed(w) for pair in pairs], w)
+    entries = [[BigReal((x, -w), p, pair.I.agreement_certificate) for x in row]
+               for row, pair in zip(rows, pairs)]
     return RegulatorMatrix(l, entries, pairs)
 
 
@@ -122,9 +125,7 @@ def vandermonde_like_det(l: int, p: int = 128) -> BigReal:
         raise ValueError("need odd integer l >= 3, got {!r}".format(l))
     k = (l - 1) // 2
     w = p + GUARD
-    col = _sine_column(l, w)
-    det = abs(_bareiss_det([[col[a * b % l] for b in range(1, k + 1)]
-                            for a in range(1, k + 1)]))
+    det = abs(_bareiss_det(_sine_block(l, [1 << w] * k, w)))
     cert = agreement_digits(det * det, l ** k << 2 * k * w, digits_of_bits(p))
     return BigReal((det, -k * w), p, cert)
 
@@ -150,20 +151,6 @@ def _bareiss_det(rows: List[List[int]]) -> int:
     return sign * m[k - 1][k - 1]
 
 
-def _general_det_from(l: int, pairs: List[PeriodPair], p: int) -> BigReal:
-    """|det| of the k x k block, exactly, from its entries at w = p + 64 bits."""
-    k = (l + 1) // 2
-    w = p + GUARD
-    col = _sine_column(l, w)
-    rows = []
-    for row, pair in enumerate(pairs, start=1):
-        I = pair.I.fixed(w)
-        rows.append([col[row * q % l] * I >> w for q in range(1, k)] + [pair.J.fixed(w)])
-    cert = min(min(pr.I.agreement_certificate, pr.J.agreement_certificate)
-               for pr in pairs)
-    return BigReal((abs(_bareiss_det(rows)), -k * w), p, cert)
-
-
 def regulator_closed_form(l: int, p: int = 128,
                           table: Optional[List[PeriodPair]] = None) -> RegulatorResult:
     """Both determinant routes plus the normalized values sqrt(l) det and pi^s det.
@@ -179,11 +166,13 @@ def regulator_closed_form(l: int, p: int = 128,
     k = (l + 1) // 2
     s = (l - 1) // 2
     pairs = table[:k] if table is not None else [eval_IJ(l, j, p) for j in range(1, k + 1)]
-    general = _general_det_from(l, pairs, p)
-    cert = general.agreement_certificate
+    cert = min(min(pr.I.agreement_certificate, pr.J.agreement_certificate) for pr in pairs)
     w = p + GUARD
     I = [pr.I.fixed(w) for pr in pairs]
     J = [pr.J.fixed(w) for pr in pairs]
+    # the direct route: |det| of the k x k block, row r the sine block scaled by I(r), then J(r)
+    block = [row + [Jr] for row, Jr in zip(_sine_block(l, I, w), J)]
+    general = BigReal((abs(_bareiss_det(block)), -k * w), p, cert)
     # prod I(p) * (J(k-1)/I(k-1) + J(k)/I(k)) without a division, times 2^(k w)
     core = math.prod(I[:k - 2]) * (J[k - 2] * I[k - 1] + J[k - 1] * I[k - 2])
     # l^(e/4) at w bits: floor(n^(1/4)) = isqrt(isqrt(n))

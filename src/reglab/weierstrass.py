@@ -119,12 +119,13 @@ class Polynomial:
             return Polynomial([]), self
         inv_lead = Fraction(1) / other.coeffs[-1]
         quot = [Fraction(0)] * (dn - dd + 1)
+        # zero terms are skipped: the places' polynomials, like t^l - 1, are sparse
         for k in range(dn - dd, -1, -1):
-            c = rem[k + dd] * inv_lead
-            if c != 0:
-                quot[k] = c
+            if rem[k + dd]:
+                c = quot[k] = rem[k + dd] * inv_lead
                 for i, b in enumerate(other.coeffs):
-                    rem[k + i] -= c * b
+                    if b:
+                        rem[k + i] -= c * b
         return Polynomial(quot), Polynomial(rem[:dd])
 
     def __floordiv__(self, other):
@@ -180,19 +181,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic() if not a.is_zero() else a
-
-
-def multiplicity(p: Polynomial, pi: Polynomial) -> int:
-    """Largest k with pi^k dividing p; p must be nonzero."""
-    if p.is_zero():
-        raise ValueError("multiplicity of zero polynomial is undefined")
-    k = 0
-    while p.degree >= pi.degree:
-        q, r = divmod(p, pi)
-        if not r.is_zero():
-            break
-        p, k = q, k + 1
-    return k
 
 
 def squarefree_decomposition(p: Polynomial) -> List[Tuple[Polynomial, int]]:
@@ -385,10 +373,7 @@ class RationalFunction:
             return _ORD_INF
         if place.is_infinity:
             return self.denominator.degree - self.numerator.degree
-        pi = place.polynomial
-        k_num = _certified_multiplicity(self.numerator, pi)
-        k_den = _certified_multiplicity(self.denominator, pi)
-        return k_num - k_den
+        return _order_along(self.numerator, place) - _order_along(self.denominator, place)
 
     def __str__(self) -> str:
         if self.denominator == Polynomial([1]):
@@ -407,15 +392,13 @@ def _as_ratfun(value):
     return NotImplemented
 
 
-def _certified_multiplicity(p: Polynomial, pi: Polynomial) -> int:
-    k = multiplicity(p, pi)
-    cofactor = p
-    for _ in range(k):
-        cofactor = cofactor // pi
-    if poly_gcd(cofactor, pi).degree > 0:
-        raise ValueError(
-            "order is not constant along the place {}; refine the factor".format(pi))
-    return k
+def _order_along(p: Polynomial, place: Place) -> int:
+    """The root multiplicity of nonzero p along a finite place; ValueError unless constant on it."""
+    pieces = split_by_multiplicity(place.polynomial, p)
+    if len(pieces) > 1:
+        raise ValueError("order is not constant along the place {}; refine the factor".format(
+            place.polynomial))
+    return pieces[0][1]
 
 
 class WeierstrassFamily:

@@ -62,6 +62,12 @@ class TestComputeCommand:
         assert diff < 1e-6
         assert out == (GOLDEN / "compute_l5_d10_oracle.json").read_text()
 
+    def test_normalization_note(self, capsys):
+        code, out, _ = run(capsys, "compute", "--l", "11", "--digits", "10", "--skip-oracle")
+        assert code == 0
+        assert out.endswith("\nnote: normalization follows the generalized formula, "
+                            "unverified for this l\n")
+
     def test_csv_columns(self, capsys):
         code, out, _ = run(capsys, "compute", "--l", "5", "--format", "csv",
                            "--digits", "12", "--skip-oracle")
@@ -202,25 +208,27 @@ class TestCache:
         assert len(files) == 2
         assert all(f.startswith("reglab-") and f.endswith(".json") for f in files)
 
-    def test_key_with_N_still_hits(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("change", ({"l": 7}, {"digits": 13}, {"skip_oracle": False}, {"N": 36}),
+                             ids=("l", "digits", "skip_oracle", "extra-N"))
+    def test_entry_of_another_key_recomputed(self, capsys, tmp_path, change):
+        # a same-version entry with a valid checksum whose key is not exactly the run's;
+        # "N" is the copy of payload["N_used"] that keys of version 0.1.0 held
         import reglab.cli as cli
-
-        def not_called(cfg):
-            raise AssertionError("cache miss")
 
         args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle",
                 "--cache", str(tmp_path))
         _, first, _ = run(capsys, *args)
         path = tmp_path / os.listdir(tmp_path)[0]
-        entry = json.loads(path.read_text())
-        assert "N" not in entry["key"]
-        # files written before the key dropped its copy of payload["N_used"]
-        entry["key"]["N"] = entry["payload"]["N_used"]
+        before = path.read_bytes()
+        entry = json.loads(before)
+        assert set(entry["key"]) == {"l", "digits", "skip_oracle", "version"}
+        entry["key"].update(change)
+        entry["payload"]["regulator_e_ind"] = "9.99"  # what a served entry would print
         entry["checksum"] = cli._checksum(entry["key"], entry["payload"])
-        path.write_text(json.dumps(entry, sort_keys=True, indent=2) + "\n")
-        monkeypatch.setattr(cli, "compute_payload", not_called)
+        path.write_text(json.dumps(entry))
         code, out, err = run(capsys, *args)
         assert code == 0 and out == first and err == ""
+        assert path.read_bytes() == before  # recomputed and stored again
 
     def test_store_leaves_no_temp_file_on_failure(self, capsys, tmp_path, monkeypatch):
         import reglab.cli as cli

@@ -10,7 +10,7 @@ from reglab import elliptic_oracle
 from reglab.bigreal import BigReal
 from reglab.bigreal_periods import eval_IJ
 from reglab.elliptic_oracle import (
-    _inner,
+    _arches,
     _rf_zero,
     _to_mpf,
     cubic_roots,
@@ -258,7 +258,7 @@ class TestInnerIntegrals:
         # delta: (pi/sqrt3) 2F1(1/3, 2/3; 1; 1 - t^l), gamma: (pi/3) 2F1(1/3, 2/3; 1; t^l)
         with mp.workprec(120):
             tm = mp.mpf(t.numerator) / t.denominator
-            delta, gamma = _inner(l, tm, "delta"), _inner(l, tm, "gamma")
+            delta, gamma = _arches(l, tm, mp.prec)
         # 1 - T rounds away the low digits of T = t^l unless the bits lost to it are added
         with mp.workprec(120 + math.ceil(l * math.log2(t.denominator / t.numerator))):
             T = tm ** l

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reglab.errors import IsotrivialFamily, UnsupportedL
@@ -17,8 +17,8 @@ from reglab.weierstrass import (
     example_family,
     fiber_list,
     hodge_and_dims,
-    multiplicity,
     poly_gcd,
+    split_by_multiplicity,
     squarefree_decomposition,
     uniform_pieces,
 )
@@ -27,6 +27,11 @@ F = Fraction
 P = Polynomial
 
 GOOD_L = [l for l in range(1, 36) if l % 2 and l % 3]
+
+# monic rational linear and quadratic factors with small coefficients
+_SMALL_FACTORS = st.one_of(
+    st.builds(lambda a: P([-a, 1]), st.fractions(-3, 3, max_denominator=3)),
+    st.builds(lambda b, c: P([c, b, 1]), st.integers(-3, 3), st.integers(-3, 3)))
 
 
 def delta_closed_form(l):
@@ -62,9 +67,9 @@ class TestPolynomialLayer:
 
     def test_multiplicity(self):
         p = P([0, 0, 0, 1]) * P([-1, 1])  # t^3 (t - 1)
-        assert multiplicity(p, P([0, 1])) == 3
-        assert multiplicity(p, P([-1, 1])) == 1
-        assert multiplicity(p, P([1, 1])) == 0
+        assert split_by_multiplicity(P([0, 1]), p) == [(P([0, 1]), 3)]
+        assert split_by_multiplicity(P([-1, 1]), p) == [(P([-1, 1]), 1)]
+        assert split_by_multiplicity(P([1, 1]), p) == [(P([1, 1]), 0)]
 
     def test_squarefree_decomposition(self):
         p = P([0, 1]) ** 3 * P([-1, 0, 0, 0, 0, 1])
@@ -87,6 +92,37 @@ class TestPolynomialLayer:
         f = RationalFunction(P([-1, 1]) * P([-1, 1]) * P([1, 1]))
         with pytest.raises(ValueError):
             f.ord_at(Place.finite(P([-1, 0, 1])))
+
+    @given(st.lists(st.tuples(_SMALL_FACTORS, st.integers(0, 3), st.integers(0, 3), st.booleans()),
+                    min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_ord_at_matches_sympy(self, factors):
+        # f = prod g^a / prod g^b, and the place is the product of the flagged g
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        num = den = place = P([1])
+        for g, a, b, on_place in factors:
+            num, den = num * g ** a, den * g ** b
+            if on_place:
+                place = place * g
+
+        def exponents(p):
+            # monic irreducible factor over Q -> its multiplicity, the root multiplicity of p
+            # at each of that factor's roots
+            poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                               for c in reversed(p.coeffs)], t, domain="QQ")
+            return {tuple(g.monic().all_coeffs()): k for g, k in poly.factor_list()[1]}
+
+        pieces = exponents(place)
+        assume(place.degree > 0 and set(pieces.values()) == {1})  # a squarefree place
+        e_num, e_den = exponents(num), exponents(den)
+        orders = {e_num.get(g, 0) - e_den.get(g, 0) for g in pieces}
+        f = RationalFunction(num, den)
+        if len(orders) == 1:
+            assert f.ord_at(Place.finite(place)) == orders.pop()
+        else:
+            with pytest.raises(ValueError, match="refine the factor"):
+                f.ord_at(Place.finite(place))
 
 
 class TestExampleFamily:
@@ -177,6 +213,14 @@ class TestKodaira:
     def test_epsilon_l5_l7_values(self):
         assert euler_epsilon(fiber_list(example_family(5))) == (2, 1, 1, -2)
         assert euler_epsilon(fiber_list(example_family(7)))[0] == 3
+
+    def test_i_star_n_with_n_positive(self):
+        t = P([0, 1])
+        W = WeierstrassFamily(3 * t * t * (1 + t), t ** 3)  # Delta = 27 t^7 (t^2 + 3t + 3)
+        fibers = fiber_list(W)
+        assert [(str(f.place), f.type, f.epsilon_s) for f in fibers] == [
+            ("t", "I*_1", 7), ("t^2 + 3*t + 3", "I_1", 1), ("infinity", "III", 3)]
+        assert euler_epsilon(fibers) == (1, 2, -1, -1)
 
     def test_rescaling_invariance(self):
         W = example_family(5)

@@ -1,0 +1,66 @@
+"""One SHA-256 per family of CLI outputs, to check that a change keeps every byte.
+
+Run from the root of a checkout, before and after a change, and compare the
+lines:
+
+    PYTHONPATH=src python3 tools/output_digest.py
+
+Each command runs in a fresh process, without REGLAB_CACHE.  A family's digest
+covers, for each of its commands in order, the argv, the exit code, stdout and
+stderr.  Standard library only; a full run takes about a minute.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import os
+import subprocess
+import sys
+
+ADMISSIBLE_L = [l for l in range(5, 32) if math.gcd(l, 6) == 1]
+
+FAMILIES = {
+    "compute json, l <= 31 x digits 10-100, checked and --skip-oracle": [
+        ["compute", "--l", str(l), "--digits", str(d), "--format", "json"] + skip
+        for l in ADMISSIBLE_L for d in (10, 15, 20, 30, 50, 100)
+        for skip in ([], ["--skip-oracle"])],
+    "compute text and csv at (5, 15), (11, 10), (13, 300)": [
+        ["compute", "--l", str(l), "--digits", str(d), "--format", fmt]
+        for l, d in ((5, 15), (11, 10), (13, 300)) for fmt in ("text", "csv")],
+    "fibers --l 1, 2, 3, 5, 7, 13, 25, 49": [
+        ["fibers", "--l", str(l)] for l in (1, 2, 3, 5, 7, 13, 25, 49)],
+    "pf at (1, 1), (2, 1), (5, 2), (7, 3), (25, 3)": [
+        ["pf", "--l", str(l), "--m", str(m)]
+        for l, m in ((1, 1), (2, 1), (5, 2), (7, 3), (25, 3))],
+    "oracle --l 5 --j 2 and selfcheck": [
+        ["oracle", "--l", "5", "--j", "2"], ["selfcheck"]],
+}
+
+
+def _field(h, data: bytes) -> None:
+    h.update(len(data).to_bytes(8, "big"))
+    h.update(data)
+
+
+def digest(commands, env) -> str:
+    h = hashlib.sha256()
+    for argv in commands:
+        run = subprocess.run([sys.executable, "-m", "reglab.cli"] + argv,
+                             capture_output=True, env=env, check=False)
+        for data in (" ".join(argv).encode(), str(run.returncode).encode(),
+                     run.stdout, run.stderr):
+            _field(h, data)
+    return h.hexdigest()
+
+
+def main() -> int:
+    env = {k: v for k, v in os.environ.items() if k != "REGLAB_CACHE"}
+    for name, commands in FAMILIES.items():
+        print("{}  {} ({} runs)".format(digest(commands, env), name, len(commands)),
+              flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
