@@ -3,10 +3,12 @@
 A BigReal is man 2^exp with a working precision and an agreement
 certificate; to_decimal prints what mpmath's nstr prints for it, capped at
 the certificate, and only .value and reading an mpf import mpmath.  The
-kernels (exp, sin, fixed_constants) work on Python ints at w bits, x being
-the integer x 2^w and a unit 2^-w, and state their errors in units; the
-routes carry GUARD = 64 bits beyond the requested precision.  PeriodPair is
-what each route to I(j), J(j) returns.  No other reglab module is imported.
+kernels (exp, sin, cos, sqrt, atan, atan2, fixed_pi, fixed_constants) work
+on Python ints at w bits, x being the integer x 2^w and a unit 2^-w, and
+each states its error in units as a module constant (EXP_ERROR and so on);
+the routes carry GUARD = 64 bits beyond the requested precision.
+PeriodPair is what each route to I(j), J(j) returns.  No other reglab
+module is imported.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ def digits_of_bits(bits: int) -> int:
 
 def _dyadic(x) -> tuple:
     """(man, exp) with x = man 2^exp exactly, for an int, a (man, exp) pair, a
-    BigReal or an mpf; anything else goes through mpmath.mpf first."""
+    BigReal, a float or an mpf; anything else goes through mpmath.mpf first."""
     if isinstance(x, BigReal):
         return x.man, x.exp
     if isinstance(x, int):
@@ -33,6 +35,11 @@ def _dyadic(x) -> tuple:
     if isinstance(x, tuple):
         man, exp = x
         return int(man), int(exp)
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError("not a finite real number: {}".format(x))
+        man, den = x.as_integer_ratio()  # den is a power of 2
+        return man, 1 - den.bit_length()
     if not hasattr(x, "_mpf_"):
         from mpmath import mp
 
@@ -144,6 +151,18 @@ class BigReal:
             self.to_decimal(), self.precision, self.agreement_certificate)
 
 
+def rounded(x: tuple, p: int) -> tuple:
+    """(man, exp) rounded to nearest (ties away from 0) at p >= 1 bits: |man| < 2^p after."""
+    man, exp = x
+    shift = abs(man).bit_length() - p
+    if shift <= 0:
+        return man, exp
+    mag = (abs(man) >> shift - 1) + 1 >> 1
+    if mag >> p:  # rounded up to 2^p
+        mag, shift = mag >> 1, shift + 1
+    return (mag if man > 0 else -mag), exp + shift
+
+
 def agreement_digits(lo, hi, cap: int) -> int:
     """The largest d <= cap with |hi - lo| 10^d <= |hi|, or 0 if there is none; exact.
 
@@ -181,6 +200,15 @@ class PeriodPair(NamedTuple):
 
 # ---------------------------------------------------------------- fixed-point kernels
 
+EXP_ERROR = 2  # the kernels' errors, in units of 2^-w, each within the range its docstring states
+SIN_ERROR = COS_ERROR = 2
+SQRT_ERROR = 1
+ATAN_ERROR = 2
+ATAN2_ERROR = 5
+PI_ERROR = 2
+CONSTANTS_ERROR = 2  # each field of fixed_constants
+
+
 def _atan_inv(k: int, w: int, hyperbolic: bool = False) -> int:
     """atan(1/k), or atanh(1/k), at w bits for an integer k >= 2, by its Taylor series.
 
@@ -198,7 +226,7 @@ def _atan_inv(k: int, w: int, hyperbolic: bool = False) -> int:
 
 
 def exp(x: int, w: int) -> int:
-    """exp(x 2^-w) at w bits for |x| < 4 2^w, off by less than 2 units.
+    """exp(x 2^-w) at w bits for x < 4 2^w, off by less than 2 units.
 
     |x| is divided by 2^r with r = isqrt(w) + 2, the Taylor series is summed
     at h = w + r + 16 bits and squared back r times, and a negative x takes
@@ -206,8 +234,19 @@ def exp(x: int, w: int) -> int:
     below exp(|x| 2^-r) by a relative 2T 2^-h; each squaring doubles that and
     adds 2^-h, so before the last floor exp(|x|) < 2^6 is off by less than
     2^(6+r) (2T + 1) 2^-h = (2T + 1) 2^-10 units, and exp(-|x|) by as little;
-    the floor to w bits adds less than 1 unit.
+    the floor to w bits adds less than 1 unit.  Any x <= -4 2^w takes
+    exp(x 2^-n), |x| 2^-n < 2, at h = w + n + 8 bits and squares it n times:
+    a squaring of a value below 1 at most doubles its error and adds 1 unit,
+    so that is off by less than 3 2^n units of h, 3/256 units at w, before
+    the floor to w bits.
     """
+    if x <= -(4 << w):
+        n = (-x).bit_length() - w - 1
+        h = w + n + 8
+        total = exp(x << 8, h)  # x 2^-n at h bits
+        for _ in range(n):
+            total = total * total >> h
+        return total >> n + 8
     r = math.isqrt(w) + 2
     h = w + r + 16
     y = abs(x) << 16  # |x| 2^-r at h bits
@@ -225,12 +264,12 @@ def exp(x: int, w: int) -> int:
 
 
 def sin(x: int, w: int) -> int:
-    """sin(x 2^-w) at w bits for |x| <= 4 2^w, off by less than 2 units.
+    """sin(x 2^-w) at w bits for |x| <= 4 2^w, off by less than 2 units for w < 16000.
 
     The Taylor series at h = w + 16 bits: term n + 2 carries the error of
-    term n times x^2/((n + 1)(n + 2)) plus 2 units, so the fewer than h
-    terms add at most 4 h units at h bits, below 2^-6 units at w for
-    w < 2^20; the floor to w bits adds less than 1 unit.
+    term n times x^2/((n + 1)(n + 2)) plus 2 units, so each term is off by
+    less than 4 units, and the fewer than h terms add at most 4h units at h
+    bits, below 1 unit at w; the floor to w bits adds less than 1 unit.
     """
     h = w + 16
     y = abs(x) << 16
@@ -241,6 +280,91 @@ def sin(x: int, w: int) -> int:
         term = (term * y2 >> h) // ((n + 1) * (n + 2))
         n += 2
     return (total if x >= 0 else -total) >> 16
+
+
+def cos(x: int, w: int) -> int:
+    """cos(x 2^-w) at w bits for |x| <= 4 2^w, off by less than 2 units for w < 2^13.
+
+    The Taylor series at h = w + 16 bits, as in sin: term n + 2 carries the
+    error of term n times x^2/((n + 1)(n + 2)) plus 2 units, so each term is
+    off by less than 5 units, and the fewer than h terms add at most 5h
+    units at h bits, below 1 unit at w; the floor adds less than 1 unit.
+    """
+    h = w + 16
+    y = abs(x) << 16
+    y2 = y * y >> h
+    total, term, n = 0, 1 << h, 0
+    while term:
+        total += term if n % 4 == 0 else -term
+        term = (term * y2 >> h) // ((n + 1) * (n + 2))
+        n += 2
+    return total >> 16
+
+
+def sqrt(x: int, w: int) -> int:
+    """sqrt(x 2^-w) at w bits for x >= 0 by math.isqrt: the floor, below the root by less than 1 unit."""
+    return math.isqrt(x << w)
+
+
+def atan(x: int, w: int) -> int:
+    """atan(x 2^-w) at w bits for |x| <= 2^w, off by less than 2 units for w < 2^14.
+
+    At h = w + k + 18 bits, k = isqrt(w) // 2 + 1, the angle is halved by
+    x <- x / (1 + sqrt(1 + x^2)) until x <= 2^-k, at most k times from
+    atan |x| <= pi/4.  A halving floors twice and scales the error before it
+    by at most 1/2, so the reduced x is off by less than 4 units; the
+    T <= h/(2k) + 1 terms of the Taylor series add less than 2 units each.
+    Scaled back by 2^r, r <= k, that is less than (4 + 2T) 2^-18 units at w,
+    and the floor to w bits adds less than 1 unit.
+    """
+    k = math.isqrt(w) // 2 + 1
+    h = w + k + 18
+    one = 1 << h
+    y = abs(x) << h - w
+    r = 0
+    while y > one >> k:
+        y = (y << h) // (one + math.isqrt((one << h) + y * y))
+        r += 1
+    y2 = y * y >> h
+    total, term, n = 0, y, 1
+    while term:
+        total += term // n if n % 4 == 1 else -(term // n)
+        term = term * y2 >> h
+        n += 2
+    total >>= h - w - r
+    return total if x >= 0 else -total
+
+
+def atan2(y: int, x: int, w: int) -> int:
+    """The angle of (x, y) in (-pi, pi] at w bits, off by less than 5 units for w < 2^14.
+
+    x and y are ints at any one scale, not both 0.  The angle is atan of
+    the smaller of |y|/|x| and |x|/|y|, floored at w bits, taken from pi/2
+    or pi as the quadrant asks: the quotient adds less than 1 unit to atan's
+    2, and pi (fixed_pi) or pi/2 less than 2.
+    """
+    if not (x or y):
+        raise ValueError("atan2(0, 0) is undefined")
+    ax, ay = abs(x), abs(y)
+    if ay <= ax:
+        a = atan((ay << w) // ax, w)
+        if x < 0:
+            a = fixed_pi(w) - a
+    else:
+        a = atan((ax << w) // ay, w)
+        a = (fixed_pi(w) >> 1) + (a if x < 0 else -a)
+    return a if y >= 0 else -a
+
+
+def _machin(g: int) -> int:
+    """pi = 16 atan(1/5) - 4 atan(1/239) at g bits, off by less than 3.7 g + 40 units."""
+    return 16 * _atan_inv(5, g) - 4 * _atan_inv(239, g)
+
+
+@lru_cache(maxsize=64)
+def fixed_pi(w: int) -> int:
+    """pi at w bits, off by less than 2 units for w < 2^14: Machin's formula at w + 16 bits, floored."""
+    return _machin(w + 16) >> 16
 
 
 class _FixedConstants(NamedTuple):
@@ -265,7 +389,7 @@ def fixed_constants(w: int) -> _FixedConstants:
     by less than 2^-10 units of 2^-w, for w < 2^19.
     """
     g = w + 32
-    pi = 16 * _atan_inv(5, g) - 4 * _atan_inv(239, g)
+    pi = _machin(g)
     sqrt3 = math.isqrt(3 << 2 * g)
     ln3 = 6 * _atan_inv(7, g, True) + 4 * _atan_inv(17, g, True)
     ln2 = 2 * _atan_inv(3, g, True)

@@ -27,10 +27,11 @@ only; `fibers` and `pf` load the exact layer and no `json`; and no command
 loads argparse, gettext, locale or hashlib.  The numeric layer is imported
 only inside the functions that evaluate numbers, and loads none of the exact
 layer's Fractions and Polynomials; the two routes are compared on Python
-ints, without fractions.  The series route and the closed forms
-evaluate exact dyadic numbers in Python-int fixed point, so `compute`, with
-or without its check, never imports mpmath; mpmath is the arithmetic of the
-quadrature of `oracle` and `selfcheck`.
+ints, without fractions.  The series route, the closed forms, the
+quadrature and the Eisenstein checks evaluate exact dyadic numbers in
+Python-int fixed point, so no command imports mpmath: not `compute`, with
+or without its check, and not `oracle` or `selfcheck`, whose transformation
+law check compares its residual with 1e-10 on integers.
 
 Exit codes: 0 success, 1 a failed selfcheck check, 2 a usage error (printed
 as a usage line and `reglab: error: ...`) or a validation error (printed as
@@ -458,13 +459,12 @@ def _check_epsilon_integrality() -> bool:
 
 
 def _check_transformation_law(p: int) -> bool:
-    from mpmath import mp
-
     from .exact_series import eisenstein_transform_residual
 
-    r1 = eisenstein_transform_residual(mp.mpc(0, 1), N=80, p=p)
-    r2 = eisenstein_transform_residual(mp.mpc(0, 2), N=200, p=p)
-    return r1.value < mp.mpf("1e-10") and r2.value < mp.mpf("1e-10")
+    # residual < 1e-10, exactly: man 2^exp 10^10 < 1
+    below = lambda r: r.man * 10 ** 10 << max(r.exp, 0) < 1 << max(-r.exp, 0)
+    return (below(eisenstein_transform_residual(1j, N=80, p=p))
+            and below(eisenstein_transform_residual(2j, N=200, p=p)))
 
 
 def _check_vandermonde(p: int) -> bool:

@@ -1,4 +1,4 @@
-"""Exact coefficients of the period q-series, and the q-series evaluated in mpmath.
+"""Exact coefficients of the period q-series, and the Eisenstein series evaluated in fixed point.
 
 a_coeffs and b_coeffs return the first N coefficients of the fractional-power
 families a_n, b_n built from the two weight-3 Eisenstein series on
@@ -13,15 +13,16 @@ reads the integers of integer_kernel directly and never loads this module.
 
 eisenstein_numeric sums the Eisenstein q-expansions at a real point and
 eisenstein_transform_residual checks their weight-3 transformation law, in
-mpmath, for `selfcheck` and the demos, certified by their stated bounds.
-Values are BigReals of bigreal: this module never loads bigreal_periods.
+Python-int fixed point on the kernels of bigreal, for `selfcheck` and the
+demos, certified by their stated bounds.  Values are BigReals of bigreal:
+this module never loads bigreal_periods, and never imports mpmath.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .bigreal import BigReal, agreement_digits, digits_of_bits
+from .bigreal import BigReal, agreement_digits, digits_of_bits, exp, fixed_constants
 from .integer_kernel import eisenstein_ints, scaled_power
 from .weierstrass import Polynomial
 
@@ -56,56 +57,69 @@ def b_coeffs(alpha, N: int) -> list:
     return _coefficients(alpha, N, "b")
 
 
-def _tail(N: int, q):
-    """A bound on the terms n >= N of either q-expansion at 0 < q < 1, as |coeff_n| <= 9 n^3."""
-    return 27 * N ** 3 * q**N / (1 - q)
+def _tail(N: int, q: int, w: int) -> int:
+    """A bound on the terms n >= N of either q-expansion at q 2^-w, q floored
+    at w bits from a number below 1, as |coeff_n| <= 9 n^3: 27 N^3 q^N / (1 - q)
+    at w bits, rounded up and taken at q + 1 unit."""
+    one, q = 1 << w, q + 1
+    qN = -(-pow(q, N) >> (N - 1) * w)
+    return -(-(27 * N ** 3 * qN << w) // max(one - q, 1))
+
+
+def _partial_sum(kind: str, q: int, N: int, w: int) -> int:
+    """The first N terms of the q-expansion at q 2^-w by Horner's rule at w
+    bits: each step floors once, so the sum is low by less than 1/(1 - q)
+    units, plus q's own error times the derivative."""
+    acc = 0
+    for coeff in reversed(eisenstein_ints(kind, N)):
+        acc = (acc * q >> w) + (coeff << w)
+    return acc
 
 
 def eisenstein_numeric(kind: str, q, N: int = 64, p: int = 128) -> BigReal:
-    """Partial sum of the exact q-expansion at a real point 0 < q < 1.
+    """Partial sum of the exact q-expansion at a real point 0 < q < 1, at p + 32 bits.
 
-    The certificate is the digits the sum shares with the sum plus a bound
-    on the tail, capped at the digits of p.
+    q is a BigReal, an int, a float or an mpf, read exactly and floored at
+    p + 32 bits.  The certificate is the digits the sum shares with the sum
+    plus a bound on the tail, capped at the digits of p.
     """
-    from mpmath import mp
-
-    coeffs = eisenstein_ints(kind, N)
-    with mp.workprec(p + 32):
-        qm = q.value if isinstance(q, BigReal) else mp.mpf(q)
-        if not 0 < qm < 1:
-            raise ValueError("need 0 < q < 1")
-        acc = mp.mpf(0)
-        for coeff in reversed(coeffs):
-            acc = acc * qm + coeff
-        # 0 digits once the tail reaches |acc|
-        cert = agreement_digits(acc + _tail(N, qm), acc, digits_of_bits(p))
-    return BigReal(acc, p, cert)
+    w = p + 32
+    x = BigReal(q, w)
+    qw = x.fixed(w)
+    if not (x.man > 0 and qw < 1 << w):
+        raise ValueError("need 0 < q < 1")
+    acc = _partial_sum(kind, qw, N, w)
+    # 0 digits once the tail reaches |acc|
+    cert = agreement_digits(acc + _tail(N, qw, w), acc, digits_of_bits(p))
+    return BigReal((acc, -w), p, cert)
 
 
 def eisenstein_transform_residual(z, N: int = 80, p: int = 128) -> BigReal:
     """|27 E3b(-1/(3z)) - 3 sqrt3 i z^3 E3a(z)| for z = iy on the imaginary axis.
 
+    z is anything with .real and .imag (a complex or an mpc), read exactly.
     Both q-values are then real: q = exp(-2 pi y) and q' = exp(-2 pi / (3y)),
     and the prefactor 3 sqrt3 i (iy)^3 collapses to the real number 3 sqrt3 y^3.
-    Each side, rounded at p + 32 bits, is taken to be within 2^-p of itself,
-    relative: 32 bits for its roundings to grow through exp, Horner's rule and
-    the prefactors.  With both truncation tails that bounds the residual's
-    error, and the certificate is 0 digits when the residual lies below it.
+    Everything runs at w = p + 32 + 3n bits, n >= 0 the bits of 1/y when
+    y < 1, on bigreal's exp; each side is taken to be within 2^-p of itself,
+    relative: 32 bits for its roundings to grow through exp, Horner's rule
+    and the prefactors, and 3n more because both sides scale as y^3.  With
+    both truncation tails that bounds the residual's error, and the
+    certificate is 0 digits when the residual lies below it.
     """
-    from mpmath import mp
-
-    with mp.workprec(p + 32):
-        zm = mp.mpc(z.value if isinstance(z, BigReal) else z)
-        if mp.re(zm) != 0 or mp.im(zm) <= 0:
-            raise ValueError("z must lie on the positive imaginary axis")
-        y = mp.im(zm)
-        q_direct = mp.exp(-2 * mp.pi * y)
-        q_flipped = mp.exp(-2 * mp.pi / (3 * y))
-        lhs = 27 * eisenstein_numeric("E3b", BigReal(q_flipped, p + 32), N, p + 32).value
-        factor = 3 * mp.sqrt(3) * y**3
-        rhs = factor * eisenstein_numeric("E3a", BigReal(q_direct, p + 32), N, p + 32).value
-        residual = abs(lhs - rhs)
-        bound = (mp.ldexp(abs(lhs) + abs(rhs), -p)
-                 + 27 * _tail(N, q_flipped) + factor * _tail(N, q_direct))
-        cert = agreement_digits(residual + bound, residual, digits_of_bits(p))
-    return BigReal(residual, p, cert)
+    re, im = BigReal(getattr(z, "real", z), p), BigReal(getattr(z, "imag", 0), p)
+    if re.man != 0 or im.man <= 0:
+        raise ValueError("z must lie on the positive imaginary axis")
+    w = p + 32 + 3 * max(0, 1 - im.exp - im.man.bit_length())
+    k = fixed_constants(w)
+    y = im.fixed(w)
+    q_direct = exp(-(2 * k.pi * y >> w), w)
+    q_flipped = exp(-((2 * k.pi << w) // (3 * y)), w)
+    factor = 3 * k.sqrt3 * (y * y >> w) * y >> 2 * w
+    lhs = 27 * _partial_sum("E3b", q_flipped, N, w)
+    rhs = factor * _partial_sum("E3a", q_direct, N, w) >> w
+    residual = abs(lhs - rhs)
+    bound = ((abs(lhs) + abs(rhs) >> p) + 1 + 27 * _tail(N, q_flipped, w)
+             + (factor * _tail(N, q_direct, w) >> w) + 1)
+    cert = agreement_digits(residual + bound, residual, digits_of_bits(p))
+    return BigReal((residual, -w), p, cert)

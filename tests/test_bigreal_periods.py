@@ -9,14 +9,26 @@ from mpmath import mp
 
 import reglab.integer_kernel as integer_kernel
 from reglab.bigreal import (
+    ATAN2_ERROR,
+    ATAN_ERROR,
+    COS_ERROR,
+    EXP_ERROR,
+    PI_ERROR,
+    SQRT_ERROR,
     BigReal,
     agreement_digits,
+    atan,
+    atan2,
     constants,
+    cos,
     digits_of_bits,
     exp,
     fixed_constants,
+    fixed_pi,
     nstr,
+    rounded,
     sin,
+    sqrt,
 )
 from reglab.bigreal_periods import _RunningSums, eval_IJ, series_periods
 from reglab.errors import UnsupportedL
@@ -193,6 +205,72 @@ class TestKernels:
                 arg = mp.ldexp(x, -w)
                 assert _within_units(exp(x, w), mp.exp(arg), w), x
                 assert _within_units(sin(x, w), mp.sin(arg), w), x
+
+
+WIDTHS = st.sampled_from([64, 128, 192, 400, 1000])
+
+
+class TestKernelBounds:
+    """Each kernel stays within the error its module constant states, against
+    mpmath at twice the working precision."""
+
+    @given(w=WIDTHS, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cos(self, w, data):
+        x = data.draw(st.integers(-(4 << w), 4 << w))
+        with mp.workprec(2 * w):
+            assert _within_units(cos(x, w), mp.cos(mp.ldexp(x, -w)), w, COS_ERROR)
+
+    @given(w=WIDTHS, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sqrt(self, w, data):
+        x = data.draw(st.integers(0, 1 << 2 * w))
+        with mp.workprec(2 * w + 64):
+            excess = mp.ldexp(mp.sqrt(mp.ldexp(x, -w)), w) - sqrt(x, w)
+            assert 0 <= excess < SQRT_ERROR
+
+    @given(w=WIDTHS, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_atan(self, w, data):
+        x = data.draw(st.integers(-(1 << w), 1 << w) | st.integers(-(1 << w // 2), 1 << w // 2))
+        with mp.workprec(2 * w):
+            assert _within_units(atan(x, w), mp.atan(mp.ldexp(x, -w)), w, ATAN_ERROR)
+
+    @given(w=WIDTHS, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_atan2(self, w, data):
+        scale = data.draw(st.integers(-w, w))
+        x, y = (data.draw(st.integers(-(1 << w + scale), 1 << w + scale)) for _ in range(2))
+        if x == y == 0:
+            with pytest.raises(ValueError):
+                atan2(y, x, w)
+            return
+        got = atan2(y, x, w)
+        with mp.workprec(2 * w):
+            assert _within_units(got, mp.atan2(y, x), w, ATAN2_ERROR)
+
+    @given(w=st.integers(1, 3000))
+    @settings(max_examples=40, deadline=None)
+    def test_pi(self, w):
+        with mp.workprec(2 * w + 64):
+            assert _within_units(fixed_pi(w), mp.pi, w, PI_ERROR)
+
+    @given(w=WIDTHS, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_exp_below_minus_4(self, w, data):
+        # exp(x 2^-n) squared n times
+        x = data.draw(st.integers(-(1 << w + 12), -(4 << w)))
+        with mp.workprec(2 * w):
+            assert _within_units(exp(x, w), mp.exp(mp.ldexp(x, -w)), w, EXP_ERROR)
+
+    def test_rounded(self):
+        assert rounded((0b10110, 3), 3) == (0b110, 5)  # 22 -> 24
+        assert rounded((-0b10101, 0), 3) == (-0b101, 2)  # -21 -> -20
+        assert rounded((0b1111, -4), 3) == (0b100, -2)  # 15/16 -> 1, still 3 bits
+        assert rounded((5, -7), 8) == (5, -7)
+        for man in range(-300, 300):
+            got, e = rounded((man, -5), 4)
+            assert abs(got) < 16 and abs((got << e + 5) - man) <= 1 << max(e + 4, 0)
 
 
 class TestConstants:

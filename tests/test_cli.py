@@ -687,6 +687,24 @@ class TestImportFootprint:
         assert report == "0 ['reglab.bigreal', 'reglab.bigreal_periods']"
         assert "0.346139631939354" in out
 
+    @pytest.mark.parametrize("argv, golden", (
+        (("oracle", "--l", "5", "--j", "2"), "oracle_l5_j2.txt"),
+        (("selfcheck",), "selfcheck.txt"),
+    ))
+    def test_quadrature_commands_load_no_mpmath(self, argv, golden):
+        # run as `python -m reglab.cli` runs it; the quadrature and the
+        # Eisenstein checks run on bigreal's kernels
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        code = ("import runpy, sys; sys.argv[0] = 'reglab'\n"
+                "try:\n    runpy.run_module('reglab.cli', run_name='__main__')\n"
+                "except SystemExit as stop:\n"
+                "    print(stop.code, 'mpmath' in sys.modules, file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.decode().splitlines()[-1] == "0 False"
+        assert proc.stdout.decode() == (GOLDEN / golden).read_text()
+
 
 def _run_entry_point(*argv):
     """Run ``reglab.cli:main`` in a fresh process, as the console script does."""

@@ -1,5 +1,6 @@
 import inspect
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,12 +8,11 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from reglab import elliptic_oracle
-from reglab.bigreal import BigReal
+from reglab.bigreal import BigReal, fixed_pi
 from reglab.bigreal_periods import eval_IJ
 from reglab.elliptic_oracle import (
     _arches,
     _rf_zero,
-    _to_mpf,
     cubic_roots,
     direct_periods,
     inner_integrals,
@@ -28,6 +28,25 @@ COLLISIONS = [(13, mp.mpf(2) ** -20), (25, 1 - mp.mpf(2) ** -21)]
 
 def rel(a, b):
     return abs(mp.mpf(a) - mp.mpf(b)) / abs(mp.mpf(b))
+
+
+def _to_mpf(v):
+    """An exact rational (numerator / denominator), a BigReal or anything mpf accepts."""
+    if isinstance(v, BigReal):
+        return v.value
+    if isinstance(v, int) or not hasattr(v, "numerator"):
+        return mp.mpf(v)
+    return mp.mpf(v.numerator) / v.denominator
+
+
+def fixed(x, w):
+    """floor(x 2^w) for an mpf x."""
+    return int(mp.floor(mp.ldexp(x, w)))
+
+
+def rf_zero(y, z, w):
+    """The oracle's fixed-point R_F(0, y, z) at w bits, for mpf arguments, as an mpf."""
+    return mp.ldexp(_rf_zero(fixed(y, w), fixed(z, w), w, fixed_pi(w)), -w)
 
 
 def cubic(T, x):
@@ -66,7 +85,7 @@ def carlson_rf(x, y, z, p: int = 64) -> BigReal:
         if args[1] <= 0:
             raise DomainError("R_F needs at most one zero argument")
         if args[0] == 0:
-            value = _rf_zero(args[1], args[2])
+            value = rf_zero(args[1], args[2], p + 16)
         else:
             value, _ = _rf_duplication(*args)
     return BigReal(value, p)
@@ -104,9 +123,23 @@ class TestCarlsonRF:
     def test_agm_route_matches_duplication(self):
         with mp.workprec(144):
             for y, z in [(1, 2), (3, 7), (mp.mpf("0.01"), 5)]:
-                fast = _rf_zero(mp.mpf(y), mp.mpf(z))
+                fast = rf_zero(mp.mpf(y), mp.mpf(z), 144)
                 slow, _ = _rf_duplication(mp.mpf(0), mp.mpf(y), mp.mpf(z))
                 assert rel(fast, slow) < mp.mpf("1e-30")
+
+    @given(w=st.sampled_from([64, 128, 200, 400]), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_fixed_point_agm_within_its_bound(self, w, data):
+        # _rf_zero's stated bound: 3 units plus a relative (n + 4) 2^-w / sqrt(min(y, z)),
+        # n < log2 w + log2(2 + |log2(y/z)|) steps; y reaches 2^-300, as d32 does
+        y, z = (data.draw(st.integers(1 << w - lo, 1 << w + 6)) for lo in (min(w - 2, 300), 4))
+        got = _rf_zero(y, z, w, fixed_pi(w))
+        n = math.log2(w) + math.log2(2 + abs(math.log2(y) - math.log2(z)))
+        with mp.workprec(2 * w):
+            Y, Z = mp.ldexp(y, -w), mp.ldexp(z, -w)
+            for want in (mp.elliprf(0, Y, Z), _rf_duplication(mp.mpf(0), Y, Z)[0]):
+                bound = 3 + want * mp.ldexp(n + 4, w) / math.isqrt(min(y, z) << w)
+                assert abs(got - mp.ldexp(want, w)) < bound
 
     def test_agm_iteration_count_logarithmic(self):
         counts = {}
@@ -169,14 +202,26 @@ class TestCubicRoots:
                 assert abs(cubic(T, root)) < bound
 
     def test_midpoint_signs(self):
+        # The cubic is positive at the delta arch's midpoint and negative at
+        # the gamma arch's.  Rounded to 64 bits, r2 and r3 cannot place a gap
+        # below 2^-64 of their size (at (13, 2^-20) they are equal), so there
+        # the gamma midpoint's sign is read from the gaps: P(r2 + gap32/2) =
+        # -(gap21 + gap32/2) (gap32/2)^2 < 0 holds for positive gaps that are
+        # those of this cubic, with gap31 = gap21 + gap32 and their product
+        # squared equal to the discriminant 6912 T^3 (1 - T).
         points = [(l, mp.mpf(t)) for l in (1, 5, 7) for t in ("0.05", "0.3", "0.5", "0.7", "0.95")]
         for l, t in points + COLLISIONS:
             r = cubic_roots(l, t, p=64)
             # near t = 0 the midpoint values are O(T^3) beside terms of O(T^2)
             with mp.workprec(160 + 2 * l * max(0, int(-mp.log(t, 2)))):
                 T = mp.mpf(t) ** l
+                g21, g31, g32 = r.gap21.value, r.gap31.value, r.gap32.value
+                assert g21 > 0 and g32 > 0
                 assert cubic(T, (r.r1.value + r.r2.value) / 2) > 0
-                assert cubic(T, (r.r2.value + r.r3.value) / 2) < 0
+                assert rel(g31, g21 + g32) < mp.mpf(2) ** -60
+                assert rel((g21 * g31 * g32) ** 2, 6912 * T ** 3 * (1 - T)) < mp.mpf(2) ** -58
+                if g32 > mp.ldexp(abs(r.r2.value), -48):  # the rounded roots resolve the gap
+                    assert cubic(T, (r.r2.value + r.r3.value) / 2) < 0
 
     def test_frozen_gaps_at_collisions(self):
         # (gap21, gap32, gap31) to 30 digits from a Newton/bisection solver at 240 bits
@@ -217,6 +262,31 @@ class TestCubicRoots:
             cubic_roots(0, 0.5)
 
 
+class TestStatedPrecision:
+    def test_mantissas_fit_the_precision(self):
+        # at this collision the roots take over 600 guard bits; what is returned keeps p
+        t = mp.mpf(2) ** -20
+        values = [*cubic_roots(13, t, p=64), *inner_integrals(13, t, p=64),
+                  *direct_periods(13, 1, p=64)]
+        assert len(values) == 11
+        for v in values:
+            assert v.precision == 64
+            assert abs(v.man).bit_length() <= 64
+
+    def test_t_read_exactly_or_at_the_working_precision(self):
+        # one dyadic value as a float, an mpf or a BigReal gives the same roots;
+        # a Fraction is floored at p + 64 bits
+        third = 1 / 3
+        roots = [[(x.man, x.exp) for x in cubic_roots(5, t, p=64)]
+                 for t in (third, mp.mpf(third), BigReal(third, 53))]
+        assert roots[0] == roots[1] == roots[2]
+        with mp.workprec(256):
+            exact = cubic_roots(5, mp.mpf(1) / 3, p=64)
+        rational = cubic_roots(5, Fraction(1, 3), p=64)
+        for got, want in zip(rational, exact):
+            assert rel(got.value, want.value) < mp.mpf(2) ** -60
+
+
 class TestInnerIntegrals:
     def test_against_raw_quadrature_at_half(self):
         # the arch integrals computed without Carlson reduction
@@ -224,9 +294,11 @@ class TestInnerIntegrals:
         with mp.workprec(160):
             T = mp.mpf("0.5")
             r = cubic_roots(1, T, p=160)
-            delta = mp.quad(lambda x: 1 / mp.sqrt(cubic(T, x)),
+            # the roots are rounded to 160 bits, so within 2^-160 of an end the
+            # cubic may take the other sign; |P| there adds about 2^-80, far below 1e-15
+            delta = mp.quad(lambda x: 1 / mp.sqrt(abs(cubic(T, x))),
                             [r.r1.value, r.r2.value])
-            gamma = mp.quad(lambda x: 1 / mp.sqrt(-cubic(T, x)),
+            gamma = mp.quad(lambda x: 1 / mp.sqrt(abs(cubic(T, x))),
                             [r.r2.value, r.r3.value])
             assert rel(ii.delta_inner.value, delta) < mp.mpf("1e-15")
             assert rel(ii.gamma_inner.value, gamma) < mp.mpf("1e-15")
@@ -258,7 +330,7 @@ class TestInnerIntegrals:
         # delta: (pi/sqrt3) 2F1(1/3, 2/3; 1; 1 - t^l), gamma: (pi/3) 2F1(1/3, 2/3; 1; t^l)
         with mp.workprec(120):
             tm = mp.mpf(t.numerator) / t.denominator
-            delta, gamma = _arches(l, tm, mp.prec)
+            delta, gamma = (mp.ldexp(v, -120) for v in _arches(l, (int(tm.man), int(tm.exp)), 120))
         # 1 - T rounds away the low digits of T = t^l unless the bits lost to it are added
         with mp.workprec(120 + math.ceil(l * math.log2(t.denominator / t.numerator))):
             T = tm ** l
@@ -282,6 +354,15 @@ class TestDirectPeriods:
         assert got.error_estimate.value < mp.mpf("1e-9") * got.delta_abs.value
         assert 9 <= got.delta_abs.agreement_certificate <= 10
         assert got.gamma_abs.agreement_certificate >= 9
+
+    @pytest.mark.parametrize("l, j", ((5, 1), (7, 6)))
+    def test_error_estimate_bounds_the_panel_error(self, l, j):
+        # at p = 128 the rules have twice the nodes and the same tail model, so
+        # the two values differ by the panel error at p = 64, which |Q_2m - Q_m| bounds
+        lo, hi = direct_periods(l, j, p=64), direct_periods(l, j, p=128)
+        with mp.workprec(192):
+            for a, b in ((lo.delta_abs, hi.delta_abs), (lo.gamma_abs, hi.gamma_abs)):
+                assert abs(a.value - b.value) < lo.error_estimate.value
 
     def test_deterministic(self):
         a = direct_periods(5, 3, p=64)
@@ -311,7 +392,7 @@ class TestOrderingGuard:
     def test_reordered_gaps_rejected(self, monkeypatch):
         # atan2(y, -x) swaps the angles of gap21 and gap32: every gap stays
         # positive, so only the midpoint-sign check can catch the wrong roots
-        atan2 = mp.atan2
-        monkeypatch.setattr(mp, "atan2", lambda y, x: atan2(y, -x))
+        atan2 = elliptic_oracle.atan2
+        monkeypatch.setattr(elliptic_oracle, "atan2", lambda y, x, w: atan2(y, -x, w))
         with pytest.raises(RootOrderingFailed, match="midpoint signs wrong"):
-            elliptic_oracle._root_data(5, mp.mpf("0.5"))
+            elliptic_oracle._root_data(5, (1, -1), 128)

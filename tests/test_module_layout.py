@@ -2,8 +2,9 @@
 
 bigreal owns BigReal and the fixed-point kernels, so the routes that check
 the series route (hypergeometric, elliptic_oracle) and the exact layer
-(exact_series) depend on it and not on the series route's own module.  No
-module reaches into another's private names.  The benchmark names modules
+(exact_series) depend on it and not on the series route's own module, and
+none of them imports mpmath, which only bigreal reads.  No module reaches
+into another's private names.  The benchmark names modules
 and traced functions in bench/; a move that loses one would zero its
 per-layer metrics without failing, so the names are resolved here.  The
 bench files are read as source, not imported.
@@ -70,13 +71,24 @@ def test_bigreal_names_come_from_bigreal():
 @pytest.mark.parametrize("module", ("reglab.hypergeometric", "reglab.elliptic_oracle",
                                     "reglab.exact_series"))
 def test_checks_do_not_load_the_series_route(module):
+    # nor mpmath: each check runs on the kernels of bigreal
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, {}; print('reglab.bigreal_periods' in sys.modules, "
-         "'reglab.bigreal' in sys.modules)".format(module)],
+         "'reglab.bigreal' in sys.modules, 'mpmath' in sys.modules)".format(module)],
         capture_output=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode().split() == ["False", "True"]
+    assert proc.stdout.decode().split() == ["False", "True", "False"]
+
+
+def test_only_bigreal_imports_mpmath():
+    # bigreal reads an mpf and builds BigReal.value; no other module needs mpmath
+    importing = sorted(
+        path.name for path in SRC for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(
+            alias.name.split(".")[0] == "mpmath" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath")
+    assert set(importing) == {"bigreal.py"}
 
 
 def test_benchmark_modules_import():

@@ -43,6 +43,16 @@ def delta_closed_form(l):
 
 
 class TestPolynomialLayer:
+    def test_mixed_coefficients_stay_exact(self):
+        # Fractions are kept as given and ints wrapped; trailing zeros of either kind go
+        half = F(1, 2)
+        p = P([3, half, 0, F(-7, 3), F(0), 0])
+        assert p.coeffs == (F(3), F(1, 2), F(0), F(-7, 3))
+        assert all(type(c) is F for c in p.coeffs)
+        assert p.coeffs[1] is half
+        assert p.degree == 3
+        assert P([F(0), 0, F(0)]).is_zero()
+
     def test_divmod_exact(self):
         a = P([-1, 0, 0, 0, 0, 1])  # t^5 - 1
         q, r = divmod(a, P([-1, 1]))
