@@ -39,11 +39,15 @@ as a usage line and `reglab: error: ...`) or a validation error (printed as
 or quadrature failure, including the series route more than 1e-6 from the
 route it is checked against; a reader that closes the output pipe early
 (`reglab fibers --l 5 | head -1`) ends the run with 0.
+A process that main ends (`python -m reglab.cli`, the `reglab` script) freezes
+the garbage collector on its way out, so the interpreter's exit collections
+skip the objects of start-up; nothing printed or written depends on them.
 """
 
 from __future__ import annotations
 
 import binascii
+import gc
 import math
 import os
 import sys
@@ -743,6 +747,17 @@ def parse_config(argv) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.
+
+    argv None means this process's own command line, and that main ends the
+    process: on every exit path, gc.freeze() then moves every tracked object
+    into the collector's permanent generation.  CPython's finalization runs
+    full collections, and about 5 ms of a fresh op went on scanning the 12k
+    objects that `site` and the imports leave; frozen, they are not scanned.
+    Atexit handlers, the flush of stdout and stderr, and every file closed by
+    its `with` run as before.  A caller that passes argv (the tests, the bench
+    tracer) lives on after main, so its cyclic garbage is not pinned.
+    """
     try:
         cfg = parse_config(sys.argv[1:] if argv is None else argv)
         code = _COMMANDS[cfg.subcommand].run(cfg)
@@ -758,6 +773,9 @@ def main(argv=None) -> int:
         # the reader has gone; point stdout at devnull so the final flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bigreal import BigReal, agreement_digits, digits_of_bits, exp, fixed_constants
+from .bigreal import BigReal, agreement_digits, digits_of_bits, exp, fixed_constants, rounded
 from .integer_kernel import eisenstein_ints, scaled_power
 from .weierstrass import Polynomial
 
@@ -77,11 +77,12 @@ def _partial_sum(kind: str, q: int, N: int, w: int) -> int:
 
 
 def eisenstein_numeric(kind: str, q, N: int = 64, p: int = 128) -> BigReal:
-    """Partial sum of the exact q-expansion at a real point 0 < q < 1, at p + 32 bits.
+    """Partial sum of the exact q-expansion at a real point 0 < q < 1, rounded to p bits.
 
     q is a BigReal, an int, a float or an mpf, read exactly and floored at
-    p + 32 bits.  The certificate is the digits the sum shares with the sum
-    plus a bound on the tail, capped at the digits of p.
+    p + 32 bits, and the sum runs at that precision.  The certificate is the
+    digits the sum shares with the sum plus a bound on the tail, capped at
+    the digits of p.
     """
     w = p + 32
     x = BigReal(q, w)
@@ -91,7 +92,7 @@ def eisenstein_numeric(kind: str, q, N: int = 64, p: int = 128) -> BigReal:
     acc = _partial_sum(kind, qw, N, w)
     # 0 digits once the tail reaches |acc|
     cert = agreement_digits(acc + _tail(N, qw, w), acc, digits_of_bits(p))
-    return BigReal((acc, -w), p, cert)
+    return BigReal(rounded((acc, -w), p), p, cert)
 
 
 def eisenstein_transform_residual(z, N: int = 80, p: int = 128) -> BigReal:
@@ -105,7 +106,8 @@ def eisenstein_transform_residual(z, N: int = 80, p: int = 128) -> BigReal:
     relative: 32 bits for its roundings to grow through exp, Horner's rule
     and the prefactors, and 3n more because both sides scale as y^3.  With
     both truncation tails that bounds the residual's error, and the
-    certificate is 0 digits when the residual lies below it.
+    certificate is 0 digits when the residual lies below it.  The residual
+    is returned rounded to p bits.
     """
     re, im = BigReal(getattr(z, "real", z), p), BigReal(getattr(z, "imag", 0), p)
     if re.man != 0 or im.man <= 0:
@@ -122,4 +124,4 @@ def eisenstein_transform_residual(z, N: int = 80, p: int = 128) -> BigReal:
     bound = ((abs(lhs) + abs(rhs) >> p) + 1 + 27 * _tail(N, q_flipped, w)
              + (factor * _tail(N, q_direct, w) >> w) + 1)
     cert = agreement_digits(residual + bound, residual, digits_of_bits(p))
-    return BigReal((residual, -w), p, cert)
+    return BigReal(rounded((residual, -w), p), p, cert)

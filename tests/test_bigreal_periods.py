@@ -458,6 +458,17 @@ class TestEisensteinNumeric:
         with pytest.raises(ValueError):
             eisenstein_numeric("E3a", mp.mpf(2), 8, 64)
 
+    @pytest.mark.parametrize("p", (64, 128))
+    def test_mantissas_fit_the_precision(self, p):
+        # the sums run at p + 32 bits and more; what is returned keeps p
+        values = [eisenstein_numeric(kind, q, 64, p)
+                  for kind in ("E3a", "E3b") for q in (0.1, 0.5, 0.9)]
+        values += [eisenstein_transform_residual(mp.mpc(0, y), n, p)
+                   for y, n in ((0.5, 300), (1, 80), (2, 200))]
+        for v in values:
+            assert v.precision == p
+            assert abs(v.man).bit_length() <= p
+
 
 class TestTransformResidual:
     def test_z_i(self):

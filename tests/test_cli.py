@@ -1,4 +1,5 @@
 import functools
+import gc
 import importlib.metadata
 import json
 import os
@@ -692,18 +693,76 @@ class TestImportFootprint:
         (("selfcheck",), "selfcheck.txt"),
     ))
     def test_quadrature_commands_load_no_mpmath(self, argv, golden):
-        # run as `python -m reglab.cli` runs it; the quadrature and the
-        # Eisenstein checks run on bigreal's kernels
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        code = ("import runpy, sys; sys.argv[0] = 'reglab'\n"
-                "try:\n    runpy.run_module('reglab.cli', run_name='__main__')\n"
-                "except SystemExit as stop:\n"
-                "    print(stop.code, 'mpmath' in sys.modules, file=sys.stderr)")
-        proc = subprocess.run([sys.executable, "-c", code, *argv],
-                              capture_output=True, env=env, timeout=120)
+        # the quadrature and the Eisenstein checks run on bigreal's kernels
+        proc = _run_as_module("'mpmath' in sys.modules", *argv)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.decode().splitlines()[-1] == "0 False"
         assert proc.stdout.decode() == (GOLDEN / golden).read_text()
+
+
+def _run_as_module(report, *argv):
+    """Run the CLI in a fresh process as `python -m reglab.cli` runs it, and
+    print to stderr, at its SystemExit, the exit code and the value of the
+    Python expression report."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("REGLAB_CACHE", None)
+    code = ("import gc, runpy, sys; sys.argv[0] = 'reglab'\n"
+            "try:\n    runpy.run_module('reglab.cli', run_name='__main__')\n"
+            "except SystemExit as stop:\n"
+            "    print(stop.code, {}, file=sys.stderr)".format(report))
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, env=env, timeout=120)
+
+
+class TestExitPath:
+    """main() freezes the collector on every exit path of the process it
+    ends; main(argv) never does, so an in-process caller keeps collecting its
+    own garbage."""
+
+    @pytest.mark.parametrize("argv, want", (
+        (("fibers", "--l", "5"), 0),
+        (("frobnicate",), 2),  # a usage error, raised as SystemExit
+        (("compute", "--l", "9"), 2),  # an unsupported l, returned
+    ))
+    def test_in_process_main_does_not_freeze(self, capsys, argv, want):
+        before = gc.get_freeze_count()
+        try:
+            code = main(list(argv))
+        except SystemExit as stop:
+            code = stop.code
+        capsys.readouterr()
+        assert code == want
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv, want, golden", (
+        (("fibers", "--l", "5"), 0, "fibers_l5.txt"),
+        (("frobnicate",), 2, None),
+        (("compute", "--l", "9"), 2, None),
+    ))
+    def test_fresh_process_freezes(self, argv, want, golden):
+        proc = _run_as_module("gc.get_freeze_count() > 0", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.decode().splitlines()[-1] == "{} True".format(want)
+        assert proc.stdout.decode() == ((GOLDEN / golden).read_text() if golden else "")
+
+    def test_cache_written_before_the_freeze(self, tmp_path):
+        # nothing the cache writes waits for the exit collections
+        import reglab.cli as cli
+
+        argv = ("compute", "--l", "5", "--digits", "15", "--skip-oracle",
+                "--format", "json", "--cache", str(tmp_path))
+        miss = _run_as_module("gc.get_freeze_count() > 0", *argv)
+        assert miss.returncode == 0 and miss.stderr == b"0 True\n", miss.stderr
+        assert miss.stdout.decode() == (GOLDEN / "compute_l5_d15.json").read_text()
+        [name] = os.listdir(tmp_path)
+        stored = (tmp_path / name).read_bytes()
+        assert stored.endswith(b"}\n")
+        entry = json.loads(stored)
+        assert entry["checksum"] == cli._checksum(entry["key"], entry["payload"])
+        hit = _run_as_module("gc.get_freeze_count() > 0", *argv)
+        assert hit.returncode == 0 and hit.stderr == b"0 True\n", hit.stderr
+        assert hit.stdout == miss.stdout
+        assert (tmp_path / name).read_bytes() == stored
 
 
 def _run_entry_point(*argv):

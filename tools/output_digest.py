@@ -35,6 +35,9 @@ FAMILIES = {
         for l, m in ((1, 1), (2, 1), (5, 2), (7, 3), (25, 3))],
     "oracle --l 5 --j 2 and selfcheck": [
         ["oracle", "--l", "5", "--j", "2"], ["selfcheck"]],
+    "exit paths: unknown subcommand, bad int, unsupported l, bad j, --help": [
+        ["frobnicate"], ["compute", "--l", "x"], ["compute", "--l", "9"],
+        ["oracle", "--l", "5", "--j", "9"], ["compute", "--help"]],
 }
 
 
