@@ -11,11 +11,9 @@ PeriodPair is what each route to I(j), J(j) returns.  No other reglab
 module is imported.
 """
 
-from __future__ import annotations
-
 import math
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple, Union
 
 GUARD = 64  # bits the fixed-point routes carry beyond the requested precision
 _LOG2_10 = math.log(10, 2)  # the float mpmath's to_str sizes its digits with
@@ -110,7 +108,7 @@ class BigReal:
 
     __slots__ = ("man", "exp", "precision", "agreement_certificate", "_value")
 
-    def __init__(self, value, precision: int, agreement_certificate: Union[int, None] = None):
+    def __init__(self, value, precision: int, agreement_certificate: int | None = None):
         self.man, self.exp = _dyadic(value)
         self.precision = int(precision)
         if agreement_certificate is None:
@@ -133,7 +131,7 @@ class BigReal:
         shift = self.exp + w
         return self.man << shift if shift >= 0 else self.man >> -shift
 
-    def to_decimal(self, digits: Union[int, None] = None) -> str:
+    def to_decimal(self, digits: int | None = None) -> str:
         cap = min(self.agreement_certificate, digits_of_bits(self.precision))
         n = cap if digits is None else min(digits, cap)
         return _decimal(self.man, self.exp, max(n, 1))
@@ -184,18 +182,8 @@ def agreement_digits(lo, hi, cap: int) -> int:
     return min(d, cap)
 
 
-class Constants(NamedTuple):
-    pi: BigReal
-    sqrt3: BigReal
-    c: BigReal
-
-
-class PeriodPair(NamedTuple):
-    l: int
-    j: int
-    I: BigReal
-    J: BigReal
-    N_used: int
+Constants = namedtuple("Constants", "pi sqrt3 c")  # BigReals
+PeriodPair = namedtuple("PeriodPair", "l j I J N_used")  # I and J BigReals, the rest ints
 
 
 # ---------------------------------------------------------------- fixed-point kernels
@@ -367,13 +355,8 @@ def fixed_pi(w: int) -> int:
     return _machin(w + 16) >> 16
 
 
-class _FixedConstants(NamedTuple):
-    pi: int
-    sqrt3: int
-    ln3: int
-    ln2: int
-    K: int  # 2 pi / sqrt 3
-    c: int  # exp(-K)
+# ints at w bits; K = 2 pi / sqrt 3 and c = exp(-K)
+_FixedConstants = namedtuple("_FixedConstants", "pi sqrt3 ln3 ln2 K c")
 
 
 @lru_cache(maxsize=8)

@@ -17,10 +17,8 @@ no computation here needs mpmath, and none needs a Fraction: the exact
 layer's Fractions and Polynomials (exact_series, weierstrass) stay unloaded.
 """
 
-from __future__ import annotations
-
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .bigreal import (GUARD, BigReal, PeriodPair, agreement_digits, digits_of_bits, exp,
                       fixed_constants)
@@ -30,11 +28,8 @@ from .integer_kernel import require_lj, scaled_power
 _MAX_ROUNDS = 8
 
 
-class SeriesPeriods(NamedTuple):
-    """Magnitudes of the periods over the delta arch (imaginary axis) and the gamma arch (real axis)."""
-
-    delta_period: BigReal
-    gamma_period: BigReal
+# BigReal magnitudes of the periods over the delta arch (imaginary axis) and the gamma arch (real axis)
+SeriesPeriods = namedtuple("SeriesPeriods", "delta_period gamma_period")
 
 
 class _RunningSums:
@@ -106,9 +101,9 @@ class _RunningSums:
         lo, w, C, l, j = self.N, self.w, self.C, self.l, self.j
         Ya, Yb = self.ya.scaled(N), self.yb.scaled(N)
         a1 = a2 = b1 = b2 = 0
-        scale_of = self.ya.scale  # the same for both kinds: it depends on l alone
+        scales = self.ya.scales.scale  # one list for both kinds: it depends on the reduced l alone
         for m in range(N - 1, lo - 1, -1):
-            scale = scale_of(m)
+            scale = scales[m]
             ta = (Ya[m] << w) // scale
             q = m * l + j
             tb = (Yb[m] * l << w) // (scale * q)

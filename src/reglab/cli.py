@@ -22,16 +22,19 @@ subcommand: `--flag value` and `--flag=value`, a unique prefix of a flag
 (`--dig 30`), the last of a repeated flag, a negative number, a lone `-` or
 a string with a space as a value, and `-h`/`--help`, which print usage and
 exit 0.  Each command loads only what it runs: `compute` loads the numeric
-layer and, where it reads or writes JSON, `json`; a cache hit loads `json`
-only; `fibers` and `pf` load the exact layer and no `json`; and no command
-loads argparse, gettext, locale or hashlib.  The numeric layer is imported
-only inside the functions that evaluate numbers, and loads none of the exact
-layer's Fractions and Polynomials; the two routes are compared on Python
-ints, without fractions.  The series route, the closed forms, the
-quadrature and the Eisenstein checks evaluate exact dyadic numbers in
-Python-int fixed point, so no command imports mpmath: not `compute`, with
-or without its check, and not `oracle` or `selfcheck`, whose transformation
-law check compares its residual with 1e-10 on integers.
+layer, and `json` only where it reads or writes a cache file, since _json
+writes --format json; a cache hit loads `json` only; `fibers` and `pf` load
+the exact layer and no `json`; and no command loads argparse, gettext,
+locale or hashlib.  Records are collections.namedtuples, which a fresh
+process builds in far less time than typing.NamedTuple classes.  The
+numeric layer is imported only inside the functions that evaluate numbers,
+and loads none of the exact layer's Fractions and Polynomials; the two
+routes are compared on Python ints, without fractions.  The series route,
+the closed forms, the quadrature and the Eisenstein checks evaluate exact
+dyadic numbers in Python-int fixed point, so no command imports mpmath: not
+`compute`, with or without its check, and not `oracle` or `selfcheck`,
+whose transformation law check compares its residual with 1e-10 on
+integers.
 
 Exit codes: 0 success, 1 a failed selfcheck check, 2 a usage error (printed
 as a usage line and `reglab: error: ...`) or a validation error (printed as
@@ -44,14 +47,12 @@ the garbage collector on its way out, so the interpreter's exit collections
 skip the objects of start-up; nothing printed or written depends on them.
 """
 
-from __future__ import annotations
-
 import binascii
 import gc
 import math
 import os
 import sys
-from typing import Callable, NamedTuple, Optional
+from collections import namedtuple
 
 from . import __version__
 from .errors import (
@@ -69,18 +70,13 @@ _PAYLOAD_KEYS = frozenset((  # the keys of a compute_payload result
     "N_used", "sign_policy", "normalization_verified"))
 
 
-class RunConfig(NamedTuple):
+class RunConfig(namedtuple("RunConfig", "subcommand l digits format cache_dir skip_oracle m j",
+                           defaults=(0, None, "text", None, False, None, None))):
     """One run, as parse_config reads it from argv; a flag that is not given,
-    or that the subcommand does not take, keeps the default here."""
+    or that the subcommand does not take, keeps the default here.  digits
+    None means the subcommand's default."""
 
-    subcommand: str
-    l: int = 0
-    digits: Optional[int] = None  # None means subcommand default
-    format: str = "text"
-    cache_dir: Optional[str] = None
-    skip_oracle: bool = False
-    m: Optional[int] = None
-    j: Optional[int] = None
+    __slots__ = ()
 
     @property
     def effective_digits(self) -> int:
@@ -97,12 +93,9 @@ def _bits(digits: int) -> int:
 
 # ---------------------------------------------------------------- compute
 
-class _Ratio(NamedTuple):
-    """A ratio of two integers, unreduced; read, like a Fraction, through
-    .numerator and .denominator, and never ordered as a tuple."""
-
-    numerator: int
-    denominator: int
+# a ratio of two integers, unreduced; read, like a Fraction, through
+# .numerator and .denominator, and never ordered as a tuple
+_Ratio = namedtuple("_Ratio", "numerator denominator")
 
 
 def _relative_difference(series, check) -> _Ratio:
@@ -221,11 +214,39 @@ def _render_csv(payload: dict) -> str:
     return "\n".join(lines)
 
 
+def _plain(s) -> bool:
+    """Whether s is a str that json writes as '"' + s + '"': printable ASCII
+    with no quote and no backslash."""
+    return (isinstance(s, str) and s.isascii() and s.isprintable()
+            and '"' not in s and "\\" not in s)
+
+
+def _json(x) -> str:
+    """json.dumps(x, sort_keys=True, separators=(",", ":")), without json, for
+    the values a payload holds: None, bools, ints, lists, dicts whose keys
+    _plain admits and strs that it admits.  Any other value raises ValueError.
+
+    Importing json costs a fresh process about 1.5 ms, mostly the regexes of
+    its decoder and encoder, and a compute that writes no file needs neither.
+    """
+    if x is None:
+        return "null"
+    if x is True or x is False:  # before int: bool is an int
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if _plain(x):
+        return '"' + x + '"'
+    if isinstance(x, list):
+        return "[" + ",".join(map(_json, x)) + "]"
+    if isinstance(x, dict) and all(map(_plain, x)):
+        return "{" + ",".join('"{}":{}'.format(k, _json(x[k])) for k in sorted(x)) + "}"
+    raise ValueError("no payload value: {!r}".format(x))
+
+
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        import json
-
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return _json(payload)
     if fmt == "csv":
         return _render_csv(payload)
     return _render_text(payload)
@@ -238,12 +259,16 @@ def _checksum(key: dict, payload: dict) -> str:
 
     It catches torn and corrupted files; it is no seal, since whoever can
     write the file can recompute it.  What a loaded entry answers is checked
-    by its key and by _check_payload.
+    by its key and by _check_payload.  A loaded entry may hold what _json
+    does not write (a float, an escaped string), and json writes that.
     """
-    import json
+    entry = {"key": key, "payload": payload}
+    try:
+        body = _json(entry)
+    except ValueError:
+        import json
 
-    body = json.dumps({"key": key, "payload": payload},
-                      sort_keys=True, separators=(",", ":"))
+        body = json.dumps(entry, sort_keys=True, separators=(",", ":"))
     return "{:08x}".format(binascii.crc32(body.encode()))
 
 
@@ -262,7 +287,8 @@ def _cache_path(cfg: RunConfig) -> str:
 
 def _check_payload(payload, cfg: RunConfig) -> None:
     """Raise ValueError unless payload has the keys, value types and lengths of
-    what compute_payload(cfg) returns."""
+    what compute_payload(cfg) returns, with every string one that _json
+    writes."""
     if not isinstance(payload, dict) or payload.keys() != _PAYLOAD_KEYS:
         raise ValueError("payload does not have the keys of a computed one")
     for name in ("l", "h", "N_used", "det_agreement_digits"):
@@ -273,11 +299,11 @@ def _check_payload(payload, cfg: RunConfig) -> None:
     for name in ("I", "J"):
         values = payload[name]
         if not (isinstance(values, list) and len(values) == cfg.l - 1
-                and all(isinstance(v, str) for v in values)):
-            raise ValueError("payload {} is not a list of l - 1 strings".format(name))
+                and all(map(_plain, values))):
+            raise ValueError("payload {} is not a list of l - 1 plain strings".format(name))
     for name in ("regulator_e_ind", "sign_policy"):
-        if not isinstance(payload[name], str):
-            raise ValueError("payload {} is not a string".format(name))
+        if not _plain(payload[name]):
+            raise ValueError("payload {} is not a plain string".format(name))
     if not isinstance(payload["normalization_verified"], bool):
         raise ValueError("payload normalization_verified is not a boolean")
     oracle = payload["oracle_check"]
@@ -285,11 +311,11 @@ def _check_payload(payload, cfg: RunConfig) -> None:
         if oracle is not None:
             raise ValueError("payload oracle_check is not null under --skip-oracle")
     elif not (isinstance(oracle, dict) and oracle.keys() == {"max_rel_diff"}
-              and isinstance(oracle["max_rel_diff"], str)):
+              and _plain(oracle["max_rel_diff"])):
         raise ValueError("payload oracle_check does not hold a max_rel_diff string")
 
 
-def _cache_load(cfg: RunConfig) -> Optional[dict]:
+def _cache_load(cfg: RunConfig) -> dict | None:
     import json
 
     path = _cache_path(cfg)
@@ -516,22 +542,13 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
 
 # ---------------------------------------------------------------- entry point
 
-class _Flag(NamedTuple):
-    """One flag of a subcommand: the type of its value (bool: a switch that
-    takes none), whether it must be given, the values it may take and the
-    least it may be.  Its value lands in the RunConfig field named after it."""
-
-    type: type = int
-    required: bool = False
-    choices: tuple = ()
-    minimum: Optional[int] = None
-    metavar: str = ""
-
-
-class _Command(NamedTuple):
-    run: Callable[[RunConfig], int]
-    help: str
-    flags: dict  # flag -> _Flag, in the order usage lists them
+# One flag of a subcommand: the type of its value (bool: a switch that takes
+# none), whether it must be given, the values it may take, the least it may be
+# and its metavar.  Its value lands in the RunConfig field named after it.
+_Flag = namedtuple("_Flag", "type required choices minimum metavar",
+                   defaults=(int, False, (), None, ""))
+# run(cfg) returns the exit code; flags maps flag -> _Flag, in the order usage lists them
+_Command = namedtuple("_Command", "run help flags")
 
 
 _COMMANDS = {

@@ -17,11 +17,9 @@ module never imports mpmath.  The inner integrals do not depend on j, so one
 table of node values per (l, p) (_node_table) serves every j and both arches.
 """
 
-from __future__ import annotations
-
 import math
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .bigreal import (GUARD, BigReal, agreement_digits, atan2, cos, digits_of_bits,
                       fixed_constants, fixed_pi, rounded, sin, sqrt)
@@ -33,24 +31,10 @@ _TAIL_MODEL_DIGITS = 10
 _PANELS = 20  # dyadic panels of _outer_integrals reach 2^-_PANELS from each end of (0, 1)
 
 
-class CubicRoots(NamedTuple):
-    r1: BigReal
-    r2: BigReal
-    r3: BigReal
-    gap21: BigReal  # r2 - r1, cancellation-free
-    gap31: BigReal  # r3 - r1
-    gap32: BigReal  # r3 - r2
-
-
-class InnerIntegrals(NamedTuple):
-    delta_inner: BigReal
-    gamma_inner: BigReal
-
-
-class OraclePeriods(NamedTuple):
-    delta_abs: BigReal
-    gamma_abs: BigReal
-    error_estimate: BigReal
+# BigReals each; gap21 = r2 - r1, gap31 = r3 - r1 and gap32 = r3 - r2, cancellation-free
+CubicRoots = namedtuple("CubicRoots", "r1 r2 r3 gap21 gap31 gap32")
+InnerIntegrals = namedtuple("InnerIntegrals", "delta_inner gamma_inner")
+OraclePeriods = namedtuple("OraclePeriods", "delta_abs gamma_abs error_estimate")
 
 
 def _read_t(t, w: int) -> tuple:

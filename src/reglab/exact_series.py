@@ -18,8 +18,6 @@ demos, certified by their stated bounds.  Values are BigReals of bigreal:
 this module never loads bigreal_periods, and never imports mpmath.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .bigreal import BigReal, agreement_digits, digits_of_bits, exp, fixed_constants, rounded

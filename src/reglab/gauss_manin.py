@@ -5,10 +5,7 @@ bundle, with all derivatives taken against the fixed affine coordinate t
 (df = f' dt).  Entries are exact rational functions; no floating point.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
-from typing import Set, Tuple
 
 from .errors import IsotrivialFamily
 from .weierstrass import (
@@ -34,7 +31,7 @@ class ConnectionMatrix:
 
     __slots__ = ("m", "family")
 
-    def __init__(self, m: Tuple[Tuple[RationalFunction, ...], ...],
+    def __init__(self, m: tuple[tuple[RationalFunction, ...], ...],
                  family: WeierstrassFamily) -> None:
         if len(m) != 2 or any(len(row) != 2 for row in m):
             raise ValueError("connection matrix must be 2x2")
@@ -88,7 +85,7 @@ def connection_matrix(W: WeierstrassFamily) -> ConnectionMatrix:
     return ConnectionMatrix(((-diag, upper), (lower, diag)), W)
 
 
-def degeneracy_locus(W: WeierstrassFamily) -> Set[Place]:
+def degeneracy_locus(W: WeierstrassFamily) -> set[Place]:
     """Places of the smooth base locus where (omega-hat, nabla omega-hat) degenerates.
 
     These are the zeros of (6g2g3'-9g2'g3)/Delta away from the singular

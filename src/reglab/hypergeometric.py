@@ -70,15 +70,11 @@ off by less than 4 (l + N) H_N units, 32 (l + N) H_N relative.  For
 N = p + 8 < 2^20 and l < 2^20 both roundings stay below 2^-(p+20) relative.
 """
 
-from __future__ import annotations
-
-from typing import List
-
 from .bigreal import GUARD, BigReal, PeriodPair, digits_of_bits, exp, fixed_constants
 from .integer_kernel import require_lj
 
 
-def _binomial_series(num: int, den: int, N: int, w: int) -> List[int]:
+def _binomial_series(num: int, den: int, N: int, w: int) -> list[int]:
     """(1 - x)_m / m! for m < N at w bits, x = num/den in (0, 1]: the coefficients
     of (1 - u)^(x-1); entry m is low by less than m units."""
     t = 1 << w
@@ -89,7 +85,7 @@ def _binomial_series(num: int, den: int, N: int, w: int) -> List[int]:
     return out
 
 
-def _half_sum(coeffs: List[int], den: int, num: int) -> int:
+def _half_sum(coeffs: list[int], den: int, num: int) -> int:
     """sum_m coeffs_m 2^-m / (m + num/den), each term floored once."""
     return sum((coeff * den >> m) // (m * den + num) for m, coeff in enumerate(coeffs))
 
@@ -106,7 +102,7 @@ def _shared(N: int, w: int) -> tuple:
     return c, ck
 
 
-def _moments(j: int, l: int, beta: List[int], two_a: int, ln2: int, w: int):
+def _moments(j: int, l: int, beta: list[int], two_a: int, ln2: int, w: int):
     """(I_n, L_n) for n < len(beta) at w bits, a = j/l: the moments of
     (1 - v)^(a-1) and (1 - v)^(a-1) (-ln v) over [0, 1/2], from
     beta_m = (1-a)_m/m!, 2^-a and ln 2 (module docstring)."""
@@ -123,7 +119,7 @@ def _moments(j: int, l: int, beta: List[int], two_a: int, ln2: int, w: int):
         yield I, L
 
 
-def period_table(l: int, p: int = 64) -> List[PeriodPair]:
+def period_table(l: int, p: int = 64) -> list[PeriodPair]:
     """(I(j), J(j)) for j = 1..l-1 from the closed forms, certified to the digits of p bits.
 
     N = p + 8 terms put the truncation and rounding of J below 2^(4-N)

@@ -23,8 +23,6 @@ scale(n) = den^n prod_{p | den} p^(v_p(n!)), whose Horner multiplier is
 den prod_{p | den} p^(v_p(m)) (derived in _ScaledPower).
 """
 
-from __future__ import annotations
-
 import math
 from operator import mul
 
@@ -167,6 +165,33 @@ def _primes(n: int) -> list:
     return out + [n] if n > 1 else out
 
 
+class _Scales:
+    """scale(m) and the Horner multiplier den g(m) of _ScaledPower for one
+    den, as lists indexed by m that only grow; every num of that den shares
+    them.  g(m) = prod_{p | den} p^(v_p(m)), and scale(m) = scale(m-1) den g(m)
+    from scale(0) = 1, since v_p(m!) - v_p((m-1)!) = v_p(m).  The multiplier
+    at m = 0 is never used, and is den."""
+
+    def __init__(self, den: int) -> None:
+        self.den = den
+        self.primes = _primes(den)
+        self.scale: list = [1]
+        self.step: list = [den]
+
+    def extend(self, N: int) -> "_Scales":
+        """Make both lists hold at least N entries."""
+        den, scale, step = self.den, self.scale, self.step
+        for m in range(len(step), N):
+            g, k = 1, m
+            for p in self.primes:
+                while k % p == 0:
+                    k //= p
+                    g *= p
+            step.append(den * g)
+            scale.append(scale[-1] * den * g)
+        return self
+
+
 class _ScaledPower:
     """The series y = e~ f**alpha of one kind, with e~ and f as in _IntegerBases
     and alpha = num/den in lowest terms, or num a formal Polynomial and den = 1.
@@ -199,25 +224,17 @@ class _ScaledPower:
     are only ever multiplied by the small T_k and den g(m).  At den = 1
     (an integer or formal alpha) scale and multiplier are 1; at a formal
     alpha Y_n = y_n is a Polynomial over the rationals and the division by
-    n is exact there.  The list grows on demand.
+    n is exact there.  The list grows on demand.  scale(m) and den g(m)
+    come from the _Scales of den, which the store shares among every num.
     """
 
-    def __init__(self, num, den: int, kind: str, bases: _IntegerBases) -> None:
+    def __init__(self, num, den: int, kind: str, bases: _IntegerBases,
+                 scales: _Scales = None) -> None:
         self.num, self.den, self.kind, self.bases = num, den, kind, bases
-        self.primes = _primes(den)
+        self.scales = scales or _Scales(den)
         self.Y: list = [1]
         self.P: list = [0]  # den A_k + num B_k
         self.dC: list = [den]  # den C_k
-        self.step: list = [den]  # den g(m), the Horner multiplier at m
-
-    def _g(self, m: int) -> int:
-        """prod_{p | den} p^(v_p(m)), which divides m."""
-        g = 1
-        for p in self.primes:
-            while m % p == 0:
-                m //= p
-                g *= p
-        return g
 
     def scale(self, m: int) -> int:
         """The integer scale of Y_m: y_m = Y_m / scale(m) = den^m prod_{p | den} p^(v_p(m!)).
@@ -226,48 +243,46 @@ class _ScaledPower:
         a_coeffs and b_coeffs) divides by this; the recurrence in scaled is
         written for it and changes with it.
         """
-        s = self.den ** m
-        for p in self.primes:
-            pk = p
-            while pk <= m:  # Legendre: v_p(m!) = sum_i floor(m / p^i)
-                s *= p ** (m // pk)
-                pk *= p
-        return s
+        return self.scales.extend(m + 1).scale[m]
 
     def scaled(self, N: int) -> list:
         """Y_0 .. Y_(N-1), for N >= 0."""
         if N < 0:
             raise ValueError("need N >= 0, got {}".format(N))
-        num, den, Y, P, dC, step = self.num, self.den, self.Y, self.P, self.dC, self.step
+        num, den, Y, P, dC = self.num, self.den, self.Y, self.P, self.dC
         if len(Y) < N:
             C, A, B = self.bases.extend(N).kinds[self.kind]
+            step = self.scales.extend(N).step  # den g(m), the Horner multiplier at m
             for k in range(len(P), N):
                 P.append(den * A[k] + num * B[k])
                 dC.append(den * C[k])
-                step.append(den * self._g(k))
             for n in range(len(Y), N):
                 acc = P[n] * Y[0]
                 for k in range(n - 1, 0, -1):
                     m = n - k
                     acc = (P[k] - m * dC[k]) * Y[m] + step[m] * acc
-                Y.append(acc // (n // self._g(n)))
+                Y.append(acc // (n * den // step[n]))  # n / g(n)
         return Y[:N]
 
 
 class _Store:
-    """The process-wide exact data: one _IntegerBases, and one _ScaledPower per
-    (num, den, kind) made on its bases.  Both only grow, so a second compute
-    in the same process rebuilds nothing."""
+    """The process-wide exact data: one _IntegerBases, one _Scales per den, and
+    one _ScaledPower per (num, den, kind) made on them.  All only grow, so a
+    second compute in the same process rebuilds nothing."""
 
     def __init__(self) -> None:
         self.bases = _IntegerBases()
+        self.scales: dict = {}
         self.powers: dict = {}
 
     def power(self, num, den: int, kind: str) -> _ScaledPower:
         key = (num, den, kind)
         power = self.powers.get(key)
         if power is None:
-            power = self.powers[key] = _ScaledPower(num, den, kind, self.bases)
+            scales = self.scales.get(den)
+            if scales is None:
+                scales = self.scales[den] = _Scales(den)
+            power = self.powers[key] = _ScaledPower(num, den, kind, self.bases, scales)
         return power
 
 

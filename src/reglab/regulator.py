@@ -20,10 +20,8 @@ column rank by the Vandermonde-like identity (RegulatorMatrix.rank), so no
 step needs mpmath.  Results are magnitudes (SIGN_POLICY).
 """
 
-from __future__ import annotations
-
 import math
-from typing import List, NamedTuple, Optional
+from collections import namedtuple
 
 from .bigreal import (GUARD, BigReal, PeriodPair, agreement_digits, digits_of_bits,
                       fixed_constants, sin)
@@ -34,15 +32,10 @@ from .integer_kernel import hodge_and_dims
 SIGN_POLICY = "magnitudes only; sign left unresolved"
 
 
-class RegulatorResult(NamedTuple):
-    l: int
-    det_general: BigReal
-    det_closed_form: BigReal
-    value_e_ff: BigReal
-    value_e_ind: BigReal
-    sign_policy: str
-    det_agreement_digits: int
-    normalization_verified: bool
+# l, the BigReals det_general, det_closed_form, value_e_ff and value_e_ind,
+# sign_policy (a str), det_agreement_digits (an int) and normalization_verified
+RegulatorResult = namedtuple("RegulatorResult", "l det_general det_closed_form value_e_ff "
+                             "value_e_ind sign_policy det_agreement_digits normalization_verified")
 
 
 def _require_admissible(l: int) -> None:
@@ -57,7 +50,7 @@ class RegulatorMatrix:
     (l-1)/2 columns (one per independent cycle pairing).
     """
 
-    def __init__(self, l: int, entries: List[List[BigReal]], I_table: List[PeriodPair]):
+    def __init__(self, l: int, entries: list[list[BigReal]], I_table: list[PeriodPair]):
         self.l = l
         self.h = len(entries)
         self.entries = entries
@@ -83,7 +76,7 @@ class RegulatorMatrix:
         return self.h - self.rank()
 
 
-def _sine_column(l: int, w: int) -> List[int]:
+def _sine_column(l: int, w: int) -> list[int]:
     """-2 sin(2 pi m / l) = i (zeta^m - zeta^(-m)) for m = 0 .. l - 1 at w bits, zeta = exp(2 pi i / l).
 
     Each is off by less than 10 units; m = 0 gives exactly 0.
@@ -94,7 +87,7 @@ def _sine_column(l: int, w: int) -> List[int]:
     return [-2 * half[m] if 2 * m < l else 2 * half[l - m] for m in range(l)]
 
 
-def _sine_block(l: int, scales: List[int], w: int) -> List[List[int]]:
+def _sine_block(l: int, scales: list[int], w: int) -> list[list[int]]:
     """Rows r = 1 .. len(scales) of the sine block at w bits: col[r q mod l] * scales[r - 1] >> w
     for q = 1 .. (l - 1)/2, where col is _sine_column; a scale of 2^w keeps the sines as they are."""
     col = _sine_column(l, w)
@@ -130,7 +123,7 @@ def vandermonde_like_det(l: int, p: int = 128) -> BigReal:
     return BigReal((det, -k * w), p, cert)
 
 
-def _bareiss_det(rows: List[List[int]]) -> int:
+def _bareiss_det(rows: list[list[int]]) -> int:
     """The determinant of a square integer matrix by fraction-free (Bareiss) elimination.
 
     Every division is exact, so the result is the exact determinant.
@@ -152,7 +145,7 @@ def _bareiss_det(rows: List[List[int]]) -> int:
 
 
 def regulator_closed_form(l: int, p: int = 128,
-                          table: Optional[List[PeriodPair]] = None) -> RegulatorResult:
+                          table: list[PeriodPair] | None = None) -> RegulatorResult:
     """Both determinant routes plus the normalized values sqrt(l) det and pi^s det.
 
     table is a period table at p bits that starts at j = 1 and holds

@@ -6,10 +6,8 @@ order computed at it is certified constant along its roots (f = pi^k h with
 gcd(h, pi) = 1), so reducible factors like t^l - 1 behave like single points.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, Sequence
 
 from .errors import IsotrivialFamily, NonIntegralEpsilon, NotMinimal
 from .integer_kernel import hodge_and_dims  # re-exported: the dimensions of the fiber data
@@ -183,7 +181,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic() if not a.is_zero() else a
 
 
-def squarefree_decomposition(p: Polynomial) -> List[Tuple[Polynomial, int]]:
+def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     """Yun decomposition: pairwise-coprime monic squarefree (factor, mult) pairs."""
     if p.degree < 1:
         return []
@@ -204,7 +202,7 @@ def squarefree_decomposition(p: Polynomial) -> List[Tuple[Polynomial, int]]:
     return out
 
 
-def split_by_multiplicity(pi: Polynomial, p: Polynomial) -> List[Tuple[Polynomial, int]]:
+def split_by_multiplicity(pi: Polynomial, p: Polynomial) -> list[tuple[Polynomial, int]]:
     """Partition squarefree pi into monic factors on which p has constant root multiplicity."""
     if p.is_zero():
         return [(pi.monic(), _ORD_INF)]
@@ -228,7 +226,7 @@ class Place:
 
     __slots__ = ("polynomial",)
 
-    def __init__(self, polynomial: Union[Polynomial, None]) -> None:
+    def __init__(self, polynomial: Polynomial | None) -> None:
         if polynomial is not None:
             if polynomial.degree < 1:
                 raise ValueError("finite place needs a nonconstant polynomial")
@@ -433,7 +431,7 @@ class KodairaFiber:
 
     __slots__ = ("kind", "n", "place")
 
-    def __init__(self, kind: str, n: Union[int, None], place: Place) -> None:
+    def __init__(self, kind: str, n: int | None, place: Place) -> None:
         if kind in ("I", "I*"):
             if n is None or n < 0 or (kind == "I" and n < 1):
                 raise ValueError("type {} needs a valid index".format(kind))
@@ -487,7 +485,7 @@ def example_family(l: int) -> WeierstrassFamily:
     return WeierstrassFamily(g2, g3, label="3y^2 + x^3 + (3x + 4t^{})^2 = 0".format(l))
 
 
-def discriminant_and_j(W: WeierstrassFamily) -> Tuple[RationalFunction, RationalFunction]:
+def discriminant_and_j(W: WeierstrassFamily) -> tuple[RationalFunction, RationalFunction]:
     """(W.delta, j) with j = 1728 g2^3 / Delta."""
     return W.delta, 1728 * W.g2 * W.g2 * W.g2 / W.delta
 
@@ -529,7 +527,7 @@ def classify_fiber(W: WeierstrassFamily, s: Place) -> KodairaFiber:
 
 
 def uniform_pieces(factor: Polynomial,
-                   witnesses: Sequence[Polynomial]) -> List[Tuple[Polynomial, Tuple[int, ...]]]:
+                   witnesses: Sequence[Polynomial]) -> list[tuple[Polynomial, tuple[int, ...]]]:
     """Split squarefree factor into monic pieces on which every witness has constant root multiplicity.
 
     Returns (piece, multiplicity of each witness) pairs.  A piece is split
@@ -543,7 +541,7 @@ def uniform_pieces(factor: Polynomial,
     return pieces
 
 
-def fiber_list(W: WeierstrassFamily) -> List[KodairaFiber]:
+def fiber_list(W: WeierstrassFamily) -> list[KodairaFiber]:
     """All singular fibers, at uniform places plus infinity; smooth fibers omitted."""
     delta = W.delta
     witnesses = [p for p in (W.g2.numerator, W.g2.denominator,
@@ -561,7 +559,7 @@ def fiber_list(W: WeierstrassFamily) -> List[KodairaFiber]:
                   key=lambda f: (f.place.is_infinity, f.place.degree, str(f.place)))
 
 
-def euler_epsilon(fibers: Sequence[KodairaFiber]) -> Tuple[int, int, int, int]:
+def euler_epsilon(fibers: Sequence[KodairaFiber]) -> tuple[int, int, int, int]:
     """(epsilon, additive fiber count, deg H^{1,0}, deg H^{0,1}) of a fiber_list.
 
     epsilon = (1/12) sum of epsilon_s over all fibers, each place weighted by

@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 import reglab.bigreal as bigreal
@@ -21,7 +23,7 @@ import reglab.regulator as regulator
 import reglab.weierstrass as weierstrass
 from reglab.bigreal import BigReal
 from reglab.bigreal_periods import series_periods
-from reglab.cli import main
+from reglab.cli import _json, main
 from reglab.errors import QuadratureNotConverged
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -355,12 +357,85 @@ class TestCache:
         assert code == 0 and out == first
         assert "ignoring corrupt cache file" in err
 
+    @pytest.mark.parametrize("name, value", (
+        ("I", '1"2'),
+        ("regulator_e_ind", "0.1\\2"),
+        ("sign_policy", "magnitudes\u00e9"),
+    ))
+    def test_string_json_would_escape_recovers(self, capsys, tmp_path, name, value):
+        # no computed payload holds such a string, so it answers no question
+        import reglab.cli as cli
+
+        args = ("compute", "--l", "5", "--digits", "15", "--skip-oracle",
+                "--format", "json", "--cache", str(tmp_path))
+        _, first, _ = run(capsys, *args)
+        path = tmp_path / os.listdir(tmp_path)[0]
+        before = path.read_bytes()
+        entry = json.loads(before)
+        if name == "I":
+            entry["payload"]["I"][0] = value
+        else:
+            entry["payload"][name] = value
+        entry["checksum"] = cli._checksum(entry["key"], entry["payload"])
+        path.write_text(json.dumps(entry))
+        code, out, err = run(capsys, *args)
+        assert code == 0 and out == first == (GOLDEN / "compute_l5_d15.json").read_text()
+        assert "ignoring corrupt cache file" in err
+        assert path.read_bytes() == before  # recomputed and stored again
+
     def test_env_var_overrides(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REGLAB_CACHE", str(tmp_path))
         code, _, _ = run(capsys, "compute", "--l", "5", "--digits", "12",
                          "--skip-oracle")
         assert code == 0
         assert len(os.listdir(tmp_path)) == 1
+
+
+def _dumps(x):
+    return json.dumps(x, sort_keys=True, separators=(",", ":"))
+
+
+# the strings _json writes: printable ASCII with no quote and no backslash
+_PLAIN = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E,
+                               blacklist_characters='"\\'))
+_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | _PLAIN
+    | st.integers(10 ** 299, 10 ** 300) | st.integers(-10 ** 300, -10 ** 299),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_PLAIN, inner, max_size=4),
+    max_leaves=24)
+
+
+class TestJson:
+    """cli._json writes what json.dumps(x, sort_keys=True, separators=(",", ":"))
+    writes, on the values a payload holds, and refuses every other value."""
+
+    @given(x=_PAYLOADS)
+    @example(x={"b": [True, None, -3, 10 ** 300], "a": {}, "": [[]], "a b": "0.1e-5"})
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, x):
+        assert _json(x) == _dumps(x)
+
+    def test_the_golden_payloads(self):
+        for path in sorted(GOLDEN.glob("compute_*.json")):
+            text = path.read_text()
+            assert _json(json.loads(text)) + "\n" == text, path.name
+
+    @given(s=st.text(min_size=1).filter(lambda s: _dumps(s) != '"' + s + '"'))
+    @example(s='1"2')
+    @example(s="\\")
+    @example(s="\x7f")
+    @settings(deadline=None)
+    def test_strings_json_would_escape_raise(self, s):
+        for x in (s, [s], {"k": s}, {s: 1}):
+            with pytest.raises(ValueError):
+                _json(x)
+
+    @given(f=st.floats())
+    @settings(deadline=None)
+    def test_floats_raise(self, f):
+        for x in (f, [1, f], {"k": f}):
+            with pytest.raises(ValueError):
+                _json(x)
 
 
 class TestClosedPipe:
@@ -644,9 +719,9 @@ class TestImportFootprint:
     """A start-up budget.  Paths that evaluate no number start without mpmath
     and the numeric layer; the series route and its closed-form check run
     without mpmath and without the exact layer's Fractions (fractions imports
-    decimal); no cache read or write loads OpenSSL; json loads only where JSON
-    is read or written; and no command loads argparse, getopt, gettext or
-    locale."""
+    decimal); no cache read or write loads OpenSSL; json loads only where a
+    cache file is read or written, --format json being written without it;
+    and no command loads argparse, getopt, gettext or locale."""
 
     @pytest.mark.parametrize("argv, golden", (
         (("fibers", "--l", "5"), "fibers_l5.txt"),
@@ -670,13 +745,13 @@ class TestImportFootprint:
     def test_compute_skip_oracle(self):
         out, report = _run_reporting_numeric_imports(
             "compute", "--l", "13", "--digits", "30", "--skip-oracle", "--format", "json")
-        assert report == "0 ['json', 'reglab.bigreal', 'reglab.bigreal_periods']"
+        assert report == "0 ['reglab.bigreal', 'reglab.bigreal_periods']"
         assert out == (GOLDEN / "compute_l13_d30.json").read_text()
 
     def test_checked_compute(self):
         out, report = _run_reporting_numeric_imports(
             "compute", "--l", "5", "--digits", "15", "--format", "json")
-        assert report == "0 ['json', 'reglab.bigreal', 'reglab.bigreal_periods']"
+        assert report == "0 ['reglab.bigreal', 'reglab.bigreal_periods']"
         checked = json.loads(out)
         assert float(checked.pop("oracle_check")["max_rel_diff"]) < 1e-6
         skipped = json.loads((GOLDEN / "compute_l5_d15.json").read_text())
@@ -687,6 +762,18 @@ class TestImportFootprint:
             "compute", "--l", "5", "--digits", "15", "--skip-oracle")
         assert report == "0 ['reglab.bigreal', 'reglab.bigreal_periods']"
         assert "0.346139631939354" in out
+
+    @pytest.mark.parametrize("argv, golden", (
+        (("compute", "--l", "5", "--digits", "10", "--format", "json"),
+         "compute_l5_d10_oracle.json"),
+        (("compute", "--l", "5", "--digits", "15", "--skip-oracle", "--format", "json"),
+         "compute_l5_d15.json"),
+    ), ids=("checked", "skip-oracle"))
+    def test_json_output_without_json_as_module(self, argv, golden):
+        proc = _run_as_module("'json' in sys.modules", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.decode().splitlines()[-1] == "0 False"
+        assert proc.stdout.decode() == (GOLDEN / golden).read_text()
 
     @pytest.mark.parametrize("argv, golden", (
         (("oracle", "--l", "5", "--j", "2"), "oracle_l5_j2.txt"),

@@ -106,3 +106,14 @@ def test_traced_functions_resolve_where_the_tracer_looks():
     for fn in TRACED_FUNCTIONS:
         assert fn in where, fn
         assert callable(getattr(importlib.import_module("reglab." + where[fn]), fn, None)), fn
+
+
+def test_no_future_import_and_no_typing_namedtuple():
+    # a fresh process pays for importing __future__ and for building each
+    # typing.NamedTuple class; collections.namedtuple makes the same records
+    found = [(path.name, module, name) for path in SRC for module, name in _imports_from(path)
+             if module == "__future__" or (module == "typing" and name == "NamedTuple")]
+    found += [(path.name, "typing", "NamedTuple") for path in SRC
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Attribute) and node.attr == "NamedTuple"]
+    assert found == []

@@ -7,7 +7,11 @@ lines:
 
 Each command runs in a fresh process, without REGLAB_CACHE.  A family's digest
 covers, for each of its commands in order, the argv, the exit code, stdout and
-stderr.  Standard library only; a full run takes about a minute.
+stderr; then the name and bytes of every file its cache directory holds.  Each
+family gets a fresh temporary directory, which an argv names by the token
+CACHE; the directory's path is replaced by that token before hashing, so the
+digests do not depend on where it was made.  Standard library only; a full
+run takes about a minute.
 """
 
 from __future__ import annotations
@@ -17,8 +21,10 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 ADMISSIBLE_L = [l for l in range(5, 32) if math.gcd(l, 6) == 1]
+CACHE = "<cache>"  # stands for the family's temporary directory
 
 FAMILIES = {
     "compute json, l <= 31 x digits 10-100, checked and --skip-oracle": [
@@ -38,6 +44,9 @@ FAMILIES = {
     "exit paths: unknown subcommand, bad int, unsupported l, bad j, --help": [
         ["frobnicate"], ["compute", "--l", "x"], ["compute", "--l", "9"],
         ["oracle", "--l", "5", "--j", "9"], ["compute", "--help"]],
+    "compute --cache, a miss then a hit, at (5, 15) json and (7, 30) text": [
+        ["compute", "--l", str(l), "--digits", str(d), "--format", fmt, "--cache", CACHE]
+        for l, d, fmt in ((5, 15, "json"), (7, 30, "text")) for _ in range(2)],
 }
 
 
@@ -48,12 +57,19 @@ def _field(h, data: bytes) -> None:
 
 def digest(commands, env) -> str:
     h = hashlib.sha256()
-    for argv in commands:
-        run = subprocess.run([sys.executable, "-m", "reglab.cli"] + argv,
-                             capture_output=True, env=env, check=False)
-        for data in (" ".join(argv).encode(), str(run.returncode).encode(),
-                     run.stdout, run.stderr):
-            _field(h, data)
+    with tempfile.TemporaryDirectory() as cache:
+        token = lambda data: data.replace(cache.encode(), CACHE.encode())
+        for argv in commands:
+            run = subprocess.run([sys.executable, "-m", "reglab.cli"] +
+                                 [cache if a == CACHE else a for a in argv],
+                                 capture_output=True, env=env, check=False)
+            for data in (" ".join(argv).encode(), str(run.returncode).encode(),
+                         token(run.stdout), token(run.stderr)):
+                _field(h, data)
+        for name in sorted(os.listdir(cache)):
+            with open(os.path.join(cache, name), "rb") as fh:
+                _field(h, name.encode())
+                _field(h, token(fh.read()))
     return h.hexdigest()
 
 
