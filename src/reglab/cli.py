@@ -13,20 +13,21 @@ Subcommands:
 relative difference of dyadic numbers, printed as mpmath's nstr(x, 3) would
 print it.  Results of `compute` can be cached as one JSON file per
 (l, digits, skip-oracle, version) key, with a CRC-32 of its key and payload
-against torn or corrupted files; corrupted or unreadable files are ignored
-with a warning, files whose key is not exactly the run's (another version
-among them) silently, and either is recomputed; a cache that cannot be
-written is reported with a warning.
+against torn or corrupted files.  A file is read by a strict reader that
+accepts only what _json writes, nested no deeper than an entry; corrupted
+or unreadable files are ignored with a warning, files whose key is not
+exactly the run's (another version among them) silently, and either is
+recomputed; a cache that cannot be written is reported with a warning.
 The command line is read by parse_config from one table of flags per
 subcommand: `--flag value` and `--flag=value`, a unique prefix of a flag
 (`--dig 30`), the last of a repeated flag, a negative number, a lone `-` or
 a string with a space as a value, and `-h`/`--help`, which print usage and
 exit 0.  Each command loads only what it runs: `compute` loads the numeric
-layer, and `json` only where it reads or writes a cache file, since _json
-writes --format json; a cache hit loads `json` only; `fibers` and `pf` load
-the exact layer and no `json`; and no command loads argparse, gettext,
-locale or hashlib.  Records are collections.namedtuples, which a fresh
-process builds in far less time than typing.NamedTuple classes.  The
+layer, and a cache hit none of it; `fibers` and `pf` load the exact layer;
+and no command loads json, argparse, gettext, locale or hashlib, since
+_json writes --format json and the cache files, and _read_json reads them.
+Records are collections.namedtuples, which a fresh process builds in far
+less time than typing.NamedTuple classes.  The
 numeric layer is imported only inside the functions that evaluate numbers,
 and loads none of the exact layer's Fractions and Polynomials; the two
 routes are compared on Python ints, without fractions.  The series route,
@@ -38,10 +39,12 @@ integers.
 
 Exit codes: 0 success, 1 a failed selfcheck check, 2 a usage error (printed
 as a usage line and `reglab: error: ...`) or a validation error (printed as
-`error: ...`; a --cache path that is not a directory among them), 3 precision
-or quadrature failure, including the series route more than 1e-6 from the
-route it is checked against; a reader that closes the output pipe early
-(`reglab fibers --l 5 | head -1`) ends the run with 0.
+`error: ...`; a --cache path that is not a directory among them), 3 any other
+ReglabError or a MemoryError (printed as `error: <ClassName>: ...`):
+precision or quadrature failure, the series route more than 1e-6 from the
+route it is checked against among them, and 130 an interrupt (Ctrl-C,
+printed as `interrupted`, with no traceback); a reader that closes the
+output pipe early (`reglab fibers --l 5 | head -1`) ends the run with 0.
 A process that main ends (`python -m reglab.cli`, the `reglab` script) freezes
 the garbage collector on its way out, so the interpreter's exit collections
 skip the objects of start-up; nothing printed or written depends on them.
@@ -55,12 +58,7 @@ import sys
 from collections import namedtuple
 
 from . import __version__
-from .errors import (
-    PrecisionNotReached,
-    QuadratureNotConverged,
-    ReglabError,
-    UnsupportedL,
-)
+from .errors import QuadratureNotConverged, ReglabError, UnsupportedL
 
 _DEFAULT_DIGITS = 30
 _ORACLE_BITS = 64
@@ -221,13 +219,15 @@ def _plain(s) -> bool:
             and '"' not in s and "\\" not in s)
 
 
-def _json(x) -> str:
-    """json.dumps(x, sort_keys=True, separators=(",", ":")), without json, for
-    the values a payload holds: None, bools, ints, lists, dicts whose keys
-    _plain admits and strs that it admits.  Any other value raises ValueError.
+def _json(x, indent=None, _pad="\n") -> str:
+    """json.dumps(x, sort_keys=True, indent=indent), without json, for the
+    values a payload holds: None, bools, ints, lists, dicts whose keys _plain
+    admits and strs that it admits.  indent None writes it compact, with
+    separators=(",", ":").  Any other value raises ValueError.
 
     Importing json costs a fresh process about 1.5 ms, mostly the regexes of
-    its decoder and encoder, and a compute that writes no file needs neither.
+    its decoder and encoder, and no command needs either.  _pad is the
+    newline and indentation of the line x starts on.
     """
     if x is None:
         return "null"
@@ -238,10 +238,97 @@ def _json(x) -> str:
     if _plain(x):
         return '"' + x + '"'
     if isinstance(x, list):
-        return "[" + ",".join(map(_json, x)) + "]"
-    if isinstance(x, dict) and all(map(_plain, x)):
-        return "{" + ",".join('"{}":{}'.format(k, _json(x[k])) for k in sorted(x)) + "}"
-    raise ValueError("no payload value: {!r}".format(x))
+        brackets = "[]"
+    elif isinstance(x, dict) and all(map(_plain, x)):
+        brackets = "{}"
+    else:
+        raise ValueError("no payload value: {!r}".format(x))
+    if not x:
+        return brackets
+    pad, inner, colon = ("", "", ":") if indent is None else (_pad, _pad + " " * indent, ": ")
+    if isinstance(x, list):
+        items = [_json(v, indent, inner) for v in x]
+    else:
+        items = ['"{}"{}{}'.format(k, colon, _json(x[k], indent, inner)) for k in sorted(x)]
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
+_JSON_SPACE = " \t\n\r"
+_JSON_WORD_END = _JSON_SPACE + ",]}"
+_JSON_WORDS = {"true": True, "false": False, "null": None}
+_JSON_DEPTH = 3  # an entry, its payload, and the payload's lists and oracle_check
+
+
+def _read_json(text: str):
+    """The value of a JSON text holding only what _json writes: objects,
+    arrays, ints, true, false, null and strings that _plain admits, between
+    any JSON whitespace, nested at most _JSON_DEPTH deep.  Anything else
+    raises ValueError: a float, an exponent, a leading zero, an escape, a
+    non-ASCII string, trailing data, or deeper nesting.
+
+    It reads a cache file without json and its regexes, and its recursion is
+    bounded by the depth, so no file can exhaust the stack."""
+    value, i = _read_value(text, 0, _JSON_DEPTH)
+    i = _skip_space(text, i)
+    if i < len(text):
+        raise ValueError("trailing data at character {}".format(i))
+    return value
+
+
+def _skip_space(text: str, i: int) -> int:
+    while i < len(text) and text[i] in _JSON_SPACE:
+        i += 1
+    return i
+
+
+def _read_value(text: str, i: int, depth: int) -> tuple:
+    """The value that starts at text[i] or after whitespace there, and the
+    index past it; containers may nest depth deep."""
+    i = _skip_space(text, i)
+    start = text[i:i + 1]
+    if start == '"':
+        end = text.find('"', i + 1)
+        string = text[i + 1:end]
+        if end < 0 or not _plain(string):
+            raise ValueError("no plain string at character {}".format(i))
+        return string, end + 1
+    if start not in ("[", "{"):
+        end = i
+        while end < len(text) and text[end] not in _JSON_WORD_END:
+            end += 1
+        word = text[i:end]
+        digits = word[1:] if word.startswith("-") else word
+        if word in _JSON_WORDS:
+            return _JSON_WORDS[word], end
+        if digits.isascii() and digits.isdigit() and (digits == "0" or digits[0] != "0"):
+            return int(word), end
+        raise ValueError("no integer, true, false or null at character {}".format(i))
+    if depth == 0:
+        raise ValueError("nested deeper than a cache entry at character {}".format(i))
+    close = "]" if start == "[" else "}"
+    value = [] if start == "[" else {}
+    i = _skip_space(text, i + 1)
+    if text[i:i + 1] == close:
+        return value, i + 1
+    while True:
+        if close == "]":
+            item, i = _read_value(text, i, depth - 1)
+            value.append(item)
+        else:
+            i = _skip_space(text, i)
+            if text[i:i + 1] != '"':
+                raise ValueError("no object key at character {}".format(i))
+            key, i = _read_value(text, i, 0)
+            i = _skip_space(text, i)
+            if text[i:i + 1] != ":":
+                raise ValueError("expected ':' at character {}".format(i))
+            value[key], i = _read_value(text, i + 1, depth - 1)
+        i = _skip_space(text, i)
+        if text[i:i + 1] == close:
+            return value, i + 1
+        if text[i:i + 1] != ",":
+            raise ValueError("expected ',' or '{}' at character {}".format(close, i))
+        i += 1
 
 
 def _render(payload: dict, fmt: str) -> str:
@@ -259,16 +346,10 @@ def _checksum(key: dict, payload: dict) -> str:
 
     It catches torn and corrupted files; it is no seal, since whoever can
     write the file can recompute it.  What a loaded entry answers is checked
-    by its key and by _check_payload.  A loaded entry may hold what _json
-    does not write (a float, an escaped string), and json writes that.
+    by its key and by _check_payload.  _read_json loads only what _json
+    writes, so every loaded entry has a checksum.
     """
-    entry = {"key": key, "payload": payload}
-    try:
-        body = _json(entry)
-    except ValueError:
-        import json
-
-        body = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+    body = _json({"key": key, "payload": payload})
     return "{:08x}".format(binascii.crc32(body.encode()))
 
 
@@ -316,14 +397,12 @@ def _check_payload(payload, cfg: RunConfig) -> None:
 
 
 def _cache_load(cfg: RunConfig) -> dict | None:
-    import json
-
     path = _cache_path(cfg)
     if not os.path.exists(path):
         return None
     try:
         with open(path) as fh:
-            entry = json.load(fh)
+            entry = _read_json(fh.read())
         key, payload = entry["key"], entry["payload"]
         if entry["checksum"] != _checksum(key, payload):
             raise ValueError("checksum mismatch")
@@ -344,8 +423,6 @@ def _cache_load(cfg: RunConfig) -> dict | None:
 
 
 def _cache_store(cfg: RunConfig, payload: dict) -> None:
-    import json
-
     key = _cache_key(cfg)
     entry = {"key": key, "payload": payload,
              "checksum": _checksum(key, payload)}
@@ -355,8 +432,7 @@ def _cache_store(cfg: RunConfig, payload: dict) -> None:
     try:
         os.makedirs(cfg.cache_dir, exist_ok=True)
         with open(tmp, "w") as fh:
-            json.dump(entry, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(_json(entry, indent=2) + "\n")
         os.replace(tmp, path)
     except OSError as exc:
         print("warning: could not write cache file {}: {}".format(path, exc),
@@ -783,9 +859,15 @@ def main(argv=None) -> int:
     except (UnsupportedL, ValueError) as exc:
         print("error: {}".format(exc), file=sys.stderr)
         return 2
-    except (PrecisionNotReached, QuadratureNotConverged) as exc:
+    except ReglabError as exc:
         print("error: {}: {}".format(type(exc).__name__, exc), file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: MemoryError: out of memory", file=sys.stderr)
+        return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except BrokenPipeError:
         # the reader has gone; point stdout at devnull so the final flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -1,11 +1,14 @@
+import binascii
 import functools
 import gc
 import importlib.metadata
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,13 +20,14 @@ from mpmath import mp
 import reglab.bigreal as bigreal
 import reglab.bigreal_periods as bigreal_periods
 import reglab.elliptic_oracle as elliptic_oracle
+import reglab.errors as errors
 import reglab.gauss_manin as gauss_manin
 import reglab.hypergeometric as hypergeometric
 import reglab.regulator as regulator
 import reglab.weierstrass as weierstrass
 from reglab.bigreal import BigReal
 from reglab.bigreal_periods import series_periods
-from reglab.cli import _json, main
+from reglab.cli import _json, _read_json, main
 from reglab.errors import QuadratureNotConverged
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -178,6 +182,21 @@ class TestCache:
         code, out, err = run(capsys, *args)
         assert code == 0 and out == first and "corrupt" in err
 
+    @pytest.mark.parametrize("text", ("[" * 10 ** 5, '{"a":' * 10 ** 5),
+                             ids=("arrays", "objects"))
+    def test_deeply_nested_file_recovers(self, capsys, tmp_path, text):
+        # nested deeper than an entry: a corrupt file, read without deep recursion
+        args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle",
+                "--cache", str(tmp_path))
+        _, first, _ = run(capsys, *args)
+        path = tmp_path / os.listdir(tmp_path)[0]
+        before = path.read_bytes()
+        path.write_text(text)
+        code, out, err = run(capsys, *args)
+        assert code == 0 and out == first
+        assert "ignoring corrupt cache file" in err and "nested deeper" in err
+        assert path.read_bytes() == before  # recomputed and stored again
+
     def test_stale_version_ignored_silently(self, capsys, tmp_path):
         from reglab.cli import _checksum
 
@@ -233,16 +252,46 @@ class TestCache:
         assert code == 0 and out == first and err == ""
         assert path.read_bytes() == before  # recomputed and stored again
 
+    @pytest.mark.parametrize("forge", ("float", "escape"))
+    def test_key_equal_only_once_decoded_recovers(self, capsys, tmp_path, forge):
+        # 5.0 == 5, and "\u0030" decodes to "0": a reader that took either would
+        # serve this entry, checksummed as json would write it, as the run's own
+        args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle",
+                "--cache", str(tmp_path))
+        _, first, _ = run(capsys, *args)
+        path = tmp_path / os.listdir(tmp_path)[0]
+        before = path.read_bytes()
+        entry = json.loads(before)
+        entry["payload"]["regulator_e_ind"] = "9.99"  # what a served entry would print
+        if forge == "float":
+            entry["key"]["l"] = 5.0
+        entry["checksum"] = _forged_checksum(entry["key"], entry["payload"])
+        text = json.dumps(entry)
+        if forge == "escape":
+            text = text.replace('"version": "0', '"version": "\\u0030')
+        assert json.loads(text) == entry
+        path.write_text(text)
+        code, out, err = run(capsys, *args)
+        assert code == 0 and out == first
+        assert "ignoring corrupt cache file" in err
+        assert path.read_bytes() == before  # recomputed and stored again
+
     def test_store_leaves_no_temp_file_on_failure(self, capsys, tmp_path, monkeypatch):
         import reglab.cli as cli
 
-        def broken_dump(*args, **kwargs):
-            raise OSError("disk full")
+        def full_disk_open(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            if "w" in mode:
+                def broken_write(text):
+                    raise OSError("disk full")
+
+                fh.write = broken_write  # the one write of the entry, after the file is made
+            return fh
 
         args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle",
                 "--cache", str(tmp_path))
         _, first, _ = run(capsys, "compute", "--l", "5", "--digits", "12", "--skip-oracle")
-        monkeypatch.setattr(json, "dump", broken_dump)  # the json module cli imports when it writes
+        monkeypatch.setattr(cli, "open", full_disk_open, raising=False)  # the open cli writes with
         code, out, err = run(capsys, *args)
         assert code == 0 and out == first
         assert "could not write cache file" in err and "disk full" in err
@@ -326,8 +375,6 @@ class TestCache:
         ("oracle_check", {"max_rel_diff": "1e-20"}),
     ))
     def test_malformed_payload_value_recovers(self, capsys, tmp_path, fmt, name, value):
-        import reglab.cli as cli
-
         args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle",
                 "--format", fmt, "--cache", str(tmp_path))
         _, first, _ = run(capsys, *args)
@@ -335,7 +382,7 @@ class TestCache:
         before = path.read_bytes()
         entry = json.loads(before)
         entry["payload"][name] = value
-        entry["checksum"] = cli._checksum(entry["key"], entry["payload"])
+        entry["checksum"] = _forged_checksum(entry["key"], entry["payload"])
         path.write_text(json.dumps(entry))
         code, out, err = run(capsys, *args)
         assert code == 0 and out == first
@@ -364,8 +411,6 @@ class TestCache:
     ))
     def test_string_json_would_escape_recovers(self, capsys, tmp_path, name, value):
         # no computed payload holds such a string, so it answers no question
-        import reglab.cli as cli
-
         args = ("compute", "--l", "5", "--digits", "15", "--skip-oracle",
                 "--format", "json", "--cache", str(tmp_path))
         _, first, _ = run(capsys, *args)
@@ -376,7 +421,7 @@ class TestCache:
             entry["payload"]["I"][0] = value
         else:
             entry["payload"][name] = value
-        entry["checksum"] = cli._checksum(entry["key"], entry["payload"])
+        entry["checksum"] = _forged_checksum(entry["key"], entry["payload"])
         path.write_text(json.dumps(entry))
         code, out, err = run(capsys, *args)
         assert code == 0 and out == first == (GOLDEN / "compute_l5_d15.json").read_text()
@@ -395,30 +440,95 @@ def _dumps(x):
     return json.dumps(x, sort_keys=True, separators=(",", ":"))
 
 
+def _forged_checksum(key, payload):
+    """The CRC-32 of the compact json.dumps of key and payload: cli._checksum
+    wherever _json writes them, and defined on a float or an escaped string,
+    which _checksum refuses since _read_json never loads one."""
+    body = _dumps({"key": key, "payload": payload})
+    return "{:08x}".format(binascii.crc32(body.encode()))
+
+
 # the strings _json writes: printable ASCII with no quote and no backslash
 _PLAIN = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E,
                                blacklist_characters='"\\'))
+_SCALARS = (st.none() | st.booleans() | st.integers() | _PLAIN
+            | st.integers(10 ** 299, 10 ** 300) | st.integers(-10 ** 300, -10 ** 299))
 _PAYLOADS = st.recursive(
-    st.none() | st.booleans() | st.integers() | _PLAIN
-    | st.integers(10 ** 299, 10 ** 300) | st.integers(-10 ** 300, -10 ** 299),
+    _SCALARS,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_PLAIN, inner, max_size=4),
     max_leaves=24)
 
 
+def _nested(depth):
+    """The values of _PAYLOADS whose containers nest at most depth deep."""
+    if depth == 0:
+        return _SCALARS
+    inner = _nested(depth - 1)
+    return _SCALARS | st.lists(inner, max_size=4) | st.dictionaries(_PLAIN, inner, max_size=4)
+
+
+_EXAMPLE = {"b": [True, None, -3, 10 ** 300], "a": {}, "": [[]], "a b": "0.1e-5"}
+
+
 class TestJson:
-    """cli._json writes what json.dumps(x, sort_keys=True, separators=(",", ":"))
-    writes, on the values a payload holds, and refuses every other value."""
+    """cli._json writes what json.dumps(x, sort_keys=True, indent=indent)
+    writes (compact when indent is None), on the values a payload holds, and
+    refuses every other value; cli._read_json reads back what json.dumps
+    writes of them, nested as deep as a cache entry, and refuses the rest."""
 
     @given(x=_PAYLOADS)
-    @example(x={"b": [True, None, -3, 10 ** 300], "a": {}, "": [[]], "a b": "0.1e-5"})
+    @example(x=_EXAMPLE)
     @settings(max_examples=300, deadline=None)
     def test_matches_json_dumps(self, x):
         assert _json(x) == _dumps(x)
 
+    @given(x=_PAYLOADS)
+    @example(x=_EXAMPLE)
+    @settings(max_examples=200, deadline=None)
+    def test_indented_matches_json_dumps(self, x):
+        assert _json(x, indent=2) == json.dumps(x, sort_keys=True, indent=2)
+
+    @given(x=_nested(3))
+    @example(x=_EXAMPLE)
+    @example(x={"a": [{}, -0], "b": [[]]})
+    @settings(max_examples=200, deadline=None)
+    def test_reads_what_json_dumps_writes(self, x):
+        for text in (json.dumps(x), _dumps(x), json.dumps(x, indent=2)):
+            assert _read_json(text) == x
+            assert _json(_read_json(text)) == _json(x)  # True stays True, not 1
+
+    @pytest.mark.parametrize("text", (
+        "1.5", "[1.0]", "1e5", "-2E3", "01", "-01", "NaN", "Infinity", "+1", "-", "tru", "True",
+        "\uff11", '"1\\"2"', '"\\n"', '"\\u00e9"', '"\u00e9"', '"\t"', '"open',
+        "{} {}", "[1] x", "[1]]", "[[[[]]]]", '{"a": {"b": {"c": {}}}}', "",
+        "[1,]", "[1 2]", "{1: 2}", '{"a" 1}', '{"a": 1,}', "\ufeff{}",
+    ), ids=(
+        "float", "float-in-array", "exponent", "negative-exponent", "leading-zero",
+        "negative-leading-zero", "nan", "infinity", "plus-sign", "lone-minus", "bad-word",
+        "capitalized-word",
+        "non-ascii-digit", "escaped-quote", "escape", "unicode-escape", "non-ascii-string",
+        "control-character", "unterminated-string", "trailing-value", "trailing-word",
+        "trailing-bracket", "four-arrays-deep", "four-objects-deep", "empty", "trailing-comma",
+        "missing-comma", "integer-key", "missing-colon", "trailing-comma-in-object", "bom"))
+    def test_rejects(self, text):
+        with pytest.raises(ValueError):
+            _read_json(text)
+
     def test_the_golden_payloads(self):
+        import reglab.cli as cli
+
         for path in sorted(GOLDEN.glob("compute_*.json")):
             text = path.read_text()
-            assert _json(json.loads(text)) + "\n" == text, path.name
+            payload = _read_json(text)
+            assert payload == json.loads(text) and _json(payload) + "\n" == text, path.name
+            # wrapped as a cache entry, as _cache_store writes it and _cache_load reads it
+            key = {"digits": 15, "l": payload["l"], "skip_oracle": True,
+                   "version": cli.__version__}
+            entry = {"checksum": cli._checksum(key, payload), "key": key, "payload": payload}
+            stored = _json(entry, indent=2) + "\n"
+            assert stored == json.dumps(entry, sort_keys=True, indent=2) + "\n", path.name
+            assert _read_json(stored) == entry, path.name
+            assert _json(_read_json(stored), indent=2) + "\n" == stored, path.name
 
     @given(s=st.text(min_size=1).filter(lambda s: _dumps(s) != '"' + s + '"'))
     @example(s='1"2')
@@ -719,9 +829,9 @@ class TestImportFootprint:
     """A start-up budget.  Paths that evaluate no number start without mpmath
     and the numeric layer; the series route and its closed-form check run
     without mpmath and without the exact layer's Fractions (fractions imports
-    decimal); no cache read or write loads OpenSSL; json loads only where a
-    cache file is read or written, --format json being written without it;
-    and no command loads argparse, getopt, gettext or locale."""
+    decimal); no cache read or write loads OpenSSL; and no command loads
+    json (--format json and the cache files are written and read without
+    it), argparse, getopt, gettext or locale."""
 
     @pytest.mark.parametrize("argv, golden", (
         (("fibers", "--l", "5"), "fibers_l5.txt"),
@@ -736,10 +846,10 @@ class TestImportFootprint:
         args = ("compute", "--l", "5", "--digits", "15", "--skip-oracle",
                 "--format", "json", "--cache", str(tmp_path))
         miss, report = _run_reporting_numeric_imports(*args)
-        assert report == "0 ['json', 'reglab.bigreal', 'reglab.bigreal_periods']"
+        assert report == "0 ['reglab.bigreal', 'reglab.bigreal_periods']"
         assert miss == (GOLDEN / "compute_l5_d15.json").read_text()
         hit, report = _run_reporting_numeric_imports(*args)
-        assert report == "0 ['json']"
+        assert report == "0 []"
         assert hit == miss
 
     def test_compute_skip_oracle(self):
@@ -846,10 +956,69 @@ class TestExitPath:
         assert stored.endswith(b"}\n")
         entry = json.loads(stored)
         assert entry["checksum"] == cli._checksum(entry["key"], entry["payload"])
+        assert stored == (json.dumps(entry, sort_keys=True, indent=2) + "\n").encode()
         hit = _run_as_module("gc.get_freeze_count() > 0", *argv)
         assert hit.returncode == 0 and hit.stderr == b"0 True\n", hit.stderr
         assert hit.stdout == miss.stdout
         assert (tmp_path / name).read_bytes() == stored
+
+
+# an exception a command raises, the exit code of main, and its one line on stderr
+_RAISED = (
+    (errors.UnsupportedL("bad l"), 2, "error: bad l"),
+    (ValueError("bad value"), 2, "error: bad value"),
+    (errors.PrecisionNotReached("short"), 3, "error: PrecisionNotReached: short"),
+    (errors.QuadratureNotConverged("apart"), 3, "error: QuadratureNotConverged: apart"),
+    (errors.RootOrderingFailed("unordered"), 3, "error: RootOrderingFailed: unordered"),
+    (errors.DomainError("outside"), 3, "error: DomainError: outside"),
+    (errors.NonIntegralEpsilon("1/2"), 3, "error: NonIntegralEpsilon: 1/2"),
+    (errors.NotMinimal("v(Delta) = 12"), 3, "error: NotMinimal: v(Delta) = 12"),
+    (errors.IsotrivialFamily("j constant"), 3, "error: IsotrivialFamily: j constant"),
+    (MemoryError(), 3, "error: MemoryError: out of memory"),
+    (KeyboardInterrupt(), 130, "interrupted"),
+)
+
+
+class TestExitCodes:
+    """Whatever a command raises leaves main with a documented code and a
+    one-line message: 2 for a validation error, 3 for any other ReglabError
+    and for MemoryError, 130 for an interrupt."""
+
+    @pytest.mark.parametrize("exc, want, message", _RAISED,
+                             ids=[type(case[0]).__name__ for case in _RAISED])
+    def test_each_exception_gives_its_code(self, capsys, monkeypatch, exc, want, message):
+        import reglab.cli as cli
+
+        def raising(cfg):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "fibers", cli._COMMANDS["fibers"]._replace(run=raising))
+        try:
+            code, out, err = run(capsys, "fibers", "--l", "5")
+        except BaseException as escaped:  # an escaped KeyboardInterrupt would end the session
+            pytest.fail("main let {} escape".format(type(escaped).__name__))
+        assert (code, out, err) == (want, "", message + "\n")
+
+    def test_sigint_exits_130_without_traceback(self):
+        # one process, interrupted inside the series route: 20000 digits run for hours
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop("REGLAB_CACHE", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from reglab.cli import main; print('ready', file=sys.stderr, "
+             "flush=True); sys.exit(main())",
+             "compute", "--l", "5", "--digits", "20000", "--skip-oracle"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert proc.stderr.readline() == b"ready\n"
+            time.sleep(0.5)  # past the parse, into the sums
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 130
+        assert out == b"" and err == b"interrupted\n"
 
 
 def _run_entry_point(*argv):

@@ -3,10 +3,10 @@
 bigreal owns BigReal and the fixed-point kernels, so the routes that check
 the series route (hypergeometric, elliptic_oracle) and the exact layer
 (exact_series) depend on it and not on the series route's own module, and
-none of them imports mpmath, which only bigreal reads.  No module reaches
-into another's private names.  The benchmark names modules
-and traced functions in bench/; a move that loses one would zero its
-per-layer metrics without failing, so the names are resolved here.  The
+none of them imports mpmath, which only bigreal reads.  No module imports
+json, and none reaches into another's private names.  The benchmark names
+modules and traced functions in bench/; a move that loses one would zero
+its per-layer metrics without failing, so the names are resolved here.  The
 bench files are read as source, not imported.
 """
 
@@ -81,14 +81,23 @@ def test_checks_do_not_load_the_series_route(module):
     assert proc.stdout.decode().split() == ["False", "True", "False"]
 
 
-def test_only_bigreal_imports_mpmath():
-    # bigreal reads an mpf and builds BigReal.value; no other module needs mpmath
-    importing = sorted(
+def _importers(package):
+    """The names of the modules of src/reglab that import package or a submodule of it."""
+    return {
         path.name for path in SRC for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Import) and any(
-            alias.name.split(".")[0] == "mpmath" for alias in node.names)
-        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath")
-    assert set(importing) == {"bigreal.py"}
+            alias.name.split(".")[0] == package for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package}
+
+
+def test_only_bigreal_imports_mpmath():
+    # bigreal reads an mpf and builds BigReal.value; no other module needs mpmath
+    assert _importers("mpmath") == {"bigreal.py"}
+
+
+def test_no_module_imports_json():
+    # cli writes --format json and the cache files with _json and reads them with _read_json
+    assert _importers("json") == set()
 
 
 def test_benchmark_modules_import():
