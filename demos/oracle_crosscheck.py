@@ -6,8 +6,7 @@
 # each arch to Carlson's R_F, and integrates over t by dyadic panels.
 import time
 
-from mpmath import mp
-
+from reglab.bigreal import nstr
 from reglab.bigreal_periods import eval_IJ, series_periods
 from reglab.elliptic_oracle import cubic_roots, direct_periods, inner_integrals
 
@@ -21,17 +20,18 @@ print(f"  delta arch = {inner.delta_inner}")
 print(f"  gamma arch = {inner.gamma_inner}")
 print()
 
-worst = mp.mpf(0)
+# both values are exact at w bits, and each relative gap is floored there
+w = 256
+worst = 0
 start = time.time()
 print(" l  j   delta (series)      delta (quadrature)   rel")
 for l in (5, 7):
     for j in range(1, l):
-        series = series_periods(eval_IJ(l, j, p=128)).delta_period.value
-        oracle = direct_periods(l, j, p=64)
-        with mp.workprec(96):
-            diff = abs(oracle.delta_abs.value - series) / series
-            worst = max(worst, diff)
-        print(f"{l:>2} {j:>2}   {mp.nstr(series, 15):<19}  "
-              f"{mp.nstr(oracle.delta_abs.value, 15):<19}  {mp.nstr(diff, 2)}")
-print(f"worst relative difference {mp.nstr(worst, 3)} "
+        series = series_periods(eval_IJ(l, j, p=128)).delta_period
+        oracle = direct_periods(l, j, p=64).delta_abs
+        diff = (abs(oracle.fixed(w) - series.fixed(w)) << w) // series.fixed(w)
+        worst = max(worst, diff)
+        print(f"{l:>2} {j:>2}   {nstr(series.man, series.exp, 15):<19}  "
+              f"{nstr(oracle.man, oracle.exp, 15):<19}  {nstr(diff, -w, 2)}")
+print(f"worst relative difference {nstr(worst, -w, 3)} "
       f"in {time.time() - start:.1f}s")

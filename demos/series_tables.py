@@ -1,6 +1,4 @@
 # Period tables I(j), J(j) for l = 5 and l = 7, plus the regulator value.
-from mpmath import mp
-
 from reglab.bigreal_periods import eval_IJ
 from reglab.regulator import regulator_closed_form
 

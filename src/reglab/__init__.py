@@ -1,4 +1,7 @@
-"""Period integrals and regulator determinants for the surfaces 3y^2 + x^3 + (3x + 4t^l)^2 = 0."""
+"""Period integrals and regulator determinants for the surfaces 3y^2 + x^3 + (3x + 4t^l)^2 = 0.
+
+The package imports nothing outside the Python standard library.
+"""
 
 __version__ = "0.3.1"
 

@@ -2,13 +2,12 @@
 
 A BigReal is man 2^exp with a working precision and an agreement
 certificate; to_decimal prints what mpmath's nstr prints for it, capped at
-the certificate, and only .value and reading an mpf import mpmath.  The
-kernels (exp, sin, cos, sqrt, atan, atan2, fixed_pi, fixed_constants) work
-on Python ints at w bits, x being the integer x 2^w and a unit 2^-w, and
-each states its error in units as a module constant (EXP_ERROR and so on);
-the routes carry GUARD = 64 bits beyond the requested precision.
-PeriodPair is what each route to I(j), J(j) returns.  No other reglab
-module is imported.
+the certificate, without importing mpmath.  The kernels (exp, sin, cos,
+sqrt, atan, atan2, fixed_pi, fixed_constants) work on Python ints at w
+bits, x being the integer x 2^w and a unit 2^-w, and each states its error
+in units as a module constant (EXP_ERROR and so on); the routes carry
+GUARD = 64 bits beyond the requested precision.  PeriodPair is what each
+route to I(j), J(j) returns.  No other reglab module is imported.
 """
 
 import math
@@ -25,7 +24,7 @@ def digits_of_bits(bits: int) -> int:
 
 def _dyadic(x) -> tuple:
     """(man, exp) with x = man 2^exp exactly, for an int, a (man, exp) pair, a
-    BigReal, a float or an mpf; anything else goes through mpmath.mpf first."""
+    BigReal or a float; TypeError for anything else."""
     if isinstance(x, BigReal):
         return x.man, x.exp
     if isinstance(x, int):
@@ -38,14 +37,7 @@ def _dyadic(x) -> tuple:
             raise ValueError("not a finite real number: {}".format(x))
         man, den = x.as_integer_ratio()  # den is a power of 2
         return man, 1 - den.bit_length()
-    if not hasattr(x, "_mpf_"):
-        from mpmath import mp
-
-        x = mp.mpf(x)
-    sign, man, exp, bc = x._mpf_
-    if not man and bc:
-        raise ValueError("not a finite real number: {}".format(x))
-    return (-man if sign else man), exp
+    raise TypeError("not an int, a (man, exp) pair, a BigReal or a float: {!r}".format(x))
 
 
 def _decimal(man: int, exp: int, n: int) -> str:
@@ -101,12 +93,10 @@ def nstr(man: int, exp: int, n: int) -> str:
 class BigReal:
     """An exact dyadic value man 2^exp at a working precision, capped by an agreement certificate.
 
-    value is accepted as an int, a (man, exp) pair, a BigReal or an mpf
-    (anything else goes through mpmath.mpf); .value is the same number as an
-    exact mpf, built on first use.
+    value is read exactly from an int, a (man, exp) pair, a BigReal or a float.
     """
 
-    __slots__ = ("man", "exp", "precision", "agreement_certificate", "_value")
+    __slots__ = ("man", "exp", "precision", "agreement_certificate")
 
     def __init__(self, value, precision: int, agreement_certificate: int | None = None):
         self.man, self.exp = _dyadic(value)
@@ -114,17 +104,6 @@ class BigReal:
         if agreement_certificate is None:
             agreement_certificate = digits_of_bits(self.precision)
         self.agreement_certificate = int(agreement_certificate)
-        self._value = None
-
-    @property
-    def value(self):
-        """man 2^exp as an mpf, exactly: not rounded to the ambient precision."""
-        if self._value is None:
-            from mpmath import mp
-            from mpmath.libmp import from_man_exp
-
-            self._value = mp.make_mpf(from_man_exp(self.man, self.exp))
-        return self._value
 
     def fixed(self, w: int) -> int:
         """floor(value 2^w)."""
@@ -164,7 +143,7 @@ def rounded(x: tuple, p: int) -> tuple:
 def agreement_digits(lo, hi, cap: int) -> int:
     """The largest d <= cap with |hi - lo| 10^d <= |hi|, or 0 if there is none; exact.
 
-    lo and hi are ints, (man, exp) pairs, BigReals or mpfs; both must be
+    lo and hi are ints, (man, exp) pairs, BigReals or floats; both must be
     ints at the same scale or carry their own.
     """
     (lm, le), (hm, he) = _dyadic(lo), _dyadic(hi)

@@ -32,10 +32,8 @@ numeric layer is imported only inside the functions that evaluate numbers,
 and loads none of the exact layer's Fractions and Polynomials; the two
 routes are compared on Python ints, without fractions.  The series route,
 the closed forms, the quadrature and the Eisenstein checks evaluate exact
-dyadic numbers in Python-int fixed point, so no command imports mpmath: not
-`compute`, with or without its check, and not `oracle` or `selfcheck`,
-whose transformation law check compares its residual with 1e-10 on
-integers.
+dyadic numbers in Python-int fixed point; `selfcheck`'s transformation law
+check compares its residual with 1e-10 on integers.
 
 Exit codes: 0 success, 1 a failed selfcheck check, 2 a usage error (printed
 as a usage line and `reglab: error: ...`) or a validation error (printed as

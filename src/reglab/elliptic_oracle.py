@@ -12,9 +12,9 @@ subtracts nearly equal root values, at guard bits stated as a function of
 toward both endpoints, each by Gauss-Legendre rules of m and 2m nodes, with
 a fitted logarithmic tail model closing the gap to the endpoints.
 
-Everything is Python-int fixed point on the kernels of bigreal, so this
-module never imports mpmath.  The inner integrals do not depend on j, so one
-table of node values per (l, p) (_node_table) serves every j and both arches.
+Everything is Python-int fixed point on the kernels of bigreal.  The inner
+integrals do not depend on j, so one table of node values per (l, p)
+(_node_table) serves every j and both arches.
 """
 
 import math
@@ -27,7 +27,6 @@ from .errors import DomainError, QuadratureNotConverged, RootOrderingFailed
 from .integer_kernel import require_lj
 
 
-_TAIL_MODEL_DIGITS = 10
 _PANELS = 20  # dyadic panels of _outer_integrals reach 2^-_PANELS from each end of (0, 1)
 
 
@@ -38,8 +37,8 @@ OraclePeriods = namedtuple("OraclePeriods", "delta_abs gamma_abs error_estimate"
 
 
 def _read_t(t, w: int) -> tuple:
-    """t as (man, exp) with 0 < t < 1: exactly for an int, a float, a BigReal
-    or an mpf, and a rational (a Fraction) floored at w bits."""
+    """t as (man, exp) with 0 < t < 1: exactly for a (man, exp) pair, a float
+    or a BigReal, and a rational (a Fraction) floored at w bits."""
     if hasattr(t, "denominator") and not isinstance(t, int):
         man, exp = (t.numerator << w) // t.denominator, -w
     else:
@@ -308,9 +307,14 @@ def direct_periods(l: int, j: int, p: int = 64) -> OraclePeriods:
         raise QuadratureNotConverged(
             "panel error {} too large for (l, j) = ({}, {})".format(
                 BigReal((err, -w), p).to_decimal(3), l, j))
-    # panel error underestimates the endpoint tail-model error (~1e-11
-    # relative), so the certificate is capped at the model's accuracy
-    cap = min(digits_of_bits(p), _TAIL_MODEL_DIGITS)
+    # the panel error does not see the endpoint tail model's, so the
+    # certificate is capped at the largest d <= 10 with 17 l^2 10^d <= 10^13.
+    # Measured, not proven: against period_table at 200 bits the model's
+    # relative error grows about as l^2 and is worst at j = l - 1 on the
+    # gamma arch, about 8.5e-13 l^2 for l from 5 to 199; the cap doubles that.
+    cap = min(digits_of_bits(p), 10)
+    while cap and 17 * l * l * 10 ** cap > 10 ** 13:
+        cap -= 1
     return OraclePeriods(
         _rounded(delta, w, p, agreement_digits(delta + err, delta, cap)),
         _rounded(gamma, w, p, agreement_digits(gamma + err, gamma, cap)),

@@ -15,7 +15,7 @@ eisenstein_numeric sums the Eisenstein q-expansions at a real point and
 eisenstein_transform_residual checks their weight-3 transformation law, in
 Python-int fixed point on the kernels of bigreal, for `selfcheck` and the
 demos, certified by their stated bounds.  Values are BigReals of bigreal:
-this module never loads bigreal_periods, and never imports mpmath.
+this module never loads bigreal_periods.
 """
 
 from fractions import Fraction
@@ -77,10 +77,10 @@ def _partial_sum(kind: str, q: int, N: int, w: int) -> int:
 def eisenstein_numeric(kind: str, q, N: int = 64, p: int = 128) -> BigReal:
     """Partial sum of the exact q-expansion at a real point 0 < q < 1, rounded to p bits.
 
-    q is a BigReal, an int, a float or an mpf, read exactly and floored at
-    p + 32 bits, and the sum runs at that precision.  The certificate is the
-    digits the sum shares with the sum plus a bound on the tail, capped at
-    the digits of p.
+    q is a BigReal, a (man, exp) pair or a float, read exactly and floored
+    at p + 32 bits, and the sum runs at that precision.  The certificate is
+    the digits the sum shares with the sum plus a bound on the tail, capped
+    at the digits of p.
     """
     w = p + 32
     x = BigReal(q, w)
@@ -96,7 +96,7 @@ def eisenstein_numeric(kind: str, q, N: int = 64, p: int = 128) -> BigReal:
 def eisenstein_transform_residual(z, N: int = 80, p: int = 128) -> BigReal:
     """|27 E3b(-1/(3z)) - 3 sqrt3 i z^3 E3a(z)| for z = iy on the imaginary axis.
 
-    z is anything with .real and .imag (a complex or an mpc), read exactly.
+    z is a complex, its parts read exactly.
     Both q-values are then real: q = exp(-2 pi y) and q' = exp(-2 pi / (3y)),
     and the prefactor 3 sqrt3 i (iy)^3 collapses to the real number 3 sqrt3 y^3.
     Everything runs at w = p + 32 + 3n bits, n >= 0 the bits of 1/y when

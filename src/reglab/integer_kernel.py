@@ -1,13 +1,12 @@
 """The exact integer kernel that the symbolic and numeric layers share.
 
 Everything here is Python ints (a formal alpha brings its own Polynomial
-arithmetic), so this module imports neither `fractions` nor mpmath: the
-coefficient lists of the two weight-3 Eisenstein series on
-Gamma_1(3) (eisenstein_ints), the recurrence lists built from them
-(_IntegerBases), the scaled fractional powers of the a- and b-series
-(_ScaledPower), one process-wide store of both, and the standing
-assumption gcd(l, 6) = 1 (require_l, and require_lj for a period index j)
-with the Hodge bookkeeping it enables.
+arithmetic), so this module imports no `fractions`: the coefficient lists
+of the two weight-3 Eisenstein series on Gamma_1(3) (eisenstein_ints), the
+recurrence lists built from them (_IntegerBases), the scaled fractional
+powers of the a- and b-series (_ScaledPower), one process-wide store of
+both, and the standing assumption gcd(l, 6) = 1 (require_l, and require_lj
+for a period index j) with the Hodge bookkeeping it enables.
 exact_series turns the integers into Fractions and Polynomials;
 bigreal_periods sums them in fixed point.
 
@@ -18,9 +17,10 @@ and B products of integer series (derived in _IntegerBases).  Their
 entries stay below 2^49 for k < 810, so the power-series recurrence
 (J. C. P. Miller; Knuth, TAOCP vol. 2, 4.7) that this gives for y_n
 multiplies each big integer by a small one only.  For alpha = num/den,
-y_n is carried as the integer Y_n = scale(n) y_n at the least scale
-scale(n) = den^n prod_{p | den} p^(v_p(n!)), whose Horner multiplier is
-den prod_{p | den} p^(v_p(m)) (derived in _ScaledPower).
+y_n is carried as the integer Y_n = scale(n) y_n with scale(n) = den^n
+prod_{p | den} p^(v_p(n!)), the least scale that clears every
+binom(alpha, m) with m <= n (not always y_n's own denominator); its Horner
+multiplier is den prod_{p | den} p^(v_p(m)) (derived in _ScaledPower).
 """
 
 import math
@@ -201,7 +201,7 @@ class _ScaledPower:
     the one-pass recurrence
         n y_n = sum_{k=1..n} (A_k + alpha B_k - (n-k) C_k) y_(n-k).
 
-    The least scale.  e~ and f are integer series and f = 1 + g with g of
+    The scale.  e~ and f are integer series and f = 1 + g with g of
     valuation >= 1, so y = e~ sum_m binom(alpha, m) g^m and y_n is a sum over
     m <= n of binom(alpha, m) times integers.  binom(alpha, m) =
     prod_{i<m} (num - i den) / (den^m m!).  At a prime p not dividing den,
@@ -210,8 +210,13 @@ class _ScaledPower:
     denominator exactly m v_p(den) + v_p(m!) times.  The denominator of
     binom(alpha, m) is thus den^m prod_{p | den} p^(v_p(m!)), which grows
     with m, so y is carried as the integers Y_n = scale(n) y_n with
-        scale(n) = den^n prod_{p | den} p^(v_p(n!)).
-    As v_p(n!) <= n <= n v_p(den), scale(n) divides den^(2n).
+        scale(n) = den^n prod_{p | den} p^(v_p(n!)),
+    the least scale that clears binom(alpha, m) for every m <= n, which is
+    all the exactness needs.  It need not be y_n's own denominator, as the
+    sum over m can cancel factors: for n < 74, kind b at den 5 keeps up to
+    45 factors of 5 in Y_n (47 at num 4), while kind a at den 5 and both
+    kinds at den 7 and 13 keep none.  As v_p(n!) <= n <= n v_p(den),
+    scale(n) divides den^(2n).
 
     The Horner multiplier.  With g(m) = prod_{p | den} p^(v_p(m)),
     scale(n) / scale(n-k) = den^k g(n-k+1) ... g(n), so multiplying the

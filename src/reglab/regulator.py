@@ -17,7 +17,7 @@ periods (bigreal_periods) or a table the caller has: the matrix, the direct
 route and the Vandermonde-like determinant by fraction-free elimination of
 the sine column, the closed form as one exact product.  The matrix has full
 column rank by the Vandermonde-like identity (RegulatorMatrix.rank), so no
-step needs mpmath.  Results are magnitudes (SIGN_POLICY).
+step needs a numeric rank.  Results are magnitudes (SIGN_POLICY).
 """
 
 import math

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 from mpmath import mp
+from mpf_reference import as_mpf, from_mpf
 
 from reglab.bigreal import constants
 from reglab.bigreal_periods import eval_IJ
@@ -59,8 +60,8 @@ def test_criterion_01_table_l5():
     pairs = [eval_IJ(5, j, 128) for j in range(1, 5)]
     elapsed = time.monotonic() - start
     for pair, i_ref, j_ref in zip(pairs, I_TABLE_5, J_TABLE_5):
-        assert _matches_printed(pair.I.value, i_ref)
-        assert _matches_printed(pair.J.value, j_ref)
+        assert _matches_printed(as_mpf(pair.I), i_ref)
+        assert _matches_printed(as_mpf(pair.J), j_ref)
     assert elapsed < 10
     _report(1, "8 values, every printed digit, {:.2f}s".format(elapsed))
 
@@ -70,8 +71,8 @@ def test_criterion_02_table_l7():
     pairs = [eval_IJ(7, j, 128) for j in range(1, 7)]
     elapsed = time.monotonic() - start
     for pair, i_ref, j_ref in zip(pairs, I_TABLE_7, J_TABLE_7):
-        assert _matches_printed(pair.I.value, i_ref)
-        assert _matches_printed(pair.J.value, j_ref)
+        assert _matches_printed(as_mpf(pair.I), i_ref)
+        assert _matches_printed(as_mpf(pair.J), j_ref)
     assert elapsed < 20
     _report(2, "12 values, every printed digit, {:.2f}s".format(elapsed))
 
@@ -80,11 +81,11 @@ def test_criterion_03_regulator_values():
     r5 = regulator_closed_form(5, p=128)
     r7 = regulator_closed_form(7, p=128)
     with mp.workprec(192):
-        assert abs(abs(r5.value_e_ind.value) - mp.mpf("0.346139631939354")) < mp.mpf("1e-12")
-        assert abs(abs(r7.value_e_ind.value) - mp.mpf("0.629487860860585")) < mp.mpf("1e-12")
+        assert abs(abs(as_mpf(r5.value_e_ind)) - mp.mpf("0.346139631939354")) < mp.mpf("1e-12")
+        assert abs(abs(as_mpf(r7.value_e_ind)) - mp.mpf("0.629487860860585")) < mp.mpf("1e-12")
         for r in (r5, r7):
-            diff = abs(r.det_general.value - r.det_closed_form.value)
-            assert diff < mp.mpf("1e-10") * abs(r.det_closed_form.value)
+            diff = abs(as_mpf(r.det_general) - as_mpf(r.det_closed_form))
+            assert diff < mp.mpf("1e-10") * abs(as_mpf(r.det_closed_form))
     _report(3, "e_ind values within 1e-12, det routes within 1e-10")
 
 
@@ -115,11 +116,11 @@ def test_criterion_05_oracle_equivalence():
             for j in range(1, l):
                 pair = eval_IJ(l, j, 128)
                 got = direct_periods(l, j, 64)
-                want_delta = 54 * mp.pi / l * pair.I.value
-                want_gamma = mp.mpf(27) / l * pair.J.value
+                want_delta = 54 * mp.pi / l * as_mpf(pair.I)
+                want_gamma = mp.mpf(27) / l * as_mpf(pair.J)
                 worst = max(worst,
-                            abs(got.delta_abs.value - want_delta) / want_delta,
-                            abs(got.gamma_abs.value - want_gamma) / want_gamma)
+                            abs(as_mpf(got.delta_abs) - want_delta) / want_delta,
+                            abs(as_mpf(got.gamma_abs) - want_gamma) / want_gamma)
         assert worst < mp.mpf("1e-6")
     elapsed = time.monotonic() - start
     assert elapsed < 300
@@ -174,21 +175,21 @@ def test_criterion_09_vandermonde_determinant():
         v = vandermonde_like_det(l, p=128)
         with mp.workprec(192):
             target = mp.mpf(l) ** ((l - 1) // 2)
-            assert abs(v.value * v.value - target) < mp.mpf("1e-20") * target
+            assert abs(as_mpf(v) * as_mpf(v) - target) < mp.mpf("1e-20") * target
         assert v.agreement_certificate >= 20
     _report(9, "det squared identity to 20+ digits for odd l <= 25")
 
 
 def test_criterion_10_modularity():
     for y, n in ((1, 80), (2, 200)):
-        res = eisenstein_transform_residual(mp.mpc(0, y), N=n, p=128)
-        assert res.value < mp.mpf("1e-10")
+        res = eisenstein_transform_residual(complex(0, y), N=n, p=128)
+        assert as_mpf(res) < mp.mpf("1e-10")
     with mp.workprec(192):
-        c = constants(160).c.value
+        c = constants(160).c
         e3a = eisenstein_numeric("E3a", c, N=96, p=160)
         e3b = eisenstein_numeric("E3b", c, N=96, p=160)
-        assert abs(e3a.value - 27 * e3b.value) < mp.mpf("1e-20") * abs(e3a.value)
-        t_value = e3a.value / (e3a.value + 27 * e3b.value)
+        assert abs(as_mpf(e3a) - 27 * as_mpf(e3b)) < mp.mpf("1e-20") * abs(as_mpf(e3a))
+        t_value = as_mpf(e3a) / (as_mpf(e3a) + 27 * as_mpf(e3b))
         assert abs(t_value - mp.mpf(1) / 2) < mp.mpf("1e-20")
     _report(10, "transformation residuals and fixed-point identities")
 
@@ -197,7 +198,7 @@ def test_criterion_11_pf_ode_residual():
     h = mp.mpf("0.001")
     with mp.workprec(96):
         for t0 in (mp.mpf("0.2"), mp.mpf("0.5"), mp.mpf("0.8")):
-            u = [inner_integrals(1, t0 + k * h, p=96).delta_inner.value
+            u = [as_mpf(inner_integrals(1, from_mpf(t0 + k * h), p=96).delta_inner)
                  for k in (-1, 0, 1)]
             du = (u[2] - u[0]) / (2 * h)
             ddu = (u[2] - 2 * u[1] + u[0]) / (h * h)

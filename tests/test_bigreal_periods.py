@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpf_reference import as_mpf, from_mpf
 
 import reglab.integer_kernel as integer_kernel
 from reglab.bigreal import (
@@ -87,20 +88,29 @@ def _exact_mpf(man, exp):
 
 class TestBigReal:
     def test_certificate_caps_rendering(self):
-        x = BigReal(mp.pi, 128, agreement_certificate=5)
+        x = BigReal(from_mpf(mp.pi), 128, agreement_certificate=5)
         assert x.to_decimal(30) == x.to_decimal(5)
 
     def test_full_precision_default(self):
-        x = BigReal(mp.mpf(2) / 3, 64)
+        x = BigReal(from_mpf(mp.mpf(2) / 3), 64)
         assert x.agreement_certificate == 19
 
     def test_value_is_exact(self):
         # 300 bits survive the ambient 53-bit precision
         man = (1 << 299) + 1
         x = BigReal((man, -300), 64)
-        assert x.value.man_exp == (man, -300)
-        assert BigReal(x.value, 64).man == man
+        assert as_mpf(x).man_exp == (man, -300)
+        assert BigReal(from_mpf(as_mpf(x)), 64).man == man
         assert float(x) == 0.5
+
+    @pytest.mark.parametrize("x", (mp.mpf("0.5"), mp.pi, "0.5", Fraction(1, 2), None),
+                             ids=("mpf", "constant", "str", "Fraction", "None"))
+    def test_reads_only_ints_pairs_bigreals_and_floats(self, x):
+        with pytest.raises(TypeError):
+            BigReal(x, 64)
+        with pytest.raises(TypeError):
+            agreement_digits(x, 1, 9)
+        assert not hasattr(BigReal(0.5, 64), "value")
 
     @given(man=st.integers(min_value=1, max_value=2 ** 4000),
            top=st.integers(min_value=-700, max_value=700),
@@ -121,7 +131,7 @@ class TestBigReal:
         with mp.workprec(200):
             x = mp.mpf(text)
         for n in range(1, 16):
-            assert BigReal(x, 200, n).to_decimal(n) == mp.nstr(x, n, strip_zeros=False)
+            assert BigReal(from_mpf(x), 200, n).to_decimal(n) == mp.nstr(x, n, strip_zeros=False)
 
     def test_zero(self):
         assert BigReal(0, 64).to_decimal(10) == mp.nstr(mp.mpf(0), 10, strip_zeros=False)
@@ -162,7 +172,7 @@ class TestAgreementDigits:
                 assert abs(-mp.log10(rel) - mp.nint(-mp.log10(rel))) > 0.04
                 for cap in (17, 40, 120):
                     old = 0 if rel >= 1 else min(cap, int(-mp.log10(rel)))
-                    assert agreement_digits(lo, hi, cap) == old
+                    assert agreement_digits(from_mpf(lo), from_mpf(hi), cap) == old
 
     def test_edges(self):
         assert agreement_digits(5, 5, 17) == 17
@@ -170,7 +180,7 @@ class TestAgreementDigits:
         assert agreement_digits(0, 1, 17) == 0  # |hi - lo| = |hi|: d = 0
         assert agreement_digits(99, 100, 17) == 2  # 1 10^2 <= 100
         assert agreement_digits((1, -10), BigReal((1, -10), 64), 9) == 9
-        assert agreement_digits(mp.mpf("1.5"), (3, -1), 9) == 9
+        assert agreement_digits(1.5, (3, -1), 9) == 9
 
 
 def _within_units(got, want, w, units=2):
@@ -281,11 +291,11 @@ class TestConstants:
     def test_c_inverse(self):
         with mp.workprec(160):
             k = constants(128)
-            assert abs(k.c.value * mp.exp(2 * mp.pi / mp.sqrt(3)) - 1) < mp.mpf(2) ** -120
+            assert abs(as_mpf(k.c) * mp.exp(2 * mp.pi / mp.sqrt(3)) - 1) < mp.mpf(2) ** -120
 
     def test_c_log_roundtrip(self):
         with mp.workprec(160):
-            c = constants(128).c.value
+            c = as_mpf(constants(128).c)
             assert abs(mp.log(c) * mp.sqrt(3) / (-2 * mp.pi) - 1) < mp.mpf(2) ** -120
 
     def test_minimum_precision(self):
@@ -297,27 +307,27 @@ class TestEvalIJ:
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
     def test_l5_table(self, j):
         pair = eval_IJ(5, j, 128)
-        assert rel_close(pair.I.value, I_TABLE_5[j - 1], mp.mpf("1e-14"))
-        assert rel_close(pair.J.value, J_TABLE_5[j - 1], mp.mpf("1e-14"))
+        assert rel_close(as_mpf(pair.I), I_TABLE_5[j - 1], mp.mpf("1e-14"))
+        assert rel_close(as_mpf(pair.J), J_TABLE_5[j - 1], mp.mpf("1e-14"))
 
     @pytest.mark.parametrize("j", [1, 2, 3, 4, 5, 6])
     def test_l7_table(self, j):
         pair = eval_IJ(7, j, 128)
-        assert rel_close(pair.I.value, I_TABLE_7[j - 1], mp.mpf("1e-13"))
-        assert rel_close(pair.J.value, J_TABLE_7[j - 1], mp.mpf("1e-13"))
+        assert rel_close(as_mpf(pair.I), I_TABLE_7[j - 1], mp.mpf("1e-13"))
+        assert rel_close(as_mpf(pair.J), J_TABLE_7[j - 1], mp.mpf("1e-13"))
 
     @pytest.mark.parametrize("l,table_i,table_j", [(5, I_TABLE_5, J_TABLE_5),
                                                    (7, I_TABLE_7, J_TABLE_7)])
     def test_tables_strictly_decreasing(self, l, table_i, table_j):
         pairs = [eval_IJ(l, j, 96) for j in range(1, l)]
         for a, b in zip(pairs, pairs[1:]):
-            assert a.I.value > b.I.value
-            assert a.J.value > b.J.value
+            assert as_mpf(a.I) > as_mpf(b.I)
+            assert as_mpf(a.J) > as_mpf(b.J)
 
     def test_positive(self):
         pair = eval_IJ(5, 1, 64)
-        assert pair.I.value > 0 and pair.J.value > 0
-        assert pair.J.value / pair.I.value > 0
+        assert as_mpf(pair.I) > 0 and as_mpf(pair.J) > 0
+        assert as_mpf(pair.J) / as_mpf(pair.I) > 0
 
     def test_certificate_covers_request(self):
         pair = eval_IJ(5, 2, 128)
@@ -378,7 +388,7 @@ class TestEvalIJ:
     def test_unreduced_exponent(self, k, p):
         # 5k/25 = k/5: the same numbers, whatever scale the integers carry
         wide, narrow = eval_IJ(25, 5 * k, p), eval_IJ(5, k, p)
-        assert wide.I.value == narrow.I.value and wide.J.value == narrow.J.value
+        assert as_mpf(wide.I) == as_mpf(narrow.I) and as_mpf(wide.J) == as_mpf(narrow.J)
         assert wide.I.agreement_certificate == narrow.I.agreement_certificate
         assert wide.J.agreement_certificate == narrow.J.agreement_certificate
         assert wide.N_used == narrow.N_used
@@ -391,8 +401,8 @@ class TestEvalIJ:
         pair = eval_IJ(l, j, p)
         I_ref, J_ref = _term_by_term(l, j, pair.N_used, 2 * p + 64)
         with mp.workprec(2 * p + 64):
-            assert abs(pair.I.value - I_ref) <= mp.ldexp(abs(I_ref), -(p + 24))
-            assert abs(pair.J.value - J_ref) <= mp.ldexp(abs(J_ref), -(p + 24))
+            assert abs(as_mpf(pair.I) - I_ref) <= mp.ldexp(abs(I_ref), -(p + 24))
+            assert abs(as_mpf(pair.J) - J_ref) <= mp.ldexp(abs(J_ref), -(p + 24))
 
     def test_rejects_bad_l(self):
         for l in (2, 3, 4, 6, 9):
@@ -410,13 +420,13 @@ class TestPeriodsFromSeries:
         pair = eval_IJ(5, 1, 96)
         sp = series_periods(pair)
         with mp.workprec(128):
-            assert abs(sp.delta_period.value - 54 * mp.pi / 5 * pair.I.value) < mp.mpf(2) ** -90
-            assert abs(sp.gamma_period.value - mp.mpf(27) / 5 * pair.J.value) < mp.mpf(2) ** -90
+            assert abs(as_mpf(sp.delta_period) - 54 * mp.pi / 5 * as_mpf(pair.I)) < mp.mpf(2) ** -90
+            assert abs(as_mpf(sp.gamma_period) - mp.mpf(27) / 5 * as_mpf(pair.J)) < mp.mpf(2) ** -90
 
     def test_l5_magnitude_values(self):
         sp = series_periods(eval_IJ(5, 1, 64))
-        assert rel_close(sp.delta_period.value, "14.503368", mp.mpf("1e-6"))
-        assert rel_close(sp.gamma_period.value, "3.8755632", mp.mpf("1e-6"))
+        assert rel_close(as_mpf(sp.delta_period), "14.503368", mp.mpf("1e-6"))
+        assert rel_close(as_mpf(sp.gamma_period), "3.8755632", mp.mpf("1e-6"))
 
     def test_series_periods_of_pair(self):
         pair = eval_IJ(7, 3, 96)
@@ -429,41 +439,41 @@ class TestPeriodsFromSeries:
 
 class TestEisensteinNumeric:
     def test_e3a_at_small_q(self):
-        val = eisenstein_numeric("E3a", mp.mpf("1e-30"), 8, 128)
-        assert abs(val.value - 1) < mp.mpf("1e-28")
+        val = eisenstein_numeric("E3a", from_mpf("1e-30"), 8, 128)
+        assert abs(as_mpf(val) - 1) < mp.mpf("1e-28")
 
     def test_fixed_point_identity(self):
         # q = c is the fixed point of z -> -1/(3z): E3a(c) = 27 E3b(c)
-        c = constants(192).c.value
-        lhs = eisenstein_numeric("E3a", c, 96, 192).value
-        rhs = eisenstein_numeric("E3b", c, 96, 192).value
+        c = constants(192).c
+        lhs = as_mpf(eisenstein_numeric("E3a", c, 96, 192))
+        rhs = as_mpf(eisenstein_numeric("E3b", c, 96, 192))
         with mp.workprec(256):
             assert abs(lhs - 27 * rhs) < mp.mpf("1e-20") * abs(lhs)
 
     def test_t_series_value_half(self):
-        c = constants(192).c.value
-        e3a = eisenstein_numeric("E3a", c, 96, 192).value
-        e3b = eisenstein_numeric("E3b", c, 96, 192).value
+        c = constants(192).c
+        e3a = as_mpf(eisenstein_numeric("E3a", c, 96, 192))
+        e3b = as_mpf(eisenstein_numeric("E3b", c, 96, 192))
         with mp.workprec(256):
             t_val = e3a / (e3a + 27 * e3b)
             assert abs(t_val - mp.mpf(1) / 2) < mp.mpf("1e-20")
 
     def test_certificate_tracks_truncation(self):
-        loose = eisenstein_numeric("E3b", mp.mpf("0.3"), 8, 64)
-        tight = eisenstein_numeric("E3b", mp.mpf("0.3"), 64, 64)
+        loose = eisenstein_numeric("E3b", from_mpf("0.3"), 8, 64)
+        tight = eisenstein_numeric("E3b", from_mpf("0.3"), 64, 64)
         assert tight.agreement_certificate > loose.agreement_certificate
         assert tight.agreement_certificate <= digits_of_bits(64)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            eisenstein_numeric("E3a", mp.mpf(2), 8, 64)
+            eisenstein_numeric("E3a", 2, 8, 64)
 
     @pytest.mark.parametrize("p", (64, 128))
     def test_mantissas_fit_the_precision(self, p):
         # the sums run at p + 32 bits and more; what is returned keeps p
         values = [eisenstein_numeric(kind, q, 64, p)
                   for kind in ("E3a", "E3b") for q in (0.1, 0.5, 0.9)]
-        values += [eisenstein_transform_residual(mp.mpc(0, y), n, p)
+        values += [eisenstein_transform_residual(complex(0, y), n, p)
                    for y, n in ((0.5, 300), (1, 80), (2, 200))]
         for v in values:
             assert v.precision == p
@@ -472,28 +482,27 @@ class TestEisensteinNumeric:
 
 class TestTransformResidual:
     def test_z_i(self):
-        res = eisenstein_transform_residual(mp.mpc(0, 1), 80, 128)
-        assert res.value < mp.mpf("1e-10")
+        res = eisenstein_transform_residual(complex(0, 1), 80, 128)
+        assert as_mpf(res) < mp.mpf("1e-10")
 
     def test_z_2i(self):
-        res = eisenstein_transform_residual(mp.mpc(0, 2), 200, 128)
-        assert res.value < mp.mpf("1e-10")
+        res = eisenstein_transform_residual(complex(0, 2), 200, 128)
+        assert as_mpf(res) < mp.mpf("1e-10")
 
     @pytest.mark.parametrize("p", (128, 192))
     def test_noise_certifies_no_digit(self, p):
         # at z = i the law holds, so the residual is rounding noise below its bound
-        res = eisenstein_transform_residual(mp.mpc(0, 1), 80, p)
+        res = eisenstein_transform_residual(complex(0, 1), 80, p)
         assert res.agreement_certificate == 0
-        assert 0 < res.value < mp.mpf(2) ** -p
+        assert 0 < as_mpf(res) < mp.mpf(2) ** -p
 
     def test_fixed_point(self):
-        with mp.workprec(160):
-            z = mp.mpc(0, 1) / mp.sqrt(3)
+        z = complex(0, 1 / math.sqrt(3))
         res = eisenstein_transform_residual(z, 80, 128)
-        assert res.value < mp.mpf("1e-30")
+        assert as_mpf(res) < mp.mpf("1e-30")
 
     def test_off_axis_rejected(self):
         with pytest.raises(ValueError):
-            eisenstein_transform_residual(mp.mpc(1, 1), 40, 64)
+            eisenstein_transform_residual(complex(1, 1), 40, 64)
         with pytest.raises(ValueError):
-            eisenstein_transform_residual(mp.mpc(0, -1), 40, 64)
+            eisenstein_transform_residual(complex(0, -1), 40, 64)

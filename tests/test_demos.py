@@ -1,5 +1,5 @@
-"""Every demo runs to exit 0 in a fresh process, and every name any demo
-imports from reglab exists.
+"""Every demo runs to exit 0 in a fresh process in which mpmath cannot be
+imported, and every name any demo imports from reglab exists.
 
 The demos import names from across the package, so a moved or renamed name
 shows here, both when a demo runs and when its imports are resolved from the
@@ -8,7 +8,6 @@ source without running it.
 
 import ast
 import importlib
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -24,11 +23,9 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS)
-def test_demo_exits_0(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+def test_demo_exits_0(demo, env_without_mpmath):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
-                          capture_output=True, env=env, timeout=120)
+                          capture_output=True, env=env_without_mpmath, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
 
 

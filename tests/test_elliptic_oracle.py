@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpf_reference import as_mpf, from_mpf
 
 from reglab import elliptic_oracle
-from reglab.bigreal import BigReal, fixed_pi
-from reglab.bigreal_periods import eval_IJ
+from reglab.bigreal import BigReal, agreement_digits, fixed_pi
+from reglab.bigreal_periods import eval_IJ, series_periods
 from reglab.elliptic_oracle import (
     _arches,
     _rf_zero,
@@ -18,6 +19,7 @@ from reglab.elliptic_oracle import (
     inner_integrals,
 )
 from reglab.errors import DomainError, RootOrderingFailed, UnsupportedL
+from reglab.hypergeometric import period_table
 
 # checked in-class below against both the AGM route and a raw quadrature
 RF_012 = "1.31102877714605990523241979495"
@@ -33,7 +35,7 @@ def rel(a, b):
 def _to_mpf(v):
     """An exact rational (numerator / denominator), a BigReal or anything mpf accepts."""
     if isinstance(v, BigReal):
-        return v.value
+        return as_mpf(v)
     if isinstance(v, int) or not hasattr(v, "numerator"):
         return mp.mpf(v)
     return mp.mpf(v.numerator) / v.denominator
@@ -88,13 +90,13 @@ def carlson_rf(x, y, z, p: int = 64) -> BigReal:
             value = rf_zero(args[1], args[2], p + 16)
         else:
             value, _ = _rf_duplication(*args)
-    return BigReal(value, p)
+    return BigReal(from_mpf(value), p)
 
 
 class TestCarlsonRF:
     def test_frozen_value(self):
         v = carlson_rf(0, 1, 2, p=120)
-        assert rel(v.value, mp.mpf(RF_012)) < mp.mpf("1e-28")
+        assert rel(as_mpf(v), mp.mpf(RF_012)) < mp.mpf("1e-28")
 
     def test_frozen_value_against_quadrature(self):
         # R_F(0,1,2) = (1/2) int_0^oo dt / sqrt(t (t+1) (t+2))
@@ -106,7 +108,7 @@ class TestCarlsonRF:
         with mp.workprec(120):
             for a in ("0.25", "1", "3", "17.5"):
                 v = carlson_rf(a, a, a, p=96)
-                assert rel(v.value, 1 / mp.sqrt(mp.mpf(a))) < mp.mpf("1e-25")
+                assert rel(as_mpf(v), 1 / mp.sqrt(mp.mpf(a))) < mp.mpf("1e-25")
 
     @given(
         x=st.fractions(min_value="1/8", max_value=8, max_denominator=64),
@@ -118,7 +120,7 @@ class TestCarlsonRF:
         a = carlson_rf(x, y, z, p=80)
         b = carlson_rf(z, x, y, p=80)
         c = carlson_rf(y, x, z, p=80)
-        assert a.value == b.value == c.value
+        assert as_mpf(a) == as_mpf(b) == as_mpf(c)
 
     def test_agm_route_matches_duplication(self):
         with mp.workprec(144):
@@ -174,29 +176,29 @@ class TestCarlsonRF:
 
 class TestCubicRoots:
     def test_collision_at_right_edge(self):
-        r = cubic_roots(1, 1 - mp.mpf(2) ** -20, p=64)
-        assert abs(r.r1.value + 4) < mp.mpf("0.01")
-        assert abs(r.r2.value + 4) < mp.mpf("0.01")
-        assert abs(r.r3.value + 1) < mp.mpf("1e-5")
+        r = cubic_roots(1, from_mpf(1 - mp.mpf(2) ** -20), p=64)
+        assert abs(as_mpf(r.r1) + 4) < mp.mpf("0.01")
+        assert abs(as_mpf(r.r2) + 4) < mp.mpf("0.01")
+        assert abs(as_mpf(r.r3) + 1) < mp.mpf("1e-5")
 
     def test_collision_at_left_edge(self):
         t = mp.mpf(2) ** -20
-        r = cubic_roots(1, t, p=64)
-        assert abs(r.r1.value + 9) < mp.mpf("1e-4")
-        assert -3 * t < r.r2.value < r.r3.value < 0
+        r = cubic_roots(1, from_mpf(t), p=64)
+        assert abs(as_mpf(r.r1) + 9) < mp.mpf("1e-4")
+        assert -3 * t < as_mpf(r.r2) < as_mpf(r.r3) < 0
 
     def test_gap_consistency(self):
         for l, t in [(1, "0.5"), (5, "0.9"), (7, "0.001"), (5, "0.999"), *COLLISIONS]:
-            r = cubic_roots(l, mp.mpf(t), p=64)
-            assert rel(r.gap31.value, r.gap21.value + r.gap32.value) < mp.mpf("1e-12")
-            assert r.gap21.value > 0 and r.gap32.value > 0
+            r = cubic_roots(l, from_mpf(t), p=64)
+            assert rel(as_mpf(r.gap31), as_mpf(r.gap21) + as_mpf(r.gap32)) < mp.mpf("1e-12")
+            assert as_mpf(r.gap21) > 0 and as_mpf(r.gap32) > 0
 
     def test_residuals_at_half(self):
         p = 64
-        r = cubic_roots(1, mp.mpf("0.5"), p=p)
+        r = cubic_roots(1, from_mpf("0.5"), p=p)
         with mp.workprec(256):
             T = mp.mpf("0.5")
-            for root in (r.r1.value, r.r2.value, r.r3.value):
+            for root in (as_mpf(r.r1), as_mpf(r.r2), as_mpf(r.r3)):
                 dP = (3 * root + 18) * root + 24 * T
                 bound = mp.mpf(2) ** (-p + 8) * max(1, abs(dP * root))
                 assert abs(cubic(T, root)) < bound
@@ -211,17 +213,17 @@ class TestCubicRoots:
         # squared equal to the discriminant 6912 T^3 (1 - T).
         points = [(l, mp.mpf(t)) for l in (1, 5, 7) for t in ("0.05", "0.3", "0.5", "0.7", "0.95")]
         for l, t in points + COLLISIONS:
-            r = cubic_roots(l, t, p=64)
+            r = cubic_roots(l, from_mpf(t), p=64)
             # near t = 0 the midpoint values are O(T^3) beside terms of O(T^2)
             with mp.workprec(160 + 2 * l * max(0, int(-mp.log(t, 2)))):
                 T = mp.mpf(t) ** l
-                g21, g31, g32 = r.gap21.value, r.gap31.value, r.gap32.value
+                g21, g31, g32 = as_mpf(r.gap21), as_mpf(r.gap31), as_mpf(r.gap32)
                 assert g21 > 0 and g32 > 0
-                assert cubic(T, (r.r1.value + r.r2.value) / 2) > 0
+                assert cubic(T, (as_mpf(r.r1) + as_mpf(r.r2)) / 2) > 0
                 assert rel(g31, g21 + g32) < mp.mpf(2) ** -60
                 assert rel((g21 * g31 * g32) ** 2, 6912 * T ** 3 * (1 - T)) < mp.mpf(2) ** -58
-                if g32 > mp.ldexp(abs(r.r2.value), -48):  # the rounded roots resolve the gap
-                    assert cubic(T, (r.r2.value + r.r3.value) / 2) < 0
+                if g32 > mp.ldexp(abs(as_mpf(r.r2)), -48):  # the rounded roots resolve the gap
+                    assert cubic(T, (as_mpf(r.r2) + as_mpf(r.r3)) / 2) < 0
 
     def test_frozen_gaps_at_collisions(self):
         # (gap21, gap32, gap31) to 30 digits from a Newton/bisection solver at 240 bits
@@ -234,9 +236,9 @@ class TestCubicRoots:
                  "3.01596304419562180120070780469"),
         }
         for l, t in COLLISIONS:
-            r = cubic_roots(l, t, p=128)
+            r = cubic_roots(l, from_mpf(t), p=128)
             for got, want in zip((r.gap21, r.gap32, r.gap31), frozen[l]):
-                assert rel(got.value, mp.mpf(want)) < mp.mpf("1e-29")
+                assert rel(as_mpf(got), mp.mpf(want)) < mp.mpf("1e-29")
 
     @given(
         l=st.sampled_from([1, 5, 7]),
@@ -244,12 +246,12 @@ class TestCubicRoots:
     )
     @settings(max_examples=40, deadline=None)
     def test_vieta(self, l, t):
-        r = cubic_roots(l, mp.mpf(t.numerator) / t.denominator, p=64)
+        r = cubic_roots(l, from_mpf(mp.mpf(t.numerator) / t.denominator), p=64)
         with mp.workprec(96):
             T = (mp.mpf(t.numerator) / t.denominator) ** l
-            s1 = r.r1.value + r.r2.value + r.r3.value
-            s2 = r.r1.value * r.r2.value + r.r1.value * r.r3.value + r.r2.value * r.r3.value
-            s3 = r.r1.value * r.r2.value * r.r3.value
+            s1 = as_mpf(r.r1) + as_mpf(r.r2) + as_mpf(r.r3)
+            s2 = as_mpf(r.r1) * as_mpf(r.r2) + as_mpf(r.r1) * as_mpf(r.r3) + as_mpf(r.r2) * as_mpf(r.r3)
+            s3 = as_mpf(r.r1) * as_mpf(r.r2) * as_mpf(r.r3)
             assert abs(s1 + 9) < mp.mpf("1e-10")
             assert rel(s2, 24 * T) < mp.mpf("1e-9")
             assert rel(s3, -16 * T * T) < mp.mpf("1e-9")
@@ -265,7 +267,7 @@ class TestCubicRoots:
 class TestStatedPrecision:
     def test_mantissas_fit_the_precision(self):
         # at this collision the roots take over 600 guard bits; what is returned keeps p
-        t = mp.mpf(2) ** -20
+        t = from_mpf(mp.mpf(2) ** -20)
         values = [*cubic_roots(13, t, p=64), *inner_integrals(13, t, p=64),
                   *direct_periods(13, 1, p=64)]
         assert len(values) == 11
@@ -274,48 +276,48 @@ class TestStatedPrecision:
             assert abs(v.man).bit_length() <= 64
 
     def test_t_read_exactly_or_at_the_working_precision(self):
-        # one dyadic value as a float, an mpf or a BigReal gives the same roots;
+        # one dyadic value as a float, a (man, exp) pair or a BigReal gives the same roots;
         # a Fraction is floored at p + 64 bits
         third = 1 / 3
         roots = [[(x.man, x.exp) for x in cubic_roots(5, t, p=64)]
-                 for t in (third, mp.mpf(third), BigReal(third, 53))]
+                 for t in (third, from_mpf(mp.mpf(third)), BigReal(third, 53))]
         assert roots[0] == roots[1] == roots[2]
         with mp.workprec(256):
-            exact = cubic_roots(5, mp.mpf(1) / 3, p=64)
+            exact = cubic_roots(5, from_mpf(mp.mpf(1) / 3), p=64)
         rational = cubic_roots(5, Fraction(1, 3), p=64)
         for got, want in zip(rational, exact):
-            assert rel(got.value, want.value) < mp.mpf(2) ** -60
+            assert rel(as_mpf(got), as_mpf(want)) < mp.mpf(2) ** -60
 
 
 class TestInnerIntegrals:
     def test_against_raw_quadrature_at_half(self):
         # the arch integrals computed without Carlson reduction
-        ii = inner_integrals(1, mp.mpf("0.5"), p=64)
+        ii = inner_integrals(1, from_mpf("0.5"), p=64)
         with mp.workprec(160):
             T = mp.mpf("0.5")
-            r = cubic_roots(1, T, p=160)
+            r = cubic_roots(1, from_mpf(T), p=160)
             # the roots are rounded to 160 bits, so within 2^-160 of an end the
             # cubic may take the other sign; |P| there adds about 2^-80, far below 1e-15
             delta = mp.quad(lambda x: 1 / mp.sqrt(abs(cubic(T, x))),
-                            [r.r1.value, r.r2.value])
+                            [as_mpf(r.r1), as_mpf(r.r2)])
             gamma = mp.quad(lambda x: 1 / mp.sqrt(abs(cubic(T, x))),
-                            [r.r2.value, r.r3.value])
-            assert rel(ii.delta_inner.value, delta) < mp.mpf("1e-15")
-            assert rel(ii.gamma_inner.value, gamma) < mp.mpf("1e-15")
+                            [as_mpf(r.r2), as_mpf(r.r3)])
+            assert rel(as_mpf(ii.delta_inner), delta) < mp.mpf("1e-15")
+            assert rel(as_mpf(ii.gamma_inner), gamma) < mp.mpf("1e-15")
 
     def test_limit_values(self):
-        near0 = inner_integrals(1, mp.mpf("1e-12"), p=64)
-        near1 = inner_integrals(1, 1 - mp.mpf("1e-12"), p=64)
-        assert abs(near0.gamma_inner.value - mp.pi / 3) < mp.mpf("1e-10")
-        assert abs(near1.delta_inner.value - mp.pi / mp.sqrt(3)) < mp.mpf("1e-10")
-        assert near0.delta_inner.value > 5  # log divergence toward t = 0
-        assert near1.gamma_inner.value > 5  # log divergence toward t = 1
+        near0 = inner_integrals(1, from_mpf("1e-12"), p=64)
+        near1 = inner_integrals(1, from_mpf(1 - mp.mpf("1e-12")), p=64)
+        assert abs(as_mpf(near0.gamma_inner) - mp.pi / 3) < mp.mpf("1e-10")
+        assert abs(as_mpf(near1.delta_inner) - mp.pi / mp.sqrt(3)) < mp.mpf("1e-10")
+        assert as_mpf(near0.delta_inner) > 5  # log divergence toward t = 0
+        assert as_mpf(near1.gamma_inner) > 5  # log divergence toward t = 1
 
     def test_precision_stability(self):
-        lo = inner_integrals(5, mp.mpf("0.25"), p=64)
-        hi = inner_integrals(5, mp.mpf("0.25"), p=192)
-        assert rel(lo.delta_inner.value, hi.delta_inner.value) < mp.mpf(2) ** -56
-        assert rel(lo.gamma_inner.value, hi.gamma_inner.value) < mp.mpf(2) ** -56
+        lo = inner_integrals(5, from_mpf("0.25"), p=64)
+        hi = inner_integrals(5, from_mpf("0.25"), p=192)
+        assert rel(as_mpf(lo.delta_inner), as_mpf(hi.delta_inner)) < mp.mpf(2) ** -56
+        assert rel(as_mpf(lo.gamma_inner), as_mpf(hi.gamma_inner)) < mp.mpf(2) ** -56
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -344,16 +346,29 @@ class TestDirectPeriods:
         for l, j in [(5, 1), (5, 4), (7, 6)]:
             pair = eval_IJ(l, j, p=128)
             got = direct_periods(l, j, p=64)
-            want_delta = 54 * mp.pi / l * pair.I.value
-            want_gamma = mp.mpf(27) / l * pair.J.value
-            assert rel(got.delta_abs.value, want_delta) < mp.mpf("1e-6")
-            assert rel(got.gamma_abs.value, want_gamma) < mp.mpf("1e-6")
+            want_delta = 54 * mp.pi / l * as_mpf(pair.I)
+            want_gamma = mp.mpf(27) / l * as_mpf(pair.J)
+            assert rel(as_mpf(got.delta_abs), want_delta) < mp.mpf("1e-6")
+            assert rel(as_mpf(got.gamma_abs), want_gamma) < mp.mpf("1e-6")
 
     def test_error_estimate_and_certificate(self):
         got = direct_periods(5, 2, p=64)
-        assert got.error_estimate.value < mp.mpf("1e-9") * got.delta_abs.value
+        assert as_mpf(got.error_estimate) < mp.mpf("1e-9") * as_mpf(got.delta_abs)
         assert 9 <= got.delta_abs.agreement_certificate <= 10
         assert got.gamma_abs.agreement_certificate >= 9
+
+    @pytest.mark.parametrize("l, cells", [(l, range(1, l)) for l in (5, 7, 11)]
+                             + [(13, [12]), (49, [48]), (97, [96])],
+                             ids=["5", "7", "11", "13-12", "49-48", "97-96"])
+    def test_certificate_holds_against_the_closed_forms(self, l, cells):
+        # the tail model's error grows about as l^2 and is worst at j = l - 1;
+        # period_table at 200 bits is good to about 55 digits
+        table = period_table(l, 200)
+        for j in cells:
+            want, got = series_periods(table[j - 1]), direct_periods(l, j, p=64)
+            for value, reference in ((got.delta_abs, want.delta_period),
+                                     (got.gamma_abs, want.gamma_period)):
+                assert agreement_digits(value, reference, 30) >= value.agreement_certificate, (j, value)
 
     @pytest.mark.parametrize("l, j", ((5, 1), (7, 6)))
     def test_error_estimate_bounds_the_panel_error(self, l, j):
@@ -362,13 +377,13 @@ class TestDirectPeriods:
         lo, hi = direct_periods(l, j, p=64), direct_periods(l, j, p=128)
         with mp.workprec(192):
             for a, b in ((lo.delta_abs, hi.delta_abs), (lo.gamma_abs, hi.gamma_abs)):
-                assert abs(a.value - b.value) < lo.error_estimate.value
+                assert abs(as_mpf(a) - as_mpf(b)) < as_mpf(lo.error_estimate)
 
     def test_deterministic(self):
         a = direct_periods(5, 3, p=64)
         b = direct_periods(5, 3, p=64)
-        assert a.delta_abs.value == b.delta_abs.value
-        assert a.gamma_abs.value == b.gamma_abs.value
+        assert as_mpf(a.delta_abs) == as_mpf(b.delta_abs)
+        assert as_mpf(a.gamma_abs) == as_mpf(b.gamma_abs)
 
     def test_validation(self):
         with pytest.raises(UnsupportedL):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpf_reference import as_mpf, from_mpf
 
 import reglab.hypergeometric as hypergeometric
 from reglab.bigreal import GUARD, agreement_digits, digits_of_bits, exp, fixed_constants
@@ -59,8 +60,8 @@ def _worst_against_series(l, js, p):
     for j in js:
         closed, series = table[j - 1], eval_IJ(l, j, p)
         with mp.workprec(p + 32):
-            worst = max(worst, rel(closed.I.value, series.I.value),
-                        rel(closed.J.value, series.J.value))
+            worst = max(worst, rel(as_mpf(closed.I), as_mpf(series.I)),
+                        rel(as_mpf(closed.J), as_mpf(series.J)))
     return worst
 
 
@@ -79,7 +80,7 @@ class TestPeriodTable:
         for pair in table:
             assert pair.I.precision == pair.J.precision == 64
             assert pair.I.agreement_certificate == pair.J.agreement_certificate == 19
-            assert pair.I.value > 0 and pair.J.value > 0
+            assert as_mpf(pair.I) > 0 and as_mpf(pair.J) > 0
 
     def test_rejects_bad_l(self, monkeypatch):
         # checked before any sum: l = 0 and l = -5 have no j for a check inside the j loop
@@ -127,7 +128,7 @@ class TestPeriodTable:
         assert lo.I.agreement_certificate == digits_of_bits(p)
         with mp.workprec(2 * p + 32):
             for a, b in ((lo.I, hi.I), (lo.J, hi.J)):
-                assert a.agreement_certificate <= agreement_digits(a.value, b.value, 10 ** 6)
+                assert a.agreement_certificate <= agreement_digits(a, b, 10 ** 6)
 
     @given(l=st.sampled_from(ADMISSIBLE_L_49), data=st.data(),
            p=st.integers(min_value=16, max_value=400))
@@ -140,6 +141,6 @@ class TestPeriodTable:
         ref = _reference(l, j, p)
         with mp.workprec(2 * p + 64):
             for got, want in zip((pair.I, pair.J), ref):
-                assert rel(got.value, want) < mp.ldexp(1, -(p + 8))
+                assert rel(as_mpf(got), want) < mp.ldexp(1, -(p + 8))
             for got, want in zip((pair.I, pair.J), _reference(l, j, 2 * p)):
-                assert got.agreement_certificate <= agreement_digits(got.value, want, 10 ** 6)
+                assert got.agreement_certificate <= agreement_digits(got, from_mpf(want), 10 ** 6)

@@ -2,12 +2,12 @@
 
 bigreal owns BigReal and the fixed-point kernels, so the routes that check
 the series route (hypergeometric, elliptic_oracle) and the exact layer
-(exact_series) depend on it and not on the series route's own module, and
-none of them imports mpmath, which only bigreal reads.  No module imports
-json, and none reaches into another's private names.  The benchmark names
-modules and traced functions in bench/; a move that loses one would zero
-its per-layer metrics without failing, so the names are resolved here.  The
-bench files are read as source, not imported.
+(exact_series) depend on it and not on the series route's own module.  No
+module imports anything outside the standard library, as pyproject.toml
+declares, nor json, and none reaches into another's private names.  The
+benchmark names modules and traced functions in bench/; a move that loses
+one would zero its per-layer metrics without failing, so the names are
+resolved here.  The bench files are read as source, not imported.
 """
 
 import ast
@@ -90,9 +90,28 @@ def _importers(package):
         or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package}
 
 
-def test_only_bigreal_imports_mpmath():
-    # bigreal reads an mpf and builds BigReal.value; no other module needs mpmath
-    assert _importers("mpmath") == {"bigreal.py"}
+def test_imports_only_the_standard_library():
+    # mpmath, the tests' reference, among the rest
+    outside = set()
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside |= {(path.name, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names}
+    assert outside == set()
+
+
+def test_pyproject_declares_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []
+    assert any(req.startswith("mpmath") for req in project["optional-dependencies"]["test"])
 
 
 def test_no_module_imports_json():

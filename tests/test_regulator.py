@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 from mpmath import mp
+from mpf_reference import as_mpf
 
 from reglab.bigreal_periods import eval_IJ
 from reglab.errors import UnsupportedL
@@ -41,13 +42,13 @@ class TestVandermondeLike:
             v = vandermonde_like_det(l, p=128)
             with mp.workprec(160):
                 target = mp.mpf(l) ** ((l - 1) // 2)
-                assert rel(v.value * v.value, target) < mp.mpf("1e-20")
+                assert rel(as_mpf(v) * as_mpf(v), target) < mp.mpf("1e-20")
 
     def test_small_cases(self):
         with mp.workprec(160):
-            assert rel(vandermonde_like_det(3, 128).value, mp.sqrt(3)) < mp.mpf("1e-30")
-        assert rel(vandermonde_like_det(5, 128).value, 5) < mp.mpf("1e-30")
-        sq = vandermonde_like_det(7, 128).value ** 2
+            assert rel(as_mpf(vandermonde_like_det(3, 128)), mp.sqrt(3)) < mp.mpf("1e-30")
+        assert rel(as_mpf(vandermonde_like_det(5, 128)), 5) < mp.mpf("1e-30")
+        sq = as_mpf(vandermonde_like_det(7, 128)) ** 2
         assert rel(sq, 343) < mp.mpf("1e-28")
 
     def test_certificate_comes_from_identity(self):
@@ -67,7 +68,7 @@ class TestVandermondeLike:
             with mp.workprec(224):
                 m = mp.matrix([[zeta_difference(l, a * b) for b in range(1, k + 1)]
                                for a in range(1, k + 1)])
-                assert rel(v.value, abs(mp.det(m))) < mp.mpf("1e-30")
+                assert rel(as_mpf(v), abs(mp.det(m))) < mp.mpf("1e-30")
             assert v.agreement_certificate == 38  # every digit of 128 bits
 
 
@@ -86,7 +87,7 @@ class TestMatrixAssembly:
         # the reference: singular values above 2^-48 of the largest, at 128 bits
         m = build_matrix(l, p=128)
         with mp.workprec(128):
-            sigma = mp.svd_r(mp.matrix([[e.value for e in row] for row in m.entries]),
+            sigma = mp.svd_r(mp.matrix([[as_mpf(e) for e in row] for row in m.entries]),
                              compute_uv=False)
             tol = max(abs(x) for x in sigma) * mp.mpf(2) ** -48
             assert m.rank() == sum(1 for x in sigma if abs(x) > tol) == (l - 1) // 2
@@ -96,11 +97,11 @@ class TestMatrixAssembly:
         m = build_matrix(5, p=128)
         with mp.workprec(160):
             for p_idx, row in enumerate(m.entries, start=1):
-                I_p = m.I_table[p_idx - 1].I.value
+                I_p = as_mpf(m.I_table[p_idx - 1].I)
                 for q_idx, entry in enumerate(row, start=1):
                     want = -2 * mp.sin(2 * mp.pi * p_idx * q_idx / 5) * (
                         54 * mp.pi / 5) * I_p
-                    assert abs(entry.value - want) < mp.mpf("1e-30") * abs(want)
+                    assert abs(as_mpf(entry) - want) < mp.mpf("1e-30") * abs(want)
 
     @pytest.mark.parametrize("l", (5, 7, 11, 25))
     def test_entries_match_complex_product(self, l):
@@ -108,12 +109,12 @@ class TestMatrixAssembly:
         m = build_matrix(l, p=128)
         with mp.workprec(224):
             for r, row in enumerate(m.entries, start=1):
-                period = mp.mpc(0, 54 * mp.pi / l * m.I_table[r - 1].I.value)
+                period = mp.mpc(0, 54 * mp.pi / l * as_mpf(m.I_table[r - 1].I))
                 tol = mp.mpf("1e-30") * 2 * abs(period)
                 for q, entry in enumerate(row, start=1):
                     want = zeta_difference(l, r * q) * period
                     assert abs(want.imag) < tol
-                    assert abs(entry.value - want.real) < tol
+                    assert abs(as_mpf(entry) - want.real) < tol
 
     def test_entries_vanish_exactly_where_l_divides_rq(self):
         m = build_matrix(25, p=128)
@@ -138,28 +139,28 @@ class TestDeterminantRoutes:
     def test_dual_route_agreement(self):
         for l in (5, 7, 11, 13):
             r = regulator_closed_form(l, p=128)
-            assert rel(r.det_general.value, r.det_closed_form.value) < mp.mpf("1e-10")
+            assert rel(as_mpf(r.det_general), as_mpf(r.det_closed_form)) < mp.mpf("1e-10")
             assert r.det_agreement_digits >= 10
 
     def test_worked_values(self):
         r5 = regulator_closed_form(5, p=128)
-        assert abs(r5.value_e_ind.value - mp.mpf(E_IND_5)) < mp.mpf("1e-14")
+        assert abs(as_mpf(r5.value_e_ind) - mp.mpf(E_IND_5)) < mp.mpf("1e-14")
         r7 = regulator_closed_form(7, p=128)
-        assert abs(r7.value_e_ind.value - mp.mpf(E_IND_7)) < mp.mpf("1e-14")
+        assert abs(as_mpf(r7.value_e_ind) - mp.mpf(E_IND_7)) < mp.mpf("1e-14")
 
     def test_normalization_relation(self):
         for l in (5, 11):
             r = regulator_closed_form(l, p=128)
             s = (l - 1) // 2
             with mp.workprec(192):
-                lhs = r.value_e_ind.value
-                rhs = mp.sqrt(l) / mp.pi ** s * r.value_e_ff.value
+                lhs = as_mpf(r.value_e_ind)
+                rhs = mp.sqrt(l) / mp.pi ** s * as_mpf(r.value_e_ff)
                 assert rel(lhs, rhs) < mp.mpf(2) ** -120
 
     def test_nonvanishing_and_metadata(self):
         for l in (5, 7, 11):
             r = regulator_closed_form(l, p=96)
-            assert r.value_e_ind.value > 0
+            assert as_mpf(r.value_e_ind) > 0
             assert r.sign_policy == SIGN_POLICY
             assert r.normalization_verified is (l in (5, 7))
 
@@ -170,7 +171,7 @@ class TestDeterminantRoutes:
         want = regulator_closed_form(7, p=96)
         for a, b in zip(got, want):
             if hasattr(a, "agreement_certificate"):
-                a, b = ((x.value, x.precision, x.agreement_certificate) for x in (a, b))
+                a, b = ((as_mpf(x), x.precision, x.agreement_certificate) for x in (a, b))
             assert a == b
 
     @pytest.mark.parametrize("l", (5, 7, 13))

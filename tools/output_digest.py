@@ -10,8 +10,10 @@ covers, for each of its commands in order, the argv, the exit code, stdout and
 stderr; then the name and bytes of every file its cache directory holds.  Each
 family gets a fresh temporary directory, which an argv names by the token
 CACHE; the directory's path is replaced by that token before hashing, so the
-digests do not depend on where it was made.  Standard library only; a full
-run takes about a minute.
+digests do not depend on where it was made.  The last family runs every
+script in demos/ the same way, with the wall times two of them print
+replaced by the token TIME.  Standard library only; a full run takes about
+a minute.
 """
 
 from __future__ import annotations
@@ -19,12 +21,18 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 
 ADMISSIBLE_L = [l for l in range(5, 32) if math.gcd(l, 6) == 1]
 CACHE = "<cache>"  # stands for the family's temporary directory
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(os.path.join("demos", name) for name in os.listdir(os.path.join(ROOT, "demos"))
+               if name.endswith(".py"))
+WALL_TIME = re.compile(rb"\b\d+\.\d+s\b")  # convergence_study's "(0.01s)", oracle_crosscheck's "in 0.3s"
+TIME = b"<time>"
 
 FAMILIES = {
     "compute json, l <= 31 x digits 10-100, checked and --skip-oracle": [
@@ -55,16 +63,17 @@ def _field(h, data: bytes) -> None:
     h.update(data)
 
 
-def digest(commands, env) -> str:
+def digest(commands, env, runner=("-m", "reglab.cli"), scrub=lambda data: data) -> str:
+    """The family's digest, each argv run as python <runner> <argv> from ROOT, stdout through scrub."""
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as cache:
         token = lambda data: data.replace(cache.encode(), CACHE.encode())
         for argv in commands:
-            run = subprocess.run([sys.executable, "-m", "reglab.cli"] +
+            run = subprocess.run([sys.executable, *runner] +
                                  [cache if a == CACHE else a for a in argv],
-                                 capture_output=True, env=env, check=False)
+                                 capture_output=True, env=env, cwd=ROOT, check=False)
             for data in (" ".join(argv).encode(), str(run.returncode).encode(),
-                         token(run.stdout), token(run.stderr)):
+                         token(scrub(run.stdout)), token(run.stderr)):
                 _field(h, data)
         for name in sorted(os.listdir(cache)):
             with open(os.path.join(cache, name), "rb") as fh:
@@ -78,6 +87,9 @@ def main() -> int:
     for name, commands in FAMILIES.items():
         print("{}  {} ({} runs)".format(digest(commands, env), name, len(commands)),
               flush=True)
+    demos = digest([[demo] for demo in DEMOS], env, runner=(),
+                   scrub=lambda data: WALL_TIME.sub(TIME, data))
+    print("{}  demos/*.py, wall times replaced ({} runs)".format(demos, len(DEMOS)), flush=True)
     return 0
 
 
