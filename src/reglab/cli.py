@@ -11,13 +11,15 @@ Subcommands:
 `hypergeometric`; `oracle` and `selfcheck` check it against the quadrature of
 `elliptic_oracle`.  Either check compares the two routes by one exact
 relative difference of dyadic numbers, printed as mpmath's nstr(x, 3) would
-print it.  Results of `compute` can be cached as one JSON file per
-(l, digits, skip-oracle, version) key, with a CRC-32 of its key and payload
-against torn or corrupted files.  A file is read by a strict reader that
-accepts only what _json writes, nested no deeper than an entry; corrupted
-or unreadable files are ignored with a warning, files whose key is not
-exactly the run's (another version among them) silently, and either is
-recomputed; a cache that cannot be written is reported with a warning.
+print it.  Results of `compute` can be cached as one file per
+(l, digits, skip-oracle, version) key, which holds what `compute` prints:
+a header line with the key and a CRC-32 of the body, then the json, csv
+and text renderings, separated by NUL.  A hit prints its section verbatim
+when the header is byte for byte the one this run would write and the body
+is three sections of printable ASCII and newlines; any other file at the
+run's path is reported as corrupt, an unreadable one as unreadable, and
+either is recomputed; a cache that cannot be written is reported with a
+warning.  Nothing in a cache file is parsed.
 The command line is read by parse_config from one table of flags per
 subcommand: `--flag value` and `--flag=value`, a unique prefix of a flag
 (`--dig 30`), the last of a repeated flag, a negative number, a lone `-` or
@@ -25,7 +27,7 @@ a string with a space as a value, and `-h`/`--help`, which print usage and
 exit 0.  Each command loads only what it runs: `compute` loads the numeric
 layer, and a cache hit none of it; `fibers` and `pf` load the exact layer;
 and no command loads json, argparse, gettext, locale or hashlib, since
-_json writes --format json and the cache files, and _read_json reads them.
+_json writes --format json.
 Records are collections.namedtuples, which a fresh process builds in far
 less time than typing.NamedTuple classes.  The
 numeric layer is imported only inside the functions that evaluate numbers,
@@ -61,9 +63,7 @@ from .errors import QuadratureNotConverged, ReglabError, UnsupportedL
 _DEFAULT_DIGITS = 30
 _ORACLE_BITS = 64
 _ORACLE_GATE = 1e-6  # largest relative difference allowed between the series route and its check
-_PAYLOAD_KEYS = frozenset((  # the keys of a compute_payload result
-    "l", "h", "I", "J", "regulator_e_ind", "det_agreement_digits", "oracle_check",
-    "N_used", "sign_policy", "normalization_verified"))
+_FORMATS = ("json", "csv", "text")  # the choices of --format, in the order a cache file holds them
 
 
 class RunConfig(namedtuple("RunConfig", "subcommand l digits format cache_dir skip_oracle m j",
@@ -217,15 +217,13 @@ def _plain(s) -> bool:
             and '"' not in s and "\\" not in s)
 
 
-def _json(x, indent=None, _pad="\n") -> str:
-    """json.dumps(x, sort_keys=True, indent=indent), without json, for the
-    values a payload holds: None, bools, ints, lists, dicts whose keys _plain
-    admits and strs that it admits.  indent None writes it compact, with
-    separators=(",", ":").  Any other value raises ValueError.
+def _json(x) -> str:
+    """json.dumps(x, sort_keys=True, separators=(",", ":")), without json, for
+    the values a payload holds: None, bools, ints, lists, dicts whose keys
+    _plain admits and strs that it admits.  Any other value raises ValueError.
 
     Importing json costs a fresh process about 1.5 ms, mostly the regexes of
-    its decoder and encoder, and no command needs either.  _pad is the
-    newline and indentation of the line x starts on.
+    its decoder and encoder, and no command needs either.
     """
     if x is None:
         return "null"
@@ -236,97 +234,10 @@ def _json(x, indent=None, _pad="\n") -> str:
     if _plain(x):
         return '"' + x + '"'
     if isinstance(x, list):
-        brackets = "[]"
-    elif isinstance(x, dict) and all(map(_plain, x)):
-        brackets = "{}"
-    else:
-        raise ValueError("no payload value: {!r}".format(x))
-    if not x:
-        return brackets
-    pad, inner, colon = ("", "", ":") if indent is None else (_pad, _pad + " " * indent, ": ")
-    if isinstance(x, list):
-        items = [_json(v, indent, inner) for v in x]
-    else:
-        items = ['"{}"{}{}'.format(k, colon, _json(x[k], indent, inner)) for k in sorted(x)]
-    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
-
-
-_JSON_SPACE = " \t\n\r"
-_JSON_WORD_END = _JSON_SPACE + ",]}"
-_JSON_WORDS = {"true": True, "false": False, "null": None}
-_JSON_DEPTH = 3  # an entry, its payload, and the payload's lists and oracle_check
-
-
-def _read_json(text: str):
-    """The value of a JSON text holding only what _json writes: objects,
-    arrays, ints, true, false, null and strings that _plain admits, between
-    any JSON whitespace, nested at most _JSON_DEPTH deep.  Anything else
-    raises ValueError: a float, an exponent, a leading zero, an escape, a
-    non-ASCII string, trailing data, or deeper nesting.
-
-    It reads a cache file without json and its regexes, and its recursion is
-    bounded by the depth, so no file can exhaust the stack."""
-    value, i = _read_value(text, 0, _JSON_DEPTH)
-    i = _skip_space(text, i)
-    if i < len(text):
-        raise ValueError("trailing data at character {}".format(i))
-    return value
-
-
-def _skip_space(text: str, i: int) -> int:
-    while i < len(text) and text[i] in _JSON_SPACE:
-        i += 1
-    return i
-
-
-def _read_value(text: str, i: int, depth: int) -> tuple:
-    """The value that starts at text[i] or after whitespace there, and the
-    index past it; containers may nest depth deep."""
-    i = _skip_space(text, i)
-    start = text[i:i + 1]
-    if start == '"':
-        end = text.find('"', i + 1)
-        string = text[i + 1:end]
-        if end < 0 or not _plain(string):
-            raise ValueError("no plain string at character {}".format(i))
-        return string, end + 1
-    if start not in ("[", "{"):
-        end = i
-        while end < len(text) and text[end] not in _JSON_WORD_END:
-            end += 1
-        word = text[i:end]
-        digits = word[1:] if word.startswith("-") else word
-        if word in _JSON_WORDS:
-            return _JSON_WORDS[word], end
-        if digits.isascii() and digits.isdigit() and (digits == "0" or digits[0] != "0"):
-            return int(word), end
-        raise ValueError("no integer, true, false or null at character {}".format(i))
-    if depth == 0:
-        raise ValueError("nested deeper than a cache entry at character {}".format(i))
-    close = "]" if start == "[" else "}"
-    value = [] if start == "[" else {}
-    i = _skip_space(text, i + 1)
-    if text[i:i + 1] == close:
-        return value, i + 1
-    while True:
-        if close == "]":
-            item, i = _read_value(text, i, depth - 1)
-            value.append(item)
-        else:
-            i = _skip_space(text, i)
-            if text[i:i + 1] != '"':
-                raise ValueError("no object key at character {}".format(i))
-            key, i = _read_value(text, i, 0)
-            i = _skip_space(text, i)
-            if text[i:i + 1] != ":":
-                raise ValueError("expected ':' at character {}".format(i))
-            value[key], i = _read_value(text, i + 1, depth - 1)
-        i = _skip_space(text, i)
-        if text[i:i + 1] == close:
-            return value, i + 1
-        if text[i:i + 1] != ",":
-            raise ValueError("expected ',' or '{}' at character {}".format(close, i))
-        i += 1
+        return "[" + ",".join(map(_json, x)) + "]"
+    if isinstance(x, dict) and all(map(_plain, x)):
+        return "{" + ",".join('"{}":{}'.format(k, _json(x[k])) for k in sorted(x)) + "}"
+    raise ValueError("no payload value: {!r}".format(x))
 
 
 def _render(payload: dict, fmt: str) -> str:
@@ -339,98 +250,57 @@ def _render(payload: dict, fmt: str) -> str:
 
 # ---------------------------------------------------------------- cache
 
-def _checksum(key: dict, payload: dict) -> str:
-    """CRC-32 of the sorted, compact JSON of key and payload, as eight hex digits.
-
-    It catches torn and corrupted files; it is no seal, since whoever can
-    write the file can recompute it.  What a loaded entry answers is checked
-    by its key and by _check_payload.  _read_json loads only what _json
-    writes, so every loaded entry has a checksum.
-    """
-    body = _json({"key": key, "payload": payload})
-    return "{:08x}".format(binascii.crc32(body.encode()))
-
-
-def _cache_key(cfg: RunConfig) -> dict:
-    """The question a cache entry answers: its file is named by these fields, and stores them."""
-    return {"l": cfg.l, "digits": cfg.effective_digits, "skip_oracle": cfg.skip_oracle,
-            "version": __version__}
+_BODY_BYTES = bytes(range(0x20, 0x7F)) + b"\n\0"  # printable ASCII, newlines and the separators
 
 
 def _cache_path(cfg: RunConfig) -> str:
-    key = _cache_key(cfg)
-    name = "reglab-l{l}-d{digits}-{oracle}-v{version}.json".format(
-        oracle="skip-oracle" if key["skip_oracle"] else "oracle", **key)
+    name = "reglab-l{}-d{}-{}-v{}.cache".format(
+        cfg.l, cfg.effective_digits, "skip-oracle" if cfg.skip_oracle else "oracle", __version__)
     return os.path.join(cfg.cache_dir, name)
 
 
-def _check_payload(payload, cfg: RunConfig) -> None:
-    """Raise ValueError unless payload has the keys, value types and lengths of
-    what compute_payload(cfg) returns, with every string one that _json
-    writes."""
-    if not isinstance(payload, dict) or payload.keys() != _PAYLOAD_KEYS:
-        raise ValueError("payload does not have the keys of a computed one")
-    for name in ("l", "h", "N_used", "det_agreement_digits"):
-        if type(payload[name]) is not int:
-            raise ValueError("payload {} is not an integer".format(name))
-    if payload["l"] != cfg.l:
-        raise ValueError("payload l is not the requested l")
-    for name in ("I", "J"):
-        values = payload[name]
-        if not (isinstance(values, list) and len(values) == cfg.l - 1
-                and all(map(_plain, values))):
-            raise ValueError("payload {} is not a list of l - 1 plain strings".format(name))
-    for name in ("regulator_e_ind", "sign_policy"):
-        if not _plain(payload[name]):
-            raise ValueError("payload {} is not a plain string".format(name))
-    if not isinstance(payload["normalization_verified"], bool):
-        raise ValueError("payload normalization_verified is not a boolean")
-    oracle = payload["oracle_check"]
-    if cfg.skip_oracle:
-        if oracle is not None:
-            raise ValueError("payload oracle_check is not null under --skip-oracle")
-    elif not (isinstance(oracle, dict) and oracle.keys() == {"max_rel_diff"}
-              and _plain(oracle["max_rel_diff"])):
-        raise ValueError("payload oracle_check does not hold a max_rel_diff string")
+def _cache_header(cfg: RunConfig, body: bytes) -> bytes:
+    """The first line of the run's cache file: the question its body answers,
+    and the CRC-32 of the body.  The CRC catches torn and corrupted files; it
+    is no seal, since whoever can write the file can recompute it."""
+    return "reglab-cache l={} digits={} skip_oracle={} version={} crc32={:08x}".format(
+        cfg.l, cfg.effective_digits, cfg.skip_oracle, __version__,
+        binascii.crc32(body)).encode()
 
 
-def _cache_load(cfg: RunConfig) -> dict | None:
+def _cache_load(cfg: RunConfig) -> str | None:
+    """The section of the run's cache file that --format selects, or None if
+    there is no file at the run's path or it is not one this run would write."""
     path = _cache_path(cfg)
     if not os.path.exists(path):
         return None
     try:
-        with open(path) as fh:
-            entry = _read_json(fh.read())
-        key, payload = entry["key"], entry["payload"]
-        if entry["checksum"] != _checksum(key, payload):
-            raise ValueError("checksum mismatch")
-        if not isinstance(key, dict):
-            raise ValueError("key is not an object")
-        if key != _cache_key(cfg):
-            return None  # another question, a stale artifact version among them
-        _check_payload(payload, cfg)
-    except (ValueError, KeyError, TypeError) as exc:
-        print("warning: ignoring corrupt cache file {}: {}".format(path, exc),
-              file=sys.stderr)
-        return None
+        with open(path, "rb") as fh:
+            header, _, body = fh.read().partition(b"\n")
     except OSError as exc:
         print("warning: ignoring unreadable cache file {}: {}".format(path, exc),
               file=sys.stderr)
         return None
-    return payload
+    sections = body.split(b"\0")
+    if header != _cache_header(cfg, body):
+        problem = "header is not this run's key with the CRC-32 of the body"
+    elif len(sections) != len(_FORMATS) or body.translate(None, _BODY_BYTES):
+        problem = "body is not three NUL-separated sections of printable ASCII"
+    else:
+        return sections[_FORMATS.index(cfg.format)].decode()
+    print("warning: ignoring corrupt cache file {}: {}".format(path, problem), file=sys.stderr)
+    return None
 
 
 def _cache_store(cfg: RunConfig, payload: dict) -> None:
-    key = _cache_key(cfg)
-    entry = {"key": key, "payload": payload,
-             "checksum": _checksum(key, payload)}
+    body = "\0".join(_render(payload, fmt) for fmt in _FORMATS).encode()
     path = _cache_path(cfg)
     # write beside the target, then rename over it: readers see the old file or the new one
     tmp = "{}.{}.tmp".format(path, os.getpid())
     try:
         os.makedirs(cfg.cache_dir, exist_ok=True)
-        with open(tmp, "w") as fh:
-            fh.write(_json(entry, indent=2) + "\n")
+        with open(tmp, "wb") as fh:
+            fh.write(_cache_header(cfg, body) + b"\n" + body)
         os.replace(tmp, path)
     except OSError as exc:
         print("warning: could not write cache file {}: {}".format(path, exc),
@@ -441,12 +311,13 @@ def _cache_store(cfg: RunConfig, payload: dict) -> None:
 
 
 def cmd_compute(cfg: RunConfig) -> int:
-    payload = _cache_load(cfg) if cfg.cache_dir else None
-    if payload is None:
+    out = _cache_load(cfg) if cfg.cache_dir else None
+    if out is None:
         payload = compute_payload(cfg)
         if cfg.cache_dir:
             _cache_store(cfg, payload)
-    print(_render(payload, cfg.format))
+        out = _render(payload, cfg.format)
+    print(out)
     return 0
 
 
@@ -629,7 +500,7 @@ _COMMANDS = {
     "compute": _Command(cmd_compute, "period table and regulator value", {
         "--l": _Flag(required=True),
         "--digits": _Flag(minimum=10),
-        "--format": _Flag(str, choices=("json", "csv", "text")),
+        "--format": _Flag(str, choices=_FORMATS),
         "--cache": _Flag(str, metavar="DIR"),
         "--parallelism": _Flag(minimum=1),  # accepted and validated, never used
         "--skip-oracle": _Flag(bool),
@@ -823,8 +694,7 @@ def parse_config(argv) -> RunConfig:
         if spec.minimum is not None and value is not None and value < spec.minimum:
             raise ValueError("{} must be at least {}".format(flag, spec.minimum))
     values.pop("parallelism", None)
-    cache = values.pop("cache", None)
-    cfg = RunConfig(name, cache_dir=os.environ.get("REGLAB_CACHE") or cache, **values)
+    cfg = RunConfig(name, cache_dir=values.pop("cache", None), **values)
     if name in ("compute", "oracle") and (cfg.l < 5 or math.gcd(cfg.l, 6) != 1):
         raise UnsupportedL(
             "{} requires l >= 5 with gcd(l, 6) = 1 "

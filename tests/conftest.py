@@ -15,7 +15,7 @@ def env_without_mpmath(tmp_path_factory):
     shadow = tmp_path_factory.mktemp("shadow")
     (shadow / "mpmath").mkdir()
     (shadow / "mpmath" / "__init__.py").write_text('raise ImportError("mpmath is shadowed")\n')
-    env = {k: v for k, v in os.environ.items() if k != "REGLAB_CACHE"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(shadow), str(SRC), env.get("PYTHONPATH")]))
     probe = subprocess.run([sys.executable, "-c", "import mpmath"], capture_output=True,
                            env=env, timeout=120)

@@ -26,9 +26,10 @@ import reglab.gauss_manin as gauss_manin
 import reglab.hypergeometric as hypergeometric
 import reglab.regulator as regulator
 import reglab.weierstrass as weierstrass
+from reglab import __version__
 from reglab.bigreal import BigReal
 from reglab.bigreal_periods import series_periods
-from reglab.cli import _json, _read_json, main
+from reglab.cli import _json, main
 from reglab.errors import QuadratureNotConverged
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -149,10 +150,24 @@ class TestComputeCommand:
         assert _STORE.powers == powers  # no new entry, every entry the same object
 
 
+_ARGS = ("compute", "--l", "5", "--digits", "12", "--skip-oracle")
+
+
+def _forge(path, header, body):
+    """Write a cache file at path: header and the CRC-32 of body on the first
+    line, as cli writes them, then body."""
+    path.write_bytes("{} crc32={:08x}\n".format(header, binascii.crc32(body)).encode() + body)
+
+
+def _key_text(stored):
+    """The header of the stored cache file without its CRC, and its body."""
+    header, _, body = stored.partition(b"\n")
+    return header.decode().rpartition(" crc32=")[0], body
+
+
 class TestCache:
     def test_round_trip_byte_identical(self, capsys, tmp_path):
-        args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle",
-                "--cache", str(tmp_path))
+        args = _ARGS + ("--cache", str(tmp_path))
         _, first, _ = run(capsys, *args)
         files = os.listdir(tmp_path)
         assert len(files) == 1
@@ -161,22 +176,58 @@ class TestCache:
         assert first == second
         assert (tmp_path / files[0]).read_bytes() == before
 
+    @pytest.mark.parametrize("miss", ("json", "csv", "text"))
+    def test_hit_in_another_format(self, capsys, tmp_path, monkeypatch, miss):
+        # one file serves every --format, verbatim, and no hit writes to it
+        import reglab.cli as cli
+
+        args = ("compute", "--l", "5", "--digits", "10")  # checked: the text shows the oracle line
+        code, _, err = run(capsys, *args, "--format", miss, "--cache", str(tmp_path))
+        assert code == 0 and err == ""
+        [name] = os.listdir(tmp_path)
+        path = tmp_path / name
+        before, stat = path.read_bytes(), path.stat()
+        want = {fmt: run(capsys, *args, "--format", fmt)[1] for fmt in ("json", "csv", "text")}
+
+        def not_again(cfg):
+            raise AssertionError("a hit computed the payload")
+
+        monkeypatch.setattr(cli, "compute_payload", not_again)
+        for fmt in {"json", "csv", "text"} - {miss}:
+            assert run(capsys, *args, "--format", fmt, "--cache", str(tmp_path)) == (
+                0, want[fmt], ""), fmt
+        assert os.listdir(tmp_path) == [name]
+        assert path.read_bytes() == before
+        assert (path.stat().st_ino, path.stat().st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
+
     def test_corrupt_cache_recovers(self, capsys, tmp_path):
-        args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle",
-                "--cache", str(tmp_path))
+        args = _ARGS + ("--cache", str(tmp_path))
         _, first, _ = run(capsys, *args)
         path = tmp_path / os.listdir(tmp_path)[0]
-        entry = json.loads(path.read_text())
-        entry["payload"]["regulator_e_ind"] = "9.99"
-        path.write_text(json.dumps(entry))
+        before = path.read_bytes()
+        at = before.index(b'"0.') + 3  # a digit of I(1), in the json section
+        path.write_bytes(before[:at] + bytes([before[at] ^ 1]) + before[at + 1:])
         code, out, err = run(capsys, *args)
-        assert code == 0
-        assert out == first
-        assert "corrupt" in err
+        assert code == 0 and out == first
+        assert "ignoring corrupt cache file" in err and "CRC-32" in err
+        assert path.read_bytes() == before  # recomputed and stored again
+
+    @pytest.mark.parametrize("keep", (-7, 30), ids=("body", "header"))
+    def test_truncated_file_recovers(self, capsys, tmp_path, keep):
+        # a torn write: the file cut in the text section, or in the header
+        args = _ARGS + ("--cache", str(tmp_path))
+        _, first, _ = run(capsys, *args)
+        path = tmp_path / os.listdir(tmp_path)[0]
+        before = path.read_bytes()
+        assert 30 < before.index(b"\n")
+        path.write_bytes(before[:keep])
+        code, out, err = run(capsys, *args)
+        assert code == 0 and out == first
+        assert "ignoring corrupt cache file" in err
+        assert path.read_bytes() == before  # recomputed and stored again
 
     def test_unparseable_cache_recovers(self, capsys, tmp_path):
-        args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle",
-                "--cache", str(tmp_path))
+        args = _ARGS + ("--cache", str(tmp_path))
         _, first, _ = run(capsys, *args)
         path = tmp_path / os.listdir(tmp_path)[0]
         path.write_text("{not json")
@@ -186,32 +237,34 @@ class TestCache:
     @pytest.mark.parametrize("text", ("[" * 10 ** 5, '{"a":' * 10 ** 5),
                              ids=("arrays", "objects"))
     def test_deeply_nested_file_recovers(self, capsys, tmp_path, text):
-        # nested deeper than an entry: a corrupt file, read without deep recursion
-        args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle",
-                "--cache", str(tmp_path))
+        # no cache file at all, and large: reported and replaced, with nothing parsed
+        args = _ARGS + ("--cache", str(tmp_path))
         _, first, _ = run(capsys, *args)
         path = tmp_path / os.listdir(tmp_path)[0]
         before = path.read_bytes()
         path.write_text(text)
         code, out, err = run(capsys, *args)
         assert code == 0 and out == first
-        assert "ignoring corrupt cache file" in err and "nested deeper" in err
+        assert "ignoring corrupt cache file" in err
         assert path.read_bytes() == before  # recomputed and stored again
 
     def test_stale_version_ignored_silently(self, capsys, tmp_path):
-        from reglab.cli import _checksum
+        # another version's file has another name, so it is never opened
+        import reglab.cli as cli
 
-        args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle",
-                "--cache", str(tmp_path))
+        args = _ARGS + ("--cache", str(tmp_path))
         _, first, _ = run(capsys, *args)
-        path = tmp_path / os.listdir(tmp_path)[0]
-        entry = json.loads(path.read_text())
-        entry["key"]["version"] = "0.0.0"
-        entry["checksum"] = _checksum(entry["key"], entry["payload"])
-        path.write_text(json.dumps(entry))
+        [name] = os.listdir(tmp_path)
+        key, body = _key_text((tmp_path / name).read_bytes())
+        stale = tmp_path / name.replace("-v" + cli.__version__, "-v0.0.0")
+        _forge(stale, key.replace("version=" + cli.__version__, "version=0.0.0"),
+               body.replace(b"0.346", b"9.990"))  # what a served file would print
+        old = stale.read_bytes()
+        (tmp_path / name).unlink()
         code, out, err = run(capsys, *args)
-        assert code == 0 and out == first
-        assert "corrupt" not in err
+        assert code == 0 and out == first and err == ""
+        assert sorted(os.listdir(tmp_path)) == sorted([name, stale.name])
+        assert stale.read_bytes() == old
 
     def test_key_includes_skip_oracle(self, capsys, tmp_path, monkeypatch):
         import reglab.cli as cli
@@ -229,52 +282,86 @@ class TestCache:
         assert run(capsys, *base)[1] == checked
         files = sorted(os.listdir(tmp_path))
         assert len(files) == 2
-        assert all(f.startswith("reglab-") and f.endswith(".json") for f in files)
+        assert all(f.startswith("reglab-") and f.endswith(".cache") for f in files)
 
-    @pytest.mark.parametrize("change", ({"l": 7}, {"digits": 13}, {"skip_oracle": False}, {"N": 36}),
-                             ids=("l", "digits", "skip_oracle", "extra-N"))
+    @pytest.mark.parametrize("change", (
+        ("l=5 ", "l=7 "), ("digits=12", "digits=13"), ("skip_oracle=True", "skip_oracle=False"),
+        ("version=", "N=36 version="), ("version=" + __version__, "version=0.0.0")),
+        ids=("l", "digits", "skip_oracle", "extra-N", "version"))
     def test_entry_of_another_key_recomputed(self, capsys, tmp_path, change):
-        # a same-version entry with a valid checksum whose key is not exactly the run's;
+        # a file at the run's path, with a valid CRC, whose header is another key's;
         # "N" is the copy of payload["N_used"] that keys of version 0.1.0 held
-        import reglab.cli as cli
-
-        args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle",
-                "--cache", str(tmp_path))
+        args = _ARGS + ("--cache", str(tmp_path))
         _, first, _ = run(capsys, *args)
         path = tmp_path / os.listdir(tmp_path)[0]
         before = path.read_bytes()
-        entry = json.loads(before)
-        assert set(entry["key"]) == {"l", "digits", "skip_oracle", "version"}
-        entry["key"].update(change)
-        entry["payload"]["regulator_e_ind"] = "9.99"  # what a served entry would print
-        entry["checksum"] = cli._checksum(entry["key"], entry["payload"])
-        path.write_text(json.dumps(entry))
-        code, out, err = run(capsys, *args)
-        assert code == 0 and out == first and err == ""
-        assert path.read_bytes() == before  # recomputed and stored again
-
-    @pytest.mark.parametrize("forge", ("float", "escape"))
-    def test_key_equal_only_once_decoded_recovers(self, capsys, tmp_path, forge):
-        # 5.0 == 5, and "\u0030" decodes to "0": a reader that took either would
-        # serve this entry, checksummed as json would write it, as the run's own
-        args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle",
-                "--cache", str(tmp_path))
-        _, first, _ = run(capsys, *args)
-        path = tmp_path / os.listdir(tmp_path)[0]
-        before = path.read_bytes()
-        entry = json.loads(before)
-        entry["payload"]["regulator_e_ind"] = "9.99"  # what a served entry would print
-        if forge == "float":
-            entry["key"]["l"] = 5.0
-        entry["checksum"] = _forged_checksum(entry["key"], entry["payload"])
-        text = json.dumps(entry)
-        if forge == "escape":
-            text = text.replace('"version": "0', '"version": "\\u0030')
-        assert json.loads(text) == entry
-        path.write_text(text)
+        key, body = _key_text(before)
+        assert key.count(change[0]) == 1
+        _forge(path, key.replace(*change), body.replace(b"0.346", b"9.990"))
         code, out, err = run(capsys, *args)
         assert code == 0 and out == first
         assert "ignoring corrupt cache file" in err
+        assert path.read_bytes() == before  # recomputed and stored again
+
+    @pytest.mark.parametrize("change", (
+        ("l=5 ", "l=5.0 "), ("version=0", "version=\\u0030"), ("digits=30", "digits=030")),
+        ids=("float", "escape", "leading-zero"))
+    def test_key_equal_only_once_decoded_recovers(self, capsys, tmp_path, change):
+        # 5.0 == 5, "\u0030" decodes to "0" and int("030") == 30: a reader that
+        # decoded the header would serve this file as the run's own
+        args = ("compute", "--l", "5", "--digits", "30", "--skip-oracle",
+                "--cache", str(tmp_path))
+        _, first, _ = run(capsys, *args)
+        path = tmp_path / os.listdir(tmp_path)[0]
+        before = path.read_bytes()
+        key, body = _key_text(before)
+        assert key.count(change[0]) == 1
+        _forge(path, key.replace(*change), body.replace(b"0.346", b"9.990"))
+        code, out, err = run(capsys, *args)
+        assert code == 0 and out == first
+        assert "ignoring corrupt cache file" in err
+        assert path.read_bytes() == before  # recomputed and stored again
+
+    @pytest.mark.parametrize("fmt, part, value", (
+        ("json", "payload", (0,)),
+        ("text", "payload", (0, 1, 2, 2)),
+        ("json", "payload", (0, 2)),
+        ("text", "key", (0, 2, 1, 3, 4)),
+    ))
+    def test_malformed_entry_with_valid_checksum_recovers(self, capsys, tmp_path,
+                                                          fmt, part, value):
+        # the body's sections, or the header's fields, put back together in the
+        # order value gives: one section, four, two, or l and digits swapped
+        args = _ARGS + ("--format", fmt, "--cache", str(tmp_path))
+        _, first, _ = run(capsys, *args)
+        path = tmp_path / os.listdir(tmp_path)[0]
+        before = path.read_bytes()
+        key, body = _key_text(before)
+        if part == "payload":
+            sections = body.split(b"\0")
+            body = b"\0".join(sections[i] for i in value)
+        else:
+            fields = key.split(" ")
+            assert len(fields) == len(value)
+            key = " ".join(fields[i] for i in value)
+        _forge(path, key, body)
+        code, out, err = run(capsys, *args)
+        assert code == 0 and out == first
+        assert "ignoring corrupt cache file" in err
+        assert ("sections" if part == "payload" else "header") in err
+        assert path.read_bytes() == before  # recomputed and stored again
+
+    def test_body_with_an_escape_recovers(self, capsys, tmp_path):
+        # the run's header and a valid CRC, but a byte outside printable ASCII
+        args = _ARGS + ("--cache", str(tmp_path))
+        _, first, _ = run(capsys, *args)
+        path = tmp_path / os.listdir(tmp_path)[0]
+        before = path.read_bytes()
+        key, body = _key_text(before)
+        _forge(path, key, body.replace(b"0.346", b"\x1b[2J0.346"))
+        code, out, err = run(capsys, *args)
+        assert code == 0 and out == first and "\x1b" not in out
+        assert "ignoring corrupt cache file" in err and "sections" in err
         assert path.read_bytes() == before  # recomputed and stored again
 
     def test_store_leaves_no_temp_file_on_failure(self, capsys, tmp_path, monkeypatch):
@@ -283,15 +370,14 @@ class TestCache:
         def full_disk_open(path, mode="r", *args, **kwargs):
             fh = open(path, mode, *args, **kwargs)
             if "w" in mode:
-                def broken_write(text):
+                def broken_write(data):
                     raise OSError("disk full")
 
                 fh.write = broken_write  # the one write of the entry, after the file is made
             return fh
 
-        args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle",
-                "--cache", str(tmp_path))
-        _, first, _ = run(capsys, "compute", "--l", "5", "--digits", "12", "--skip-oracle")
+        args = _ARGS + ("--cache", str(tmp_path))
+        _, first, _ = run(capsys, *_ARGS)
         monkeypatch.setattr(cli, "open", full_disk_open, raising=False)  # the open cli writes with
         code, out, err = run(capsys, *args)
         assert code == 0 and out == first
@@ -301,8 +387,7 @@ class TestCache:
     def test_cache_path_not_a_directory_exits_2(self, capsys, tmp_path):
         path = tmp_path / "cache"
         path.write_text("not a directory")
-        code, out, err = run(capsys, "compute", "--l", "5", "--digits", "12",
-                             "--skip-oracle", "--cache", str(path))
+        code, out, err = run(capsys, *_ARGS, "--cache", str(path))
         assert code == 2 and out == ""
         assert "not a directory" in err
         assert path.read_text() == "not a directory"
@@ -310,143 +395,35 @@ class TestCache:
     def test_entry_path_is_a_directory(self, capsys, tmp_path):
         import reglab.cli as cli
 
-        args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle")
-        _, first, _ = run(capsys, *args)
-        cfg = cli.parse_config(list(args) + ["--cache", str(tmp_path)])
+        _, first, _ = run(capsys, *_ARGS)
+        cfg = cli.parse_config(list(_ARGS) + ["--cache", str(tmp_path)])
         os.mkdir(cli._cache_path(cfg))
-        code, out, err = run(capsys, *args, "--cache", str(tmp_path))
+        code, out, err = run(capsys, *_ARGS, "--cache", str(tmp_path))
         # the load and the store both meet the directory: warn, recompute, print
         assert code == 0 and out == first
         assert "unreadable cache file" in err and "could not write cache file" in err
         assert os.listdir(tmp_path) == [os.path.basename(cli._cache_path(cfg))]
 
     def test_entry_of_previous_version_not_served(self, capsys, tmp_path):
+        # files of the JSON format, of this version or an older one, are never opened
         import reglab.cli as cli
 
         assert cli.__version__ != "0.1.0"
         args = ("compute", "--l", "5", "--digits", "10", "--format", "json")
-        key = {"l": 5, "digits": 10, "skip_oracle": False, "version": "0.1.0"}
         stale = json.loads((GOLDEN / "compute_l5_d10_oracle.json").read_text())
         stale["oracle_check"] = {"max_rel_diff": "8.7e-12"}  # the quadrature's figure
-        entry = {"key": key, "payload": stale, "checksum": cli._checksum(key, stale)}
-        (tmp_path / "reglab-l5-d10-oracle-v0.1.0.json").write_text(json.dumps(entry))
+        old = ["reglab-l5-d10-oracle-v{}.json".format(v) for v in ("0.1.0", cli.__version__)]
+        for name in old:
+            (tmp_path / name).write_text(json.dumps({"key": {}, "payload": stale}))
         code, out, err = run(capsys, *args, "--cache", str(tmp_path))
         assert code == 0 and err == ""
         assert out == (GOLDEN / "compute_l5_d10_oracle.json").read_text()
-        assert json.loads(out)["oracle_check"] != stale["oracle_check"]
-        assert sorted(os.listdir(tmp_path)) == sorted([
-            "reglab-l5-d10-oracle-v0.1.0.json",
-            "reglab-l5-d10-oracle-v{}.json".format(cli.__version__)])
-
-    @pytest.mark.parametrize("fmt, field, value", (
-        ("json", "payload", {"l": 5}),
-        ("text", "payload", {"l": 5}),
-        ("json", "payload", ["l"]),
-        ("text", "key", ["l", 5]),
-    ))
-    def test_malformed_entry_with_valid_checksum_recovers(self, capsys, tmp_path,
-                                                          fmt, field, value):
-        import reglab.cli as cli
-
-        args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle",
-                "--format", fmt, "--cache", str(tmp_path))
-        _, first, _ = run(capsys, *args)
-        path = tmp_path / os.listdir(tmp_path)[0]
-        before = path.read_bytes()
-        entry = json.loads(before)
-        entry[field] = value
-        entry["checksum"] = cli._checksum(entry["key"], entry["payload"])
-        path.write_text(json.dumps(entry))
-        code, out, err = run(capsys, *args)
-        assert code == 0 and out == first
-        assert "ignoring corrupt cache file" in err
-        assert path.read_bytes() == before  # recomputed and stored again
-
-    @pytest.mark.parametrize("fmt", ("json", "text"))
-    @pytest.mark.parametrize("name, value", (
-        ("I", 5),
-        ("I", ["0.4", "0.15", "0.08"]),
-        ("J", [0.7, 0.3, 0.2, 0.2]),
-        ("N_used", "36"),
-        ("det_agreement_digits", 17.0),
-        ("h", True),
-        ("l", 7),
-        ("regulator_e_ind", None),
-        ("normalization_verified", 1),
-        ("oracle_check", {"max_rel_diff": "1e-20"}),
-    ))
-    def test_malformed_payload_value_recovers(self, capsys, tmp_path, fmt, name, value):
-        args = ("compute", "--l", "5", "--digits", "12", "--skip-oracle",
-                "--format", fmt, "--cache", str(tmp_path))
-        _, first, _ = run(capsys, *args)
-        path = tmp_path / os.listdir(tmp_path)[0]
-        before = path.read_bytes()
-        entry = json.loads(before)
-        entry["payload"][name] = value
-        entry["checksum"] = _forged_checksum(entry["key"], entry["payload"])
-        path.write_text(json.dumps(entry))
-        code, out, err = run(capsys, *args)
-        assert code == 0 and out == first
-        assert "ignoring corrupt cache file" in err
-        assert path.read_bytes() == before  # recomputed and stored again
-
-    def test_oracle_entry_without_oracle_check_recovers(self, capsys, tmp_path):
-        import reglab.cli as cli
-
-        args = ("compute", "--l", "5", "--digits", "10", "--format", "text",
-                "--cache", str(tmp_path))
-        _, first, _ = run(capsys, *args)
-        path = tmp_path / os.listdir(tmp_path)[0]
-        entry = json.loads(path.read_bytes())
-        entry["payload"]["oracle_check"] = None
-        entry["checksum"] = cli._checksum(entry["key"], entry["payload"])
-        path.write_text(json.dumps(entry))
-        code, out, err = run(capsys, *args)
-        assert code == 0 and out == first
-        assert "ignoring corrupt cache file" in err
-
-    @pytest.mark.parametrize("name, value", (
-        ("I", '1"2'),
-        ("regulator_e_ind", "0.1\\2"),
-        ("sign_policy", "magnitudes\u00e9"),
-    ))
-    def test_string_json_would_escape_recovers(self, capsys, tmp_path, name, value):
-        # no computed payload holds such a string, so it answers no question
-        args = ("compute", "--l", "5", "--digits", "15", "--skip-oracle",
-                "--format", "json", "--cache", str(tmp_path))
-        _, first, _ = run(capsys, *args)
-        path = tmp_path / os.listdir(tmp_path)[0]
-        before = path.read_bytes()
-        entry = json.loads(before)
-        if name == "I":
-            entry["payload"]["I"][0] = value
-        else:
-            entry["payload"][name] = value
-        entry["checksum"] = _forged_checksum(entry["key"], entry["payload"])
-        path.write_text(json.dumps(entry))
-        code, out, err = run(capsys, *args)
-        assert code == 0 and out == first == (GOLDEN / "compute_l5_d15.json").read_text()
-        assert "ignoring corrupt cache file" in err
-        assert path.read_bytes() == before  # recomputed and stored again
-
-    def test_env_var_overrides(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REGLAB_CACHE", str(tmp_path))
-        code, _, _ = run(capsys, "compute", "--l", "5", "--digits", "12",
-                         "--skip-oracle")
-        assert code == 0
-        assert len(os.listdir(tmp_path)) == 1
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            old + ["reglab-l5-d10-oracle-v{}.cache".format(cli.__version__)])
 
 
 def _dumps(x):
     return json.dumps(x, sort_keys=True, separators=(",", ":"))
-
-
-def _forged_checksum(key, payload):
-    """The CRC-32 of the compact json.dumps of key and payload: cli._checksum
-    wherever _json writes them, and defined on a float or an escaped string,
-    which _checksum refuses since _read_json never loads one."""
-    body = _dumps({"key": key, "payload": payload})
-    return "{:08x}".format(binascii.crc32(body.encode()))
 
 
 # the strings _json writes: printable ASCII with no quote and no backslash
@@ -460,22 +437,12 @@ _PAYLOADS = st.recursive(
     max_leaves=24)
 
 
-def _nested(depth):
-    """The values of _PAYLOADS whose containers nest at most depth deep."""
-    if depth == 0:
-        return _SCALARS
-    inner = _nested(depth - 1)
-    return _SCALARS | st.lists(inner, max_size=4) | st.dictionaries(_PLAIN, inner, max_size=4)
-
-
 _EXAMPLE = {"b": [True, None, -3, 10 ** 300], "a": {}, "": [[]], "a b": "0.1e-5"}
 
 
 class TestJson:
-    """cli._json writes what json.dumps(x, sort_keys=True, indent=indent)
-    writes (compact when indent is None), on the values a payload holds, and
-    refuses every other value; cli._read_json reads back what json.dumps
-    writes of them, nested as deep as a cache entry, and refuses the rest."""
+    """cli._json writes what json.dumps(x, sort_keys=True, separators=(",", ":"))
+    writes, on the values a payload holds, and refuses every other value."""
 
     @given(x=_PAYLOADS)
     @example(x=_EXAMPLE)
@@ -483,53 +450,10 @@ class TestJson:
     def test_matches_json_dumps(self, x):
         assert _json(x) == _dumps(x)
 
-    @given(x=_PAYLOADS)
-    @example(x=_EXAMPLE)
-    @settings(max_examples=200, deadline=None)
-    def test_indented_matches_json_dumps(self, x):
-        assert _json(x, indent=2) == json.dumps(x, sort_keys=True, indent=2)
-
-    @given(x=_nested(3))
-    @example(x=_EXAMPLE)
-    @example(x={"a": [{}, -0], "b": [[]]})
-    @settings(max_examples=200, deadline=None)
-    def test_reads_what_json_dumps_writes(self, x):
-        for text in (json.dumps(x), _dumps(x), json.dumps(x, indent=2)):
-            assert _read_json(text) == x
-            assert _json(_read_json(text)) == _json(x)  # True stays True, not 1
-
-    @pytest.mark.parametrize("text", (
-        "1.5", "[1.0]", "1e5", "-2E3", "01", "-01", "NaN", "Infinity", "+1", "-", "tru", "True",
-        "\uff11", '"1\\"2"', '"\\n"', '"\\u00e9"', '"\u00e9"', '"\t"', '"open',
-        "{} {}", "[1] x", "[1]]", "[[[[]]]]", '{"a": {"b": {"c": {}}}}', "",
-        "[1,]", "[1 2]", "{1: 2}", '{"a" 1}', '{"a": 1,}', "\ufeff{}",
-    ), ids=(
-        "float", "float-in-array", "exponent", "negative-exponent", "leading-zero",
-        "negative-leading-zero", "nan", "infinity", "plus-sign", "lone-minus", "bad-word",
-        "capitalized-word",
-        "non-ascii-digit", "escaped-quote", "escape", "unicode-escape", "non-ascii-string",
-        "control-character", "unterminated-string", "trailing-value", "trailing-word",
-        "trailing-bracket", "four-arrays-deep", "four-objects-deep", "empty", "trailing-comma",
-        "missing-comma", "integer-key", "missing-colon", "trailing-comma-in-object", "bom"))
-    def test_rejects(self, text):
-        with pytest.raises(ValueError):
-            _read_json(text)
-
     def test_the_golden_payloads(self):
-        import reglab.cli as cli
-
         for path in sorted(GOLDEN.glob("compute_*.json")):
             text = path.read_text()
-            payload = _read_json(text)
-            assert payload == json.loads(text) and _json(payload) + "\n" == text, path.name
-            # wrapped as a cache entry, as _cache_store writes it and _cache_load reads it
-            key = {"digits": 15, "l": payload["l"], "skip_oracle": True,
-                   "version": cli.__version__}
-            entry = {"checksum": cli._checksum(key, payload), "key": key, "payload": payload}
-            stored = _json(entry, indent=2) + "\n"
-            assert stored == json.dumps(entry, sort_keys=True, indent=2) + "\n", path.name
-            assert _read_json(stored) == entry, path.name
-            assert _json(_read_json(stored), indent=2) + "\n" == stored, path.name
+            assert _json(json.loads(text)) + "\n" == text, path.name
 
     @given(s=st.text(min_size=1).filter(lambda s: _dumps(s) != '"' + s + '"'))
     @example(s='1"2')
@@ -910,7 +834,6 @@ def _run_as_module(report, *argv):
     print to stderr, at its SystemExit, the exit code and the value of the
     Python expression report."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("REGLAB_CACHE", None)
     code = ("import gc, runpy, sys; sys.argv[0] = 'reglab'\n"
             "try:\n    runpy.run_module('reglab.cli', run_name='__main__')\n"
             "except SystemExit as stop:\n"
@@ -950,10 +873,8 @@ class TestExitPath:
         assert proc.stderr.decode().splitlines()[-1] == "{} True".format(want)
         assert proc.stdout.decode() == ((GOLDEN / golden).read_text() if golden else "")
 
-    def test_cache_written_before_the_freeze(self, tmp_path):
+    def test_cache_written_before_the_freeze(self, capsys, tmp_path):
         # nothing the cache writes waits for the exit collections
-        import reglab.cli as cli
-
         argv = ("compute", "--l", "5", "--digits", "15", "--skip-oracle",
                 "--format", "json", "--cache", str(tmp_path))
         miss = _run_as_module("gc.get_freeze_count() > 0", *argv)
@@ -961,10 +882,12 @@ class TestExitPath:
         assert miss.stdout.decode() == (GOLDEN / "compute_l5_d15.json").read_text()
         [name] = os.listdir(tmp_path)
         stored = (tmp_path / name).read_bytes()
-        assert stored.endswith(b"}\n")
-        entry = json.loads(stored)
-        assert entry["checksum"] == cli._checksum(entry["key"], entry["payload"])
-        assert stored == (json.dumps(entry, sort_keys=True, indent=2) + "\n").encode()
+        # the header, then the three renderings compute prints, without their final newlines
+        body = b"\0".join(run(capsys, *argv[:-4], "--format", fmt)[1].encode()[:-1]
+                          for fmt in ("json", "csv", "text"))
+        header = "reglab-cache l=5 digits=15 skip_oracle=True version={} crc32={:08x}".format(
+            __version__, binascii.crc32(body))
+        assert stored == header.encode() + b"\n" + body
         hit = _run_as_module("gc.get_freeze_count() > 0", *argv)
         assert hit.returncode == 0 and hit.stderr == b"0 True\n", hit.stderr
         assert hit.stdout == miss.stdout
@@ -1010,7 +933,6 @@ class TestExitCodes:
     def test_sigint_exits_130_without_traceback(self):
         # one process, interrupted inside the series route: 20000 digits run for hours
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        env.pop("REGLAB_CACHE", None)
         proc = subprocess.Popen(
             [sys.executable, "-c",
              "import sys; from reglab.cli import main; print('ready', file=sys.stderr, "

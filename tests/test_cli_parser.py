@@ -31,13 +31,12 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     parallelism = getattr(args, "parallelism", None)  # accepted and validated, never used
     if parallelism is not None and parallelism < 1:
         raise ValueError("--parallelism must be at least 1")
-    cache_dir = os.environ.get("REGLAB_CACHE") or getattr(args, "cache", None)
     return RunConfig(
         subcommand=args.subcommand,
         l=getattr(args, "l", 0),
         digits=digits,
         format=getattr(args, "format", "text"),
-        cache_dir=cache_dir,
+        cache_dir=getattr(args, "cache", None),
         skip_oracle=getattr(args, "skip_oracle", False),
         m=getattr(args, "m", None),
         j=getattr(args, "j", None),

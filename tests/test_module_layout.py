@@ -115,7 +115,7 @@ def test_pyproject_declares_no_runtime_dependency():
 
 
 def test_no_module_imports_json():
-    # cli writes --format json and the cache files with _json and reads them with _read_json
+    # cli writes --format json with _json, and its cache files hold that text verbatim
     assert _importers("json") == set()
 
 

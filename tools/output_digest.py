@@ -5,7 +5,7 @@ lines:
 
     PYTHONPATH=src python3 tools/output_digest.py
 
-Each command runs in a fresh process, without REGLAB_CACHE.  A family's digest
+Each command runs in a fresh process.  A family's digest
 covers, for each of its commands in order, the argv, the exit code, stdout and
 stderr; then the name and bytes of every file its cache directory holds.  Each
 family gets a fresh temporary directory, which an argv names by the token
@@ -52,9 +52,10 @@ FAMILIES = {
     "exit paths: unknown subcommand, bad int, unsupported l, bad j, --help": [
         ["frobnicate"], ["compute", "--l", "x"], ["compute", "--l", "9"],
         ["oracle", "--l", "5", "--j", "9"], ["compute", "--help"]],
-    "compute --cache, a miss then a hit, at (5, 15) json and (7, 30) text": [
+    "compute --cache, a miss then hits, at (5, 15) json json csv and (7, 30) text text json": [
         ["compute", "--l", str(l), "--digits", str(d), "--format", fmt, "--cache", CACHE]
-        for l, d, fmt in ((5, 15, "json"), (7, 30, "text")) for _ in range(2)],
+        for l, d, formats in ((5, 15, ("json", "json", "csv")), (7, 30, ("text", "text", "json")))
+        for fmt in formats],
 }
 
 
@@ -63,7 +64,7 @@ def _field(h, data: bytes) -> None:
     h.update(data)
 
 
-def digest(commands, env, runner=("-m", "reglab.cli"), scrub=lambda data: data) -> str:
+def digest(commands, runner=("-m", "reglab.cli"), scrub=lambda data: data) -> str:
     """The family's digest, each argv run as python <runner> <argv> from ROOT, stdout through scrub."""
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as cache:
@@ -71,7 +72,7 @@ def digest(commands, env, runner=("-m", "reglab.cli"), scrub=lambda data: data) 
         for argv in commands:
             run = subprocess.run([sys.executable, *runner] +
                                  [cache if a == CACHE else a for a in argv],
-                                 capture_output=True, env=env, cwd=ROOT, check=False)
+                                 capture_output=True, cwd=ROOT, check=False)
             for data in (" ".join(argv).encode(), str(run.returncode).encode(),
                          token(scrub(run.stdout)), token(run.stderr)):
                 _field(h, data)
@@ -83,11 +84,10 @@ def digest(commands, env, runner=("-m", "reglab.cli"), scrub=lambda data: data) 
 
 
 def main() -> int:
-    env = {k: v for k, v in os.environ.items() if k != "REGLAB_CACHE"}
     for name, commands in FAMILIES.items():
-        print("{}  {} ({} runs)".format(digest(commands, env), name, len(commands)),
+        print("{}  {} ({} runs)".format(digest(commands), name, len(commands)),
               flush=True)
-    demos = digest([[demo] for demo in DEMOS], env, runner=(),
+    demos = digest([[demo] for demo in DEMOS], runner=(),
                    scrub=lambda data: WALL_TIME.sub(TIME, data))
     print("{}  demos/*.py, wall times replaced ({} runs)".format(demos, len(DEMOS)), flush=True)
     return 0
