@@ -475,7 +475,7 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
     for name, check in checks:
         try:
             ok = bool(check())
-        except ReglabError as exc:
+        except (ReglabError, ValueError) as exc:
             ok = False
             print("[fail] {} raised {}: {}".format(name, type(exc).__name__, exc))
             failures += 1

@@ -4,8 +4,12 @@ Exact arithmetic throughout.  Finite places are squarefree monic factors of
 the base polynomial ring; a factor is only accepted as a place when every
 order computed at it is certified constant along its roots (f = pi^k h with
 gcd(h, pi) = 1), so reducible factors like t^l - 1 behave like single points.
+fiber_list reads the orders of g2, g3 and Delta at each finite place once,
+from the multiplicities uniform_pieces finds while splitting the place off;
+classify_fiber reads them with ord_at.  A fiber is a KodairaFiber record.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -109,6 +113,8 @@ class Polynomial:
 
     def __divmod__(self, other):
         other = _as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
@@ -250,10 +256,6 @@ class Place:
         return self.polynomial is None
 
     @property
-    def kind(self) -> str:
-        return "Infinity" if self.is_infinity else "FinitePoint"
-
-    @property
     def degree(self) -> int:
         return 1 if self.is_infinity else self.polynomial.degree
 
@@ -353,6 +355,8 @@ class RationalFunction:
 
     def __rtruediv__(self, other):
         other = _as_ratfun(other)
+        if other is NotImplemented:
+            return NotImplemented
         return other / self
 
     def __eq__(self, other) -> bool:
@@ -423,56 +427,9 @@ class WeierstrassFamily:
         return "WeierstrassFamily(g2={}, g3={}, label={!r})".format(self.g2, self.g3, self.label)
 
 
-_EPSILON_TABLE = {"Smooth": 0, "II": 2, "III": 3, "IV": 4, "II*": 10, "III*": 9, "IV*": 8}
-
-
-class KodairaFiber:
-    """A classified fiber: Kodaira type, its epsilon contribution, and the place."""
-
-    __slots__ = ("kind", "n", "place")
-
-    def __init__(self, kind: str, n: int | None, place: Place) -> None:
-        if kind in ("I", "I*"):
-            if n is None or n < 0 or (kind == "I" and n < 1):
-                raise ValueError("type {} needs a valid index".format(kind))
-        elif kind not in _EPSILON_TABLE:
-            raise ValueError("unknown Kodaira type {!r}".format(kind))
-        else:
-            n = None
-        self.kind = kind
-        self.n = n
-        self.place = place
-
-    @property
-    def type(self) -> str:
-        if self.kind == "I":
-            return "I_{}".format(self.n)
-        if self.kind == "I*":
-            return "I*_{}".format(self.n)
-        return self.kind
-
-    @property
-    def epsilon_s(self) -> int:
-        if self.kind == "I":
-            return self.n
-        if self.kind == "I*":
-            return self.n + 6
-        return _EPSILON_TABLE[self.kind]
-
-    @property
-    def is_additive(self) -> bool:
-        return self.kind not in ("Smooth", "I")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KodairaFiber):
-            return NotImplemented
-        return (self.kind, self.n, self.place) == (other.kind, other.n, other.place)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.n, self.place))
-
-    def __repr__(self) -> str:
-        return "KodairaFiber({} at {})".format(self.type, self.place)
+# type is "Smooth", "I_n", "I*_n", "II", ..., "II*"; epsilon_s is the fiber's
+# Euler number, its share of 12 epsilon
+KodairaFiber = namedtuple("KodairaFiber", "type epsilon_s is_additive place")
 
 
 def example_family(l: int) -> WeierstrassFamily:
@@ -490,40 +447,42 @@ def discriminant_and_j(W: WeierstrassFamily) -> tuple[RationalFunction, Rational
     return W.delta, 1728 * W.g2 * W.g2 * W.g2 / W.delta
 
 
-def classify_fiber(W: WeierstrassFamily, s: Place) -> KodairaFiber:
-    """Kodaira type at s from minimalized (ord g2, ord g3, ord Delta).
+def _kodaira(v4: int, v6: int, vd: int, place: Place) -> KodairaFiber:
+    """Kodaira type at place from minimalized (ord g2, ord g3, ord Delta).
 
     Shifting by k0 = min(floor(v4/4), floor(v6/6)) makes the local equation
     minimal in one step; for negative orders (poles, or the infinite place
     where the raw orders are those of 1/t) the same shift performs the
     standard u^4, u^6 twist.
     """
-    v4, v6, vd = W.g2.ord_at(s), W.g3.ord_at(s), W.delta.ord_at(s)
     k0 = min(v4 // 4, v6 // 6)
     v4 -= 4 * k0
     v6 -= 6 * k0
     vd -= 12 * k0
     if vd == 0:
-        return KodairaFiber("Smooth", None, s)
+        return KodairaFiber("Smooth", 0, False, place)
     if v4 == 0:
-        return KodairaFiber("I", vd, s)
+        return KodairaFiber("I_{}".format(vd), vd, False, place)
     if v6 == 1:
-        return KodairaFiber("II", None, s)
+        return KodairaFiber("II", 2, True, place)
     if v4 == 1 and v6 >= 2:
-        return KodairaFiber("III", None, s)
+        return KodairaFiber("III", 3, True, place)
     if v4 >= 2 and v6 == 2:
-        return KodairaFiber("IV", None, s)
-    if v4 >= 2 and v6 >= 3 and vd == 6:
-        return KodairaFiber("I*", 0, s)
-    if v4 == 2 and v6 == 3 and vd > 6:
-        return KodairaFiber("I*", vd - 6, s)
+        return KodairaFiber("IV", 4, True, place)
+    if v4 >= 2 and v6 >= 3 and vd == 6 or v4 == 2 and v6 == 3 and vd > 6:
+        return KodairaFiber("I*_{}".format(vd - 6), vd, True, place)
     if v4 >= 3 and v6 == 4:
-        return KodairaFiber("IV*", None, s)
+        return KodairaFiber("IV*", 8, True, place)
     if v4 == 3 and v6 >= 5:
-        return KodairaFiber("III*", None, s)
+        return KodairaFiber("III*", 9, True, place)
     if v4 >= 4 and v6 == 5:
-        return KodairaFiber("II*", None, s)
+        return KodairaFiber("II*", 10, True, place)
     raise NotMinimal("orders (v4, v6, vDelta) = ({}, {}, {}) fit no minimal type".format(v4, v6, vd))
+
+
+def classify_fiber(W: WeierstrassFamily, s: Place) -> KodairaFiber:
+    """The fiber at s, from the orders ord_at gives of g2, g3 and Delta."""
+    return _kodaira(W.g2.ord_at(s), W.g3.ord_at(s), W.delta.ord_at(s), s)
 
 
 def uniform_pieces(factor: Polynomial,
@@ -542,20 +501,25 @@ def uniform_pieces(factor: Polynomial,
 
 
 def fiber_list(W: WeierstrassFamily) -> list[KodairaFiber]:
-    """All singular fibers, at uniform places plus infinity; smooth fibers omitted."""
-    delta = W.delta
-    witnesses = [p for p in (W.g2.numerator, W.g2.denominator,
-                             W.g3.numerator, W.g3.denominator,
-                             delta.numerator, delta.denominator)
-                 if not p.is_zero()]
-    places = [Place.finite(piece)
-              for source in (delta.numerator, delta.denominator,
-                             W.g2.denominator, W.g3.denominator)
+    """All singular fibers, at uniform places plus infinity; smooth fibers omitted.
+
+    Each witness's multiplicity on a uniform piece is constant along it, so
+    the differences of numerator and denominator multiplicities are the
+    orders of g2, g3 and Delta there: no place is split a second time.  A
+    zero witness has multiplicity _ORD_INF, as ord_at gives a zero function.
+    """
+    g2, g3, delta = W.g2, W.g3, W.delta
+    witnesses = [g2.numerator, g2.denominator, g3.numerator, g3.denominator,
+                 delta.numerator, delta.denominator]
+    # a place met in two sources is kept once: its multiplicities do not depend on the source
+    orders = {Place.finite(piece): m
+              for source in (delta.numerator, delta.denominator, g2.denominator, g3.denominator)
               for factor, _ in squarefree_decomposition(source)
-              for piece, _ in uniform_pieces(factor, witnesses)]
-    # dict.fromkeys drops a place met twice
-    fibers = (classify_fiber(W, place) for place in dict.fromkeys(places + [Place.infinity()]))
-    return sorted((f for f in fibers if f.kind != "Smooth"),
+              for piece, m in uniform_pieces(factor, witnesses)}
+    fibers = [_kodaira(m[0] - m[1], m[2] - m[3], m[4] - m[5], place)
+              for place, m in orders.items()]
+    fibers.append(classify_fiber(W, Place.infinity()))
+    return sorted((f for f in fibers if f.type != "Smooth"),
                   key=lambda f: (f.place.is_infinity, f.place.degree, str(f.place)))
 
 

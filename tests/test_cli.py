@@ -608,6 +608,22 @@ class TestOtherCommands:
         assert out.count("[pass]") == 6
         assert "[fail] connection trace zero" in out
 
+    def test_selfcheck_reports_a_check_that_raises_value_error(self, capsys, monkeypatch):
+        real = gauss_manin.connection_matrix
+
+        def not_trace_free(W):
+            (a, b), lower = real(W).m
+            return gauss_manin.ConnectionMatrix(((a + 1, b), lower), W)  # raises ValueError
+
+        monkeypatch.setattr(gauss_manin, "connection_matrix", not_trace_free)
+        monkeypatch.setattr(elliptic_oracle, "direct_periods", _real_direct_periods)
+        code, out, _ = run(capsys, "selfcheck")
+        assert code == 1
+        assert out.count("[pass]") == 6
+        assert ("[fail] connection trace zero raised ValueError: "
+                "connection matrix must be trace-free\n") in out
+        assert out.splitlines()[-1] == "[pass] l = 5 oracle cross-check"
+
 
 # one quadrature per (l, j, p), shared by the gate and route tests below
 _real_direct_periods = functools.lru_cache(maxsize=None)(elliptic_oracle.direct_periods)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from reglab import weierstrass
 from reglab.errors import IsotrivialFamily, UnsupportedL
 from reglab.weierstrass import (
     KodairaFiber,
@@ -32,6 +33,31 @@ GOOD_L = [l for l in range(1, 36) if l % 2 and l % 3]
 _SMALL_FACTORS = st.one_of(
     st.builds(lambda a: P([-a, 1]), st.fractions(-3, 3, max_denominator=3)),
     st.builds(lambda b, c: P([c, b, 1]), st.integers(-3, 3), st.integers(-3, 3)))
+
+# g2 and g3 with small integer coefficients, as in test_epsilon_sum_divisible_by_12
+_SMALL_FAMILIES = st.builds(lambda c2, c3: WeierstrassFamily(P(c2), P(c3)),
+                            st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+                            st.lists(st.integers(-4, 4), min_size=1, max_size=5))
+
+# one family per branch of the Kodaira table, with every fiber as
+# (place, type, epsilon_s, is_additive)
+_t = P([0, 1])
+_BRANCH_FAMILIES = {
+    "II": (_t, _t, [("t", "II", 2, True), ("t - 27", "I_1", 1, False),
+                    ("infinity", "III*", 9, True)]),
+    "III": (_t, _t ** 2, [("t", "III", 3, True), ("t - 1/27", "I_1", 1, False),
+                          ("infinity", "IV*", 8, True)]),
+    "IV": (_t ** 2, _t ** 2, [("t", "IV", 4, True), ("t^2 - 27", "I_1", 1, False),
+                              ("infinity", "I*_0", 6, True)]),
+    "I*_0": (_t ** 2, _t ** 3, [("t", "I*_0", 6, True), ("infinity", "I*_0", 6, True)]),
+    "IV*": (_t ** 3, _t ** 4, [("t", "IV*", 8, True), ("t - 27", "I_1", 1, False),
+                               ("infinity", "III", 3, True)]),
+    "III*": (_t ** 3, _t ** 5, [("t", "III*", 9, True), ("t - 1/27", "I_1", 1, False),
+                                ("infinity", "II", 2, True)]),
+    "II*": (_t ** 4, _t ** 5, [("t", "II*", 10, True), ("t^2 - 27", "I_1", 1, False)]),
+    "III-g3-zero": (_t, 0, [("t", "III", 3, True), ("infinity", "III*", 9, True)]),
+    "IV-g2-zero": (0, _t ** 2, [("t", "IV", 4, True), ("infinity", "IV*", 8, True)]),
+}
 
 
 def delta_closed_form(l):
@@ -86,6 +112,16 @@ class TestPolynomialLayer:
         decomp = squarefree_decomposition(p)
         assert (P([-1, 0, 0, 0, 0, 1]), 1) in decomp
         assert (P([0, 1]), 3) in decomp
+
+    def test_floordiv_and_mod_by_a_float_raise_type_error(self):
+        with pytest.raises(TypeError):
+            P([1, 1]) // 0.5
+        with pytest.raises(TypeError):
+            P([1, 1]) % 0.5
+
+    def test_float_divided_by_a_rational_function_raises_type_error(self):
+        with pytest.raises(TypeError):
+            0.5 / RationalFunction(P([1, 1]))
 
     def test_rational_function_normalized(self):
         f = RationalFunction(P([0, 2]), P([0, 0, 4]))  # 2t / 4t^2
@@ -224,6 +260,44 @@ class TestKodaira:
         assert euler_epsilon(fiber_list(example_family(5))) == (2, 1, 1, -2)
         assert euler_epsilon(fiber_list(example_family(7)))[0] == 3
 
+    @pytest.mark.parametrize("branch", list(_BRANCH_FAMILIES))
+    def test_every_branch_of_the_table(self, branch):
+        g2, g3, expected = _BRANCH_FAMILIES[branch]
+        fibers = fiber_list(WeierstrassFamily(g2, g3))
+        assert [(str(f.place), f.type, f.epsilon_s, f.is_additive) for f in fibers] == expected
+
+    def test_smooth_place(self):
+        place = Place.at_point(2)
+        assert classify_fiber(example_family(5), place) == KodairaFiber("Smooth", 0, False, place)
+
+    @given(st.one_of(
+        _SMALL_FAMILIES, st.builds(example_family, st.integers(1, 25)),
+        # poles too: g2 / g^a and g3 / g^b
+        st.builds(lambda W, g, a, b: WeierstrassFamily(W.g2 / g ** a, W.g3 / g ** b),
+                  _SMALL_FAMILIES, _SMALL_FACTORS, st.integers(1, 3), st.integers(0, 3))))
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_orders_agree_with_ord_at(self, W):
+        try:
+            fibers = fiber_list(W)
+        except IsotrivialFamily:
+            return
+        for fiber in fibers:
+            assert fiber == classify_fiber(W, fiber.place)
+
+    def test_fiber_list_splits_no_place_twice(self, monkeypatch):
+        calls = []
+        real = weierstrass._order_along
+
+        def counted(p, place):
+            calls.append(place)
+            return real(p, place)
+
+        monkeypatch.setattr(weierstrass, "_order_along", counted)
+        fibers = fiber_list(example_family(13))
+        assert [(str(f.place), f.type) for f in fibers] == [
+            ("t", "I_39"), ("t^13 - 1", "I_1"), ("infinity", "IV*")]
+        assert calls == []
+
     def test_i_star_n_with_n_positive(self):
         t = P([0, 1])
         W = WeierstrassFamily(3 * t * t * (1 + t), t ** 3)  # Delta = 27 t^7 (t^2 + 3t + 3)
@@ -246,11 +320,9 @@ class TestKodaira:
         scaled = WeierstrassFamily(W.g2 * u * u * u * u, W.g3 * u * u * u * u * u * u)
         assert classify_fiber(scaled, Place.at_point(0)).type == "I_15"
 
-    @given(st.lists(st.integers(-4, 4), min_size=1, max_size=4),
-           st.lists(st.integers(-4, 4), min_size=1, max_size=5))
+    @given(_SMALL_FAMILIES)
     @settings(max_examples=60, deadline=None)
-    def test_epsilon_sum_divisible_by_12(self, c2, c3):
-        W = WeierstrassFamily(P(c2), P(c3))
+    def test_epsilon_sum_divisible_by_12(self, W):
         try:
             discriminant_and_j(W)
         except IsotrivialFamily:
