@@ -6,7 +6,8 @@ class ReglabError(Exception):
 
 
 class IsotrivialFamily(ReglabError):
-    """The j-invariant is constant, so no Picard-Fuchs operator exists."""
+    """The j-invariant is constant, so no Picard-Fuchs operator exists;
+    also raised when the discriminant vanishes identically."""
 
 
 class NotMinimal(ReglabError):
@@ -22,7 +23,8 @@ class UnsupportedL(ReglabError):
 
 
 class PrecisionNotReached(ReglabError):
-    """The evaluation-agreement certificate failed at the maximum series length."""
+    """The evaluation-agreement certificate failed at the maximum series length,
+    or a certified period failed its positivity check."""
 
 
 class RootOrderingFailed(ReglabError):
@@ -34,4 +36,6 @@ class DomainError(ReglabError):
 
 
 class QuadratureNotConverged(ReglabError):
-    """Adaptive quadrature could not certify the requested tolerance."""
+    """The fixed-panel quadrature's error is too large for its periods, or the
+    series route and its check (compute's closed forms, or the quadrature)
+    differ by more than 1e-6 relative."""

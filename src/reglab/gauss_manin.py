@@ -3,8 +3,11 @@
 Everything is expressed in the frame (omega-hat, omega-star) of the de Rham
 bundle, with all derivatives taken against the fixed affine coordinate t
 (df = f' dt).  Entries are exact rational functions; no floating point.
+The connection matrix (ConnectionMatrix) and the operator
+(PicardFuchsOperator) are namedtuple records, compared by value.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import IsotrivialFamily
@@ -23,23 +26,14 @@ def _ee_form(W: WeierstrassFamily) -> RationalFunction:
     return 2 * W.g2 * W.g3.derivative() - 3 * W.g2.derivative() * W.g3
 
 
-class ConnectionMatrix:
-    """2x2 connection matrix in the frame (omega-hat, omega-star), dt implicit.
+class ConnectionMatrix(namedtuple("ConnectionMatrix", "m family")):
+    """2x2 connection matrix m in the frame (omega-hat, omega-star), dt implicit.
 
-    Row i holds the coefficients of nabla applied to the i-th frame vector.
+    Row i of m holds the coefficients of nabla applied to the i-th frame
+    vector.  connection_matrix builds it trace-free.
     """
 
-    __slots__ = ("m", "family")
-
-    def __init__(self, m: tuple[tuple[RationalFunction, ...], ...],
-                 family: WeierstrassFamily) -> None:
-        if len(m) != 2 or any(len(row) != 2 for row in m):
-            raise ValueError("connection matrix must be 2x2")
-        trace = m[0][0] + m[1][1]
-        if not trace.is_zero():
-            raise ValueError("connection matrix must be trace-free")
-        self.m = (tuple(m[0]), tuple(m[1]))
-        self.family = family
+    __slots__ = ()
 
     def trace(self) -> RationalFunction:
         return self.m[0][0] + self.m[1][1]
@@ -49,26 +43,10 @@ class ConnectionMatrix:
         """The (6 g2 g3' - 9 g2' g3) / Delta entry whose zeros degenerate the frame."""
         return self.m[0][1]
 
-    def __repr__(self) -> str:
-        return "ConnectionMatrix([[{}, {}], [{}, {}]])".format(
-            self.m[0][0], self.m[0][1], self.m[1][0], self.m[1][1])
 
-
-class PicardFuchsOperator:
-    """Second-order operator f |-> f'' A + f' A' + f B acting against omega-star."""
-
-    __slots__ = ("A", "B", "family")
-
-    def __init__(self, A: RationalFunction, B: RationalFunction,
-                 family: WeierstrassFamily) -> None:
-        if A.is_zero():
-            raise IsotrivialFamily("leading coefficient A vanishes identically")
-        self.A = A
-        self.B = B
-        self.family = family
-
-    def __repr__(self) -> str:
-        return "PicardFuchsOperator(A={}, B={})".format(self.A, self.B)
+# the second-order operator f |-> f'' A + f' A' + f B acting against omega-star;
+# A = -Delta / (3 ee) is never 0: W.delta raises for Delta = 0, picard_fuchs for ee = 0
+PicardFuchsOperator = namedtuple("PicardFuchsOperator", "A B family")
 
 
 def connection_matrix(W: WeierstrassFamily) -> ConnectionMatrix:

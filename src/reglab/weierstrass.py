@@ -6,7 +6,8 @@ order computed at it is certified constant along its roots (f = pi^k h with
 gcd(h, pi) = 1), so reducible factors like t^l - 1 behave like single points.
 fiber_list reads the orders of g2, g3 and Delta at each finite place once,
 from the multiplicities uniform_pieces finds while splitting the place off;
-classify_fiber reads them with ord_at.  A fiber is a KodairaFiber record.
+classify_fiber reads them with ord_at.  A place (Place) and a fiber
+(KodairaFiber) are namedtuple records, compared and hashed by value.
 """
 
 from collections import namedtuple
@@ -227,17 +228,17 @@ def split_by_multiplicity(pi: Polynomial, p: Polynomial) -> list[tuple[Polynomia
     return out
 
 
-class Place:
-    """A closed point of the base: a squarefree monic factor, or infinity."""
+class Place(namedtuple("Place", "polynomial")):
+    """A closed point of the base: a squarefree monic factor, or None for infinity."""
 
-    __slots__ = ("polynomial",)
+    __slots__ = ()
 
-    def __init__(self, polynomial: Polynomial | None) -> None:
+    def __new__(cls, polynomial: Polynomial | None) -> "Place":
         if polynomial is not None:
             if polynomial.degree < 1:
                 raise ValueError("finite place needs a nonconstant polynomial")
             polynomial = polynomial.monic()
-        self.polynomial = polynomial
+        return super().__new__(cls, polynomial)
 
     @classmethod
     def infinity(cls) -> "Place":
@@ -259,21 +260,8 @@ class Place:
     def degree(self) -> int:
         return 1 if self.is_infinity else self.polynomial.degree
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Place):
-            return NotImplemented
-        if self.is_infinity or other.is_infinity:
-            return self.is_infinity and other.is_infinity
-        return self.polynomial == other.polynomial
-
-    def __hash__(self) -> int:
-        return hash(None if self.is_infinity else self.polynomial)
-
     def __str__(self) -> str:
         return "infinity" if self.is_infinity else str(self.polynomial)
-
-    def __repr__(self) -> str:
-        return "Place({})".format(self)
 
 
 class RationalFunction:
@@ -367,6 +355,9 @@ class RationalFunction:
                 and self.denominator == other.denominator)
 
     def __hash__(self) -> int:
+        # over denominator 1, hash like the numerator, as it compares equal to it
+        if self.denominator.degree == 0:
+            return hash(self.numerator)
         return hash((self.numerator, self.denominator))
 
     def ord_at(self, place: Place) -> int:

@@ -608,14 +608,25 @@ class TestOtherCommands:
         assert out.count("[pass]") == 6
         assert "[fail] connection trace zero" in out
 
-    def test_selfcheck_reports_a_check_that_raises_value_error(self, capsys, monkeypatch):
+    def test_selfcheck_fails_a_connection_that_is_not_trace_free(self, capsys, monkeypatch):
         real = gauss_manin.connection_matrix
 
         def not_trace_free(W):
             (a, b), lower = real(W).m
-            return gauss_manin.ConnectionMatrix(((a + 1, b), lower), W)  # raises ValueError
+            return gauss_manin.ConnectionMatrix(((a + 1, b), lower), W)
 
         monkeypatch.setattr(gauss_manin, "connection_matrix", not_trace_free)
+        monkeypatch.setattr(elliptic_oracle, "direct_periods", _real_direct_periods)
+        code, out, _ = run(capsys, "selfcheck")
+        assert code == 1
+        assert out.count("[pass]") == 6
+        assert "[fail] connection trace zero" in out.splitlines()
+
+    def test_selfcheck_reports_a_check_that_raises_value_error(self, capsys, monkeypatch):
+        def raises(W):
+            raise ValueError("connection matrix must be trace-free")
+
+        monkeypatch.setattr(gauss_manin, "connection_matrix", raises)
         monkeypatch.setattr(elliptic_oracle, "direct_periods", _real_direct_periods)
         code, out, _ = run(capsys, "selfcheck")
         assert code == 1

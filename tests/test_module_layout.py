@@ -7,7 +7,8 @@ module imports anything outside the standard library, as pyproject.toml
 declares, nor json, and none reaches into another's private names.  The
 benchmark names modules and traced functions in bench/; a move that loses
 one would zero its per-layer metrics without failing, so the names are
-resolved here.  The bench files are read as source, not imported.
+resolved here.  The bench files are read as source, not imported.  Only
+the arithmetic types define their own equality and hashing.
 """
 
 import ast
@@ -145,3 +146,12 @@ def test_no_future_import_and_no_typing_namedtuple():
               for node in ast.walk(ast.parse(path.read_text()))
               if isinstance(node, ast.Attribute) and node.attr == "NamedTuple"]
     assert found == []
+
+
+def test_only_the_arithmetic_types_define_equality_or_hashing():
+    # a record is a collections.namedtuple, which compares and hashes by value
+    found = {node.name for path in SRC for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ClassDef)
+             and any(isinstance(item, ast.FunctionDef) and item.name in ("__eq__", "__hash__")
+                     for item in node.body)}
+    assert found == {"Polynomial", "RationalFunction"}

@@ -128,6 +128,24 @@ class TestPolynomialLayer:
         assert f.numerator == P([F(1, 2)])
         assert f.denominator == P([0, 1])
 
+    def test_rational_function_hashes_like_what_it_equals(self):
+        t = P([0, 1])
+        assert RationalFunction(3) == 3 and RationalFunction(t) == t
+        assert len({RationalFunction(3), 3}) == 1
+        assert len({RationalFunction(t), t}) == 1
+
+    def test_place(self):
+        for build in (Place, Place.finite):
+            with pytest.raises(ValueError):
+                build(P([3]))
+        assert Place.finite(P([-4, 2])) == Place.at_point(2)
+        assert str(Place.finite(P([-4, 2]))) == "t - 2"
+        assert Place.infinity() == Place.infinity()
+        assert Place.infinity() != Place.at_point(0)
+        assert str(Place.infinity()) == "infinity" and Place.infinity().degree == 1
+        assert len({Place.at_point(0), Place.finite(P([0, 5])),
+                    Place.infinity(), Place.infinity()}) == 2
+
     def test_ord_at_uniform_place(self):
         f = RationalFunction(P([-1, 0, 0, 0, 0, 1]), P([0, 0, 1]))
         assert f.ord_at(Place.finite(P([-1, 0, 0, 0, 0, 1]))) == 1

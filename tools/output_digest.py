@@ -10,10 +10,10 @@ covers, for each of its commands in order, the argv, the exit code, stdout and
 stderr; then the name and bytes of every file its cache directory holds.  Each
 family gets a fresh temporary directory, which an argv names by the token
 CACHE; the directory's path is replaced by that token before hashing, so the
-digests do not depend on where it was made.  The last family runs every
+digests do not depend on where it was made.  The eighth family runs every
 script in demos/ the same way, with the wall times two of them print
-replaced by the token TIME.  Standard library only; a full run takes about
-a minute.
+replaced by the token TIME; the families of LATER_FAMILIES follow it.
+Standard library only; a full run takes about a minute.
 """
 
 from __future__ import annotations
@@ -57,6 +57,12 @@ FAMILIES = {
         for l, d, formats in ((5, 15, ("json", "json", "csv")), (7, 30, ("text", "text", "json")))
         for fmt in formats],
 }
+# printed after the demos, so the lines above keep their order
+LATER_FAMILIES = {
+    "oracle and selfcheck with --digits, and the oracle's certificate cap at l = 13": [
+        ["oracle", "--l", "7", "--digits", "30"], ["oracle", "--l", "13", "--j", "12"],
+        ["selfcheck", "--digits", "50"]],
+}
 
 
 def _field(h, data: bytes) -> None:
@@ -90,6 +96,8 @@ def main() -> int:
     demos = digest([[demo] for demo in DEMOS], runner=(),
                    scrub=lambda data: WALL_TIME.sub(TIME, data))
     print("{}  demos/*.py, wall times replaced ({} runs)".format(demos, len(DEMOS)), flush=True)
+    for name, commands in LATER_FAMILIES.items():
+        print("{}  {} ({} runs)".format(digest(commands), name, len(commands)), flush=True)
     return 0
 
 
