@@ -13,8 +13,8 @@ p^(v_p(m!))), and evaluates the sums, the
 constants and the prefactors in Python-int fixed point with the kernels of
 bigreal, GUARD = 64 bits beyond the requested precision p; series_periods
 scales them to the period magnitudes the same way.  Values are BigReals, so
-no computation here needs a Fraction: the exact layer's Fractions and
-Polynomials (exact_series, weierstrass) stay unloaded.
+no computation here needs a Fraction: the exact layer's Fractions
+(exact_series) and Polynomials (weierstrass) stay unloaded.
 """
 
 import math

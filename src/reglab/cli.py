@@ -396,16 +396,19 @@ def cmd_oracle(cfg: RunConfig) -> int:
 def _check_series_identities() -> bool:
     from fractions import Fraction as F
 
-    from .exact_series import a_coeffs, b_coeffs, formal_alpha
-    from .weierstrass import Polynomial
+    from .exact_series import a_coeffs, b_coeffs
 
-    alpha = formal_alpha()
-    a = a_coeffs(alpha, 4)
-    b = b_coeffs(alpha, 3)
-    return (a[2] == Polynomial([3, -27])
-            and a[3] == Polynomial([9, F(-81, 2), F(729, 2)])
-            and b[1] == Polynomial([-9, -15])
-            and b[2] == Polynomial([27, F(387, 2), F(225, 2)]))
+    # a_2, a_3, b_1, b_2 against the paper's polynomials in alpha.  y_m is a
+    # sum of binom(alpha, i) times rationals over i <= m, so it has degree at
+    # most m in alpha; these four (y_1, y_2, y_1, y_2) have degree at most 2,
+    # and their values at three distinct alpha fix them
+    for alpha in (F(1, 5), F(2, 7), F(5, 11)):
+        a, b = a_coeffs(alpha, 4), b_coeffs(alpha, 3)
+        if [a[2], a[3], b[1], b[2]] != [
+                3 - 27 * alpha, 9 - F(81, 2) * alpha + F(729, 2) * alpha ** 2,
+                -9 - 15 * alpha, 27 + F(387, 2) * alpha + F(225, 2) * alpha ** 2]:
+            return False
+    return True
 
 
 def _check_trace_zero() -> bool:

@@ -2,14 +2,13 @@
 
 a_coeffs and b_coeffs return the first N coefficients of the fractional-power
 families a_n, b_n built from the two weight-3 Eisenstein series on
-Gamma_1(3): reduced Fractions for a rational exponent, Polynomials in the
-formal symbol alpha (weierstrass.Polynomial) at formal_alpha().  Both come
+Gamma_1(3), as reduced Fractions at a rational exponent alpha.  Both come
 from one exact recurrence per kind, which integer_kernel._ScaledPower runs
-in ints (or Polynomials, at a formal alpha): with y = e~ f**alpha, y_n is
-carried as Y_n = scale(n) y_n, an integer when alpha = num/den, and this
-module divides by the scale.  In the library they serve the exact series
-identities of `selfcheck` (cli._check_series_identities); the numeric route
-reads the integers of integer_kernel directly and never loads this module.
+in ints: with y = e~ f**alpha, y_n is carried as the integer
+Y_n = scale(n) y_n for alpha = num/den, and this module divides by the
+scale.  In the library they serve the exact series identities of
+`selfcheck` (cli._check_series_identities); the numeric route reads the
+integers of integer_kernel directly and never loads this module.
 
 eisenstein_numeric sums the Eisenstein q-expansions at a real point and
 eisenstein_transform_residual checks their weight-3 transformation law, in
@@ -22,26 +21,17 @@ from fractions import Fraction
 
 from .bigreal import BigReal, agreement_digits, digits_of_bits, exp, fixed_constants, rounded
 from .integer_kernel import eisenstein_ints, scaled_power
-from .weierstrass import Polynomial
-
-
-def formal_alpha() -> Polynomial:
-    """The formal symbol alpha as a degree-1 polynomial."""
-    return Polynomial([0, 1])
 
 
 def _coefficients(alpha, N: int, kind: str) -> list:
-    """Coefficients 0 .. N-1 of the a- or b-series from the kernel's integers
-    y_m = Y_m / scale(m): reduced Fractions, or Polynomials at a formal alpha."""
+    """Coefficients 0 .. N-1 of the a- or b-series at a rational alpha, as the
+    reduced Fractions y_m = Y_m / scale(m) of the kernel's integers."""
     if N < 2:
         raise ValueError("need N >= 2")
-    if isinstance(alpha, Polynomial):
-        power = scaled_power(alpha, 1, kind)
-    else:
-        alpha = Fraction(alpha)
-        power = scaled_power(alpha.numerator, alpha.denominator, kind)
+    alpha = Fraction(alpha)
+    power = scaled_power(alpha.numerator, alpha.denominator, kind)
     shift = 1 if kind == "a" else 0  # a_0 = 0 and a_n = y_(n-1)
-    coeffs = [y * Fraction(1, power.scale(m)) for m, y in enumerate(power.scaled(N - shift))]
+    coeffs = [Fraction(y, power.scale(m)) for m, y in enumerate(power.scaled(N - shift))]
     return [Fraction(0)] * shift + coeffs
 
 

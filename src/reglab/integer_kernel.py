@@ -1,14 +1,13 @@
 """The exact integer kernel that the symbolic and numeric layers share.
 
-Everything here is Python ints (a formal alpha brings its own Polynomial
-arithmetic), so this module imports no `fractions`: the coefficient lists
-of the two weight-3 Eisenstein series on Gamma_1(3) (eisenstein_ints), the
-recurrence lists built from them (_IntegerBases), the scaled fractional
-powers of the a- and b-series (_ScaledPower), one process-wide store of
-both, and the standing assumption gcd(l, 6) = 1 (require_l, and require_lj
-for a period index j) with the Hodge bookkeeping it enables.
-exact_series turns the integers into Fractions and Polynomials;
-bigreal_periods sums them in fixed point.
+Everything here is Python ints, so this module imports no `fractions`: the
+coefficient lists of the two weight-3 Eisenstein series on Gamma_1(3)
+(eisenstein_ints), the recurrence lists built from them (_IntegerBases),
+the scaled fractional powers of the a- and b-series at a rational exponent
+(_ScaledPower), one process-wide store of both, and the standing assumption
+gcd(l, 6) = 1 (require_l, and require_lj for a period index j) with the
+Hodge bookkeeping it enables.  exact_series turns the integers into
+Fractions; bigreal_periods sums them in fixed point.
 
 The a- and b-series are y = e~ f**alpha, with e~ and f built from
 u = E3a, v = E3b/q and D = u + 27 q v.  Multiplying theta y / y by
@@ -194,7 +193,7 @@ class _Scales:
 
 class _ScaledPower:
     """The series y = e~ f**alpha of one kind, with e~ and f as in _IntegerBases
-    and alpha = num/den in lowest terms, or num a formal Polynomial and den = 1.
+    and alpha = num/den in lowest terms.
 
     a_n = y_(n-1) (kind "a") and b_n = y_n (kind "b").  C theta y = (A + alpha B) y
     with theta = q d/dq and C_0 = 1, A_0 = B_0 = 0 give, at coefficient n,
@@ -227,13 +226,12 @@ class _ScaledPower:
     den g(m) at m = n-k, and g(n) divides n, so Y_n = acc // (n / g(n)),
     an exact division because Y_n is an integer.  The big integers Y_(n-k)
     are only ever multiplied by the small T_k and den g(m).  At den = 1
-    (an integer or formal alpha) scale and multiplier are 1; at a formal
-    alpha Y_n = y_n is a Polynomial over the rationals and the division by
-    n is exact there.  The list grows on demand.  scale(m) and den g(m)
-    come from the _Scales of den, which the store shares among every num.
+    (an integer alpha) scale and multiplier are 1.  The list grows on
+    demand.  scale(m) and den g(m) come from the _Scales of den, which the
+    store shares among every num.
     """
 
-    def __init__(self, num, den: int, kind: str, bases: _IntegerBases,
+    def __init__(self, num: int, den: int, kind: str, bases: _IntegerBases,
                  scales: _Scales = None) -> None:
         self.num, self.den, self.kind, self.bases = num, den, kind, bases
         self.scales = scales or _Scales(den)
@@ -280,7 +278,7 @@ class _Store:
         self.scales: dict = {}
         self.powers: dict = {}
 
-    def power(self, num, den: int, kind: str) -> _ScaledPower:
+    def power(self, num: int, den: int, kind: str) -> _ScaledPower:
         key = (num, den, kind)
         power = self.powers.get(key)
         if power is None:
@@ -294,6 +292,6 @@ class _Store:
 _STORE = _Store()
 
 
-def scaled_power(num, den: int, kind: str) -> _ScaledPower:
-    """The stored _ScaledPower of alpha = num/den (lowest terms, or a formal num and den = 1)."""
+def scaled_power(num: int, den: int, kind: str) -> _ScaledPower:
+    """The stored _ScaledPower of alpha = num/den in lowest terms."""
     return _STORE.power(num, den, kind)

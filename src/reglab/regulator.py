@@ -16,8 +16,9 @@ GUARD = 64 bits beyond the requested precision, from the series route's
 periods (bigreal_periods) or a table the caller has: the matrix, the direct
 route and the Vandermonde-like determinant by fraction-free elimination of
 the sine column, the closed form as one exact product.  The matrix has full
-column rank by the Vandermonde-like identity (RegulatorMatrix.rank), so no
-step needs a numeric rank.  Results are magnitudes (SIGN_POLICY).
+column rank because its square sine block V satisfies V^2 = l Id, proven
+in RegulatorMatrix.rank, so no step needs a numeric rank.  Results are
+magnitudes (SIGN_POLICY).
 """
 
 import math
@@ -64,11 +65,17 @@ class RegulatorMatrix:
         """(l-1)/2, the number of columns: the matrix has full column rank.
 
         Row r is |P_r| times row r of the sine block (-2 sin(2 pi r q / l)),
-        so the top (l-1)/2 rows are diag(|P_1|, ..., |P_(l-1)/2|) times the
-        square sine block.  That block's determinant squares to l^((l-1)/2)
-        (vandermonde_like_det), so it is invertible, and every
-        |P_r| = (54 pi / l) I(r) is positive, which eval_IJ checks.  The
-        top square block is then invertible, exactly, at any precision.
+        so with s = (l-1)/2 the top s rows are diag(|P_1|, ..., |P_s|) times
+        the square sine block V, V_pq = -2 sin(2 pi p q / l) for
+        p, q = 1 .. s.  V^2 = l Id: by 2 sin x sin y = cos(x - y) - cos(x + y),
+            (V^2)_pr = 2 sum_{q=1..s} (cos(2 pi q (p - r) / l) - cos(2 pi q (p + r) / l)),
+        and sum_{q=1..s} cos(2 pi q n / l) is (l - 1)/2 when l | n and -1/2
+        otherwise, half the full sum over q mod l less the term q = 0; l
+        divides p - r only when p = r, and never p + r, which lies in
+        2 .. l - 1.  So (det V)^2 = l^s and |det V| = l^((l-1)/4) != 0, the
+        identity vandermonde_like_det checks numerically.  Every
+        |P_r| = (54 pi / l) I(r) is positive, which eval_IJ checks, so the
+        top square block is invertible, exactly, at any precision.
         """
         return self.shape[1]
 

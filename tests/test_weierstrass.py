@@ -123,6 +123,26 @@ class TestPolynomialLayer:
         with pytest.raises(TypeError):
             0.5 / RationalFunction(P([1, 1]))
 
+    def test_trim_and_degree(self):
+        p = P([1, 2, 0, 0])
+        assert p.degree == 1
+
+    def test_eval(self):
+        p = P([9, F(-81, 2), F(729, 2)])
+        assert p(F(1, 5)) == 9 - F(81, 10) + F(729, 50)
+
+    def test_arithmetic(self):
+        a = P([0, 1])
+        assert (3 - 27 * a) == P([3, -27])
+        assert a * a == P([0, 0, 1])
+        assert (a + 1) - a == 1
+
+    def test_constant_hashes_like_its_value(self):
+        # a constant compares equal to its value, so sets must agree
+        assert hash(P([5])) == hash(F(5))
+        assert hash(P([])) == hash(0)
+        assert len({P([5]), F(5)}) == 1
+
     def test_rational_function_normalized(self):
         f = RationalFunction(P([0, 2]), P([0, 0, 4]))  # 2t / 4t^2
         assert f.numerator == P([F(1, 2)])

@@ -1,9 +1,11 @@
 """One SHA-256 per family of CLI outputs, to check that a change keeps every byte.
 
 Run from the root of a checkout, before and after a change, and compare the
-lines:
+lines; tools/output_digest.txt holds the committed ones, so
 
-    PYTHONPATH=src python3 tools/output_digest.py
+    PYTHONPATH=src python3 tools/output_digest.py > tools/output_digest.txt
+
+leaves git with no difference when every byte is kept.
 
 Each command runs in a fresh process.  A family's digest
 covers, for each of its commands in order, the argv, the exit code, stdout and
