@@ -7,17 +7,22 @@ which is i times its magnitude (54 pi / l) I(p), so every entry is the real
 number -2 sin(2 pi pq / l) (54 pi / l) I(p).  That formula is written once,
 in _sine_column, and every block of it is built in _sine_block; the matrix
 is real by construction, and the tests check it against the complex
-product.  The top-left square block augmented with the gamma-arch column
-has a determinant computable two ways: directly, and in the closed form
-l^((l-1)/4) * prod I(p) * (J(k-1)/I(k-1) + J(k)/I(k)) with k = (l+1)/2.
-The two routes are always compared; the closed form is never trusted alone.
-Everything runs in Python-int fixed point on the kernels of bigreal, at
-GUARD = 64 bits beyond the requested precision, from the series route's
-periods (bigreal_periods) or a table the caller has: the matrix, the direct
-route and the Vandermonde-like determinant by fraction-free elimination of
-the sine column, the closed form as one exact product.  The matrix has full
-column rank because its square sine block V satisfies V^2 = l Id, proven
-in RegulatorMatrix.rank, so no step needs a numeric rank.  Results are
+product.  The regulator determinant is that of the top-left k x k block,
+k = (l+1)/2, with row r scaled by I(r) and the gamma-arch column J(r)
+appended.  Rows k-1 and k of its sine part are exact negatives, so its
+Laplace expansion along the J column is
+prod_{r<=k-2} I(r) * |det V| * (J(k-1) I(k) + J(k) I(k-1)), V the period-free
+(k-1) x (k-1) sine block (regulator_closed_form).  V^2 = l Id
+(RegulatorMatrix.rank) makes that the paper's closed form
+l^((l-1)/4) * prod I(p) * (J(k-1)/I(k-1) + J(k)/I(k)).  regulator_closed_form
+evaluates the expansion with |det V| from fraction-free elimination
+(vandermonde_like_det, the one determinant per (l, w)) beside the closed form,
+and det_agreement_digits compares the two: it measures the computed |det V|
+against l^((l-1)/4), and no period enters it.  Everything runs in Python-int
+fixed point on the kernels of bigreal, at GUARD = 64 bits beyond the requested
+precision, from the series route's periods (bigreal_periods) or a table the
+caller has.  The matrix has full column rank and e_ind is nonzero, both
+exactly (RegulatorMatrix.rank), so no step needs a numeric rank.  Results are
 magnitudes (SIGN_POLICY).
 """
 
@@ -75,7 +80,10 @@ class RegulatorMatrix:
         2 .. l - 1.  So (det V)^2 = l^s and |det V| = l^((l-1)/4) != 0, the
         identity vandermonde_like_det checks numerically.  Every
         |P_r| = (54 pi / l) I(r) is positive, which eval_IJ checks, so the
-        top square block is invertible, exactly, at any precision.
+        top square block is invertible, exactly, at any precision.  For the
+        same reasons e_ind is nonzero: regulator_closed_form expands the
+        determinant as prod I(r) * |det V| * (J(k-1) I(k) + J(k) I(k-1)), and
+        eval_IJ checks I, J > 0 as well.
         """
         return self.shape[1]
 
@@ -153,9 +161,24 @@ def _bareiss_det(rows: list[list[int]]) -> int:
 
 def regulator_closed_form(l: int, p: int = 128,
                           table: list[PeriodPair] | None = None) -> RegulatorResult:
-    """Both determinant routes plus the normalized values sqrt(l) det and pi^s det.
+    """The determinant as its Laplace expansion and in closed form, and the normalized
+    values sqrt(l) det and pi^s det.
 
-    table is a period table at p bits that starts at j = 1 and holds
+    With k = (l+1)/2, the determinant is that of the k x k block whose row r
+    is row r of the sine block scaled by I(r), followed by J(r).  The sine
+    parts of rows k-1 and k are exact negatives, since k + (k-1) = l and
+    _sine_column has col[l - m] = -col[m].  So along the J column every
+    minor that keeps both rows vanishes.  Deleting row k leaves
+    diag(I(1), ..., I(k-1)) V, V the period-free (k-1) x (k-1) sine block;
+    deleting row k-1 leaves the same with I(k) for I(k-1) and its last row
+    negated.  With the signs (-1)^(r+k) of the expansion,
+
+        det = prod_{r<=k-2} I(r) * det V * (J(k-1) I(k) + J(k) I(k-1)).
+
+    det_general is that expansion with |det V| from vandermonde_like_det;
+    det_closed_form puts l^((l-1)/4) in its place, which |det V| equals
+    (RegulatorMatrix.rank), and det_agreement_digits says how closely the two
+    agree.  table is a period table at p bits that starts at j = 1 and holds
     j = 1 .. (l + 1)/2 or more, such as compute's; without one, eval_IJ
     builds j = 1 .. (l + 1)/2.  The closed form generalizes the k = 3 and
     k = 4 worked cases; for l other than 5 and 7 the sqrt(l)/pi^s
@@ -170,11 +193,10 @@ def regulator_closed_form(l: int, p: int = 128,
     w = p + GUARD
     I = [pr.I.fixed(w) for pr in pairs]
     J = [pr.J.fixed(w) for pr in pairs]
-    # the direct route: |det| of the k x k block, row r the sine block scaled by I(r), then J(r)
-    block = [row + [Jr] for row, Jr in zip(_sine_block(l, I, w), J)]
-    general = BigReal((abs(_bareiss_det(block)), -k * w), p, cert)
     # prod I(p) * (J(k-1)/I(k-1) + J(k)/I(k)) without a division, times 2^(k w)
     core = math.prod(I[:k - 2]) * (J[k - 2] * I[k - 1] + J[k - 1] * I[k - 2])
+    # the Laplace expansion: core times |det V| at s w bits
+    general = BigReal((core * vandermonde_like_det(l, p).fixed(s * w), -(k + s) * w), p, cert)
     # l^(e/4) at w bits: floor(n^(1/4)) = isqrt(isqrt(n))
     root4 = lambda e: math.isqrt(math.isqrt(l ** e << 4 * w))
     closed = core * root4(l - 1)

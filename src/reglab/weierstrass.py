@@ -222,9 +222,19 @@ def split_by_multiplicity(pi: Polynomial, p: Polynomial) -> list[tuple[Polynomia
         if exact.degree > 0:
             out.append((exact.monic(), k))
         pi = d
-        if pi.degree > 0:
-            p = p // d
-        k += 1
+        # divide p by pi^e for the largest e: by pi, pi^2, pi^4, ... while each
+        # divides, then by those powers again from the top down where one does
+        powers = [pi] if pi.degree > 0 else []
+        while powers:
+            q, r = divmod(p, powers[-1])
+            if not r.is_zero():
+                break
+            p, k = q, k + (1 << len(powers) - 1)
+            powers.append(powers[-1] * powers[-1])
+        for i in reversed(range(len(powers) - 1)):
+            q, r = divmod(p, powers[i])
+            if r.is_zero():
+                p, k = q, k + (1 << i)
     return out
 
 

@@ -7,6 +7,8 @@ import pytest
 from mpmath import mp
 from mpf_reference import as_mpf
 
+from reglab import regulator
+from reglab.bigreal import GUARD, agreement_digits, digits_of_bits
 from reglab.bigreal_periods import eval_IJ
 from reglab.errors import UnsupportedL
 from reglab.regulator import (
@@ -75,8 +77,8 @@ class TestVandermondeLike:
 
     @pytest.mark.parametrize("l", ADMISSIBLE_L)
     def test_rows_k_minus_1_and_k_are_exact_negatives(self, l):
-        # k + (k - 1) = l and _sine_column sets col[l - m] = -col[m], so in the
-        # k x k block of regulator_closed_form rows k - 1 and k cancel exactly
+        # k + (k - 1) = l and _sine_column sets col[l - m] = -col[m]: the fact
+        # regulator_closed_form's Laplace expansion along the J column rests on
         w, k = 128, (l + 1) // 2
         rows = _sine_block(l, [1 << w] * k, w)
         assert rows[k - 1] == [-x for x in rows[k - 2]]
@@ -156,7 +158,38 @@ class TestMatrixAssembly:
                 build_matrix(bad)
 
 
+def _full_block_det(l, p, table):
+    """|det| of the k x k block, row r the sine block scaled by I(r), then J(r), by exact
+    Bareiss, as a (man, exp) pair: the reference for the Laplace expansion."""
+    k, w = (l + 1) // 2, p + GUARD
+    I = [pr.I.fixed(w) for pr in table[:k]]
+    block = [row + [pr.J.fixed(w)] for row, pr in zip(_sine_block(l, I, w), table)]
+    return abs(_bareiss_det(block)), -k * w
+
+
 class TestDeterminantRoutes:
+    @pytest.mark.parametrize("p", (128, 340))
+    @pytest.mark.parametrize("l", [l for l in ADMISSIBLE_L if l <= 49])
+    def test_expansion_matches_the_full_block(self, l, p):
+        table = [eval_IJ(l, j, p) for j in range(1, (l + 3) // 2)]
+        r = regulator_closed_form(l, p, table)
+        full, cap = _full_block_det(l, p, table), digits_of_bits(p)
+        assert agreement_digits(r.det_general, full, cap) == cap
+        assert agreement_digits(full, r.det_closed_form, cap) == r.det_agreement_digits
+
+    def test_one_period_free_determinant(self, monkeypatch):
+        # the expansion eliminates V, the sine block without periods, and nothing else
+        seen = []
+        real = regulator._bareiss_det
+
+        def recorded(rows):
+            seen.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(regulator, "_bareiss_det", recorded)
+        regulator_closed_form(13, 128)
+        assert seen == [_sine_block(13, [1 << 192] * 6, 192)]
+
     def test_dual_route_agreement(self):
         for l in (5, 7, 11, 13):
             r = regulator_closed_form(l, p=128)

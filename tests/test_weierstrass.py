@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reglab import weierstrass
@@ -60,6 +60,27 @@ _BRANCH_FAMILIES = {
 }
 
 
+# pairwise coprime irreducible factors, so any product of distinct ones is squarefree
+_COPRIME_PIECES = (_t, _t - 1, _t * _t + 1)
+
+
+def _split_one_power_at_a_time(pi, p):
+    """split_by_multiplicity as it was before it divided by repeated squares of pi: the reference."""
+    if p.is_zero():
+        return [(pi.monic(), weierstrass._ORD_INF)]
+    pi, out, k = pi.monic(), [], 0
+    while pi.degree > 0:
+        d = poly_gcd(pi, p)
+        exact = pi // d
+        if exact.degree > 0:
+            out.append((exact.monic(), k))
+        pi = d
+        if pi.degree > 0:
+            p = p // d
+        k += 1
+    return out
+
+
 def delta_closed_form(l):
     # 110592 t^{3l} (1 - t^l)
     coeffs = [F(0)] * (4 * l + 1)
@@ -106,6 +127,19 @@ class TestPolynomialLayer:
         assert split_by_multiplicity(P([0, 1]), p) == [(P([0, 1]), 3)]
         assert split_by_multiplicity(P([-1, 1]), p) == [(P([-1, 1]), 1)]
         assert split_by_multiplicity(P([1, 1]), p) == [(P([1, 1]), 0)]
+
+    @given(st.lists(st.tuples(st.sampled_from(_COPRIME_PIECES), st.integers(0, 300)),
+                    min_size=1, max_size=3, unique_by=lambda pair: str(pair[0]))
+           .filter(lambda pieces: sum(m * piece.degree for piece, m in pieces) <= 300),
+           st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any))
+    @example([(_t, 147), (_t - 1, 1)], [1])  # Delta of example_family(49) along t (t - 1)
+    @example([(_t * _t + 1, 150), (_t, 0)], [2, 0, 1])
+    @settings(max_examples=10, deadline=None)
+    def test_multiplicity_matches_one_power_at_a_time(self, pieces, cofactor):
+        pi, p = P([1]), P(cofactor)
+        for piece, m in pieces:
+            pi, p = pi * piece, p * piece ** m
+        assert split_by_multiplicity(pi, p) == _split_one_power_at_a_time(pi, p)
 
     def test_squarefree_decomposition(self):
         p = P([0, 1]) ** 3 * P([-1, 0, 0, 0, 0, 1])
@@ -335,6 +369,21 @@ class TestKodaira:
         assert [(str(f.place), f.type) for f in fibers] == [
             ("t", "I_39"), ("t^13 - 1", "I_1"), ("infinity", "IV*")]
         assert calls == []
+
+    def test_fiber_list_divides_by_repeated_squares(self, monkeypatch):
+        # one power of each place at a time took 1081 divisions at l = 49
+        calls = []
+        real = P.__divmod__
+
+        def counted(a, b):
+            calls.append(b)
+            return real(a, b)
+
+        monkeypatch.setattr(P, "__divmod__", counted)
+        fibers = fiber_list(example_family(49))
+        assert [(str(f.place), f.type) for f in fibers] == [
+            ("t", "I_147"), ("t^49 - 1", "I_1"), ("infinity", "IV*")]
+        assert len(calls) < 600
 
     def test_i_star_n_with_n_positive(self):
         t = P([0, 1])

@@ -64,6 +64,9 @@ LATER_FAMILIES = {
     "oracle and selfcheck with --digits, and the oracle's certificate cap at l = 13": [
         ["oracle", "--l", "7", "--digits", "30"], ["oracle", "--l", "13", "--j", "12"],
         ["selfcheck", "--digits", "50"]],
+    "compute json at (49, 30) and (97, 30), checked and --skip-oracle": [
+        ["compute", "--l", str(l), "--digits", "30", "--format", "json"] + skip
+        for l in (49, 97) for skip in ([], ["--skip-oracle"])],
 }
 
 
