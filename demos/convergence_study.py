@@ -1,9 +1,13 @@
 # How fast the period series converge, and what the certificate loop does.
 #
-# c = exp(-2 pi / sqrt 3) is about 0.0266, so each extra term buys roughly
-# -log10(c) = 1.575 digits before the n^(1/3)-ish coefficient growth eats
-# into it.  The evaluator picks a truncation N from the digit target, then
-# certifies by comparing checkpoints 16 terms apart and retries if needed.
+# c = exp(-2 pi / sqrt 3) is about 0.0266, but the coefficients a_n and b_n
+# grow geometrically, about as 0.163^-n: a(q)^3 vanishes at q = -0.163, and
+# c is 0.163^2.  So the terms shrink by a ratio of about c / 0.163 = 0.163,
+# and each extra term buys about -log10(0.163) = 0.79 digits, not
+# -log10(c) = 1.575.  The evaluator picks a truncation N from the digit
+# target, then certifies by comparing checkpoints 16 terms apart and retries
+# if needed, so the N used below runs past that rate: 154 digits at N = 231
+# is about 0.67 digits per term.
 import time
 
 from reglab.bigreal import nstr

@@ -5,11 +5,11 @@ from reglab.regulator import regulator_closed_form
 for l in (5, 7):
     print(f"l = {l}")
     print(f"  {'j':>2}  {'I(j)':<22}  {'J(j)':<22}  N")
-    for j in range(1, l):
-        pair = eval_IJ(l, j, p=128)
-        print(f"  {j:>2}  {pair.I.to_decimal(18):<22}  "
+    pairs = [eval_IJ(l, j, p=128) for j in range(1, l)]
+    for pair in pairs:
+        print(f"  {pair.j:>2}  {pair.I.to_decimal(18):<22}  "
               f"{pair.J.to_decimal(18):<22}  {pair.N_used}")
-    result = regulator_closed_form(l, p=128)
+    result = regulator_closed_form(pairs)
     print(f"  regulator e_ind   = {result.value_e_ind.to_decimal(18)}")
     print(f"  regulator e_ff    = {result.value_e_ff.to_decimal(18)}")
     print(f"  det route spread  = {result.det_agreement_digits} matching digits")

@@ -155,7 +155,7 @@ def compute_payload(cfg: RunConfig) -> dict:
     digits = cfg.effective_digits
     p = _bits(digits)
     pairs = [eval_IJ(cfg.l, j, p) for j in range(1, cfg.l)]
-    result = regulator_closed_form(cfg.l, p, pairs)
+    result = regulator_closed_form(pairs)
     oracle = None
     if not cfg.skip_oracle:
         from .hypergeometric import period_table

@@ -20,9 +20,12 @@ evaluates the expansion with |det V| from fraction-free elimination
 and det_agreement_digits compares the two: it measures the computed |det V|
 against l^((l-1)/4), and no period enters it.  Everything runs in Python-int
 fixed point on the kernels of bigreal, at GUARD = 64 bits beyond the requested
-precision, from the series route's periods (bigreal_periods) or a table the
-caller has.  The matrix has full column rank and e_ind is nonzero, both
-exactly (RegulatorMatrix.rank), so no step needs a numeric rank.  Results are
+precision, from the one period table the caller passes: its first pair
+fixes l and the precision p, and the pairs j = 1 .. k (h for the matrix)
+must lead it.  compute passes the series route's table (bigreal_periods),
+and the closed forms' table (hypergeometric.period_table) serves as well.
+The matrix has full column rank and e_ind is nonzero, both exactly
+(RegulatorMatrix.rank), so no step needs a numeric rank.  Results are
 magnitudes (SIGN_POLICY).
 """
 
@@ -31,9 +34,8 @@ from collections import namedtuple
 
 from .bigreal import (GUARD, BigReal, PeriodPair, agreement_digits, digits_of_bits,
                       fixed_constants, sin)
-from .bigreal_periods import eval_IJ, series_periods
-from .errors import UnsupportedL
-from .integer_kernel import hodge_and_dims
+from .bigreal_periods import series_periods
+from .integer_kernel import hodge_and_dims, require_lj
 
 SIGN_POLICY = "magnitudes only; sign left unresolved"
 
@@ -42,11 +44,6 @@ SIGN_POLICY = "magnitudes only; sign left unresolved"
 # sign_policy (a str), det_agreement_digits (an int) and normalization_verified
 RegulatorResult = namedtuple("RegulatorResult", "l det_general det_closed_form value_e_ff "
                              "value_e_ind sign_policy det_agreement_digits normalization_verified")
-
-
-def _require_admissible(l: int) -> None:
-    if not isinstance(l, int) or l < 5 or math.gcd(l, 6) != 1:
-        raise UnsupportedL("need integer l >= 5 with gcd(l, 6) = 1, got {!r}".format(l))
 
 
 class RegulatorMatrix:
@@ -79,11 +76,12 @@ class RegulatorMatrix:
         divides p - r only when p = r, and never p + r, which lies in
         2 .. l - 1.  So (det V)^2 = l^s and |det V| = l^((l-1)/4) != 0, the
         identity vandermonde_like_det checks numerically.  Every
-        |P_r| = (54 pi / l) I(r) is positive, which eval_IJ checks, so the
+        |P_r| = (54 pi / l) I(r) is positive, which the series route checks
+        on every pair it returns (bigreal_periods), so the
         top square block is invertible, exactly, at any precision.  For the
         same reasons e_ind is nonzero: regulator_closed_form expands the
         determinant as prod I(r) * |det V| * (J(k-1) I(k) + J(k) I(k-1)), and
-        eval_IJ checks I, J > 0 as well.
+        the series route checks I, J > 0 as well.
         """
         return self.shape[1]
 
@@ -110,12 +108,28 @@ def _sine_block(l: int, scales: list[int], w: int) -> list[list[int]]:
             for r, scale in enumerate(scales, start=1)]
 
 
-def build_matrix(l: int, p: int = 128) -> RegulatorMatrix:
-    """Assemble the regulator matrix from the series-route periods at w = p + 64 bits."""
-    _require_admissible(l)
-    h = hodge_and_dims(l)["h"]
+def _leading_pairs(table: list[PeriodPair], n: int) -> list[PeriodPair]:
+    """table[:n], which must be the pairs j = 1 .. n of the l of table[0].
+
+    require_lj(l, n) raises UnsupportedL for an l outside gcd(l, 6) = 1, and
+    ValueError for n > l - 1 (l = 1); any other table raises ValueError.
+    """
+    l = table[0].l
+    require_lj(l, n)
+    if [(pr.l, pr.j) for pr in table[:n]] != [(l, j) for j in range(1, n + 1)]:
+        raise ValueError("need the pairs j = 1 .. {} of l = {} first in the table".format(n, l))
+    return table[:n]
+
+
+def build_matrix(table: list[PeriodPair]) -> RegulatorMatrix:
+    """Assemble the regulator matrix from the first h pairs of a period table at w = p + 64 bits.
+
+    l is table[0].l and p the precision of its I; the table starts at j = 1
+    and holds j = 1 .. h or more, h = hodge_and_dims(l)["h"].
+    """
+    l, p = table[0].l, table[0].I.precision
+    pairs = _leading_pairs(table, hodge_and_dims(l)["h"])
     w = p + GUARD
-    pairs = [eval_IJ(l, j, p) for j in range(1, h + 1)]
     # row r scaled by (54 pi / l) I(r)
     rows = _sine_block(l, [series_periods(pair).delta_period.fixed(w) for pair in pairs], w)
     entries = [[BigReal((x, -w), p, pair.I.agreement_certificate) for x in row]
@@ -159,8 +173,7 @@ def _bareiss_det(rows: list[list[int]]) -> int:
     return sign * m[k - 1][k - 1]
 
 
-def regulator_closed_form(l: int, p: int = 128,
-                          table: list[PeriodPair] | None = None) -> RegulatorResult:
+def regulator_closed_form(table: list[PeriodPair]) -> RegulatorResult:
     """The determinant as its Laplace expansion and in closed form, and the normalized
     values sqrt(l) det and pi^s det.
 
@@ -178,17 +191,18 @@ def regulator_closed_form(l: int, p: int = 128,
     det_general is that expansion with |det V| from vandermonde_like_det;
     det_closed_form puts l^((l-1)/4) in its place, which |det V| equals
     (RegulatorMatrix.rank), and det_agreement_digits says how closely the two
-    agree.  table is a period table at p bits that starts at j = 1 and holds
-    j = 1 .. (l + 1)/2 or more, such as compute's; without one, eval_IJ
-    builds j = 1 .. (l + 1)/2.  The closed form generalizes the k = 3 and
-    k = 4 worked cases; for l other than 5 and 7 the sqrt(l)/pi^s
-    normalization follows the same pattern but has no independent
-    confirmation, so normalization_verified is False there.
+    agree.  table is a period table that starts at j = 1 and holds
+    j = 1 .. k or more, such as compute's j = 1 .. l - 1; l is table[0].l,
+    p the precision of its I, and only the first k pairs are read.  The
+    closed form generalizes the k = 3 and k = 4 worked cases; for l other
+    than 5 and 7 the sqrt(l)/pi^s normalization follows the same pattern but
+    has no independent confirmation, so normalization_verified is False
+    there.
     """
-    _require_admissible(l)
+    l, p = table[0].l, table[0].I.precision
     k = (l + 1) // 2
     s = (l - 1) // 2
-    pairs = table[:k] if table is not None else [eval_IJ(l, j, p) for j in range(1, k + 1)]
+    pairs = _leading_pairs(table, k)
     cert = min(min(pr.I.agreement_certificate, pr.J.agreement_certificate) for pr in pairs)
     w = p + GUARD
     I = [pr.I.fixed(w) for pr in pairs]

@@ -77,8 +77,8 @@ def test_criterion_02_table_l7():
 
 
 def test_criterion_03_regulator_values():
-    r5 = regulator_closed_form(5, p=128)
-    r7 = regulator_closed_form(7, p=128)
+    r5, r7 = (regulator_closed_form([eval_IJ(l, j, 128) for j in range(1, (l + 3) // 2)])
+              for l in (5, 7))
     with mp.workprec(192):
         assert abs(abs(as_mpf(r5.value_e_ind)) - mp.mpf("0.346139631939354")) < mp.mpf("1e-12")
         assert abs(abs(as_mpf(r7.value_e_ind)) - mp.mpf("0.629487860860585")) < mp.mpf("1e-12")

@@ -113,25 +113,27 @@ class TestComputeCommand:
         import reglab.cli as cli
         import reglab.regulator as regulator
 
-        calls = []
+        calls, made = [], []
         eval_IJ = bp.eval_IJ  # the original: bp.eval_IJ is the wrapper below
 
         def counted(l, j, p=128):
             calls.append((l, j, p))
-            return eval_IJ(l, j, p)
+            made.append(eval_IJ(l, j, p))
+            return made[-1]
 
         closed = []
         closed_form = regulator.regulator_closed_form
 
-        def counted_closed_form(l, p=128, table=None):
-            closed.append(table is not None)
-            return closed_form(l, p, table)
+        def counted_closed_form(table):
+            # True when table holds the very pairs compute's eval_IJ calls made
+            closed.append(list(map(id, table)) == list(map(id, made)))
+            return closed_form(table)
 
         monkeypatch.setattr(bp, "eval_IJ", counted)
-        monkeypatch.setattr(regulator, "eval_IJ", counted)
         monkeypatch.setattr(regulator, "regulator_closed_form", counted_closed_form)
         for l in (5, 7):
             calls.clear()
+            made.clear()
             closed.clear()
             cli.compute_payload(cli.parse_config(
                 ["compute", "--l", str(l), "--digits", "12", "--skip-oracle"]))

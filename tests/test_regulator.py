@@ -8,9 +8,10 @@ from mpmath import mp
 from mpf_reference import as_mpf
 
 from reglab import regulator
-from reglab.bigreal import GUARD, agreement_digits, digits_of_bits
+from reglab.bigreal import GUARD, BigReal, PeriodPair, agreement_digits, digits_of_bits
 from reglab.bigreal_periods import eval_IJ
 from reglab.errors import UnsupportedL
+from reglab.hypergeometric import period_table
 from reglab.regulator import (
     SIGN_POLICY,
     _bareiss_det,
@@ -27,6 +28,17 @@ ADMISSIBLE_L = [l for l in range(5, 200) if l % 2 and l % 3]
 # quoted to 16 significant digits
 E_IND_5 = "0.3461396319393535"
 E_IND_7 = "0.6294878608605845"
+
+
+def series_table(l, p, n=None):
+    """The series route's pairs j = 1 .. n at p bits, n = (l + 1)/2 unless given."""
+    return [eval_IJ(l, j, p) for j in range(1, (n or (l + 1) // 2) + 1)]
+
+
+def made_up_table(l):
+    """Pairs j = 1 .. l - 1 at l with I = J = 1, for an l that no period route admits."""
+    one = BigReal(1, 128)
+    return [PeriodPair(l, j, one, one, 0) for j in range(1, l)]
 
 
 def rel(a, b):
@@ -97,18 +109,18 @@ class TestVandermondeLike:
 
 class TestMatrixAssembly:
     def test_shapes_and_coker(self):
-        m5 = build_matrix(5, p=128)
+        m5 = build_matrix(series_table(5, 128, 4))
         assert m5.shape == (3, 2)
         assert m5.rank() == 2
         assert m5.coker_dim() == 1
-        m7 = build_matrix(7, p=128)
+        m7 = build_matrix(series_table(7, 128, 6))
         assert m7.shape == (4, 3)
         assert m7.coker_dim() == 1
 
     @pytest.mark.parametrize("l", (5, 7, 11, 13, 25))
     def test_rank_matches_svd(self, l):
         # the reference: singular values above 2^-48 of the largest, at 128 bits
-        m = build_matrix(l, p=128)
+        m = build_matrix(series_table(l, 128, l - 1))
         with mp.workprec(128):
             sigma = mp.svd_r(mp.matrix([[as_mpf(e) for e in row] for row in m.entries]),
                              compute_uv=False)
@@ -117,7 +129,7 @@ class TestMatrixAssembly:
         assert m.coker_dim() == m.h - m.rank()
 
     def test_entries_match_sine_form(self):
-        m = build_matrix(5, p=128)
+        m = build_matrix(series_table(5, 128, 4))
         with mp.workprec(160):
             for p_idx, row in enumerate(m.entries, start=1):
                 I_p = as_mpf(m.I_table[p_idx - 1].I)
@@ -129,7 +141,7 @@ class TestMatrixAssembly:
     @pytest.mark.parametrize("l", (5, 7, 11, 25))
     def test_entries_match_complex_product(self, l):
         # the reference: (zeta^(rq) - zeta^(-rq)) times the imaginary delta-arch period
-        m = build_matrix(l, p=128)
+        m = build_matrix(series_table(l, 128, l - 1))
         with mp.workprec(224):
             for r, row in enumerate(m.entries, start=1):
                 period = mp.mpc(0, 54 * mp.pi / l * as_mpf(m.I_table[r - 1].I))
@@ -140,7 +152,7 @@ class TestMatrixAssembly:
                     assert abs(as_mpf(entry) - want.real) < tol
 
     def test_entries_vanish_exactly_where_l_divides_rq(self):
-        m = build_matrix(25, p=128)
+        m = build_matrix(series_table(25, 128, 24))
         zeros = [(r, q) for r, row in enumerate(m.entries, start=1)
                  for q, entry in enumerate(row, start=1) if entry.man == 0]
         assert zeros == [(r, q) for r in range(1, m.h + 1) for q in range(1, 13)
@@ -149,13 +161,25 @@ class TestMatrixAssembly:
 
     def test_row_count_invariant(self):
         for l in (5, 7, 11):
-            m = build_matrix(l, p=96)
+            m = build_matrix(series_table(l, 96, l - 1))
             assert m.h >= (l + 1) // 2
 
     def test_rejects_inadmissible(self):
         for bad in (3, 4, 6, 9, 10, 15):
             with pytest.raises(UnsupportedL):
-                build_matrix(bad)
+                build_matrix(made_up_table(bad))
+
+    def test_reads_l_and_p_from_the_table(self):
+        m = build_matrix(period_table(7, 96))
+        assert (m.l, m.shape) == (7, (4, 3))
+        assert {e.precision for row in m.entries for e in row} == {96}
+        assert [(pr.l, pr.j) for pr in m.I_table] == [(7, j) for j in range(1, 5)]
+
+    def test_rejects_a_table_not_led_by_j_1_to_h(self):
+        for table in (period_table(7, 96)[1:], period_table(7, 96)[:3],
+                      period_table(5, 96)[:1] + period_table(7, 96)[1:]):
+            with pytest.raises(ValueError):
+                build_matrix(table)
 
 
 def _full_block_det(l, p, table):
@@ -171,8 +195,8 @@ class TestDeterminantRoutes:
     @pytest.mark.parametrize("p", (128, 340))
     @pytest.mark.parametrize("l", [l for l in ADMISSIBLE_L if l <= 49])
     def test_expansion_matches_the_full_block(self, l, p):
-        table = [eval_IJ(l, j, p) for j in range(1, (l + 3) // 2)]
-        r = regulator_closed_form(l, p, table)
+        table = series_table(l, p, (l + 1) // 2 + 1)
+        r = regulator_closed_form(table)
         full, cap = _full_block_det(l, p, table), digits_of_bits(p)
         assert agreement_digits(r.det_general, full, cap) == cap
         assert agreement_digits(full, r.det_closed_form, cap) == r.det_agreement_digits
@@ -186,25 +210,26 @@ class TestDeterminantRoutes:
             seen.append(rows)
             return real(rows)
 
+        table = series_table(13, 128)
         monkeypatch.setattr(regulator, "_bareiss_det", recorded)
-        regulator_closed_form(13, 128)
+        regulator_closed_form(table)
         assert seen == [_sine_block(13, [1 << 192] * 6, 192)]
 
     def test_dual_route_agreement(self):
         for l in (5, 7, 11, 13):
-            r = regulator_closed_form(l, p=128)
+            r = regulator_closed_form(series_table(l, 128))
             assert rel(as_mpf(r.det_general), as_mpf(r.det_closed_form)) < mp.mpf("1e-10")
             assert r.det_agreement_digits >= 10
 
     def test_worked_values(self):
-        r5 = regulator_closed_form(5, p=128)
+        r5 = regulator_closed_form(series_table(5, 128))
         assert abs(as_mpf(r5.value_e_ind) - mp.mpf(E_IND_5)) < mp.mpf("1e-14")
-        r7 = regulator_closed_form(7, p=128)
+        r7 = regulator_closed_form(series_table(7, 128))
         assert abs(as_mpf(r7.value_e_ind) - mp.mpf(E_IND_7)) < mp.mpf("1e-14")
 
     def test_normalization_relation(self):
         for l in (5, 11):
-            r = regulator_closed_form(l, p=128)
+            r = regulator_closed_form(series_table(l, 128))
             s = (l - 1) // 2
             with mp.workprec(192):
                 lhs = as_mpf(r.value_e_ind)
@@ -213,28 +238,35 @@ class TestDeterminantRoutes:
 
     def test_nonvanishing_and_metadata(self):
         for l in (5, 7, 11):
-            r = regulator_closed_form(l, p=96)
+            r = regulator_closed_form(series_table(l, 96))
             assert as_mpf(r.value_e_ind) > 0
             assert r.sign_policy == SIGN_POLICY
             assert r.normalization_verified is (l in (5, 7))
 
-    def test_closed_form_from_full_table(self):
-        # the j = 1 .. l-1 table of compute gives the same result as j = 1 .. k
-        table = [eval_IJ(7, j, 96) for j in range(1, 7)]
-        got = regulator_closed_form(7, 96, table)
-        want = regulator_closed_form(7, p=96)
-        for a, b in zip(got, want):
-            if hasattr(a, "agreement_certificate"):
-                a, b = ((as_mpf(x), x.precision, x.agreement_certificate) for x in (a, b))
-            assert a == b
-
     @pytest.mark.parametrize("l", (5, 7, 13))
     def test_table_gives_the_same_result(self, l):
-        # compute passes its j = 1 .. l-1 table; the result is the one eval_IJ's own table gives
-        table = [eval_IJ(l, j, 128) for j in range(1, l)]
+        # compute passes its j = 1 .. l-1 table; the result is the one its first
+        # k = (l + 1)/2 pairs give, at 128 bits and at 96
         fields = lambda r: [(x.man, x.exp, x.precision, x.agreement_certificate)
                             if hasattr(x, "agreement_certificate") else x for x in r]
-        assert fields(regulator_closed_form(l, 128, table)) == fields(regulator_closed_form(l, 128))
+        for p in (128, 96):
+            table = series_table(l, p, l - 1)
+            got = regulator_closed_form(table)
+            assert fields(got) == fields(regulator_closed_form(table[:(l + 1) // 2]))
+            assert got.l == l and got.value_e_ind.precision == p
+
+    def test_reads_l_and_p_from_the_table(self):
+        r = regulator_closed_form(period_table(7, 96))
+        assert r.l == 7
+        assert {x.precision for x in r if isinstance(x, BigReal)} == {96}
+        assert r.normalization_verified is True
+
+    def test_rejects_a_table_not_led_by_j_1_to_k(self):
+        # not from j = 1; too short for k = 4; l = 5 then l = 7
+        for table in (period_table(7, 96)[1:], period_table(7, 96)[:3],
+                      period_table(5, 96)[:1] + period_table(7, 96)[1:]):
+            with pytest.raises(ValueError):
+                regulator_closed_form(table)
 
     def test_bareiss_det_exact(self):
         assert _bareiss_det([[0, 1], [1, 0]]) == -1  # a zero pivot takes a row swap
@@ -247,15 +279,33 @@ class TestDeterminantRoutes:
 
     def test_rejects_inadmissible(self):
         with pytest.raises(UnsupportedL):
-            regulator_closed_form(9)
+            regulator_closed_form(made_up_table(9))
         with pytest.raises(UnsupportedL):
-            regulator_closed_form(4)
+            regulator_closed_form(made_up_table(4))
+
+
+# every admissible l <= 49 at 128 bits, and the ends of that range at 340
+CROSS_ROUTE_CELLS = [(l, 128) for l in ADMISSIBLE_L if l <= 49] + [(5, 340), (49, 340)]
+
+
+@pytest.mark.parametrize("l, p", CROSS_ROUTE_CELLS)
+def test_regulator_agrees_across_period_routes(l, p):
+    # the closed forms' table against the series route's, both at p bits
+    closed = regulator_closed_form(period_table(l, p))
+    series = regulator_closed_form(series_table(l, p))
+    for a, b in ((closed.value_e_ind, series.value_e_ind),
+                 (closed.det_closed_form, series.det_closed_form)):
+        cap = min(a.agreement_certificate, b.agreement_certificate)
+        assert cap == digits_of_bits(p)
+        assert agreement_digits(a, b, cap) == cap
+    assert closed.det_agreement_digits == series.det_agreement_digits
 
 
 _REPORT_MPMATH = (
     "import sys; from reglab.regulator import build_matrix, vandermonde_like_det; "
     "from reglab.bigreal_periods import eval_IJ, series_periods; "
-    "m = build_matrix(7); m.rank(); m.coker_dim(); vandermonde_like_det(9); "
+    "m = build_matrix([eval_IJ(7, j) for j in range(1, 7)]); m.rank(); m.coker_dim(); "
+    "vandermonde_like_det(9); "
     "series_periods(eval_IJ(7, 3)); "
     "print('mpmath' in sys.modules)")
 
