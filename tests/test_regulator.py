@@ -243,17 +243,27 @@ class TestDeterminantRoutes:
             assert r.sign_policy == SIGN_POLICY
             assert r.normalization_verified is (l in (5, 7))
 
+    def test_closed_form_from_full_table(self):
+        # the j = 1 .. l-1 table of compute gives the same result as j = 1 .. k
+        table = series_table(7, 96, 6)
+        got = regulator_closed_form(table)
+        want = regulator_closed_form(table[:4])
+        for a, b in zip(got, want):
+            if hasattr(a, "agreement_certificate"):
+                a, b = ((as_mpf(x), x.precision, x.agreement_certificate) for x in (a, b))
+            assert a == b
+        assert got.l == 7 and got.value_e_ind.precision == 96
+
     @pytest.mark.parametrize("l", (5, 7, 13))
     def test_table_gives_the_same_result(self, l):
         # compute passes its j = 1 .. l-1 table; the result is the one its first
-        # k = (l + 1)/2 pairs give, at 128 bits and at 96
+        # k = (l + 1)/2 pairs give
         fields = lambda r: [(x.man, x.exp, x.precision, x.agreement_certificate)
                             if hasattr(x, "agreement_certificate") else x for x in r]
-        for p in (128, 96):
-            table = series_table(l, p, l - 1)
-            got = regulator_closed_form(table)
-            assert fields(got) == fields(regulator_closed_form(table[:(l + 1) // 2]))
-            assert got.l == l and got.value_e_ind.precision == p
+        table = series_table(l, 128, l - 1)
+        got = regulator_closed_form(table)
+        assert fields(got) == fields(regulator_closed_form(table[:(l + 1) // 2]))
+        assert got.l == l and got.value_e_ind.precision == 128
 
     def test_reads_l_and_p_from_the_table(self):
         r = regulator_closed_form(period_table(7, 96))
