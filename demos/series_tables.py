@@ -12,7 +12,7 @@ for l in (5, 7):
     result = regulator_closed_form(pairs)
     print(f"  regulator e_ind   = {result.value_e_ind.to_decimal(18)}")
     print(f"  regulator e_ff    = {result.value_e_ff.to_decimal(18)}")
-    print(f"  det route spread  = {result.det_agreement_digits} matching digits")
+    print(f"  check V^2=l Id    = {result.det_agreement_digits} matching digits")
     print()
 
 # the two magnitudes every run should reproduce

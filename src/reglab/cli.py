@@ -89,44 +89,42 @@ def _bits(digits: int) -> int:
 
 # ---------------------------------------------------------------- compute
 
-# a ratio of two integers, unreduced; read, like a Fraction, through
-# .numerator and .denominator, and never ordered as a tuple
-_Ratio = namedtuple("_Ratio", "numerator denominator")
-
-
-def _relative_difference(series, check) -> _Ratio:
-    """|series - check| / |series| for two BigReals, exactly: both mantissas on
-    the smaller of the two exponents."""
+def _relative_difference(series, check) -> tuple:
+    """|series - check| / |series| for two BigReals, exactly, as the unreduced
+    pair (numerator, denominator): both mantissas on the smaller of the two
+    exponents."""
     e = min(series.exp, check.exp)
     s, c = series.man << series.exp - e, check.man << check.exp - e
-    return _Ratio(abs(s - c), abs(s))
+    return abs(s - c), abs(s)
 
 
 def _rel_text(x) -> str:
-    """A ratio 0 <= x as mpmath's nstr(x, 3) prints it, from x in lowest terms
-    floored to 64 bits."""
+    """A ratio 0 <= x, a (numerator, denominator) pair, as mpmath's nstr(x, 3)
+    prints it, from x in lowest terms floored to 64 bits."""
     from .bigreal import nstr
 
-    g = math.gcd(x.numerator, x.denominator)
-    num, den = x.numerator // g, x.denominator // g
+    num, den = x
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
     shift = max(64 + den.bit_length() - num.bit_length(), 0)
     return nstr((num << shift) // den, -shift, 3)
 
 
 def _worst(diffs) -> str:
-    """The largest of the exact relative differences, found by
-    cross-multiplication, as _rel_text prints it; QuadratureNotConverged when
-    |series - check| 10^6 > |series|, past _ORACLE_GATE."""
+    """The largest of the exact relative differences, (numerator, denominator)
+    pairs compared by cross-multiplication, as _rel_text prints it;
+    QuadratureNotConverged when |series - check| 10^6 > |series|, past
+    _ORACLE_GATE."""
     diffs = iter(diffs)
-    worst = next(diffs)
-    for x in diffs:
-        if x.numerator * worst.denominator > worst.numerator * x.denominator:
-            worst = x
-    if worst.numerator * 10 ** 6 > worst.denominator:
+    worst_num, worst_den = next(diffs)
+    for num, den in diffs:
+        if num * worst_den > worst_num * den:
+            worst_num, worst_den = num, den
+    if worst_num * 10 ** 6 > worst_den:
         raise QuadratureNotConverged(
             "series route and its check differ by {} relative, above {}".format(
-                _rel_text(worst), _ORACLE_GATE))
-    return _rel_text(worst)
+                _rel_text((worst_num, worst_den)), _ORACLE_GATE))
+    return _rel_text((worst_num, worst_den))
 
 
 def _quadrature_rows(pairs, p_oracle: int) -> list:

@@ -13,20 +13,19 @@ appended.  Rows k-1 and k of its sine part are exact negatives, so its
 Laplace expansion along the J column is
 prod_{r<=k-2} I(r) * |det V| * (J(k-1) I(k) + J(k) I(k-1)), V the period-free
 (k-1) x (k-1) sine block (regulator_closed_form).  V^2 = l Id
-(RegulatorMatrix.rank) makes that the paper's closed form
-l^((l-1)/4) * prod I(p) * (J(k-1)/I(k-1) + J(k)/I(k)).  regulator_closed_form
-evaluates the expansion with |det V| from fraction-free elimination
-(vandermonde_like_det, the one determinant per (l, w)) beside the closed form,
-and det_agreement_digits compares the two: it measures the computed |det V|
-against l^((l-1)/4), and no period enters it.  Everything runs in Python-int
-fixed point on the kernels of bigreal, at GUARD = 64 bits beyond the requested
-precision, from the one period table the caller passes: its first pair
-fixes l and the precision p, and the pairs j = 1 .. k (h for the matrix)
-must lead it.  compute passes the series route's table (bigreal_periods),
-and the closed forms' table (hypergeometric.period_table) serves as well.
-The matrix has full column rank and e_ind is nonzero, both exactly
-(RegulatorMatrix.rank), so no step needs a numeric rank.  Results are
-magnitudes (SIGN_POLICY).
+(RegulatorMatrix.rank) makes |det V| = l^((l-1)/4), and the determinant the
+paper's closed form l^((l-1)/4) * prod I(p) * (J(k-1)/I(k-1) + J(k)/I(k)).
+No matrix is eliminated: the one input that can go wrong at run time, the
+sine column, is checked by V^2 = l Id on one vector in O(s^2)
+(vandermonde_like_det), and det_agreement_digits is the digits that check
+holds to; no period enters it.  Everything runs in Python-int fixed point on
+the kernels of bigreal, at GUARD = 64 bits beyond the requested precision,
+from the one period table the caller passes: its first pair fixes l and the
+precision p, and the pairs j = 1 .. k (h for the matrix) must lead it.
+compute passes the series route's table (bigreal_periods), and the closed
+forms' table (hypergeometric.period_table) serves as well.  The matrix has
+full column rank and e_ind is nonzero, both exactly (RegulatorMatrix.rank),
+so no step needs a numeric rank.  Results are magnitudes (SIGN_POLICY).
 """
 
 import math
@@ -40,10 +39,10 @@ from .integer_kernel import hodge_and_dims, require_lj
 SIGN_POLICY = "magnitudes only; sign left unresolved"
 
 
-# l, the BigReals det_general, det_closed_form, value_e_ff and value_e_ind,
-# sign_policy (a str), det_agreement_digits (an int) and normalization_verified
-RegulatorResult = namedtuple("RegulatorResult", "l det_general det_closed_form value_e_ff "
-                             "value_e_ind sign_policy det_agreement_digits normalization_verified")
+# l, the BigReals det_closed_form, value_e_ff and value_e_ind, sign_policy
+# (a str), det_agreement_digits (an int) and normalization_verified
+RegulatorResult = namedtuple("RegulatorResult", "l det_closed_form value_e_ff value_e_ind "
+                             "sign_policy det_agreement_digits normalization_verified")
 
 
 class RegulatorMatrix:
@@ -75,7 +74,17 @@ class RegulatorMatrix:
         otherwise, half the full sum over q mod l less the term q = 0; l
         divides p - r only when p = r, and never p + r, which lies in
         2 .. l - 1.  So (det V)^2 = l^s and |det V| = l^((l-1)/4) != 0, the
-        identity vandermonde_like_det checks numerically.  Every
+        value vandermonde_like_det returns once it has checked V^2 = l Id.
+        V is symmetric, so its eigenvalues are +-sqrt(l), b of them negative,
+        and its trace, as (l - q)^2 = q^2 mod l, is
+            -2 sum_{q=1..s} sin(2 pi q^2 / l) = -Im G(l) = (s - 2b) sqrt(l),
+        G(l) = sum_{q mod l} exp(2 pi i q^2 / l) the quadratic Gauss sum: it
+        is sqrt(l) for l = 1 mod 4 and i sqrt(l) for l = 3 mod 4, for every
+        odd l (Berndt, Evans and Williams, Gauss and Jacobi Sums, ch. 1).  So
+        b = floor((s + 1)/2) and det V = (-1)^floor((l+1)/4) l^((l-1)/4),
+        which the tests check against exact elimination.  The sign is of
+        det V only; the orientation of the cycles is not modelled, so results
+        stay magnitudes (SIGN_POLICY).  Every
         |P_r| = (54 pi / l) I(r) is positive, which the series route checks
         on every pair it returns (bigreal_periods), so the
         top square block is invertible, exactly, at any precision.  For the
@@ -137,45 +146,36 @@ def build_matrix(table: list[PeriodPair]) -> RegulatorMatrix:
     return RegulatorMatrix(l, entries, pairs)
 
 
-def vandermonde_like_det(l: int, p: int = 128) -> BigReal:
-    """|det (zeta^(pq) - zeta^(-pq))| for p, q = 1 .. (l-1)/2; squares to l^((l-1)/2).
+def _fourth_root(l: int, e: int, w: int) -> int:
+    """floor(l^(e/4) 2^w), exactly: floor(n^(1/4)) = isqrt(isqrt(n))."""
+    return math.isqrt(math.isqrt(l ** e << 4 * w))
 
-    The exact determinant of the sine column's block at w = p + 64 bits,
-    certified by the digits its square shares with l^((l-1)/2).
+
+def vandermonde_like_det(l: int, p: int = 128) -> BigReal:
+    """|det (zeta^(pq) - zeta^(-pq))| for p, q = 1 .. (l-1)/2, which is l^((l-1)/4).
+
+    V, the sine column's block at w = p + 64 bits, squares to l Id
+    (RegulatorMatrix.rank), so the value is that closed form at w bits.  The
+    certificate checks the one input that can go wrong, the sine column, by
+    Freivalds' check of V^2 = l Id: with x = (1, 2, .., s), two matrix-vector
+    products give V(V x) in O(s^2), and the certificate is the least number
+    of digits, up to the digits of p, to which an entry agrees with l x.
     """
     if not isinstance(l, int) or l < 3 or l % 2 == 0:
         raise ValueError("need odd integer l >= 3, got {!r}".format(l))
-    k = (l - 1) // 2
+    s = (l - 1) // 2
     w = p + GUARD
-    det = abs(_bareiss_det(_sine_block(l, [1 << w] * k, w)))
-    cert = agreement_digits(det * det, l ** k << 2 * k * w, digits_of_bits(p))
-    return BigReal((det, -k * w), p, cert)
-
-
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """The determinant of a square integer matrix by fraction-free (Bareiss) elimination.
-
-    Every division is exact, so the result is the exact determinant.
-    """
-    m = [list(row) for row in rows]
-    k, sign, prev = len(m), 1, 1
-    for i in range(k - 1):
-        if not m[i][i]:
-            swap = next((r for r in range(i + 1, k) if m[r][i]), None)
-            if swap is None:
-                return 0
-            m[i], m[swap], sign = m[swap], m[i], -sign
-        pivot = m[i][i]
-        for r in range(i + 1, k):
-            for c in range(i + 1, k):
-                m[r][c] = (m[r][c] * pivot - m[r][i] * m[i][c]) // prev
-        prev = pivot
-    return sign * m[k - 1][k - 1]
+    V = _sine_block(l, [1 << w] * s, w)
+    x = range(1, s + 1)
+    Vx = [sum(v * xq for v, xq in zip(row, x)) for row in V]  # at w bits
+    cert = min(agreement_digits((sum(v * y for v, y in zip(row, Vx)), -2 * w), l * xi,
+                                digits_of_bits(p))
+               for row, xi in zip(V, x))
+    return BigReal((_fourth_root(l, l - 1, w), -w), p, cert)
 
 
 def regulator_closed_form(table: list[PeriodPair]) -> RegulatorResult:
-    """The determinant as its Laplace expansion and in closed form, and the normalized
-    values sqrt(l) det and pi^s det.
+    """The determinant in closed form, and the normalized values sqrt(l) det and pi^s det.
 
     With k = (l+1)/2, the determinant is that of the k x k block whose row r
     is row r of the sine block scaled by I(r), followed by J(r).  The sine
@@ -188,12 +188,14 @@ def regulator_closed_form(table: list[PeriodPair]) -> RegulatorResult:
 
         det = prod_{r<=k-2} I(r) * det V * (J(k-1) I(k) + J(k) I(k-1)).
 
-    det_general is that expansion with |det V| from vandermonde_like_det;
-    det_closed_form puts l^((l-1)/4) in its place, which |det V| equals
-    (RegulatorMatrix.rank), and det_agreement_digits says how closely the two
-    agree.  table is a period table that starts at j = 1 and holds
-    j = 1 .. k or more, such as compute's j = 1 .. l - 1; l is table[0].l,
-    p the precision of its I, and only the first k pairs are read.  The
+    |det V| = l^((l-1)/4) (RegulatorMatrix.rank), so det_closed_form is the
+    expansion with that closed form, as vandermonde_like_det returns it, in
+    place of |det V|; nothing eliminates a matrix.  det_agreement_digits is
+    vandermonde_like_det's certificate, the digits to which the sine block
+    passes the check V^2 = l Id; no period enters it.  table is a period
+    table that starts at j = 1 and holds j = 1 .. k or more, such as
+    compute's j = 1 .. l - 1; l is table[0].l, p the precision of its I,
+    and only the first k pairs are read.  The
     closed form generalizes the k = 3 and k = 4 worked cases; for l other
     than 5 and 7 the sqrt(l)/pi^s normalization follows the same pattern but
     has no independent confirmation, so normalization_verified is False
@@ -209,19 +211,15 @@ def regulator_closed_form(table: list[PeriodPair]) -> RegulatorResult:
     J = [pr.J.fixed(w) for pr in pairs]
     # prod I(p) * (J(k-1)/I(k-1) + J(k)/I(k)) without a division, times 2^(k w)
     core = math.prod(I[:k - 2]) * (J[k - 2] * I[k - 1] + J[k - 1] * I[k - 2])
-    # the Laplace expansion: core times |det V| at s w bits
-    general = BigReal((core * vandermonde_like_det(l, p).fixed(s * w), -(k + s) * w), p, cert)
-    # l^(e/4) at w bits: floor(n^(1/4)) = isqrt(isqrt(n))
-    root4 = lambda e: math.isqrt(math.isqrt(l ** e << 4 * w))
-    closed = core * root4(l - 1)
+    det_v = vandermonde_like_det(l, p)
+    closed = core * det_v.fixed(w)
     scale = -(k + 1) * w
     return RegulatorResult(
         l=l,
-        det_general=general,
         det_closed_form=BigReal((closed, scale), p, cert),
         value_e_ff=BigReal((closed * fixed_constants(w).pi ** s, scale - s * w), p, cert),
-        value_e_ind=BigReal((core * root4(l + 1), scale), p, cert),
+        value_e_ind=BigReal((core * _fourth_root(l, l + 1, w), scale), p, cert),
         sign_policy=SIGN_POLICY,
-        det_agreement_digits=agreement_digits(general, (closed, scale), digits_of_bits(p)),
+        det_agreement_digits=det_v.agreement_certificate,
         normalization_verified=l in (5, 7),
     )

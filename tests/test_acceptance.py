@@ -9,10 +9,11 @@ import math
 import time
 from fractions import Fraction
 
+from det_reference import _full_block_det
 from mpmath import mp
 from mpf_reference import as_mpf, from_mpf
 
-from reglab.bigreal import constants
+from reglab.bigreal import BigReal, constants
 from reglab.bigreal_periods import eval_IJ
 from reglab.elliptic_oracle import direct_periods, inner_integrals
 from reglab.exact_series import (
@@ -77,13 +78,15 @@ def test_criterion_02_table_l7():
 
 
 def test_criterion_03_regulator_values():
-    r5, r7 = (regulator_closed_form([eval_IJ(l, j, 128) for j in range(1, (l + 3) // 2)])
-              for l in (5, 7))
+    tables = {l: [eval_IJ(l, j, 128) for j in range(1, (l + 3) // 2)] for l in (5, 7)}
+    r5, r7 = (regulator_closed_form(tables[l]) for l in (5, 7))
     with mp.workprec(192):
         assert abs(abs(as_mpf(r5.value_e_ind)) - mp.mpf("0.346139631939354")) < mp.mpf("1e-12")
         assert abs(abs(as_mpf(r7.value_e_ind)) - mp.mpf("0.629487860860585")) < mp.mpf("1e-12")
-        for r in (r5, r7):
-            diff = abs(as_mpf(r.det_general) - as_mpf(r.det_closed_form))
+        # the closed form against the exact determinant of the full k x k period block
+        for l, r in ((5, r5), (7, r7)):
+            full = as_mpf(BigReal(_full_block_det(l, 128, tables[l]), 128))
+            diff = abs(full - as_mpf(r.det_closed_form))
             assert diff < mp.mpf("1e-10") * abs(as_mpf(r.det_closed_form))
     _report(3, "e_ind values within 1e-12, det routes within 1e-10")
 

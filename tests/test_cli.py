@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from det_reference import _skew_sine_column
 from mpmath import mp
 from mpf_reference import as_mpf, from_mpf
 
@@ -273,7 +274,7 @@ class TestCache:
         import reglab.cli as cli
 
         monkeypatch.setattr(cli, "_relative_difference",
-                            lambda series, check: Fraction(1, 10 ** 20))
+                            lambda series, check: (1, 10 ** 20))
         base = ("compute", "--l", "5", "--digits", "12", "--format", "json",
                 "--cache", str(tmp_path))
         _, skipped, _ = run(capsys, *base, "--skip-oracle")
@@ -602,6 +603,15 @@ class TestOtherCommands:
         assert out.count("[pass]") == 6
         assert "[fail] vandermonde determinant identity" in out
 
+    def test_selfcheck_fails_a_skewed_sine_column(self, capsys, monkeypatch):
+        # the check of V^2 = l Id behind the Vandermonde line reads the sine column
+        _skew_sine_column(monkeypatch)
+        monkeypatch.setattr(elliptic_oracle, "direct_periods", _real_direct_periods)
+        code, out, _ = run(capsys, "selfcheck")
+        assert code == 1
+        assert out.count("[pass]") == 6
+        assert "[fail] vandermonde determinant identity" in out
+
     def test_selfcheck_fails_a_skewed_coefficient_at_one_alpha(self, capsys, monkeypatch):
         # b_2 one off at alpha = 2/7 only: the check must read all three alphas
         real = exact_series.b_coeffs
@@ -743,9 +753,9 @@ class TestGate:
     def test_exact_at_1e6_and_message_uses_the_formatter(self):
         import reglab.cli as cli
 
-        assert cli._worst([Fraction(1, 10 ** 20), Fraction(1, 10 ** 6)]) == "1.0e-6"
+        assert cli._worst([(1, 10 ** 20), (1, 10 ** 6)]) == "1.0e-6"
         with pytest.raises(QuadratureNotConverged, match="differ by 1.0e-6 relative"):
-            cli._worst([Fraction(10 ** 14 + 1, 10 ** 20)])
+            cli._worst([(10 ** 14 + 1, 10 ** 20)])
 
 
 class TestRoutes:

@@ -283,7 +283,7 @@ class TestIntegerComparisonMatchesFractions:
         ratios = [cli._relative_difference(s, c) for s, c in pairs]
         exact = [_fraction_relative_difference(s, c) for s, c in pairs]
         for ratio, fraction in zip(ratios, exact):
-            assert Fraction(ratio.numerator, ratio.denominator) == fraction
+            assert Fraction(*ratio) == fraction
             assert cli._rel_text(ratio) == _fraction_rel_text(fraction)
         assert _gate(cli._worst, ratios) == _gate(_fraction_worst, exact)
 

@@ -1,20 +1,20 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from det_reference import _bareiss_det, _full_block_det, _skew_sine_column
 from mpmath import mp
 from mpf_reference import as_mpf
 
-from reglab import regulator
-from reglab.bigreal import GUARD, BigReal, PeriodPair, agreement_digits, digits_of_bits
+from reglab.bigreal import BigReal, PeriodPair, agreement_digits, digits_of_bits
 from reglab.bigreal_periods import eval_IJ
 from reglab.errors import UnsupportedL
 from reglab.hypergeometric import period_table
 from reglab.regulator import (
     SIGN_POLICY,
-    _bareiss_det,
     _sine_block,
     build_matrix,
     regulator_closed_form,
@@ -182,15 +182,6 @@ class TestMatrixAssembly:
                 build_matrix(table)
 
 
-def _full_block_det(l, p, table):
-    """|det| of the k x k block, row r the sine block scaled by I(r), then J(r), by exact
-    Bareiss, as a (man, exp) pair: the reference for the Laplace expansion."""
-    k, w = (l + 1) // 2, p + GUARD
-    I = [pr.I.fixed(w) for pr in table[:k]]
-    block = [row + [pr.J.fixed(w)] for row, pr in zip(_sine_block(l, I, w), table)]
-    return abs(_bareiss_det(block)), -k * w
-
-
 class TestDeterminantRoutes:
     @pytest.mark.parametrize("p", (128, 340))
     @pytest.mark.parametrize("l", [l for l in ADMISSIBLE_L if l <= 49])
@@ -198,27 +189,27 @@ class TestDeterminantRoutes:
         table = series_table(l, p, (l + 1) // 2 + 1)
         r = regulator_closed_form(table)
         full, cap = _full_block_det(l, p, table), digits_of_bits(p)
-        assert agreement_digits(r.det_general, full, cap) == cap
+        assert agreement_digits(r.det_closed_form, full, cap) == cap
         assert agreement_digits(full, r.det_closed_form, cap) == r.det_agreement_digits
 
-    def test_one_period_free_determinant(self, monkeypatch):
-        # the expansion eliminates V, the sine block without periods, and nothing else
-        seen = []
-        real = regulator._bareiss_det
-
-        def recorded(rows):
-            seen.append(rows)
-            return real(rows)
-
-        table = series_table(13, 128)
-        monkeypatch.setattr(regulator, "_bareiss_det", recorded)
-        regulator_closed_form(table)
-        assert seen == [_sine_block(13, [1 << 192] * 6, 192)]
+    def test_large_l_without_elimination(self):
+        # no O(s^3) elimination: Bareiss on V alone took 26.6 s of compute at (199, 30)
+        table = period_table(199, 64)
+        start = time.perf_counter()
+        r = regulator_closed_form(table)
+        assert time.perf_counter() - start < 2
+        start = time.perf_counter()
+        v = vandermonde_like_det(499)
+        assert time.perf_counter() - start < 2
+        assert (r.det_agreement_digits, v.agreement_certificate) == (19, 38)
 
     def test_dual_route_agreement(self):
         for l in (5, 7, 11, 13):
-            r = regulator_closed_form(series_table(l, 128))
-            assert rel(as_mpf(r.det_general), as_mpf(r.det_closed_form)) < mp.mpf("1e-10")
+            table = series_table(l, 128)
+            r = regulator_closed_form(table)
+            full = BigReal(_full_block_det(l, 128, table), 128)
+            assert rel(as_mpf(full), as_mpf(r.det_closed_form)) < mp.mpf("1e-10")
+            assert agreement_digits(r.det_closed_form, full, 38) == 38
             assert r.det_agreement_digits >= 10
 
     def test_worked_values(self):
@@ -292,6 +283,26 @@ class TestDeterminantRoutes:
             regulator_closed_form(made_up_table(9))
         with pytest.raises(UnsupportedL):
             regulator_closed_form(made_up_table(4))
+
+
+@pytest.mark.parametrize("l", [l for l in ADMISSIBLE_L if l < 100])
+def test_sign_of_det_v(l):
+    # det V = (-1)^floor((l+1)/4) l^((l-1)/4) (RegulatorMatrix.rank), against exact
+    # elimination at w = 64; the sign stays out of the value returned (SIGN_POLICY)
+    s, w = (l - 1) // 2, 64
+    det = _bareiss_det(_sine_block(l, [1 << w] * s, w))
+    assert (det < 0) == ((l + 1) // 4 % 2 == 1)
+    assert vandermonde_like_det(l).man > 0
+
+
+@pytest.mark.parametrize("p", (58, 128))
+@pytest.mark.parametrize("l", (5, 7, 13, 31))
+def test_check_of_v_squared_fails_a_skewed_sine_column(monkeypatch, l, p):
+    table = period_table(l, p)
+    assert regulator_closed_form(table).det_agreement_digits == digits_of_bits(p)
+    _skew_sine_column(monkeypatch)
+    assert regulator_closed_form(table).det_agreement_digits < digits_of_bits(p)
+    assert vandermonde_like_det(l, p).agreement_certificate < digits_of_bits(p)
 
 
 # every admissible l <= 49 at 128 bits, and the ends of that range at 340
