@@ -3,7 +3,7 @@
 The package imports nothing outside the Python standard library.
 """
 
-__version__ = "0.3.1"
+__version__ = "0.3.2"
 
 from .errors import (
     DomainError,

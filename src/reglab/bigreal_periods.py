@@ -101,7 +101,7 @@ class _RunningSums:
         lo, w, C, l, j = self.N, self.w, self.C, self.l, self.j
         Ya, Yb = self.ya.scaled(N), self.yb.scaled(N)
         a1 = a2 = b1 = b2 = 0
-        scales = self.ya.scales.scale  # one list for both kinds: it depends on the reduced l alone
+        scales = self.ya.scales  # scale(m), shared by both kinds: it depends on the reduced l alone
         for m in range(N - 1, lo - 1, -1):
             scale = scales[m]
             ta = (Ya[m] << w) // scale

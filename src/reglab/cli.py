@@ -188,7 +188,7 @@ def _render_text(payload: dict) -> str:
     ]
     for j, (iv, jv) in enumerate(zip(payload["I"], payload["J"]), start=1):
         lines.append("  {}  {}{}".format(j, iv.ljust(width), jv))
-    lines.append("regulator e_ind = {}    (det routes agree to {} digits)".format(
+    lines.append("regulator e_ind = {}    (sine block checked to {} digits)".format(
         payload["regulator_e_ind"], payload["det_agreement_digits"]))
     if payload["oracle_check"] is None:
         lines.append("oracle check: skipped")

@@ -31,7 +31,7 @@ def _coefficients(alpha, N: int, kind: str) -> list:
     alpha = Fraction(alpha)
     power = scaled_power(alpha.numerator, alpha.denominator, kind)
     shift = 1 if kind == "a" else 0  # a_0 = 0 and a_n = y_(n-1)
-    coeffs = [Fraction(y, power.scale(m)) for m, y in enumerate(power.scaled(N - shift))]
+    coeffs = [Fraction(y, scale) for y, scale in zip(power.scaled(N - shift), power.scales)]
     return [Fraction(0)] * shift + coeffs
 
 

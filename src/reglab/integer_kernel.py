@@ -4,10 +4,12 @@ Everything here is Python ints, so this module imports no `fractions`: the
 coefficient lists of the two weight-3 Eisenstein series on Gamma_1(3)
 (eisenstein_ints), the recurrence lists built from them (_IntegerBases),
 the scaled fractional powers of the a- and b-series at a rational exponent
-(_ScaledPower), one process-wide store of both, and the standing assumption
-gcd(l, 6) = 1 (require_l, and require_lj for a period index j) with the
-Hodge bookkeeping it enables.  exact_series turns the integers into
-Fractions; bigreal_periods sums them in fixed point.
+(_ScaledPower), two functools caches that keep them for the process (the
+scale lists of each den, _scale_lists, and each power on the one
+_IntegerBases, scaled_power), and the standing assumption gcd(l, 6) = 1
+(require_l, and require_lj for a period index j) with the Hodge
+bookkeeping it enables.  exact_series turns the integers into Fractions;
+bigreal_periods sums them in fixed point.
 
 The a- and b-series are y = e~ f**alpha, with e~ and f built from
 u = E3a, v = E3b/q and D = u + 27 q v.  Multiplying theta y / y by
@@ -19,9 +21,11 @@ multiplies each big integer by a small one only.  For alpha = num/den,
 y_n is carried as the integer Y_n = scale(n) y_n with scale(n) = den^n
 prod_{p | den} p^(v_p(n!)), the least scale that clears every
 binom(alpha, m) with m <= n (not always y_n's own denominator); its Horner
-multiplier is den prod_{p | den} p^(v_p(m)) (derived in _ScaledPower).
+multiplier is den prod_{p | den} p^(v_p(m)) = den gcd(m, den^bits(m))
+(derived in _ScaledPower).
 """
 
+import functools
 import math
 from operator import mul
 
@@ -152,43 +156,14 @@ class _IntegerBases:
         return self
 
 
-def _primes(n: int) -> list:
-    """The primes dividing n >= 1, by trial division."""
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    return out + [n] if n > 1 else out
-
-
-class _Scales:
-    """scale(m) and the Horner multiplier den g(m) of _ScaledPower for one
-    den, as lists indexed by m that only grow; every num of that den shares
-    them.  g(m) = prod_{p | den} p^(v_p(m)), and scale(m) = scale(m-1) den g(m)
-    from scale(0) = 1, since v_p(m!) - v_p((m-1)!) = v_p(m).  The multiplier
-    at m = 0 is never used, and is den."""
-
-    def __init__(self, den: int) -> None:
-        self.den = den
-        self.primes = _primes(den)
-        self.scale: list = [1]
-        self.step: list = [den]
-
-    def extend(self, N: int) -> "_Scales":
-        """Make both lists hold at least N entries."""
-        den, scale, step = self.den, self.scale, self.step
-        for m in range(len(step), N):
-            g, k = 1, m
-            for p in self.primes:
-                while k % p == 0:
-                    k //= p
-                    g *= p
-            step.append(den * g)
-            scale.append(scale[-1] * den * g)
-        return self
+@functools.lru_cache(maxsize=None)
+def _scale_lists(den: int) -> tuple:
+    """The lists [scale(m)] and [den g(m)] of _ScaledPower for one den, indexed
+    by m; they only grow (_ScaledPower.extend_scales), and every num and both
+    kinds of that den share them.  scale(m) = scale(m-1) den g(m) from
+    scale(0) = 1, since v_p(m!) - v_p((m-1)!) = v_p(m).  The multiplier at
+    m = 0 is never used, and is den."""
+    return [1], [den]
 
 
 class _ScaledPower:
@@ -226,36 +201,42 @@ class _ScaledPower:
     den g(m) at m = n-k, and g(n) divides n, so Y_n = acc // (n / g(n)),
     an exact division because Y_n is an integer.  The big integers Y_(n-k)
     are only ever multiplied by the small T_k and den g(m).  At den = 1
-    (an integer alpha) scale and multiplier are 1.  The list grows on
-    demand.  scale(m) and den g(m) come from the _Scales of den, which the
-    store shares among every num.
+    (an integer alpha) scale and multiplier are 1.
+
+    g(m) is one gcd: g(m) = gcd(m, den^bits(m)), bits(m) the bit length of
+    m.  For p | den, p^(v_p(m)) <= m < 2^bits(m) <= p^bits(m), so
+    v_p(m) < bits(m) <= bits(m) v_p(den) and the gcd keeps all of v_p(m),
+    while a prime not dividing den does not divide den^bits(m).  The lists
+    scale(m) and den g(m) are those of _scale_lists(den), which every num
+    and both kinds of den share, and Y, scale and multiplier grow on demand.
     """
 
-    def __init__(self, num: int, den: int, kind: str, bases: _IntegerBases,
-                 scales: _Scales = None) -> None:
+    def __init__(self, num: int, den: int, kind: str, bases: _IntegerBases) -> None:
         self.num, self.den, self.kind, self.bases = num, den, kind, bases
-        self.scales = scales or _Scales(den)
+        # y_m = Y_m / scales[m]: every reader of y (bigreal_periods._RunningSums,
+        # exact_series' a_coeffs and b_coeffs) divides by it, and the recurrence
+        # in scaled is written for it and changes with it
+        self.scales, self.steps = _scale_lists(den)
         self.Y: list = [1]
         self.P: list = [0]  # den A_k + num B_k
         self.dC: list = [den]  # den C_k
 
-    def scale(self, m: int) -> int:
-        """The integer scale of Y_m: y_m = Y_m / scale(m) = den^m prod_{p | den} p^(v_p(m!)).
-
-        Every reader of y (bigreal_periods._RunningSums, exact_series'
-        a_coeffs and b_coeffs) divides by this; the recurrence in scaled is
-        written for it and changes with it.
-        """
-        return self.scales.extend(m + 1).scale[m]
+    def extend_scales(self, N: int) -> list:
+        """Make scales and steps hold at least N entries; return steps, den g(m) at m."""
+        den, scales, steps = self.den, self.scales, self.steps
+        for m in range(len(steps), N):
+            steps.append(den * math.gcd(m, den ** m.bit_length()))
+            scales.append(scales[-1] * steps[-1])
+        return steps
 
     def scaled(self, N: int) -> list:
-        """Y_0 .. Y_(N-1), for N >= 0."""
+        """Y_0 .. Y_(N-1), for N >= 0; scales then holds at least N entries."""
         if N < 0:
             raise ValueError("need N >= 0, got {}".format(N))
         num, den, Y, P, dC = self.num, self.den, self.Y, self.P, self.dC
         if len(Y) < N:
             C, A, B = self.bases.extend(N).kinds[self.kind]
-            step = self.scales.extend(N).step  # den g(m), the Horner multiplier at m
+            step = self.extend_scales(N)  # den g(m), the Horner multiplier at m
             for k in range(len(P), N):
                 P.append(den * A[k] + num * B[k])
                 dC.append(den * C[k])
@@ -268,30 +249,12 @@ class _ScaledPower:
         return Y[:N]
 
 
-class _Store:
-    """The process-wide exact data: one _IntegerBases, one _Scales per den, and
-    one _ScaledPower per (num, den, kind) made on them.  All only grow, so a
-    second compute in the same process rebuilds nothing."""
-
-    def __init__(self) -> None:
-        self.bases = _IntegerBases()
-        self.scales: dict = {}
-        self.powers: dict = {}
-
-    def power(self, num: int, den: int, kind: str) -> _ScaledPower:
-        key = (num, den, kind)
-        power = self.powers.get(key)
-        if power is None:
-            scales = self.scales.get(den)
-            if scales is None:
-                scales = self.scales[den] = _Scales(den)
-            power = self.powers[key] = _ScaledPower(num, den, kind, self.bases, scales)
-        return power
+_BASES = _IntegerBases()
 
 
-_STORE = _Store()
-
-
+@functools.lru_cache(maxsize=None)
 def scaled_power(num: int, den: int, kind: str) -> _ScaledPower:
-    """The stored _ScaledPower of alpha = num/den in lowest terms."""
-    return _STORE.power(num, den, kind)
+    """The _ScaledPower of alpha = num/den in lowest terms, one per (num, den, kind)
+    on the one _IntegerBases; both only grow, so a second compute in the same
+    process rebuilds nothing."""
+    return _ScaledPower(num, den, kind, _BASES)

@@ -21,3 +21,19 @@ def env_without_mpmath(tmp_path_factory):
                            env=env, timeout=120)
     assert b"mpmath is shadowed" in probe.stderr, probe.stderr
     return env
+
+
+@pytest.fixture
+def fresh_kernel(monkeypatch):
+    """integer_kernel with a new _IntegerBases and both caches empty; the caches are
+    cleared again at teardown, so no later test gets a power built on these bases."""
+    from reglab import integer_kernel
+
+    def clear():
+        integer_kernel.scaled_power.cache_clear()
+        integer_kernel._scale_lists.cache_clear()
+
+    monkeypatch.setattr(integer_kernel, "_BASES", integer_kernel._IntegerBases())
+    clear()
+    yield
+    clear()

@@ -349,7 +349,7 @@ class TestEvalIJ:
         assert BigReal(I, 64, pair.I.agreement_certificate).to_decimal() == pair.I.to_decimal()
         assert BigReal(J, 64, pair.J.agreement_certificate).to_decimal() == pair.J.to_decimal()
 
-    def test_second_round_sums_only_new_terms(self, monkeypatch):
+    def test_second_round_sums_only_new_terms(self, monkeypatch, fresh_kernel):
         # (13, 3) at 30 digits needs two certificate rounds; each coefficient
         # is computed once and each term summed once across them
         blocks, grown = [], {"a": 0, "b": 0}
@@ -367,7 +367,6 @@ class TestEvalIJ:
 
         monkeypatch.setattr(_RunningSums, "advance", counted_advance)
         monkeypatch.setattr(integer_kernel._ScaledPower, "scaled", counted_scaled)
-        monkeypatch.setattr(integer_kernel, "_STORE", integer_kernel._Store())
         pair = eval_IJ(13, 3, 108)
         assert len(blocks) == 2 * 2  # the sums at N and N + 16 in each round
         assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]

@@ -145,13 +145,16 @@ class TestComputeCommand:
     def test_second_payload_rebuilds_no_scaled_power(self):
         # one compute at l = 31 makes 2 (l - 1) = 60 scaled powers; all must stay cached
         import reglab.cli as cli
-        from reglab.integer_kernel import _STORE
+        from reglab.integer_kernel import scaled_power
 
+        keys = [(j, 31, kind) for j in range(1, 31) for kind in "ab"]
         cfg = cli.parse_config(["compute", "--l", "31", "--digits", "15", "--skip-oracle"])
         first = cli.compute_payload(cfg)
-        powers = dict(_STORE.powers)
+        misses = scaled_power.cache_info().misses
+        powers = {key: scaled_power(*key) for key in keys}
         assert cli.compute_payload(cfg) == first
-        assert _STORE.powers == powers  # no new entry, every entry the same object
+        assert scaled_power.cache_info().misses == misses  # no new entry
+        assert all(scaled_power(*key) is power for key, power in powers.items())  # the same objects
 
 
 _ARGS = ("compute", "--l", "5", "--digits", "12", "--skip-oracle")

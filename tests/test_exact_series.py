@@ -217,15 +217,22 @@ def _generic_b(alpha, N):
     return series_mul(factor, series_pow_rational(base, alpha))
 
 
-def _least_scale(den, n):
-    """den^n prod_{p | den} p^(v_p(n!)), with v_p(n!) counted factor by factor."""
-    scale = den ** n
-    for p in (p for p in range(2, den + 1) if den % p == 0 and all(p % d for d in range(2, p))):
-        for i in range(1, n + 1):
+def _least_scales(den, N):
+    """[den^n prod_{p | den} p^(v_p(n!)) for n < N] and the multipliers from one to
+    the next, [den prod_{p | den} p^(v_p(n))] (den at n = 0), with the primes
+    found by trial division and v_p(n) counted factor by factor."""
+    primes = [p for p in range(2, den + 1) if den % p == 0 and all(p % d for d in range(2, p))]
+    scales, steps = [1], [den]
+    for n in range(1, N):
+        step = den
+        for p in primes:
+            i = n
             while i % p == 0:
                 i //= p
-                scale *= p
-    return scale
+                step *= p
+        steps.append(step)
+        scales.append(scales[-1] * step)
+    return scales, steps
 
 
 @st.composite
@@ -259,11 +266,18 @@ class TestIntegerKernel:
         # _ScaledPower's integrality proof, checked on the composition, which does
         # not use it: the least scale l^n prod_{p | l} p^(v_p(n!)) times y_n is an
         # integer for y_n = a_(n+1) and y_n = b_n, and the scale divides l^(2n);
-        # at l = 25, 35 and 49, a p | l divides n! for some n < 40
+        # at l = 25, 35 and 49, a p | l divides n! for some n < 40.  The kernel's
+        # scale(n) and den g(n) = den gcd(n, den^bits(n)) equal the reference at
+        # every den <= 360 and n < 200, multiples of 2 and 3 included, since
+        # a_coeffs and b_coeffs take any rational alpha
         N = 40
-        scales = [_least_scale(l, n) for n in range(N)]
+        scales = _least_scales(l, N)[0]
         assert all(l ** (2 * n) % s == 0 for n, s in enumerate(scales))
-        assert scales == [integer_kernel._ScaledPower(1, l, "a", None).scale(n) for n in range(N)]
+        for den in range(1, 361):
+            want_scales, want_steps = _least_scales(den, 200)
+            power = integer_kernel._ScaledPower(1, den, "a", None)
+            assert power.extend_scales(200)[:200] == want_steps
+            assert power.scales[:200] == want_scales
         for j in range(1, l):
             if math.gcd(j, l) > 1:
                 continue
@@ -272,10 +286,9 @@ class TestIntegerKernel:
                       [b.coefficient(n) for n in range(N)]):
                 assert all((c * s).denominator == 1 for c, s in zip(y, scales))
 
-    def test_extension_matches_fresh_build(self, monkeypatch):
-        # on a fresh store: the lists grow 20 -> 60 -> 90, with a shorter
+    def test_extension_matches_fresh_build(self, fresh_kernel):
+        # on a fresh kernel: the lists grow 20 -> 60 -> 90, with a shorter
         # request after a longer one
-        monkeypatch.setattr(integer_kernel, "_STORE", integer_kernel._Store())
         alpha = F(4, 17)
         for N in (20, 12, 60, 90):
             a, b = series(a_coeffs(alpha, N)), series(b_coeffs(alpha, N))

@@ -17,6 +17,10 @@ ADMISSIBLE_L_49 = [l for l in range(5, 50) if math.gcd(l, 6) == 1]
 SERIES_ROUTE_CASES = [pytest.param(l, j, 340, "1e-100", id=f"{l}-{j}")
                       for l, j in ((5, 1), (7, 3), (11, 4), (13, 12))]
 SERIES_ROUTE_CASES += [pytest.param(5, j, 1000, "1e-300", id=f"5-{j}-1000bits") for j in (1, 4)]
+# j/l reduces to den 125, 25, 5, 125 at l = 125, to 7 and 49 at l = 49, and to 35, 7 and 5 at l = 35
+DEN_CELLS = [pytest.param(l, js, p, id=f"{l}-{p}bits")
+             for l, js, p in ((125, (1, 5, 25, 124), 128), (49, (7, 48), 128),
+                              (35, (1, 5, 7), 128), (125, (1, 25), 340))]
 
 
 def rel(a, b):
@@ -73,6 +77,18 @@ class TestPeriodTable:
     @pytest.mark.parametrize("l,j,p,bound", SERIES_ROUTE_CASES)
     def test_matches_series_route_340_bits(self, l, j, p, bound):
         assert _worst_against_series(l, [j], p) <= mp.mpf(bound)
+
+    @pytest.mark.parametrize("l,js,p", DEN_CELLS)
+    def test_matches_series_route_at_prime_power_and_composite_den(self, l, js, p):
+        # the series route's scale and Horner multiplier at den a prime power or
+        # a product of primes: both routes agree to every certified digit
+        table = period_table(l, p)
+        for j in js:
+            closed, series = table[j - 1], eval_IJ(l, j, p)
+            for a, b in ((closed.I, series.I), (closed.J, series.J)):
+                cap = min(a.agreement_certificate, b.agreement_certificate)
+                assert cap == digits_of_bits(p)
+                assert agreement_digits(a, b, cap) == cap
 
     def test_table_layout(self):
         table = period_table(7, 64)
