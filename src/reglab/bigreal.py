@@ -2,8 +2,8 @@
 
 A BigReal is man 2^exp with a working precision and an agreement
 certificate; to_decimal prints what mpmath's nstr prints for it, capped at
-the certificate, without importing mpmath.  The kernels (exp, sin, cos,
-sqrt, atan, atan2, fixed_pi, fixed_constants) work on Python ints at w
+the certificate, without importing mpmath.  The kernels (exp, sin, sqrt,
+atan, atan2, fixed_pi, fixed_constants) work on Python ints at w
 bits, x being the integer x 2^w and a unit 2^-w, and each states its error
 in units as a module constant (EXP_ERROR and so on); the routes carry
 GUARD = 64 bits beyond the requested precision.  PeriodPair is what each
@@ -168,7 +168,7 @@ PeriodPair = namedtuple("PeriodPair", "l j I J N_used")  # I and J BigReals, the
 # ---------------------------------------------------------------- fixed-point kernels
 
 EXP_ERROR = 2  # the kernels' errors, in units of 2^-w, each within the range its docstring states
-SIN_ERROR = COS_ERROR = 2
+SIN_ERROR = 2
 SQRT_ERROR = 1
 ATAN_ERROR = 2
 ATAN2_ERROR = 5
@@ -247,25 +247,6 @@ def sin(x: int, w: int) -> int:
         term = (term * y2 >> h) // ((n + 1) * (n + 2))
         n += 2
     return (total if x >= 0 else -total) >> 16
-
-
-def cos(x: int, w: int) -> int:
-    """cos(x 2^-w) at w bits for |x| <= 4 2^w, off by less than 2 units for w < 2^13.
-
-    The Taylor series at h = w + 16 bits, as in sin: term n + 2 carries the
-    error of term n times x^2/((n + 1)(n + 2)) plus 2 units, so each term is
-    off by less than 5 units, and the fewer than h terms add at most 5h
-    units at h bits, below 1 unit at w; the floor adds less than 1 unit.
-    """
-    h = w + 16
-    y = abs(x) << 16
-    y2 = y * y >> h
-    total, term, n = 0, 1 << h, 0
-    while term:
-        total += term if n % 4 == 0 else -term
-        term = (term * y2 >> h) // ((n + 1) * (n + 2))
-        n += 2
-    return total >> 16
 
 
 def sqrt(x: int, w: int) -> int:

@@ -447,7 +447,7 @@ def _check_vandermonde(p: int) -> bool:
     from .bigreal import digits_of_bits
     from .regulator import vandermonde_like_det
 
-    # the certificate is the digits det^2 shares with l^((l-1)/2), compared exactly
+    # the certificate is the digits to which the sine block passes the check V^2 = l Id
     return all(vandermonde_like_det(l, p).agreement_certificate >= digits_of_bits(p)
                for l in range(3, 16, 2))
 

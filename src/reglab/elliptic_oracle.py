@@ -21,7 +21,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .bigreal import (GUARD, BigReal, agreement_digits, atan2, cos, digits_of_bits,
+from .bigreal import (GUARD, BigReal, agreement_digits, atan2, digits_of_bits,
                       fixed_constants, fixed_pi, rounded, sin, sqrt)
 from .errors import DomainError, QuadratureNotConverged, RootOrderingFailed
 from .integer_kernel import require_lj
@@ -73,10 +73,13 @@ def _root_data(l: int, t: tuple, w: int) -> tuple:
     trigonometric roots make every gap 2 sqrt3 R times the sine of an angle
     read from atan2(s, -q) or atan2(s, q), which add to pi; the smaller is
     computed directly, so near the O(T^(3/2)) and O(sqrt(1-T)) collisions no
-    nearly equal values are subtracted.  r2 and r3 come from their sum sigma
-    by Vieta.  The gap order and the cubic's signs at both arch midpoints,
-    P(r1 + d21/2) > 0 and P(sigma/2) = T^2 (T y^3 + 9y^2 + 24y + 16) < 0
-    with sigma = 2T y, are certified on the integers before returning.
+    nearly equal values are subtracted.  The roots add to -9, so by Vieta
+    r1 = -3 - (d21 + d31)/3, floored, which is off by less than
+    (e21 + e31)/3 + 1 units when d21 and d31 are off by less than e21 and
+    e31 units; r2 and r3 come from their sum sigma, also by Vieta.  The gap
+    order and the cubic's signs at both arch midpoints, P(r1 + d21/2) > 0
+    and P(sigma/2) = T^2 (T y^3 + 9y^2 + 24y + 16) < 0 with sigma = 2T y,
+    are certified on the integers before returning.
     """
     W = w + _guard(l, t)
     one = 1 << W
@@ -91,7 +94,6 @@ def _root_data(l: int, t: tuple, w: int) -> tuple:
         powers += power
     s = 16 * T * math.isqrt((T * (one - x) >> W) * powers) >> W
     q = ((16 * T - 72 * one) * T >> W) + 54 * one
-    R = sqrt(9 * one - 8 * T, W)
     k = sqrt(108 * one - 96 * T, W)  # 2 sqrt3 R
     pi = fixed_pi(W)
     if q > 0:
@@ -103,7 +105,7 @@ def _root_data(l: int, t: tuple, w: int) -> tuple:
     d21 = k * sin(phi, W) >> W
     d32 = k * sin(psi, W) >> W
     d31 = k * sin(pi // 3 + phi, W) >> W
-    r1 = -3 * one - (R * cos(psi, W) >> W - 1)  # -3 - 2R cos(pi/3 - phi)
+    r1 = -3 * one - (d21 + d31) // 3  # r1 + r2 + r3 = 3 r1 + d21 + d31 = -9
     if not (d21 > 0 and d32 > 0 and d31 > d21 and d31 > d32):
         raise RootOrderingFailed("gaps not strictly positive at (l, t) = ({}, {})".format(
             l, BigReal(t, W)))

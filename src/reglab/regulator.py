@@ -1,31 +1,25 @@
-"""Regulator matrix and determinant for the surfaces 3y^2 + x^3 + (3x + 4t^l)^2 = 0.
+"""Regulator determinant for the surfaces 3y^2 + x^3 + (3x + 4t^l)^2 = 0.
 
-The matrix pairs the cycle classes built from the vanishing-cycle fibration
-against the good algebraic 2-forms t^(p-1) dt dx/y.  Row p carries the factor
-(zeta^(pq) - zeta^(-pq)) = 2i sin(2 pi pq / l) times the delta-arch period,
-which is i times its magnitude (54 pi / l) I(p), so every entry is the real
-number -2 sin(2 pi pq / l) (54 pi / l) I(p).  That formula is written once,
-in _sine_column, and every block of it is built in _sine_block; the matrix
-is real by construction, and the tests check it against the complex
-product.  The regulator determinant is that of the top-left k x k block,
-k = (l+1)/2, with row r scaled by I(r) and the gamma-arch column J(r)
-appended.  Rows k-1 and k of its sine part are exact negatives, so its
-Laplace expansion along the J column is
-prod_{r<=k-2} I(r) * |det V| * (J(k-1) I(k) + J(k) I(k-1)), V the period-free
-(k-1) x (k-1) sine block (regulator_closed_form).  V^2 = l Id
-(RegulatorMatrix.rank) makes |det V| = l^((l-1)/4), and the determinant the
-paper's closed form l^((l-1)/4) * prod I(p) * (J(k-1)/I(k-1) + J(k)/I(k)).
-No matrix is eliminated: the one input that can go wrong at run time, the
-sine column, is checked by V^2 = l Id on one vector in O(s^2)
-(vandermonde_like_det), and det_agreement_digits is the digits that check
-holds to; no period enters it.  Everything runs in Python-int fixed point on
-the kernels of bigreal, at GUARD = 64 bits beyond the requested precision,
-from the one period table the caller passes: its first pair fixes l and the
-precision p, and the pairs j = 1 .. k (h for the matrix) must lead it.
-compute passes the series route's table (bigreal_periods), and the closed
-forms' table (hypergeometric.period_table) serves as well.  The matrix has
-full column rank and e_ind is nonzero, both exactly (RegulatorMatrix.rank),
-so no step needs a numeric rank.  Results are magnitudes (SIGN_POLICY).
+The paper's regulator pairs the cycle classes built from the vanishing-cycle
+fibration against the good algebraic 2-forms t^(r-1) dt dx/y.  Its row r
+carries the factor (zeta^(rq) - zeta^(-rq)) = 2i sin(2 pi rq / l),
+zeta = exp(2 pi i / l), times the delta-arch period, which is i times its
+magnitude (54 pi / l) I(r): the real sine row -2 sin(2 pi rq / l),
+q = 1 .. (l-1)/2, times that magnitude.  The sine block is those
+period-free rows, read from one fixed-point column (_sine_column,
+_sine_block), and V is its top square.  The regulator determinant is that
+of the k x k block, k = (l+1)/2, whose row r is sine row r scaled by I(r)
+with the gamma-arch J(r) appended; its Laplace expansion over |det V|
+(regulator_closed_form) and V^2 = l Id (vandermonde_like_det) make it the
+paper's closed form l^((l-1)/4) * prod I(r) * (J(k-1)/I(k-1) + J(k)/I(k)).
+No matrix is assembled or eliminated: the one input that can go wrong at
+run time, the sine column, is checked by V^2 = l Id on one vector in
+O(s^2), and det_agreement_digits is the digits that check holds to.
+Everything runs in Python-int fixed point on the kernels of bigreal, at
+GUARD = 64 bits beyond the requested precision, from the one period table
+the caller passes, from either route: compute passes the series route's
+(bigreal_periods), and the closed forms' (hypergeometric.period_table)
+serves as well.  Results are magnitudes (SIGN_POLICY).
 """
 
 import math
@@ -33,8 +27,7 @@ from collections import namedtuple
 
 from .bigreal import (GUARD, BigReal, PeriodPair, agreement_digits, digits_of_bits,
                       fixed_constants, sin)
-from .bigreal_periods import series_periods
-from .integer_kernel import hodge_and_dims, require_lj
+from .integer_kernel import require_lj
 
 SIGN_POLICY = "magnitudes only; sign left unresolved"
 
@@ -43,59 +36,6 @@ SIGN_POLICY = "magnitudes only; sign left unresolved"
 # (a str), det_agreement_digits (an int) and normalization_verified
 RegulatorResult = namedtuple("RegulatorResult", "l det_closed_form value_e_ff value_e_ind "
                              "sign_policy det_agreement_digits normalization_verified")
-
-
-class RegulatorMatrix:
-    """The h x (l-1)/2 real matrix of delta-arch periods against cycles.
-
-    h = l - floor((l-1)/3) - 1 rows (one per form t^(p-1) dt dx/y),
-    (l-1)/2 columns (one per independent cycle pairing).
-    """
-
-    def __init__(self, l: int, entries: list[list[BigReal]], I_table: list[PeriodPair]):
-        self.l = l
-        self.h = len(entries)
-        self.entries = entries
-        self.I_table = I_table
-
-    @property
-    def shape(self):
-        return (self.h, (self.l - 1) // 2)
-
-    def rank(self) -> int:
-        """(l-1)/2, the number of columns: the matrix has full column rank.
-
-        Row r is |P_r| times row r of the sine block (-2 sin(2 pi r q / l)),
-        so with s = (l-1)/2 the top s rows are diag(|P_1|, ..., |P_s|) times
-        the square sine block V, V_pq = -2 sin(2 pi p q / l) for
-        p, q = 1 .. s.  V^2 = l Id: by 2 sin x sin y = cos(x - y) - cos(x + y),
-            (V^2)_pr = 2 sum_{q=1..s} (cos(2 pi q (p - r) / l) - cos(2 pi q (p + r) / l)),
-        and sum_{q=1..s} cos(2 pi q n / l) is (l - 1)/2 when l | n and -1/2
-        otherwise, half the full sum over q mod l less the term q = 0; l
-        divides p - r only when p = r, and never p + r, which lies in
-        2 .. l - 1.  So (det V)^2 = l^s and |det V| = l^((l-1)/4) != 0, the
-        value vandermonde_like_det returns once it has checked V^2 = l Id.
-        V is symmetric, so its eigenvalues are +-sqrt(l), b of them negative,
-        and its trace, as (l - q)^2 = q^2 mod l, is
-            -2 sum_{q=1..s} sin(2 pi q^2 / l) = -Im G(l) = (s - 2b) sqrt(l),
-        G(l) = sum_{q mod l} exp(2 pi i q^2 / l) the quadratic Gauss sum: it
-        is sqrt(l) for l = 1 mod 4 and i sqrt(l) for l = 3 mod 4, for every
-        odd l (Berndt, Evans and Williams, Gauss and Jacobi Sums, ch. 1).  So
-        b = floor((s + 1)/2) and det V = (-1)^floor((l+1)/4) l^((l-1)/4),
-        which the tests check against exact elimination.  The sign is of
-        det V only; the orientation of the cycles is not modelled, so results
-        stay magnitudes (SIGN_POLICY).  Every
-        |P_r| = (54 pi / l) I(r) is positive, which the series route checks
-        on every pair it returns (bigreal_periods), so the
-        top square block is invertible, exactly, at any precision.  For the
-        same reasons e_ind is nonzero: regulator_closed_form expands the
-        determinant as prod I(r) * |det V| * (J(k-1) I(k) + J(k) I(k-1)), and
-        the series route checks I, J > 0 as well.
-        """
-        return self.shape[1]
-
-    def coker_dim(self) -> int:
-        return self.h - self.rank()
 
 
 def _sine_column(l: int, w: int) -> list[int]:
@@ -109,12 +49,11 @@ def _sine_column(l: int, w: int) -> list[int]:
     return [-2 * half[m] if 2 * m < l else 2 * half[l - m] for m in range(l)]
 
 
-def _sine_block(l: int, scales: list[int], w: int) -> list[list[int]]:
-    """Rows r = 1 .. len(scales) of the sine block at w bits: col[r q mod l] * scales[r - 1] >> w
-    for q = 1 .. (l - 1)/2, where col is _sine_column; a scale of 2^w keeps the sines as they are."""
+def _sine_block(l: int, n: int, w: int) -> list[list[int]]:
+    """Rows r = 1 .. n of the sine block at w bits: col[r q mod l] for q = 1 .. (l - 1)/2,
+    where col is _sine_column."""
     col = _sine_column(l, w)
-    return [[col[r * q % l] * scale >> w for q in range(1, (l + 1) // 2)]
-            for r, scale in enumerate(scales, start=1)]
+    return [[col[r * q % l] for q in range(1, (l + 1) // 2)] for r in range(1, n + 1)]
 
 
 def _leading_pairs(table: list[PeriodPair], n: int) -> list[PeriodPair]:
@@ -130,22 +69,6 @@ def _leading_pairs(table: list[PeriodPair], n: int) -> list[PeriodPair]:
     return table[:n]
 
 
-def build_matrix(table: list[PeriodPair]) -> RegulatorMatrix:
-    """Assemble the regulator matrix from the first h pairs of a period table at w = p + 64 bits.
-
-    l is table[0].l and p the precision of its I; the table starts at j = 1
-    and holds j = 1 .. h or more, h = hodge_and_dims(l)["h"].
-    """
-    l, p = table[0].l, table[0].I.precision
-    pairs = _leading_pairs(table, hodge_and_dims(l)["h"])
-    w = p + GUARD
-    # row r scaled by (54 pi / l) I(r)
-    rows = _sine_block(l, [series_periods(pair).delta_period.fixed(w) for pair in pairs], w)
-    entries = [[BigReal((x, -w), p, pair.I.agreement_certificate) for x in row]
-               for row, pair in zip(rows, pairs)]
-    return RegulatorMatrix(l, entries, pairs)
-
-
 def _fourth_root(l: int, e: int, w: int) -> int:
     """floor(l^(e/4) 2^w), exactly: floor(n^(1/4)) = isqrt(isqrt(n))."""
     return math.isqrt(math.isqrt(l ** e << 4 * w))
@@ -154,18 +77,35 @@ def _fourth_root(l: int, e: int, w: int) -> int:
 def vandermonde_like_det(l: int, p: int = 128) -> BigReal:
     """|det (zeta^(pq) - zeta^(-pq))| for p, q = 1 .. (l-1)/2, which is l^((l-1)/4).
 
-    V, the sine column's block at w = p + 64 bits, squares to l Id
-    (RegulatorMatrix.rank), so the value is that closed form at w bits.  The
-    certificate checks the one input that can go wrong, the sine column, by
-    Freivalds' check of V^2 = l Id: with x = (1, 2, .., s), two matrix-vector
-    products give V(V x) in O(s^2), and the certificate is the least number
-    of digits, up to the digits of p, to which an entry agrees with l x.
+    With s = (l-1)/2, V is the square sine block, V_pq = -2 sin(2 pi p q / l)
+    for p, q = 1 .. s, and V^2 = l Id: by 2 sin x sin y = cos(x - y) - cos(x + y),
+        (V^2)_pr = 2 sum_{q=1..s} (cos(2 pi q (p - r) / l) - cos(2 pi q (p + r) / l)),
+    and sum_{q=1..s} cos(2 pi q n / l) is (l - 1)/2 when l | n and -1/2
+    otherwise, half the full sum over q mod l less the term q = 0; l divides
+    p - r only when p = r, and never p + r, which lies in 2 .. l - 1.  So
+    (det V)^2 = l^s and |det V| = l^((l-1)/4) != 0, which is returned at
+    w = p + 64 bits.  V is symmetric, so its eigenvalues are +-sqrt(l), b of
+    them negative, and its trace, as (l - q)^2 = q^2 mod l, is
+        -2 sum_{q=1..s} sin(2 pi q^2 / l) = -Im G(l) = (s - 2b) sqrt(l),
+    G(l) = sum_{q mod l} exp(2 pi i q^2 / l) the quadratic Gauss sum: it is
+    sqrt(l) for l = 1 mod 4 and i sqrt(l) for l = 3 mod 4, for every odd l
+    (Berndt, Evans and Williams, Gauss and Jacobi Sums, ch. 1).  So
+    b = floor((s + 1)/2) and det V = (-1)^floor((l+1)/4) l^((l-1)/4), which
+    the tests check against exact elimination.  The sign is of det V only;
+    the orientation of the cycles is not modelled, so the value is a
+    magnitude (SIGN_POLICY).
+
+    The certificate checks the one input that can go wrong, the sine column,
+    by Freivalds' check of V^2 = l Id: with x = (1, 2, .., s), two
+    matrix-vector products give V(V x) in O(s^2), and the certificate is the
+    least number of digits, up to the digits of p, to which an entry agrees
+    with l x.
     """
     if not isinstance(l, int) or l < 3 or l % 2 == 0:
         raise ValueError("need odd integer l >= 3, got {!r}".format(l))
     s = (l - 1) // 2
     w = p + GUARD
-    V = _sine_block(l, [1 << w] * s, w)
+    V = _sine_block(l, s, w)
     x = range(1, s + 1)
     Vx = [sum(v * xq for v, xq in zip(row, x)) for row in V]  # at w bits
     cert = min(agreement_digits((sum(v * y for v, y in zip(row, Vx)), -2 * w), l * xi,
@@ -188,18 +128,20 @@ def regulator_closed_form(table: list[PeriodPair]) -> RegulatorResult:
 
         det = prod_{r<=k-2} I(r) * det V * (J(k-1) I(k) + J(k) I(k-1)).
 
-    |det V| = l^((l-1)/4) (RegulatorMatrix.rank), so det_closed_form is the
+    |det V| = l^((l-1)/4) (vandermonde_like_det), so det_closed_form is the
     expansion with that closed form, as vandermonde_like_det returns it, in
-    place of |det V|; nothing eliminates a matrix.  det_agreement_digits is
-    vandermonde_like_det's certificate, the digits to which the sine block
-    passes the check V^2 = l Id; no period enters it.  table is a period
-    table that starts at j = 1 and holds j = 1 .. k or more, such as
-    compute's j = 1 .. l - 1; l is table[0].l, p the precision of its I,
-    and only the first k pairs are read.  The
-    closed form generalizes the k = 3 and k = 4 worked cases; for l other
-    than 5 and 7 the sqrt(l)/pi^s normalization follows the same pattern but
-    has no independent confirmation, so normalization_verified is False
-    there.
+    place of |det V|; nothing eliminates a matrix.  e_ind is nonzero,
+    exactly: |det V| is, and every I(r) and J(r) is positive, which the
+    series route checks on every pair it returns (bigreal_periods), so each
+    factor of the expansion is positive at any precision.
+    det_agreement_digits is vandermonde_like_det's certificate, the digits
+    to which the sine block passes the check V^2 = l Id; no period enters
+    it.  table is a period table that starts at j = 1 and holds j = 1 .. k
+    or more, such as compute's j = 1 .. l - 1; l is table[0].l, p the
+    precision of its I, and only the first k pairs are read.  The closed
+    form generalizes the k = 3 and k = 4 worked cases; for l other than 5
+    and 7 the sqrt(l)/pi^s normalization follows the same pattern but has
+    no independent confirmation, so normalization_verified is False there.
     """
     l, p = table[0].l, table[0].I.precision
     k = (l + 1) // 2

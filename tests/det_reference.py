@@ -1,16 +1,36 @@
-"""The tests' exact reference for determinants: fraction-free (Bareiss) elimination.
+"""The tests' references for the regulator: its matrix and exact (Bareiss) determinants.
 
-reglab eliminates no matrix: |det V| of the sine block is the closed form
-l^((l-1)/4), which regulator.vandermonde_like_det returns once it has
-checked V^2 = l Id.  The tests check that closed form, its sign and the
-Laplace expansion of the regulator determinant against the exact
-determinants computed here, and check that the check of V^2 = l Id fails
-the one mutant of the sine column made here.
+reglab assembles and eliminates no matrix: |det V| of the sine block is the
+closed form l^((l-1)/4), which regulator.vandermonde_like_det returns once
+it has checked V^2 = l Id.  The tests check the paper's h x (l-1)/2
+regulator matrix built here against the complex product that defines it,
+check that closed form, its sign and the Laplace expansion of the regulator
+determinant against the exact determinants computed here, and check that
+the check of V^2 = l Id fails the one mutant of the sine column made here.
 """
 
 from reglab import regulator
-from reglab.bigreal import GUARD
+from reglab.bigreal import GUARD, BigReal
+from reglab.bigreal_periods import series_periods
+from reglab.integer_kernel import hodge_and_dims
 from reglab.regulator import _sine_block
+
+
+def _regulator_matrix(table):
+    """The paper's h x (l-1)/2 regulator matrix from the first h pairs of a period table,
+    h = hodge_and_dims(l)["h"], as rows of BigReals at the table's precision p.
+
+    Row r is sine row r times the delta-arch magnitude (54 pi / l) I(r) at
+    w = p + 64 bits (series_periods), floored; its certificate is that of I(r).
+    """
+    l, p = table[0].l, table[0].I.precision
+    h, w = hodge_and_dims(l)["h"], p + GUARD
+    assert [(pr.l, pr.j) for pr in table[:h]] == [(l, j) for j in range(1, h + 1)]
+    rows = []
+    for row, pr in zip(_sine_block(l, h, w), table):
+        delta = series_periods(pr).delta_period.fixed(w)
+        rows.append([BigReal((x * delta >> w, -w), p, pr.I.agreement_certificate) for x in row])
+    return rows
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
@@ -38,8 +58,8 @@ def _full_block_det(l, p, table):
     """|det| of the k x k block, row r the sine block scaled by I(r), then J(r), by exact
     Bareiss, as a (man, exp) pair: the reference for the Laplace expansion."""
     k, w = (l + 1) // 2, p + GUARD
-    I = [pr.I.fixed(w) for pr in table[:k]]
-    block = [row + [pr.J.fixed(w)] for row, pr in zip(_sine_block(l, I, w), table)]
+    block = [[x * pr.I.fixed(w) >> w for x in row] + [pr.J.fixed(w)]
+             for row, pr in zip(_sine_block(l, k, w), table)]
     return abs(_bareiss_det(block)), -k * w
 
 

@@ -12,7 +12,6 @@ import reglab.integer_kernel as integer_kernel
 from reglab.bigreal import (
     ATAN2_ERROR,
     ATAN_ERROR,
-    COS_ERROR,
     EXP_ERROR,
     PI_ERROR,
     SQRT_ERROR,
@@ -21,7 +20,6 @@ from reglab.bigreal import (
     atan,
     atan2,
     constants,
-    cos,
     digits_of_bits,
     exp,
     fixed_constants,
@@ -223,13 +221,6 @@ WIDTHS = st.sampled_from([64, 128, 192, 400, 1000])
 class TestKernelBounds:
     """Each kernel stays within the error its module constant states, against
     mpmath at twice the working precision."""
-
-    @given(w=WIDTHS, data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_cos(self, w, data):
-        x = data.draw(st.integers(-(4 << w), 4 << w))
-        with mp.workprec(2 * w):
-            assert _within_units(cos(x, w), mp.cos(mp.ldexp(x, -w)), w, COS_ERROR)
 
     @given(w=WIDTHS, data=st.data())
     @settings(max_examples=60, deadline=None)

@@ -1038,7 +1038,10 @@ class TestEntryPoint:
             tomllib = pytest.importorskip("tomli")
 
         with open(ROOT / "pyproject.toml", "rb") as fh:
-            scripts = tomllib.load(fh)["project"]["scripts"]
+            project = tomllib.load(fh)["project"]
+        # the cache key and file name carry __version__, so the two must not drift
+        assert project["version"] == __version__
+        scripts = project["scripts"]
         assert scripts.get("reglab") == "reglab.cli:main"
 
         entry = importlib.metadata.EntryPoint(

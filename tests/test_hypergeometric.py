@@ -20,7 +20,8 @@ SERIES_ROUTE_CASES += [pytest.param(5, j, 1000, "1e-300", id=f"5-{j}-1000bits") 
 # j/l reduces to den 125, 25, 5, 125 at l = 125, to 7 and 49 at l = 49, and to 35, 7 and 5 at l = 35
 DEN_CELLS = [pytest.param(l, js, p, id=f"{l}-{p}bits")
              for l, js, p in ((125, (1, 5, 25, 124), 128), (49, (7, 48), 128),
-                              (35, (1, 5, 7), 128), (125, (1, 25), 340))]
+                              (35, (1, 5, 7), 128), (125, (1, 25), 340),
+                              (499, (1, 498), 128))]
 
 
 def rel(a, b):

@@ -5,9 +5,10 @@ the series route (hypergeometric, elliptic_oracle) and the exact layer
 (exact_series) depend on it and not on the series route's own module;
 exact_series, which takes rational exponents only, does not load the
 symbolic layer (weierstrass) either; regulator evaluates the period table
-it is given and imports no evaluator of one (eval_IJ).  No module imports
-anything outside the standard library, as pyproject.toml declares, nor
-json, and none reaches into another's private names.  The
+it is given and imports neither period route (bigreal_periods,
+hypergeometric).  No module imports anything outside the standard
+library, as pyproject.toml declares, nor json, and none reaches into
+another's private names.  The
 benchmark names modules and traced functions in bench/; a move that loses
 one would zero its per-layer metrics without failing, so the names are
 resolved here.  The bench files are read as source, not imported.  Only
@@ -98,9 +99,11 @@ def test_exact_series_does_not_load_the_symbolic_layer():
 
 def test_regulator_evaluates_the_table_it_is_given():
     # no period route of its own, and gcd(l, 6) = 1 is checked by integer_kernel.require_lj
-    names = {name for _, name in _imports_from(ROOT / "src" / "reglab" / "regulator.py")}
+    imports = _imports_from(ROOT / "src" / "reglab" / "regulator.py")
+    names = {name for _, name in imports}
     assert names & {"eval_IJ", "UnsupportedL"} == set()
     assert "require_lj" in names
+    assert {module for module, _ in imports} & {".bigreal_periods", ".hypergeometric"} == set()
 
 
 def _importers(package):

@@ -5,7 +5,7 @@ import time
 from pathlib import Path
 
 import pytest
-from det_reference import _bareiss_det, _full_block_det, _skew_sine_column
+from det_reference import _bareiss_det, _full_block_det, _regulator_matrix, _skew_sine_column
 from mpmath import mp
 from mpf_reference import as_mpf
 
@@ -13,10 +13,10 @@ from reglab.bigreal import BigReal, PeriodPair, agreement_digits, digits_of_bits
 from reglab.bigreal_periods import eval_IJ
 from reglab.errors import UnsupportedL
 from reglab.hypergeometric import period_table
+from reglab.integer_kernel import hodge_and_dims
 from reglab.regulator import (
     SIGN_POLICY,
     _sine_block,
-    build_matrix,
     regulator_closed_form,
     vandermonde_like_det,
 )
@@ -92,15 +92,15 @@ class TestVandermondeLike:
         # k + (k - 1) = l and _sine_column sets col[l - m] = -col[m]: the fact
         # regulator_closed_form's Laplace expansion along the J column rests on
         w, k = 128, (l + 1) // 2
-        rows = _sine_block(l, [1 << w] * k, w)
+        rows = _sine_block(l, k, w)
         assert rows[k - 1] == [-x for x in rows[k - 2]]
 
     @pytest.mark.parametrize("l", [l for l in ADMISSIBLE_L if l <= 49])
     def test_sine_block_squares_to_l(self, l):
-        # V^2 = l Id (RegulatorMatrix.rank), at w = 128 bits: each entry of V is
+        # V^2 = l Id (vandermonde_like_det), at w = 128 bits: each entry of V is
         # off by under 10 units, and the largest deviation measured is 51 units
         w, k = 128, (l - 1) // 2
-        V = _sine_block(l, [1 << w] * k, w)
+        V = _sine_block(l, k, w)
         for i in range(k):
             for j in range(k):
                 entry = sum(V[i][m] * V[m][j] for m in range(k)) >> w
@@ -108,31 +108,33 @@ class TestVandermondeLike:
 
 
 class TestMatrixAssembly:
+    # the paper's h x (l-1)/2 matrix, built by the tests' reference (det_reference);
+    # full column rank (l-1)/2 is the theorem V^2 = l Id (vandermonde_like_det)
     def test_shapes_and_coker(self):
-        m5 = build_matrix(series_table(5, 128, 4))
-        assert m5.shape == (3, 2)
-        assert m5.rank() == 2
-        assert m5.coker_dim() == 1
-        m7 = build_matrix(series_table(7, 128, 6))
-        assert m7.shape == (4, 3)
-        assert m7.coker_dim() == 1
+        m5 = _regulator_matrix(series_table(5, 128, 4))
+        assert (len(m5), len(m5[0])) == (3, 2)
+        assert len(m5) - (5 - 1) // 2 == 1
+        m7 = _regulator_matrix(series_table(7, 128, 6))
+        assert (len(m7), len(m7[0])) == (4, 3)
+        assert len(m7) - (7 - 1) // 2 == 1
 
     @pytest.mark.parametrize("l", (5, 7, 11, 13, 25))
     def test_rank_matches_svd(self, l):
         # the reference: singular values above 2^-48 of the largest, at 128 bits
-        m = build_matrix(series_table(l, 128, l - 1))
+        m = _regulator_matrix(series_table(l, 128, l - 1))
         with mp.workprec(128):
-            sigma = mp.svd_r(mp.matrix([[as_mpf(e) for e in row] for row in m.entries]),
+            sigma = mp.svd_r(mp.matrix([[as_mpf(e) for e in row] for row in m]),
                              compute_uv=False)
             tol = max(abs(x) for x in sigma) * mp.mpf(2) ** -48
-            assert m.rank() == sum(1 for x in sigma if abs(x) > tol) == (l - 1) // 2
-        assert m.coker_dim() == m.h - m.rank()
+            rank = sum(1 for x in sigma if abs(x) > tol)
+        assert rank == (l - 1) // 2 == len(m[0])
+        assert len(m) - rank == hodge_and_dims(l)["h"] - (l - 1) // 2
 
     def test_entries_match_sine_form(self):
-        m = build_matrix(series_table(5, 128, 4))
+        table = series_table(5, 128, 4)
         with mp.workprec(160):
-            for p_idx, row in enumerate(m.entries, start=1):
-                I_p = as_mpf(m.I_table[p_idx - 1].I)
+            for p_idx, row in enumerate(_regulator_matrix(table), start=1):
+                I_p = as_mpf(table[p_idx - 1].I)
                 for q_idx, entry in enumerate(row, start=1):
                     want = -2 * mp.sin(2 * mp.pi * p_idx * q_idx / 5) * (
                         54 * mp.pi / 5) * I_p
@@ -141,10 +143,10 @@ class TestMatrixAssembly:
     @pytest.mark.parametrize("l", (5, 7, 11, 25))
     def test_entries_match_complex_product(self, l):
         # the reference: (zeta^(rq) - zeta^(-rq)) times the imaginary delta-arch period
-        m = build_matrix(series_table(l, 128, l - 1))
+        table = series_table(l, 128, l - 1)
         with mp.workprec(224):
-            for r, row in enumerate(m.entries, start=1):
-                period = mp.mpc(0, 54 * mp.pi / l * as_mpf(m.I_table[r - 1].I))
+            for r, row in enumerate(_regulator_matrix(table), start=1):
+                period = mp.mpc(0, 54 * mp.pi / l * as_mpf(table[r - 1].I))
                 tol = mp.mpf("1e-30") * 2 * abs(period)
                 for q, entry in enumerate(row, start=1):
                     want = zeta_difference(l, r * q) * period
@@ -152,34 +154,17 @@ class TestMatrixAssembly:
                     assert abs(as_mpf(entry) - want.real) < tol
 
     def test_entries_vanish_exactly_where_l_divides_rq(self):
-        m = build_matrix(series_table(25, 128, 24))
-        zeros = [(r, q) for r, row in enumerate(m.entries, start=1)
+        m = _regulator_matrix(series_table(25, 128, 24))
+        zeros = [(r, q) for r, row in enumerate(m, start=1)
                  for q, entry in enumerate(row, start=1) if entry.man == 0]
-        assert zeros == [(r, q) for r in range(1, m.h + 1) for q in range(1, 13)
+        assert zeros == [(r, q) for r in range(1, len(m) + 1) for q in range(1, 13)
                          if r * q % 25 == 0]
         assert (5, 5) in zeros and (10, 10) in zeros
 
     def test_row_count_invariant(self):
         for l in (5, 7, 11):
-            m = build_matrix(series_table(l, 96, l - 1))
-            assert m.h >= (l + 1) // 2
-
-    def test_rejects_inadmissible(self):
-        for bad in (3, 4, 6, 9, 10, 15):
-            with pytest.raises(UnsupportedL):
-                build_matrix(made_up_table(bad))
-
-    def test_reads_l_and_p_from_the_table(self):
-        m = build_matrix(period_table(7, 96))
-        assert (m.l, m.shape) == (7, (4, 3))
-        assert {e.precision for row in m.entries for e in row} == {96}
-        assert [(pr.l, pr.j) for pr in m.I_table] == [(7, j) for j in range(1, 5)]
-
-    def test_rejects_a_table_not_led_by_j_1_to_h(self):
-        for table in (period_table(7, 96)[1:], period_table(7, 96)[:3],
-                      period_table(5, 96)[:1] + period_table(7, 96)[1:]):
-            with pytest.raises(ValueError):
-                build_matrix(table)
+            m = _regulator_matrix(series_table(l, 96, l - 1))
+            assert len(m) >= (l + 1) // 2
 
 
 class TestDeterminantRoutes:
@@ -287,10 +272,10 @@ class TestDeterminantRoutes:
 
 @pytest.mark.parametrize("l", [l for l in ADMISSIBLE_L if l < 100])
 def test_sign_of_det_v(l):
-    # det V = (-1)^floor((l+1)/4) l^((l-1)/4) (RegulatorMatrix.rank), against exact
+    # det V = (-1)^floor((l+1)/4) l^((l-1)/4) (vandermonde_like_det), against exact
     # elimination at w = 64; the sign stays out of the value returned (SIGN_POLICY)
     s, w = (l - 1) // 2, 64
-    det = _bareiss_det(_sine_block(l, [1 << w] * s, w))
+    det = _bareiss_det(_sine_block(l, s, w))
     assert (det < 0) == ((l + 1) // 4 % 2 == 1)
     assert vandermonde_like_det(l).man > 0
 
@@ -323,17 +308,15 @@ def test_regulator_agrees_across_period_routes(l, p):
 
 
 _REPORT_MPMATH = (
-    "import sys; from reglab.regulator import build_matrix, vandermonde_like_det; "
+    "import sys; from reglab.regulator import vandermonde_like_det; "
     "from reglab.bigreal_periods import eval_IJ, series_periods; "
-    "m = build_matrix([eval_IJ(7, j) for j in range(1, 7)]); m.rank(); m.coker_dim(); "
     "vandermonde_like_det(9); "
     "series_periods(eval_IJ(7, 3)); "
     "print('mpmath' in sys.modules)")
 
 
 def test_matrix_and_vandermonde_import_no_mpmath():
-    """The fixed-point matrix, its rank, the Vandermonde-like determinant and the
-    period magnitudes run without mpmath."""
+    """The Vandermonde-like determinant and the period magnitudes run without mpmath."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", _REPORT_MPMATH],
                           capture_output=True, env=env, timeout=120)
