@@ -127,22 +127,24 @@ def _worst(diffs) -> str:
     return _rel_text((worst_num, worst_den))
 
 
-def _quadrature_rows(pairs, p_oracle: int) -> list:
-    """(j, arch, series, quadrature, rel diff) per pair and arch: the series
-    route against the quadrature at p_oracle bits.
+def _quadrature_rows(l: int, js, p_oracle: int) -> list:
+    """(j, arch, series, quadrature, rel diff) per j in js and arch: the
+    series route at max(128, p_oracle) bits against the quadrature at
+    p_oracle bits, the one precision rule of `oracle` and `selfcheck`.
 
     series and quadrature are BigReals, so each keeps its certificate; rel
     diff is exact.
     """
-    from .bigreal_periods import series_periods
+    from .bigreal_periods import eval_IJ, series_periods
     from .elliptic_oracle import direct_periods
 
     rows = []
-    for pair in pairs:
-        want, got = series_periods(pair), direct_periods(pair.l, pair.j, p_oracle)
+    for j in js:
+        want = series_periods(eval_IJ(l, j, max(128, p_oracle)))
+        got = direct_periods(l, j, p_oracle)
         for arch, series, check in (("delta", want.delta_period, got.delta_abs),
                                     ("gamma", want.gamma_period, got.gamma_abs)):
-            rows.append((pair.j, arch, series, check, _relative_difference(series, check)))
+            rows.append((j, arch, series, check, _relative_difference(series, check)))
     return rows
 
 
@@ -373,13 +375,11 @@ def cmd_pf(cfg: RunConfig) -> int:
 
 def cmd_oracle(cfg: RunConfig) -> int:
     from .bigreal import nstr
-    from .bigreal_periods import eval_IJ
 
-    p_series = max(128, cfg.oracle_bits)
     js = [cfg.j] if cfg.j is not None else range(1, cfg.l)
     print("  l  j  arch   {}  {}  {}".format(
         "series route".ljust(22), "quadrature".ljust(22), "rel diff"))
-    rows = _quadrature_rows([eval_IJ(cfg.l, j, p_series) for j in js], cfg.oracle_bits)
+    rows = _quadrature_rows(cfg.l, js, cfg.oracle_bits)
     # at most 15 significant digits, and none past a value's certificate
     cell = lambda x: nstr(x.man, x.exp, min(15, x.agreement_certificate)).ljust(22)
     for j, arch, series, quadrature, diff in rows:
@@ -409,12 +409,12 @@ def _check_series_identities() -> bool:
     return True
 
 
-def _check_trace_zero() -> bool:
-    from .gauss_manin import connection_matrix
+def _check_connection_gives_operator() -> bool:
+    from .gauss_manin import connection_matrix, gives_operator, picard_fuchs
     from .weierstrass import example_family
 
-    return all(connection_matrix(example_family(l)).trace().is_zero()
-               for l in (1, 5, 7))
+    return all(gives_operator(connection_matrix(W), picard_fuchs(W))
+               for W in map(example_family, (1, 5, 7)))
 
 
 def _check_fiber_list() -> bool:
@@ -453,11 +453,8 @@ def _check_vandermonde(p: int) -> bool:
 
 
 def _check_oracle_l5(p_oracle: int) -> bool:
-    from .bigreal_periods import eval_IJ
-
     # past the gate _worst raises, which cmd_selfcheck reports as [fail]
-    rows = _quadrature_rows([eval_IJ(5, j, 128) for j in range(1, 5)], p_oracle)
-    _worst(row[4] for row in rows)
+    _worst(row[4] for row in _quadrature_rows(5, range(1, 5), p_oracle))
     return True
 
 
@@ -465,7 +462,7 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
     p = _bits(cfg.effective_digits)
     checks = [
         ("series coefficient identities", _check_series_identities),
-        ("connection trace zero", _check_trace_zero),
+        ("connection gives the picard-fuchs operator", _check_connection_gives_operator),
         ("fiber list for l = 5", _check_fiber_list),
         ("epsilon integrality", _check_epsilon_integrality),
         ("transformation law residual", lambda: _check_transformation_law(max(p, 128))),

@@ -4,7 +4,9 @@ Everything is expressed in the frame (omega-hat, omega-star) of the de Rham
 bundle, with all derivatives taken against the fixed affine coordinate t
 (df = f' dt).  Entries are exact rational functions; no floating point.
 The connection matrix (ConnectionMatrix) and the operator
-(PicardFuchsOperator) are namedtuple records, compared by value.
+(PicardFuchsOperator) are namedtuple records, compared by value;
+gives_operator checks exactly that the one gives the other.  The
+degeneracy locus takes its places from one radical, as fiber_list does.
 """
 
 from collections import namedtuple
@@ -16,7 +18,7 @@ from .weierstrass import (
     Polynomial,
     RationalFunction,
     WeierstrassFamily,
-    squarefree_decomposition,
+    radical,
     uniform_pieces,
 )
 
@@ -68,18 +70,17 @@ def degeneracy_locus(W: WeierstrassFamily) -> set[Place]:
 
     These are the zeros of (6g2g3'-9g2'g3)/Delta away from the singular
     fibers and poles; the pairing fails to be an isomorphism exactly there.
+    They are the uniform pieces of the numerator's radical, split by the
+    numerator itself too, on which no other witness vanishes.
     """
     delta = W.delta
     ee = _ee_form(W)
     if ee.is_zero():
         raise IsotrivialFamily("j-invariant is constant")
-    ratio = (3 * ee) / delta
-    excluded = [p for p in (delta.numerator, delta.denominator,
-                            W.g2.denominator, W.g3.denominator)
-                if p.degree > 0]
-    return {Place.finite(piece)
-            for factor, _ in squarefree_decomposition(ratio.numerator)
-            for piece, mults in uniform_pieces(factor, excluded) if not any(mults)}
+    num = ((3 * ee) / delta).numerator
+    witnesses = [num, delta.numerator, delta.denominator, W.g2.denominator, W.g3.denominator]
+    return {Place.finite(piece) for piece, mults in uniform_pieces(radical(num), witnesses)
+            if not any(mults[1:])}
 
 
 def picard_fuchs(W: WeierstrassFamily) -> PicardFuchsOperator:
@@ -100,6 +101,21 @@ def picard_fuchs(W: WeierstrassFamily) -> PicardFuchsOperator:
     second = (4 * delta.derivative() / (3 * ee)).derivative()
     B = Fraction(1, 48) * (first - second)
     return PicardFuchsOperator(A, B, W)
+
+
+def gives_operator(cm: ConnectionMatrix, PF: PicardFuchsOperator) -> bool:
+    """Whether cm = ((a, b), (c, d)) is trace-free and gives PF's operator.
+
+    Periods P of omega-hat and Q of omega-star satisfy P' = aP + bQ and
+    Q' = cP + dQ; eliminating Q with a = -d gives
+    P'' - (b'/b) P' + (d' - d b'/b - d^2 - bc) P = 0, which is PF's
+    A P'' + A' P' + B P = 0 exactly when A b = -1 (picard_fuchs' normalization)
+    and B = -(d' - d b'/b - d^2 - bc)/b.
+    """
+    (_, b), (c, d) = cm.m
+    db = b.derivative() / b
+    return (cm.trace().is_zero() and (PF.A * b + 1).is_zero()
+            and PF.B == -(d.derivative() - d * db - d * d - b * c) / b)
 
 
 def pf_apply(PF: PicardFuchsOperator, f) -> RationalFunction:

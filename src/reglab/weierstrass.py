@@ -4,15 +4,15 @@ Exact arithmetic throughout.  Finite places are squarefree monic factors of
 the base polynomial ring; a factor is only accepted as a place when every
 order computed at it is certified constant along its roots (f = pi^k h with
 gcd(h, pi) = 1), so reducible factors like t^l - 1 behave like single points.
-fiber_list reads the orders of g2, g3 and Delta at each finite place once,
-from the multiplicities uniform_pieces finds while splitting the place off;
+fiber_list finds every finite place from one radical, p / gcd(p, p'), and
+reads the orders of g2, g3 and Delta at each once, from the multiplicities
+uniform_pieces finds while splitting the place off;
 classify_fiber reads them with ord_at.  A place (Place) and a fiber
 (KodairaFiber) are namedtuple records, compared and hashed by value.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import IsotrivialFamily, NonIntegralEpsilon, NotMinimal
 from .integer_kernel import hodge_and_dims  # re-exported: the dimensions of the fiber data
@@ -21,11 +21,11 @@ _ORD_INF = 10**9
 
 
 class Polynomial:
-    """Dense univariate polynomial in t over the exact rationals."""
+    """Dense univariate polynomial in t over the exact rationals, coefficients constant first."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable) -> None:
+    def __init__(self, coeffs) -> None:
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -188,25 +188,11 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic() if not a.is_zero() else a
 
 
-def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Yun decomposition: pairwise-coprime monic squarefree (factor, mult) pairs."""
+def radical(p: Polynomial) -> Polynomial:
+    """The monic product of p's distinct irreducible factors: p / gcd(p, p'); 1 for a constant p."""
     if p.degree < 1:
-        return []
-    p = p.monic()
-    dp = p.derivative()
-    a0 = poly_gcd(p, dp)
-    b = p // a0
-    d = (dp // a0) - b.derivative()
-    out = []
-    i = 1
-    while b.degree > 0:
-        a = poly_gcd(b, d)
-        if a.degree > 0:
-            out.append((a, i))
-        b = b // a
-        d = (d // a) - b.derivative()
-        i += 1
-    return out
+        return Polynomial([1])
+    return (p // poly_gcd(p, p.derivative())).monic()
 
 
 def split_by_multiplicity(pi: Polynomial, p: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -487,7 +473,7 @@ def classify_fiber(W: WeierstrassFamily, s: Place) -> KodairaFiber:
 
 
 def uniform_pieces(factor: Polynomial,
-                   witnesses: Sequence[Polynomial]) -> list[tuple[Polynomial, tuple[int, ...]]]:
+                   witnesses: list[Polynomial]) -> list[tuple[Polynomial, tuple[int, ...]]]:
     """Split squarefree factor into monic pieces on which every witness has constant root multiplicity.
 
     Returns (piece, multiplicity of each witness) pairs.  A piece is split
@@ -504,6 +490,8 @@ def uniform_pieces(factor: Polynomial,
 def fiber_list(W: WeierstrassFamily) -> list[KodairaFiber]:
     """All singular fibers, at uniform places plus infinity; smooth fibers omitted.
 
+    The finite places are the uniform pieces of one radical, that of
+    Delta's numerator and denominator times the denominators of g2 and g3.
     Each witness's multiplicity on a uniform piece is constant along it, so
     the differences of numerator and denominator multiplicities are the
     orders of g2, g3 and Delta there: no place is split a second time.  A
@@ -512,19 +500,16 @@ def fiber_list(W: WeierstrassFamily) -> list[KodairaFiber]:
     g2, g3, delta = W.g2, W.g3, W.delta
     witnesses = [g2.numerator, g2.denominator, g3.numerator, g3.denominator,
                  delta.numerator, delta.denominator]
-    # a place met in two sources is kept once: its multiplicities do not depend on the source
-    orders = {Place.finite(piece): m
-              for source in (delta.numerator, delta.denominator, g2.denominator, g3.denominator)
-              for factor, _ in squarefree_decomposition(source)
-              for piece, m in uniform_pieces(factor, witnesses)}
-    fibers = [_kodaira(m[0] - m[1], m[2] - m[3], m[4] - m[5], place)
-              for place, m in orders.items()]
+    orders = uniform_pieces(
+        radical(delta.numerator * delta.denominator * g2.denominator * g3.denominator), witnesses)
+    fibers = [_kodaira(m[0] - m[1], m[2] - m[3], m[4] - m[5], Place.finite(piece))
+              for piece, m in orders]
     fibers.append(classify_fiber(W, Place.infinity()))
     return sorted((f for f in fibers if f.type != "Smooth"),
                   key=lambda f: (f.place.is_infinity, f.place.degree, str(f.place)))
 
 
-def euler_epsilon(fibers: Sequence[KodairaFiber]) -> tuple[int, int, int, int]:
+def euler_epsilon(fibers: list[KodairaFiber]) -> tuple[int, int, int, int]:
     """(epsilon, additive fiber count, deg H^{1,0}, deg H^{0,1}) of a fiber_list.
 
     epsilon = (1/12) sum of epsilon_s over all fibers, each place weighted by

@@ -596,6 +596,26 @@ class TestOtherCommands:
         assert "[fail]" not in out
         assert out == (GOLDEN / "selfcheck.txt").read_text()
 
+    def test_oracle_and_selfcheck_share_one_precision_rule(self, capsys, monkeypatch):
+        # the series route at max(128, bits) and the quadrature at bits, in both commands
+        seen = []
+
+        def recorded(route, real):
+            return lambda l, j, p: seen.append((route, l, j, p)) or real(l, j, p)
+
+        monkeypatch.setattr(bigreal_periods, "eval_IJ",
+                            recorded("series", bigreal_periods.eval_IJ))
+        monkeypatch.setattr(elliptic_oracle, "direct_periods",
+                            recorded("quadrature", _real_direct_periods))
+        by_command = {}
+        for argv in (("oracle", "--l", "5", "--digits", "50"), ("selfcheck", "--digits", "50")):
+            seen.clear()
+            assert run(capsys, *argv)[0] == 0
+            by_command[argv[0]] = sorted(seen)
+        p = 175  # ceil(50 log2 10) + 8 bits, above the series route's floor of 128
+        assert by_command["oracle"] == by_command["selfcheck"] == sorted(
+            (route, 5, j, p) for route in ("series", "quadrature") for j in range(1, 5))
+
     def test_selfcheck_fails_an_uncertified_vandermonde(self, capsys, monkeypatch):
         real = regulator.vandermonde_like_det
         monkeypatch.setattr(regulator, "vandermonde_like_det",
@@ -639,7 +659,7 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "selfcheck")
         assert code == 1
         assert out.count("[pass]") == 6
-        assert "[fail] connection trace zero" in out
+        assert "[fail] connection gives the picard-fuchs operator" in out
 
     def test_selfcheck_fails_a_connection_that_is_not_trace_free(self, capsys, monkeypatch):
         real = gauss_manin.connection_matrix
@@ -653,7 +673,30 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "selfcheck")
         assert code == 1
         assert out.count("[pass]") == 6
-        assert "[fail] connection trace zero" in out.splitlines()
+        assert "[fail] connection gives the picard-fuchs operator" in out.splitlines()
+
+    # factors on the diagonal, the upper entry, the lower entry and B, as in
+    # test_gauss_manin.py::test_operator_check_fails_trace_free_mutants
+    @pytest.mark.parametrize("diag, upper, lower, B", [
+        (2, 1, 1, 1), (1, 1, Fraction(101, 100), 1), (1, 2, 1, 1), (1, 1, 1, Fraction(1001, 1000))])
+    def test_selfcheck_fails_a_trace_free_mutant(self, capsys, monkeypatch, diag, upper, lower, B):
+        real_matrix, real_operator = gauss_manin.connection_matrix, gauss_manin.picard_fuchs
+
+        def mutant(W):
+            (a, b), (c, d) = real_matrix(W).m
+            return gauss_manin.ConnectionMatrix(((diag * a, upper * b), (lower * c, diag * d)), W)
+
+        def scaled(W):
+            PF = real_operator(W)
+            return PF._replace(B=B * PF.B)
+
+        monkeypatch.setattr(gauss_manin, "connection_matrix", mutant)
+        monkeypatch.setattr(gauss_manin, "picard_fuchs", scaled)
+        monkeypatch.setattr(elliptic_oracle, "direct_periods", _real_direct_periods)
+        code, out, _ = run(capsys, "selfcheck")
+        assert code == 1
+        assert out.count("[pass]") == 6
+        assert "[fail] connection gives the picard-fuchs operator" in out.splitlines()
 
     def test_selfcheck_reports_a_check_that_raises_value_error(self, capsys, monkeypatch):
         def raises(W):
@@ -664,7 +707,7 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "selfcheck")
         assert code == 1
         assert out.count("[pass]") == 6
-        assert ("[fail] connection trace zero raised ValueError: "
+        assert ("[fail] connection gives the picard-fuchs operator raised ValueError: "
                 "connection matrix must be trace-free\n") in out
         assert out.splitlines()[-1] == "[pass] l = 5 oracle cross-check"
 

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from reglab.errors import IsotrivialFamily
 from reglab.gauss_manin import (
+    ConnectionMatrix,
     connection_matrix,
     degeneracy_locus,
+    gives_operator,
     pf_apply,
     pf_relation,
     picard_fuchs,
@@ -31,24 +33,6 @@ def tpow(k, scale=1):
 
 # g2 = 1 + 2t + 3t^3, g3 = 5 + t^2 + t^3 + 2t^4: no symmetry of the example families
 GENERIC = WeierstrassFamily(P([1, 2, 0, 3]), P([5, 0, 1, 1, 2]))
-
-
-def _gives_operator(m, PF):
-    """Whether the connection matrix m = ((a, b), (c, d)), a = -d, gives PF's operator.
-
-    A period P of omega-hat and Q of omega-star over one cycle satisfy
-    P' = aP + bQ and Q' = cP + dQ.  The first gives Q = (P' - aP)/b; put
-    into the second and multiplied by b, with a = -d,
-        P'' - (b'/b) P' + (d' - d b'/b - d^2 - bc) P = 0.
-    PF's (A P')' + B P = 0 is A P'' + A' P' + B P = 0, the same equation
-    exactly when A'/A = -b'/b and B/A = d' - d b'/b - d^2 - bc; picard_fuchs
-    normalizes A so that A b = -1, which gives the first and
-    B = -(d' - d b'/b - d^2 - bc)/b.
-    """
-    (_, b), (c, d) = m
-    db = b.derivative() / b
-    return ((PF.A * b + 1).is_zero()
-            and PF.B == -(d.derivative() - d * db - d * d - b * c) / b)
 
 
 def rank_over_q(rows):
@@ -85,7 +69,7 @@ class TestConnection:
     @pytest.mark.parametrize("family", [example_family(l) for l in (1, 5, 7, 13)] + [GENERIC],
                              ids=["l=1", "l=5", "l=7", "l=13", "generic"])
     def test_connection_gives_the_picard_fuchs_operator(self, family):
-        assert _gives_operator(connection_matrix(family).m, picard_fuchs(family))
+        assert gives_operator(connection_matrix(family), picard_fuchs(family))
 
     # factors on the diagonal, the upper entry, the lower entry and B
     @pytest.mark.parametrize("diag, upper, lower, B", [
@@ -97,7 +81,7 @@ class TestConnection:
         m = ((diag * a, upper * b), (lower * c, diag * d))
         assert (m[0][0] + m[1][1]).is_zero()
         PF = picard_fuchs(family)
-        assert not _gives_operator(m, PF._replace(B=B * PF.B))
+        assert not gives_operator(ConnectionMatrix(m, family), PF._replace(B=B * PF.B))
 
     @pytest.mark.parametrize("l", [1, 5, 7])
     def test_upper_entry_closed_form(self, l):

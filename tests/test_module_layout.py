@@ -7,7 +7,7 @@ exact_series, which takes rational exponents only, does not load the
 symbolic layer (weierstrass) either; regulator evaluates the period table
 it is given and imports neither period route (bigreal_periods,
 hypergeometric).  No module imports anything outside the standard
-library, as pyproject.toml declares, nor json, and none reaches into
+library, as pyproject.toml declares, nor json or typing, and none reaches into
 another's private names.  The
 benchmark names modules and traced functions in bench/; a move that loses
 one would zero its per-layer metrics without failing, so the names are
@@ -142,6 +142,19 @@ def test_pyproject_declares_no_runtime_dependency():
 def test_no_module_imports_json():
     # cli writes --format json with _json, and its cache files hold that text verbatim
     assert _importers("json") == set()
+
+
+def test_no_module_imports_typing():
+    # an interpreter whose site does not load typing would pay for it in every fibers and pf op;
+    # -S starts one without site, and the exact layer loads no typing through the stdlib either
+    assert _importers("typing") == set()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, reglab.cli, reglab.gauss_manin; print('typing' in sys.modules)"],
+        capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().split() == ["False"]
 
 
 def test_benchmark_modules_import():

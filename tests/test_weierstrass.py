@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from reglab import weierstrass
 from reglab.errors import IsotrivialFamily, UnsupportedL
+from reglab.gauss_manin import connection_matrix, degeneracy_locus
 from reglab.weierstrass import (
     KodairaFiber,
     Place,
@@ -19,8 +20,8 @@ from reglab.weierstrass import (
     fiber_list,
     hodge_and_dims,
     poly_gcd,
+    radical,
     split_by_multiplicity,
-    squarefree_decomposition,
     uniform_pieces,
 )
 
@@ -79,6 +80,57 @@ def _split_one_power_at_a_time(pi, p):
             p = p // d
         k += 1
     return out
+
+
+def _squarefree_decomposition(p):
+    """Yun's decomposition: pairwise coprime monic squarefree (factor, multiplicity) pairs.
+
+    fiber_list and degeneracy_locus split its factors before they took one
+    radical; it is the reference of the tests that compare the two."""
+    if p.degree < 1:
+        return []
+    p = p.monic()
+    dp = p.derivative()
+    a0 = poly_gcd(p, dp)
+    b = p // a0
+    d = (dp // a0) - b.derivative()
+    out, i = [], 1
+    while b.degree > 0:
+        a = poly_gcd(b, d)
+        if a.degree > 0:
+            out.append((a, i))
+        b = b // a
+        d = (d // a) - b.derivative()
+        i += 1
+    return out
+
+
+def _fiber_list_by_yun(W):
+    """fiber_list with the places of each source's Yun factors, merged: the reference."""
+    g2, g3, delta = W.g2, W.g3, W.delta
+    witnesses = [g2.numerator, g2.denominator, g3.numerator, g3.denominator,
+                 delta.numerator, delta.denominator]
+    orders = {Place.finite(piece): m
+              for source in (delta.numerator, delta.denominator, g2.denominator, g3.denominator)
+              for factor, _ in _squarefree_decomposition(source)
+              for piece, m in uniform_pieces(factor, witnesses)}
+    fibers = [weierstrass._kodaira(m[0] - m[1], m[2] - m[3], m[4] - m[5], place)
+              for place, m in orders.items()]
+    fibers.append(classify_fiber(W, Place.infinity()))
+    return sorted((f for f in fibers if f.type != "Smooth"),
+                  key=lambda f: (f.place.is_infinity, f.place.degree, str(f.place)))
+
+
+def _degeneracy_locus_by_yun(W):
+    """degeneracy_locus from the Yun factors of the upper entry's numerator: the reference."""
+    ratio = connection_matrix(W).omega_hat_to_star
+    if ratio.is_zero():
+        raise IsotrivialFamily("j-invariant is constant")
+    excluded = [p for p in (W.delta.numerator, W.delta.denominator,
+                            W.g2.denominator, W.g3.denominator) if p.degree > 0]
+    return {Place.finite(piece)
+            for factor, _ in _squarefree_decomposition(ratio.numerator)
+            for piece, mults in uniform_pieces(factor, excluded) if not any(mults)}
 
 
 def delta_closed_form(l):
@@ -141,11 +193,23 @@ class TestPolynomialLayer:
             pi, p = pi * piece, p * piece ** m
         assert split_by_multiplicity(pi, p) == _split_one_power_at_a_time(pi, p)
 
-    def test_squarefree_decomposition(self):
-        p = P([0, 1]) ** 3 * P([-1, 0, 0, 0, 0, 1])
-        decomp = squarefree_decomposition(p)
-        assert (P([-1, 0, 0, 0, 0, 1]), 1) in decomp
-        assert (P([0, 1]), 3) in decomp
+    def test_radical(self):
+        p = P([0, 1]) ** 3 * P([-1, 0, 0, 0, 0, 1]) * 7  # 7 t^3 (t^5 - 1)
+        assert radical(p) == P([0, -1, 0, 0, 0, 0, 1])
+        assert radical(P([-1, 1]) ** 2 * P([1, 1]) * 2) == P([-1, 0, 1])
+        assert radical(P([5])) == 1 and radical(P([])) == 1
+
+    @given(st.lists(st.tuples(_SMALL_FACTORS, st.integers(1, 4)), min_size=1, max_size=4),
+           st.integers(1, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_radical_is_the_product_of_yun_factors(self, factors, scale):
+        p = P([scale])
+        for g, m in factors:
+            p = p * g ** m
+        expected = P([1])
+        for factor, _ in _squarefree_decomposition(p):
+            expected = expected * factor
+        assert radical(p) == expected
 
     def test_floordiv_and_mod_by_a_float_raise_type_error(self):
         with pytest.raises(TypeError):
@@ -371,7 +435,8 @@ class TestKodaira:
         assert calls == []
 
     def test_fiber_list_divides_by_repeated_squares(self, monkeypatch):
-        # one power of each place at a time took 1081 divisions at l = 49
+        # one power of each place at a time took 1081 divisions at l = 49, and
+        # splitting each source's Yun factors 513
         calls = []
         real = P.__divmod__
 
@@ -383,7 +448,28 @@ class TestKodaira:
         fibers = fiber_list(example_family(49))
         assert [(str(f.place), f.type) for f in fibers] == [
             ("t", "I_147"), ("t^49 - 1", "I_1"), ("infinity", "IV*")]
-        assert len(calls) < 600
+        assert len(calls) < 100
+
+    @given(_SMALL_FAMILIES, _SMALL_FACTORS, _SMALL_FACTORS,
+           st.tuples(*[st.integers(0, 2)] * 4))
+    @example(example_family(7), _t, _t - 1, (0, 0, 0, 0))
+    # the upper entry's numerator is t^2 (4t - 1) times a unit: two pieces, by multiplicity
+    @example(WeierstrassFamily(P([2]), P([0, 0, 0, 1, -3])), _t, _t, (0, 0, 0, 0))
+    @settings(max_examples=60, deadline=None)
+    def test_one_radical_finds_the_places_yun_found(self, W, g, h, powers):
+        # g2 times g^a / h^b and g3 times h^c / g^d: poles and zeros off g2's and g3's own
+        a, b, c, d = powers
+        W = WeierstrassFamily(W.g2 * RationalFunction(g ** a, h ** b),
+                              W.g3 * RationalFunction(h ** c, g ** d))
+        for found, reference in ((fiber_list, _fiber_list_by_yun),
+                                 (degeneracy_locus, _degeneracy_locus_by_yun)):
+            try:
+                expected = reference(W)
+            except IsotrivialFamily:
+                with pytest.raises(IsotrivialFamily):
+                    found(W)
+                continue
+            assert found(W) == expected
 
     def test_i_star_n_with_n_positive(self):
         t = P([0, 1])
