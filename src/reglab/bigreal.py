@@ -1,8 +1,10 @@
 """BigReal, the exact dyadic number every numeric route returns, and the fixed-point kernels they share.
 
 A BigReal is man 2^exp with a working precision and an agreement
-certificate; to_decimal prints what mpmath's nstr prints for it, capped at
-the certificate, without importing mpmath.  The kernels (exp, sin, sqrt,
+certificate; every route returns the fixed-point integer it computed as
+(v, -w), unrounded, and _dyadic is the one exact reader of every input.
+to_decimal prints what mpmath's nstr prints for it, capped at the
+certificate, without importing mpmath.  The kernels (exp, sin, sqrt,
 atan, atan2, fixed_pi, fixed_constants) work on Python ints at w
 bits, x being the integer x 2^w and a unit 2^-w, and each states its error
 in units as a module constant (EXP_ERROR and so on); the routes carry
@@ -23,21 +25,20 @@ def digits_of_bits(bits: int) -> int:
 
 
 def _dyadic(x) -> tuple:
-    """(man, exp) with x = man 2^exp exactly, for an int, a (man, exp) pair, a
-    BigReal or a float; TypeError for anything else."""
+    """(man, exp) with x = man 2^exp exactly, for an int, a (man, exp) pair of
+    ints, a BigReal or a float; TypeError for anything else."""
     if isinstance(x, BigReal):
         return x.man, x.exp
     if isinstance(x, int):
         return x, 0
-    if isinstance(x, tuple):
-        man, exp = x
-        return int(man), int(exp)
+    if isinstance(x, tuple) and len(x) == 2 and all(isinstance(v, int) for v in x):
+        return x
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError("not a finite real number: {}".format(x))
         man, den = x.as_integer_ratio()  # den is a power of 2
         return man, 1 - den.bit_length()
-    raise TypeError("not an int, a (man, exp) pair, a BigReal or a float: {!r}".format(x))
+    raise TypeError("not an int, a (man, exp) pair of ints, a BigReal or a float: {!r}".format(x))
 
 
 def _decimal(man: int, exp: int, n: int) -> str:
@@ -93,7 +94,7 @@ def nstr(man: int, exp: int, n: int) -> str:
 class BigReal:
     """An exact dyadic value man 2^exp at a working precision, capped by an agreement certificate.
 
-    value is read exactly from an int, a (man, exp) pair, a BigReal or a float.
+    value is read exactly from an int, a (man, exp) pair of ints, a BigReal or a float.
     """
 
     __slots__ = ("man", "exp", "precision", "agreement_certificate")
@@ -128,23 +129,11 @@ class BigReal:
             self.to_decimal(), self.precision, self.agreement_certificate)
 
 
-def rounded(x: tuple, p: int) -> tuple:
-    """(man, exp) rounded to nearest (ties away from 0) at p >= 1 bits: |man| < 2^p after."""
-    man, exp = x
-    shift = abs(man).bit_length() - p
-    if shift <= 0:
-        return man, exp
-    mag = (abs(man) >> shift - 1) + 1 >> 1
-    if mag >> p:  # rounded up to 2^p
-        mag, shift = mag >> 1, shift + 1
-    return (mag if man > 0 else -mag), exp + shift
-
-
 def agreement_digits(lo, hi, cap: int) -> int:
     """The largest d <= cap with |hi - lo| 10^d <= |hi|, or 0 if there is none; exact.
 
-    lo and hi are ints, (man, exp) pairs, BigReals or floats; both must be
-    ints at the same scale or carry their own.
+    lo and hi are ints, (man, exp) pairs of two ints, BigReals or floats,
+    each read exactly; both must be ints at the same scale or carry their own.
     """
     (lm, le), (hm, he) = _dyadic(lo), _dyadic(hi)
     e = min(le, he)

@@ -459,15 +459,15 @@ def _check_oracle_l5(p_oracle: int) -> bool:
 
 
 def cmd_selfcheck(cfg: RunConfig) -> int:
-    p = _bits(cfg.effective_digits)
+    bits = cfg.oracle_bits
     checks = [
         ("series coefficient identities", _check_series_identities),
         ("connection gives the picard-fuchs operator", _check_connection_gives_operator),
         ("fiber list for l = 5", _check_fiber_list),
         ("epsilon integrality", _check_epsilon_integrality),
-        ("transformation law residual", lambda: _check_transformation_law(max(p, 128))),
-        ("vandermonde determinant identity", lambda: _check_vandermonde(max(p, 128))),
-        ("l = 5 oracle cross-check", lambda: _check_oracle_l5(cfg.oracle_bits)),
+        ("transformation law residual", lambda: _check_transformation_law(max(bits, 128))),
+        ("vandermonde determinant identity", lambda: _check_vandermonde(max(bits, 128))),
+        ("l = 5 oracle cross-check", lambda: _check_oracle_l5(bits)),
     ]
     failures = 0
     for name, check in checks:

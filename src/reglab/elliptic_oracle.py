@@ -22,7 +22,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .bigreal import (GUARD, BigReal, agreement_digits, atan2, digits_of_bits,
-                      fixed_constants, fixed_pi, rounded, sin, sqrt)
+                      fixed_constants, fixed_pi, sin, sqrt)
 from .errors import DomainError, QuadratureNotConverged, RootOrderingFailed
 from .integer_kernel import require_lj
 
@@ -37,13 +37,10 @@ OraclePeriods = namedtuple("OraclePeriods", "delta_abs gamma_abs error_estimate"
 
 
 def _read_t(t, w: int) -> tuple:
-    """t as (man, exp) with 0 < t < 1: exactly for a (man, exp) pair, a float
-    or a BigReal, and a rational (a Fraction) floored at w bits."""
-    if hasattr(t, "denominator") and not isinstance(t, int):
-        man, exp = (t.numerator << w) // t.denominator, -w
-    else:
-        x = BigReal(t, w)
-        man, exp = x.man, x.exp
+    """t as (man, exp) with 0 < t < 1, read exactly by BigReal: a (man, exp)
+    pair of ints, a float or a BigReal; TypeError for anything else."""
+    x = BigReal(t, w)
+    man, exp = x.man, x.exp
     if not (man > 0 and exp < 0 and man < 1 << -exp):
         raise DomainError("need 0 < t < 1")
     return man, exp
@@ -71,8 +68,10 @@ def _root_data(l: int, t: tuple, w: int) -> tuple:
     discriminant 6912 T^3 (1 - T) gives s = sqrt(4R^6 - q^2) = 16 T
     sqrt(T (1 - t) (1 + t + ... + t^(l-1))) without cancellation.  The
     trigonometric roots make every gap 2 sqrt3 R times the sine of an angle
-    read from atan2(s, -q) or atan2(s, q), which add to pi; the smaller is
-    computed directly, so near the O(T^(3/2)) and O(sqrt(1-T)) collisions no
+    read from theta = atan2(s, -q) or pi - theta.  Near t = 1, q < 0 and
+    theta is the small angle; near t = 0, 0 < s <= q and atan2 returns
+    theta as its own fixed_pi(W) minus atan(s/q), so pi - theta is that
+    angle exactly.  Near the O(T^(3/2)) and O(sqrt(1-T)) collisions no
     nearly equal values are subtracted.  The roots add to -9, so by Vieta
     r1 = -3 - (d21 + d31)/3, floored, which is off by less than
     (e21 + e31)/3 + 1 units when d21 and d31 are off by less than e21 and
@@ -96,12 +95,8 @@ def _root_data(l: int, t: tuple, w: int) -> tuple:
     q = ((16 * T - 72 * one) * T >> W) + 54 * one
     k = sqrt(108 * one - 96 * T, W)  # 2 sqrt3 R
     pi = fixed_pi(W)
-    if q > 0:
-        small = atan2(s, q, W)  # atan2(s, q)
-        phi, psi = (pi - small) // 3, small // 3
-    else:
-        small = atan2(s, -q, W)  # atan2(s, -q)
-        phi, psi = small // 3, (pi - small) // 3
+    theta = atan2(s, -q, W)
+    phi, psi = theta // 3, (pi - theta) // 3
     d21 = k * sin(phi, W) >> W
     d32 = k * sin(psi, W) >> W
     d31 = k * sin(pi // 3 + phi, W) >> W
@@ -153,22 +148,19 @@ def _arches(l: int, t: tuple, w: int) -> tuple:
     return 2 * _rf_zero(d32, d31, W, pi) >> W - w, 2 * _rf_zero(d21, d31, W, pi) >> W - w
 
 
-def _rounded(v: int, w: int, p: int, certificate=None) -> BigReal:
-    """v 2^-w rounded to a p-bit mantissa, at precision p."""
-    return BigReal(rounded((v, -w), p), p, certificate)
-
-
 def cubic_roots(l: int, t, p: int = 64) -> CubicRoots:
-    """Certified ordered real roots of x^3 + 9x^2 + 24 t^l x + 16 t^(2l), each rounded to p bits."""
+    """Certified ordered real roots of x^3 + 9x^2 + 24 t^l x + 16 t^(2l), at precision p,
+    each the integer _root_data computed at its W bits."""
     if l < 1:
         raise ValueError("need l >= 1")
     w = p + GUARD
     W, *values = _root_data(l, _read_t(t, w), w)
-    return CubicRoots(*(_rounded(v, W, p) for v in values))
+    return CubicRoots(*(BigReal((v, -W), p) for v in values))
 
 
 def inner_integrals(l: int, t, p: int = 64) -> InnerIntegrals:
-    """Complete elliptic integrals over the two arches, as positive magnitudes rounded to p bits.
+    """Complete elliptic integrals over the two arches, as positive magnitudes at precision p,
+    each the integer _arches computed at w = p + GUARD bits.
 
     delta arch (r1, r2), where the cubic is positive:  2 R_F(0, r3-r2, r3-r1);
     gamma arch (r2, r3), sign-flipped cubic magnitude: 2 R_F(0, r2-r1, r3-r1).
@@ -176,7 +168,7 @@ def inner_integrals(l: int, t, p: int = 64) -> InnerIntegrals:
     if l < 1:
         raise ValueError("need l >= 1")
     w = p + GUARD
-    return InnerIntegrals(*(_rounded(v, w, p) for v in _arches(l, _read_t(t, w), w)))
+    return InnerIntegrals(*(BigReal((v, -w), p) for v in _arches(l, _read_t(t, w), w)))
 
 
 def _order(p: int) -> int:
@@ -297,7 +289,8 @@ def _outer_integrals(l: int, j: int, p: int) -> tuple:
 
 
 def direct_periods(l: int, j: int, p: int = 64) -> OraclePeriods:
-    """|period| magnitudes over both arches by direct quadrature, rounded to p bits.
+    """|period| magnitudes over both arches by direct quadrature, at precision p, each
+    the integer _outer_integrals computed at w = p + GUARD bits.
 
     delta_abs = 2 sqrt3 int_0^1 t^(j-1) delta_inner dt, and likewise gamma.
     This route never touches the q-series machinery; it exists to check it.
@@ -318,7 +311,7 @@ def direct_periods(l: int, j: int, p: int = 64) -> OraclePeriods:
     while cap and 17 * l * l * 10 ** cap > 10 ** 13:
         cap -= 1
     return OraclePeriods(
-        _rounded(delta, w, p, agreement_digits(delta + err, delta, cap)),
-        _rounded(gamma, w, p, agreement_digits(gamma + err, gamma, cap)),
-        _rounded(err, w, p),
+        BigReal((delta, -w), p, agreement_digits(delta + err, delta, cap)),
+        BigReal((gamma, -w), p, agreement_digits(gamma + err, gamma, cap)),
+        BigReal((err, -w), p),
     )

@@ -19,7 +19,7 @@ this module never loads bigreal_periods.
 
 from fractions import Fraction
 
-from .bigreal import BigReal, agreement_digits, digits_of_bits, exp, fixed_constants, rounded
+from .bigreal import BigReal, agreement_digits, digits_of_bits, exp, fixed_constants
 from .integer_kernel import eisenstein_ints, scaled_power
 
 
@@ -65,12 +65,12 @@ def _partial_sum(kind: str, q: int, N: int, w: int) -> int:
 
 
 def eisenstein_numeric(kind: str, q, N: int = 64, p: int = 128) -> BigReal:
-    """Partial sum of the exact q-expansion at a real point 0 < q < 1, rounded to p bits.
+    """Partial sum of the exact q-expansion at a real point 0 < q < 1, at precision p.
 
-    q is a BigReal, a (man, exp) pair or a float, read exactly and floored
-    at p + 32 bits, and the sum runs at that precision.  The certificate is
-    the digits the sum shares with the sum plus a bound on the tail, capped
-    at the digits of p.
+    q is a BigReal, a (man, exp) pair of ints or a float, read exactly and
+    floored at w = p + 32 bits; the sum runs at w bits and is returned as the
+    integer it computed there.  The certificate is the digits the sum shares
+    with the sum plus a bound on the tail, capped at the digits of p.
     """
     w = p + 32
     x = BigReal(q, w)
@@ -80,7 +80,7 @@ def eisenstein_numeric(kind: str, q, N: int = 64, p: int = 128) -> BigReal:
     acc = _partial_sum(kind, qw, N, w)
     # 0 digits once the tail reaches |acc|
     cert = agreement_digits(acc + _tail(N, qw, w), acc, digits_of_bits(p))
-    return BigReal(rounded((acc, -w), p), p, cert)
+    return BigReal((acc, -w), p, cert)
 
 
 def eisenstein_transform_residual(z, N: int = 80, p: int = 128) -> BigReal:
@@ -95,7 +95,7 @@ def eisenstein_transform_residual(z, N: int = 80, p: int = 128) -> BigReal:
     and the prefactors, and 3n more because both sides scale as y^3.  With
     both truncation tails that bounds the residual's error, and the
     certificate is 0 digits when the residual lies below it.  The residual
-    is returned rounded to p bits.
+    is returned as the integer computed at w bits, at precision p.
     """
     re, im = BigReal(getattr(z, "real", z), p), BigReal(getattr(z, "imag", 0), p)
     if re.man != 0 or im.man <= 0:
@@ -112,4 +112,4 @@ def eisenstein_transform_residual(z, N: int = 80, p: int = 128) -> BigReal:
     bound = ((abs(lhs) + abs(rhs) >> p) + 1 + 27 * _tail(N, q_flipped, w)
              + (factor * _tail(N, q_direct, w) >> w) + 1)
     cert = agreement_digits(residual + bound, residual, digits_of_bits(p))
-    return BigReal(rounded((residual, -w), p), p, cert)
+    return BigReal((residual, -w), p, cert)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 from mpf_reference import as_mpf, from_mpf
 
+import reglab.exact_series as exact_series
 import reglab.integer_kernel as integer_kernel
 from reglab.bigreal import (
     ATAN2_ERROR,
@@ -25,7 +26,6 @@ from reglab.bigreal import (
     fixed_constants,
     fixed_pi,
     nstr,
-    rounded,
     sin,
     sqrt,
 )
@@ -101,9 +101,13 @@ class TestBigReal:
         assert BigReal(from_mpf(as_mpf(x)), 64).man == man
         assert float(x) == 0.5
 
-    @pytest.mark.parametrize("x", (mp.mpf("0.5"), mp.pi, "0.5", Fraction(1, 2), None),
-                             ids=("mpf", "constant", "str", "Fraction", "None"))
+    @pytest.mark.parametrize(
+        "x", (mp.mpf("0.5"), mp.pi, "0.5", Fraction(1, 2), None,
+              (0.5, 0), ("5", "0"), (Fraction(7, 2), 0), (5, 2.9)),
+        ids=("mpf", "constant", "str", "Fraction", "None",
+             "float-man", "str-pair", "Fraction-man", "float-exp"))
     def test_reads_only_ints_pairs_bigreals_and_floats(self, x):
+        # a pair is read only when both parts are ints: none of these is truncated
         with pytest.raises(TypeError):
             BigReal(x, 64)
         with pytest.raises(TypeError):
@@ -263,15 +267,6 @@ class TestKernelBounds:
         x = data.draw(st.integers(-(1 << w + 12), -(4 << w)))
         with mp.workprec(2 * w):
             assert _within_units(exp(x, w), mp.exp(mp.ldexp(x, -w)), w, EXP_ERROR)
-
-    def test_rounded(self):
-        assert rounded((0b10110, 3), 3) == (0b110, 5)  # 22 -> 24
-        assert rounded((-0b10101, 0), 3) == (-0b101, 2)  # -21 -> -20
-        assert rounded((0b1111, -4), 3) == (0b100, -2)  # 15/16 -> 1, still 3 bits
-        assert rounded((5, -7), 8) == (5, -7)
-        for man in range(-300, 300):
-            got, e = rounded((man, -5), 4)
-            assert abs(got) < 16 and abs((got << e + 5) - man) <= 1 << max(e + 4, 0)
 
 
 class TestConstants:
@@ -459,15 +454,21 @@ class TestEisensteinNumeric:
             eisenstein_numeric("E3a", 2, 8, 64)
 
     @pytest.mark.parametrize("p", (64, 128))
-    def test_mantissas_fit_the_precision(self, p):
-        # the sums run at p + 32 bits and more; what is returned keeps p
-        values = [eisenstein_numeric(kind, q, 64, p)
-                  for kind in ("E3a", "E3b") for q in (0.1, 0.5, 0.9)]
-        values += [eisenstein_transform_residual(complex(0, y), n, p)
-                   for y, n in ((0.5, 300), (1, 80), (2, 200))]
-        for v in values:
-            assert v.precision == p
-            assert abs(v.man).bit_length() <= p
+    def test_mantissas_fit_the_precision(self, p, monkeypatch):
+        # at precision p, each returns the integer its certificate was computed on,
+        # unrounded: the sum at w = p + 32 bits, the residual at w = p + 32 + 3n,
+        # n the bits of 1/y below 1
+        certified = []
+        real = exact_series.agreement_digits
+        monkeypatch.setattr(exact_series, "agreement_digits",
+                            lambda lo, hi, cap: certified.append(hi) or real(lo, hi, cap))
+        for kind in ("E3a", "E3b"):
+            for q in (0.1, 0.5, 0.9):
+                v = eisenstein_numeric(kind, q, 64, p)
+                assert (v.man, v.exp, v.precision) == (certified.pop(), -(p + 32), p)
+        for y, n, extra in ((0.5, 300, 3), (1, 80, 0), (2, 200, 0)):
+            v = eisenstein_transform_residual(complex(0, y), n, p)
+            assert (v.man, v.exp, v.precision) == (certified.pop(), -(p + 32 + extra), p)
 
 
 class TestTransformResidual:

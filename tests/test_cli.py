@@ -615,6 +615,17 @@ class TestOtherCommands:
         p = 175  # ceil(50 log2 10) + 8 bits, above the series route's floor of 128
         assert by_command["oracle"] == by_command["selfcheck"] == sorted(
             (route, 5, j, p) for route in ("series", "quadrature") for j in range(1, 5))
+        # selfcheck's transformation-law and Vandermonde checks run at max(bits, 128)
+        checked = []
+        residual, det = exact_series.eisenstein_transform_residual, regulator.vandermonde_like_det
+        monkeypatch.setattr(exact_series, "eisenstein_transform_residual",
+                            lambda z, N, p: checked.append(p) or residual(z, N, p))
+        monkeypatch.setattr(regulator, "vandermonde_like_det",
+                            lambda l, p: checked.append(p) or det(l, p))
+        for digits, bits in (((), 128), (("--digits", "10"), 128), (("--digits", "50"), 175)):
+            checked.clear()
+            assert run(capsys, "selfcheck", *digits)[0] == 0
+            assert checked == [bits] * 9, digits  # two residuals, seven determinants
 
     def test_selfcheck_fails_an_uncertified_vandermonde(self, capsys, monkeypatch):
         real = regulator.vandermonde_like_det
