@@ -94,17 +94,19 @@ def nstr(man: int, exp: int, n: int) -> str:
 class BigReal:
     """An exact dyadic value man 2^exp at a working precision, capped by an agreement certificate.
 
-    value is read exactly from an int, a (man, exp) pair of ints, a BigReal or a float.
+    value is read exactly from an int, a (man, exp) pair of ints, a BigReal or a float,
+    precision and agreement_certificate (None: the digits of precision) as ints only.
     """
 
     __slots__ = ("man", "exp", "precision", "agreement_certificate")
 
     def __init__(self, value, precision: int, agreement_certificate: int | None = None):
         self.man, self.exp = _dyadic(value)
-        self.precision = int(precision)
         if agreement_certificate is None:
-            agreement_certificate = digits_of_bits(self.precision)
-        self.agreement_certificate = int(agreement_certificate)
+            agreement_certificate = digits_of_bits(precision)
+        if not (isinstance(precision, int) and isinstance(agreement_certificate, int)):
+            raise TypeError("not ints: {!r}, {!r}".format(precision, agreement_certificate))
+        self.precision, self.agreement_certificate = precision, agreement_certificate
 
     def fixed(self, w: int) -> int:
         """floor(value 2^w)."""

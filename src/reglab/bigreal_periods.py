@@ -9,12 +9,12 @@ eval_IJ regroups I(j) and J(j) into four sums whose weights are rational
 (A1, A2 over a_n, B1, B2 over b_n; see _RunningSums), reads their terms off
 the exact integers scale(m) a_(m+1) and scale(m) b_m of
 integer_kernel._ScaledPower (j/l reduced, scale(m) = l^m prod_{p | l}
-p^(v_p(m!))), and evaluates the sums, the
-constants and the prefactors in Python-int fixed point with the kernels of
-bigreal, GUARD = 64 bits beyond the requested precision p; series_periods
-scales them to the period magnitudes the same way.  Values are BigReals, so
-no computation here needs a Fraction: the exact layer's Fractions
-(exact_series) and Polynomials (weierstrass) stay unloaded.
+p^(v_p(m!))), sums each new block of them by one Horner pass down to m = 0,
+and evaluates the sums, the constants and the prefactors in Python-int fixed
+point with the kernels of bigreal, GUARD = 64 bits beyond the requested
+precision p; series_periods scales them to the period magnitudes the same way.
+Values are BigReals, so no computation here needs a Fraction: the exact
+layer's Fractions (exact_series) and Polynomials (weierstrass) stay unloaded.
 """
 
 import math
@@ -51,10 +51,11 @@ class _RunningSums:
     scale(m) = l^m prod_{p | l} p^(v_p(m!)), the block
     m = lo .. N-1 is summed by Horner's rule: each term is a floor quotient
     of (Y_m << w), each step is S <- floor(S C / 2^w) + t_m with C = c at
-    w bits, and the A-blocks take one more factor C.  The block is then scaled by c^lo, which is carried as
-    a mantissa M of w bits and a shift s, c^lo ~ M 2^-s: a plain fixed-point
-    c^lo would underflow to 0 once lo passes about w/5.2 and drop every later
-    block.  The sums take floor(block M 2^-s).
+    w bits, and the A-blocks take one more factor C.  The pass runs on down
+    to m = 0 with zero terms, which scales the block by c^lo a floor at a
+    time; the sums take the block as it ends.  No power of c is formed, and
+    the block, about c^-lo times its share, does not underflow as a plain
+    fixed-point c^lo would once lo passed about w/5.2.
 
     Error bound.  A fixed-point term is below its true value by less than
     1 unit (A1, A2, B1) or 1 + l/j units (B2, which divides the B1 term once
@@ -67,14 +68,12 @@ class _RunningSums:
     0.16 per step, so the bound is about 2^-w (3 t_max + 1.03 (2 + l/j))
     with t_max the largest term, at most (l/j)^2 (the first term of B2).
 
-    The carried scale adds, per block, the floor (1 unit) and the relative
-    error of M 2^-s times the block's size.  Each factor C is off by less
-    than 2 units, a relative 2^(6.3-w), and each rounding of M adds 2^(1-w),
-    so M 2^-s is off by less than lo 2^(7-w) relative, against a block of
-    size about 1.2 |t_lo| <= 1.2 t_max 0.17^lo.  The first block (lo = 0)
-    is scaled exactly and every later one starts at lo >= 20, where this is
-    below 2^-40 units.  Over at most 2 _MAX_ROUNDS blocks, a sum is off by
-    less than about 2^-w (3 t_max + 1.03 (2 + l/j) + 16).  The combination
+    Every block after the first starts at lo >= 20, and its zero steps add
+    their floors, less than sum_m c^m < 1.03 units (the A-blocks' extra
+    factor C is one more such step), and lo times the relative error of C,
+    2^(6.3-w), times the block's size, about 1.2 |t_lo| <= 1.2 t_max 0.17^lo:
+    below 2^-40 t_max units.  Over at most 2 _MAX_ROUNDS blocks, a sum is off
+    by less than about 2^-w (3 t_max + 1.03 (2 + l/j) + 16).  The combination
     into I and J multiplies the sums by E/27 < 1/27, K < 4 and K E/27 < 1/7,
     whose errors of a few units (see bigreal.fixed_constants and exp) add a few
     units per unit of A1, B1 and B2.  For every admissible l (l >= 5),
@@ -86,7 +85,8 @@ class _RunningSums:
     2^(15-w) for l <= 31.  That stays below the 2^-p = 2^(64-w) the
     certificate assumes while l^2 < 2^59, that is for l < 2^29.5, about
     7.6e8.  Measured at p = 128 and j = 1, 2, (l-1)/2 and l - 1, the error
-    is below 0.21 l^2 units at l = 5, 31, 97, 499 and 997.
+    is below 0.73 l^2 units at l = 5 (0.89 l^2 in blocks of 16) and below
+    0.21 l^2 units at l = 31, 97, 499 and 997.
     """
 
     def __init__(self, l: int, j: int, p: int) -> None:
@@ -101,7 +101,6 @@ class _RunningSums:
         self.pref_I = E // 27  # 3^(3a-3) c^a
         self.pref_J = (k.K * E >> w) // 27  # 2 pi 3^(3a-7/2) c^a
         self.N = 0
-        self.cn = (1 << w, w)  # c^N as M 2^-s
         self.A1 = self.A2 = self.B1 = self.B2 = 0
 
     def advance(self, N: int) -> tuple:
@@ -120,14 +119,13 @@ class _RunningSums:
             a2 = ((a2 * C) >> w) + ta // (n * n)
             b1 = ((b1 * C) >> w) + tb
             b2 = ((b2 * C) >> w) + tb * l // q
-        M, s = self.cn
-        self.A1 += a1 * C * M >> s + w
-        self.A2 += a2 * C * M >> s + w
-        self.B1 += b1 * M >> s
-        self.B2 += b2 * M >> s
-        M *= C ** (N - lo)
-        excess = M.bit_length() - w
-        self.N, self.cn = N, (M >> excess, s + w * (N - lo) - excess)
+        for _ in range(lo):  # m = lo - 1 .. 0, zero terms: the block times c^lo
+            a1, a2, b1, b2 = a1 * C >> w, a2 * C >> w, b1 * C >> w, b2 * C >> w
+        self.A1 += a1 * C >> w
+        self.A2 += a2 * C >> w
+        self.B1 += b1
+        self.B2 += b2
+        self.N = N
         K = self.K
         I = self.A1 + (self.pref_I * (self.B1 + (self.B2 << w) // K) >> w)
         J = (K * self.A1 >> w) + self.A2 + (self.pref_J * self.B1 >> w)

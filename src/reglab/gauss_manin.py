@@ -28,7 +28,7 @@ def _ee_form(W: WeierstrassFamily) -> RationalFunction:
     return 2 * W.g2 * W.g3.derivative() - 3 * W.g2.derivative() * W.g3
 
 
-class ConnectionMatrix(namedtuple("ConnectionMatrix", "m family")):
+class ConnectionMatrix(namedtuple("ConnectionMatrix", "m")):
     """2x2 connection matrix m in the frame (omega-hat, omega-star), dt implicit.
 
     Row i of m holds the coefficients of nabla applied to the i-th frame
@@ -48,7 +48,7 @@ class ConnectionMatrix(namedtuple("ConnectionMatrix", "m family")):
 
 # the second-order operator f |-> f'' A + f' A' + f B acting against omega-star;
 # A = -Delta / (3 ee) is never 0: W.delta raises for Delta = 0, picard_fuchs for ee = 0
-PicardFuchsOperator = namedtuple("PicardFuchsOperator", "A B family")
+PicardFuchsOperator = namedtuple("PicardFuchsOperator", "A B")
 
 
 def connection_matrix(W: WeierstrassFamily) -> ConnectionMatrix:
@@ -62,7 +62,7 @@ def connection_matrix(W: WeierstrassFamily) -> ConnectionMatrix:
     diag = delta.derivative() / (12 * delta)
     upper = (3 * ee) / delta
     lower = -(W.g2 * ee) / (16 * delta)
-    return ConnectionMatrix(((-diag, upper), (lower, diag)), W)
+    return ConnectionMatrix(((-diag, upper), (lower, diag)))
 
 
 def degeneracy_locus(W: WeierstrassFamily) -> set[Place]:
@@ -100,7 +100,7 @@ def picard_fuchs(W: WeierstrassFamily) -> PicardFuchsOperator:
     first = (W.g2 * dg2 * dg2 - 12 * dg3 * dg3) / ee
     second = (4 * delta.derivative() / (3 * ee)).derivative()
     B = Fraction(1, 48) * (first - second)
-    return PicardFuchsOperator(A, B, W)
+    return PicardFuchsOperator(A, B)
 
 
 def gives_operator(cm: ConnectionMatrix, PF: PicardFuchsOperator) -> bool:

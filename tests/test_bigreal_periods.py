@@ -13,8 +13,10 @@ import reglab.integer_kernel as integer_kernel
 from reglab.bigreal import (
     ATAN2_ERROR,
     ATAN_ERROR,
+    CONSTANTS_ERROR,
     EXP_ERROR,
     PI_ERROR,
+    SIN_ERROR,
     SQRT_ERROR,
     BigReal,
     agreement_digits,
@@ -114,6 +116,16 @@ class TestBigReal:
             agreement_digits(x, 1, 9)
         assert not hasattr(BigReal(0.5, 64), "value")
 
+    @pytest.mark.parametrize("precision, certificate",
+                             ((64.9, None), (64, 3.7), (64.9, 3.7), ("64", None), (64, Fraction(3))),
+                             ids=("float-p", "float-cert", "floats", "str-p", "Fraction-cert"))
+    def test_reads_an_int_precision_and_certificate(self, precision, certificate):
+        # neither is truncated to an int
+        with pytest.raises(TypeError):
+            BigReal(1, precision, certificate)
+        x = BigReal(1, 64, 3)
+        assert (x.precision, x.agreement_certificate) == (64, 3)
+
     @given(man=st.integers(min_value=1, max_value=2 ** 4000),
            top=st.integers(min_value=-700, max_value=700),
            negative=st.booleans(), n=st.integers(min_value=1, max_value=120))
@@ -185,13 +197,13 @@ class TestAgreementDigits:
         assert agreement_digits(1.5, (3, -1), 9) == 9
 
 
-def _within_units(got, want, w, units=2):
+def _within_units(got, want, w, units):
     """|got - want 2^w| < units, with want an mpf evaluated at ample precision."""
     return abs(got - mp.ldexp(want, w)) < units
 
 
 class TestKernels:
-    """Every kernel is off by less than its docstring's 2 units of 2^-w."""
+    """Every kernel is off by less than the error its module constant states."""
 
     @pytest.mark.parametrize("p", (64, 128, 400, 1400))
     def test_constants(self, p):
@@ -201,7 +213,7 @@ class TestKernels:
             K = 2 * mp.pi / mp.sqrt(3)
             for got, want in ((k.pi, mp.pi), (k.sqrt3, mp.sqrt(3)), (k.ln3, mp.ln(3)),
                               (k.ln2, mp.ln(2)), (k.K, K), (k.c, mp.exp(-K))):
-                assert _within_units(got, want, w)
+                assert _within_units(got, want, w, CONSTANTS_ERROR)
             public = constants(p)
             for x, want in ((public.pi, k.pi), (public.sqrt3, k.sqrt3), (public.c, k.c)):
                 assert (x.man, x.exp, x.precision) == (want, -w, p)
@@ -215,8 +227,8 @@ class TestKernels:
         with mp.workprec(w + 64):
             for x in xs:
                 arg = mp.ldexp(x, -w)
-                assert _within_units(exp(x, w), mp.exp(arg), w), x
-                assert _within_units(sin(x, w), mp.sin(arg), w), x
+                assert _within_units(exp(x, w), mp.exp(arg), w, EXP_ERROR), x
+                assert _within_units(sin(x, w), mp.sin(arg), w, SIN_ERROR), x
 
 
 WIDTHS = st.sampled_from([64, 128, 192, 400, 1000])
@@ -359,7 +371,7 @@ class TestEvalIJ:
         assert blocks[-1][1] == pair.N_used
         assert grown == {"a": pair.N_used - 1, "b": pair.N_used - 1}  # Y_0 = 1 is given
 
-    def test_carried_scale_keeps_late_blocks(self):
+    def test_late_blocks_are_kept(self):
         # at w = 128 bits c^lo underflows a plain fixed point once lo > 24, which
         # would drop the blocks past it: about 2^23 units at lo = 40
         stepwise, whole = _RunningSums(5, 1, 64), _RunningSums(5, 1, 64)
@@ -388,6 +400,19 @@ class TestEvalIJ:
         with mp.workprec(2 * p + 64):
             assert abs(as_mpf(pair.I) - I_ref) <= mp.ldexp(abs(I_ref), -(p + 24))
             assert abs(as_mpf(pair.J) - J_ref) <= mp.ldexp(abs(J_ref), -(p + 24))
+
+    @pytest.mark.parametrize("l, j", [(l, j) for l in (5, 31, 97) for j in (1, (l - 1) // 2, l - 1)])
+    def test_blockwise_error_within_stated_bound(self, l, j):
+        # _RunningSums' docstring: I and J are off by less than 2^(5-w) l^2,
+        # every later block taken down to m = 0 with zero terms
+        p = 128
+        N = eval_IJ(l, j, p).N_used
+        sums = _RunningSums(l, j, p)
+        for n in [*range(16, N, 16), N]:
+            got = sums.advance(n)
+        with mp.workprec(2 * p + 192):
+            for value, ref in zip(got, _term_by_term(l, j, N, 2 * p + 192)):
+                assert abs(value - mp.ldexp(ref, sums.w)) < 2 ** 5 * l * l
 
     def test_rejects_bad_l(self):
         for l in (2, 3, 4, 6, 9):

@@ -677,7 +677,7 @@ class TestOtherCommands:
 
         def not_trace_free(W):
             (a, b), lower = real(W).m
-            return gauss_manin.ConnectionMatrix(((a + 1, b), lower), W)
+            return gauss_manin.ConnectionMatrix(((a + 1, b), lower))
 
         monkeypatch.setattr(gauss_manin, "connection_matrix", not_trace_free)
         monkeypatch.setattr(elliptic_oracle, "direct_periods", _real_direct_periods)
@@ -695,7 +695,7 @@ class TestOtherCommands:
 
         def mutant(W):
             (a, b), (c, d) = real_matrix(W).m
-            return gauss_manin.ConnectionMatrix(((diag * a, upper * b), (lower * c, diag * d)), W)
+            return gauss_manin.ConnectionMatrix(((diag * a, upper * b), (lower * c, diag * d)))
 
         def scaled(W):
             PF = real_operator(W)

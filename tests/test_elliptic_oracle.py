@@ -294,6 +294,11 @@ class TestStatedPrecision:
         with pytest.raises(TypeError):
             inner_integrals(5, Fraction(1, 3))
 
+    def test_float_precision_is_refused_where_it_is_read(self):
+        # by BigReal, reading t at w = p + GUARD, before any kernel shifts by a float width
+        with pytest.raises(TypeError, match="not ints: 128.5"):
+            cubic_roots(5, 0.5, p=64.5)
+
 
 class TestInnerIntegrals:
     def test_against_raw_quadrature_at_half(self):

@@ -67,6 +67,9 @@ LATER_FAMILIES = {
     "compute json at (49, 30) and (97, 30), checked and --skip-oracle": [
         ["compute", "--l", str(l), "--digits", "30", "--format", "json"] + skip
         for l in (49, 97) for skip in ([], ["--skip-oracle"])],
+    "compute --skip-oracle json at (5, 1000) and (199, 30)": [
+        ["compute", "--l", str(l), "--digits", str(d), "--skip-oracle", "--format", "json"]
+        for l, d in ((5, 1000), (199, 30))],
 }
 
 
